@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constants import sigma_phi_from_rad_per_s
 from .distributions import (
     StateKind,
     StateSpec,
@@ -102,16 +102,21 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
+    """Write equal-length float columns to the ``--out`` CSV, plus its manifest.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+    Rows are streamed as Python floats, which ``csv`` writes as shortest
+    round-trip ``repr`` (numpy scalars would print as ``np.float64(...)``).
+    """
+    out = _out_dir(args)
+    path = out / args.out
+    rows = np.column_stack(columns)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+        writer.writerows(row.tolist() for row in rows)
+    RunManifest(command=args.command, parameters=parameters, outputs=[str(path)]).write(out)
+    print(f"wrote {path} ({len(rows)} rows)")
 
 
 def _parse_segment(text: str) -> MediumSegment:
@@ -129,6 +134,12 @@ def _parse_segment(text: str) -> MediumSegment:
     return catalog_segment(material, length_cm)
 
 
+def _symmetric_paths(gdd_total: float) -> PathPair:
+    """A bare total GDD (fs^2), split evenly over two single-segment paths."""
+    half = MediumSegment("aggregate", alpha=0.0, beta=gdd_total / 2.0, length=1.0)
+    return PathPair([half], [half])
+
+
 def _paths_from_args(parser: _Parser, args) -> tuple[PathPair, float]:
     """Resolve media flags into a PathPair; returns (paths, gdd_sum fs^2)."""
     has_paths = bool(args.path1 or args.path2)
@@ -138,18 +149,25 @@ def _paths_from_args(parser: _Parser, args) -> tuple[PathPair, float]:
     if not has_paths and not has_b:
         parser.error("media unspecified: give --B or --path1/--path2 explicitly")
     if has_b:
-        # A bare total splits symmetrically across the two paths.
-        half = args.B / 2.0
-        paths = PathPair(
-            [MediumSegment("aggregate", alpha=0.0, beta=half, length=1.0)],
-            [MediumSegment("aggregate", alpha=0.0, beta=half, length=1.0)],
-        )
-        return paths, args.B
+        return _symmetric_paths(args.B), args.B
     path1 = [_parse_segment(s) for s in (args.path1 or [])]
     path2 = [_parse_segment(s) for s in (args.path2 or [])]
     paths = PathPair(path1, path2)
     _, gdd1, _, gdd2 = paths.coefficients()
     return paths, gdd1 + gdd2
+
+
+def _photon_grid(parser: _Parser, args) -> np.ndarray:
+    """Log-spaced photon numbers from --n-min/--n-max/--n-points."""
+    if args.n_min is None or args.n_max is None:
+        parser.error("--n-min and --n-max are required")
+    if not 0 < args.n_min <= args.n_max < math.inf:
+        parser.error("need 0 < n-min <= n-max < inf")
+    if args.n_points < 1:
+        parser.error("--n-points must be >= 1")
+    if args.n_points == 1:
+        return np.array([float(args.n_min)])
+    return np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points)
 
 
 def _spectrum_from_args(parser: _Parser, args) -> GaussianSpectrum:
@@ -256,37 +274,17 @@ def _cmd_scan(parser: _Parser, args) -> int:
         args.n_points = 61
     spectrum = _spectrum_from_args(parser, args)
     paths, gdd_sum = _paths_from_args(parser, args)
-    if args.n_min is None or args.n_max is None:
-        parser.error("--n-min and --n-max are required")
-    if args.n_min <= 0 or args.n_max < args.n_min:
-        parser.error("need 0 < n-min <= n-max")
-    if args.n_points < 1:
-        parser.error("--n-points must be >= 1")
+    n = _photon_grid(parser, args)
 
-    if args.n_points == 1:
-        n_values = np.array([float(args.n_min)])
-    else:
-        n_values = np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points)
-
+    sigma_phi = spectrum.sigma_phi
     _, gdd1, _, gdd2 = paths.coefficients()
-    sigma_t = classical_width(spectrum.sigma_phi, gdd1, gdd2)
-    rows = []
-    for n in n_values:
-        p_quantum = spectrum.sigma_phi * quantum_width(spectrum.sigma_phi, float(n), gdd_sum)
-        p_classical = spectrum.sigma_phi * classical_shot_noise(sigma_t, float(n))
-        rows.append((float(n), float(p_quantum), float(p_classical)))
+    sigma_t = classical_width(sigma_phi, gdd1, gdd2)
+    columns = (n, sigma_phi * quantum_width(sigma_phi, n, gdd_sum),
+               sigma_phi * classical_shot_noise(sigma_t, n))
 
-    out = _out_dir(args)
-    csv_path = out / args.out
-    _write_csv(csv_path, ["N", "p_quantum", "p_classical"], rows)
-    manifest = RunManifest(
-        command="scan",
-        parameters={**_media_params(args), "n_min": args.n_min, "n_max": args.n_max,
-                    "n_points": args.n_points, "out": args.out},
-        outputs=[str(csv_path)],
-    )
-    manifest.write(out)
-    print(f"wrote {csv_path} ({len(rows)} rows)")
+    _write_csv(args, ["N", "p_quantum", "p_classical"], columns,
+               {**_media_params(args), "n_min": args.n_min, "n_max": args.n_max,
+                "n_points": args.n_points, "out": args.out})
     return 0
 
 
@@ -304,44 +302,32 @@ def _cmd_surface(parser: _Parser, args) -> int:
         parser.error("--sigma-phi (rad/s) is required")
     if args.beta is None:
         parser.error("--beta (fs^2/cm) is required")
-    sigma_phi = sigma_phi_from_rad_per_s(args.sigma_phi)
-    if args.n_min is None or args.n_max is None or args.x_min is None or args.x_max is None:
-        parser.error("--n-min/--n-max and --x-min/--x-max are required")
-    if args.n_min <= 0 or args.n_max < args.n_min:
-        parser.error("need 0 < n-min <= n-max")
-    if args.x_min < 0 or args.x_max < args.x_min:
-        parser.error("need 0 <= x-min <= x-max")
+    n_values = _photon_grid(parser, args)
+    if args.x_min is None or args.x_max is None:
+        parser.error("--x-min and --x-max are required")
+    if not 0 <= args.x_min <= args.x_max < math.inf:
+        parser.error("need 0 <= x-min <= x-max < inf")
+    if args.x_points < 1:
+        parser.error("--x-points must be >= 1")
+    # Built only for their checks: finite, positive sigma_phi and finite beta.
+    sigma_phi = GaussianSpectrum.from_si(args.sigma_phi).sigma_phi
+    beta = MediumSegment("surface", alpha=0.0, beta=args.beta, length=0.0).beta
 
-    n_values = (np.array([float(args.n_min)]) if args.n_points == 1 else
-                np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points))
-    x_values = np.linspace(args.x_min, args.x_max, args.x_points)
+    # N-major grid with x cm of the medium in each path: total GDD 2*beta*x,
+    # classical per-path products beta*x each.
+    n, x = np.meshgrid(n_values, np.linspace(args.x_min, args.x_max, args.x_points),
+                       indexing="ij")
+    gdd_path = beta * x
+    ratio = (quantum_width(sigma_phi, n, 2.0 * gdd_path)
+             / classical_shot_noise(classical_width(sigma_phi, gdd_path, gdd_path), n))
+    clipped = np.maximum(ratio, 1.0) if args.clip == "unity" else ratio
 
-    rows = []
-    for n in n_values:
-        for x in x_values:
-            # x cm of the medium in each path: total GDD 2*beta*x, classical
-            # per-path products beta*x each.
-            gdd_path = args.beta * float(x)
-            sigma_q = quantum_width(sigma_phi, float(n), 2.0 * gdd_path)
-            sigma_c = classical_shot_noise(
-                classical_width(sigma_phi, gdd_path, gdd_path), float(n))
-            ratio = sigma_q / sigma_c
-            clipped = max(ratio, 1.0) if args.clip == "unity" else ratio
-            rows.append((float(n), float(x), float(clipped), float(ratio)))
-
-    out = _out_dir(args)
-    csv_path = out / args.out
-    _write_csv(csv_path, ["N", "x_cm", "R", "R_raw"], rows)
-    manifest = RunManifest(
-        command="surface",
-        parameters={"sigma_phi_rad_per_s": args.sigma_phi, "beta_fs2_per_cm": args.beta,
-                    "n_min": args.n_min, "n_max": args.n_max, "n_points": args.n_points,
-                    "x_min_cm": args.x_min, "x_max_cm": args.x_max, "x_points": args.x_points,
-                    "clip": args.clip, "out": args.out},
-        outputs=[str(csv_path)],
-    )
-    manifest.write(out)
-    print(f"wrote {csv_path} ({len(rows)} rows)")
+    _write_csv(
+        args, ["N", "x_cm", "R", "R_raw"], [a.ravel() for a in (n, x, clipped, ratio)],
+        {"sigma_phi_rad_per_s": args.sigma_phi, "beta_fs2_per_cm": args.beta,
+         "n_min": args.n_min, "n_max": args.n_max, "n_points": args.n_points,
+         "x_min_cm": args.x_min, "x_max_cm": args.x_max, "x_points": args.x_points,
+         "clip": args.clip, "out": args.out})
     return 0
 
 
@@ -424,34 +410,19 @@ def _cmd_media(parser: _Parser, args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _quadrature_cases(max_points: int | None):
-    spectrum = GaussianSpectrum.from_si(3.7e11)
-    quad = QuadratureSpec(max_points=max_points) if max_points is not None else QuadratureSpec()
-    for kind in StateKind:
-        for n in (1, 3, 10, 100):
-            for gdd_total in (0.0, 500.0, 1.0e5):
-                yield kind, n, gdd_total, spectrum, quad
-
-
 def _run_quadrature_suite(max_points: int | None) -> list[dict]:
     tolerance = 1e-6
+    spectrum = GaussianSpectrum.from_si(3.7e11)
+    quad = QuadratureSpec(max_points=max_points) if max_points is not None else QuadratureSpec()
     cases = []
-    for kind, n, gdd_total, spectrum, quad in _quadrature_cases(max_points):
-        if kind is StateKind.ENTANGLED_COHERENT:
-            state = StateSpec(kind=kind, n_photons=n, v_mag=1.2, u_mag=0.8)
-        else:
-            state = StateSpec(kind=kind, n_photons=n)
-        half = gdd_total / 2.0
-        paths = PathPair(
-            [MediumSegment("m1", alpha=0.0, beta=half, length=1.0)],
-            [MediumSegment("m2", alpha=0.0, beta=half, length=1.0)],
-        )
-        name = f"{kind.value}/N={n}/gdd={gdd_total:g}"
+    for kind, n, gdd_total in itertools.product(StateKind, (1, 3, 10, 100), (0.0, 500.0, 1.0e5)):
+        magnitudes = (1.2, 0.8) if kind is StateKind.ENTANGLED_COHERENT else (None, None)
+        state = StateSpec(kind, n, *magnitudes)
         sigma = quantum_width(spectrum.sigma_phi, n, gdd_total)
         grid = np.linspace(-5.0 * sigma, 5.0 * sigma, 41)
-        case = {"name": name, "tolerance": tolerance}
+        case = {"name": f"{kind.value}/N={n}/gdd={gdd_total:g}", "tolerance": tolerance}
         try:
-            report = verify_closed_form(state, spectrum, paths, grid, quad)
+            report = verify_closed_form(state, spectrum, _symmetric_paths(gdd_total), grid, quad)
             case["max_rel_err"] = report.max_rel_err
             case["points_used"] = report.points_used
             case["passed"] = report.max_rel_err < tolerance

@@ -97,8 +97,8 @@ class StateSpec:
             raise DomainError("coherent states need v_mag and u_mag")
         if not coherent and (self.v_mag is not None or self.u_mag is not None):
             raise DomainError(f"{self.kind.name} takes no coherent amplitudes")
-        if coherent and (self.v_mag < 0 or self.u_mag < 0):
-            raise DomainError("coherent amplitude magnitudes must be >= 0")
+        if coherent and not (0 <= self.v_mag < math.inf and 0 <= self.u_mag < math.inf):
+            raise DomainError("coherent amplitude magnitudes must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -119,23 +119,36 @@ class TimingDistribution:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
 
 
-def quantum_width(sigma_phi: float, n_photons: float, gdd_sum: float) -> float:
+def _float_if_scalar(value):
+    # Closed forms take scalars or arrays: a scalar in gives a Python float out.
+    return value if value.ndim else float(value)
+
+
+def _check_photon_number(n_photons):
+    n = np.asarray(n_photons, dtype=float)
+    if not (n > 0).all():
+        raise DomainError("photon number must be positive: width undefined at N = 0")
+    return n
+
+
+def quantum_width(sigma_phi: float, n_photons, gdd_sum):
     """Width (fs) of the collective observable for photon number N.
 
     sigma_phi : spectral width, rad/fs
     gdd_sum   : beta1*x1 + beta2*x2 over the two paths, fs^2
 
+    ``n_photons`` and ``gdd_sum`` may be arrays (broadcast together).
     Satisfies sigma^2 * 2 sigma_phi^2 N^2 = 1 + 4 sigma_phi^4 N^2 gdd_sum^2
     to machine precision, and reduces bit-exactly to intensity_width()/N
     when gdd_sum is zero.
     """
     if not sigma_phi > 0:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
-    if not n_photons > 0:
-        raise DomainError("photon number must be positive: width undefined at N = 0")
+    n = _check_photon_number(n_photons)
     packet_width = 1.0 / (math.sqrt(2.0) * sigma_phi)
-    dispersion_phase = 2.0 * sigma_phi**2 * n_photons * gdd_sum
-    return math.sqrt(1.0 + dispersion_phase * dispersion_phase) * (packet_width / n_photons)
+    dispersion_phase = 2.0 * sigma_phi**2 * n * gdd_sum
+    return _float_if_scalar(
+        np.sqrt(1.0 + dispersion_phase * dispersion_phase) * (packet_width / n))
 
 
 def asymptotic_width(sigma_phi: float, gdd_sum: float) -> float:
@@ -159,34 +172,47 @@ def transition_photon_number(sigma_phi: float, gdd_sum: float) -> float:
     return 1.0 / (2.0 * sigma_phi**2 * abs(gdd_sum))
 
 
-def classical_width(sigma_phi: float, gdd_path1: float, gdd_path2: float) -> float:
+def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
     """Width (fs) of the arrival-time difference of two classical pulses.
 
-    gdd_path1, gdd_path2 : beta*x of each path separately, fs^2.  They
-    enter as a sum of squares, so no sign arrangement can cancel the
-    broadening classically.
+    gdd_path1, gdd_path2 : beta*x of each path separately, fs^2, scalars or
+    arrays.  They enter as a sum of squares, so no sign arrangement can
+    cancel the broadening classically.
     """
     if not sigma_phi > 0:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
     curvature = 1.0 / (2.0 * sigma_phi**2)  # Gaussian exponent coefficient, fs^2
-    variance = (2.0 * curvature**2 + (gdd_path1**2 + gdd_path2**2)) / curvature
-    return math.sqrt(variance)
+    variance = (2.0 * curvature**2 + (np.square(gdd_path1) + np.square(gdd_path2))) / curvature
+    return _float_if_scalar(np.sqrt(variance))
 
 
-def classical_shot_noise(sigma_t: float, n_photons: float) -> float:
+def classical_shot_noise(sigma_t, n_photons):
     """Classical timing uncertainty after averaging N pulse pairs: sigma_t/sqrt(N)."""
-    if not n_photons > 0:
-        raise DomainError("photon number must be positive")
-    return sigma_t / math.sqrt(n_photons)
+    return _float_if_scalar(sigma_t / np.sqrt(_check_photon_number(n_photons)))
 
 
-def _aggregate(paths: PathPair) -> tuple[float, float, float, float]:
-    return paths.coefficients()
+def _coherent_scale(state: StateSpec, power: float) -> float:
+    """|v|^power |u|^power (power 2N for probabilities, N for amplitudes); 1 for Fock states.
 
-
-def _coherent_amplitude_scale(state: StateSpec) -> float:
-    # |v|^(2N) |u|^(2N), written in this canonical form so tests can match it exactly.
-    return state.v_mag ** (2.0 * state.n_photons) * state.u_mag ** (2.0 * state.n_photons)
+    The direct product ``v**power * u**power`` whenever both factors fit in
+    float64, so tests can match it exactly; log space when a factor alone
+    overflows.
+    """
+    if state.kind is not StateKind.ENTANGLED_COHERENT:
+        return 1.0
+    v, u = state.v_mag, state.u_mag
+    if v == 0.0 or u == 0.0:
+        return 0.0
+    try:
+        return v**power * u**power
+    except OverflowError:
+        pass
+    try:
+        return math.exp(power * (math.log(v) + math.log(u)))
+    except OverflowError:
+        raise DomainError(
+            "coherent amplitude scale overflows float64 at this photon number"
+        ) from None
 
 
 def quantum_distribution(
@@ -200,22 +226,15 @@ def quantum_distribution(
     for all three families.  Means follow the path1-minus-path2 convention
     for difference variables.
     """
-    delay1, gdd1, delay2, gdd2 = _aggregate(paths)
+    delay1, gdd1, delay2, gdd2 = paths.coefficients()
     sigma = quantum_width(spectrum.sigma_phi, state.n_photons, gdd1 + gdd2)
 
     if state.kind is StateKind.CORRELATED_FOCK:
-        variable = TimingVariable.MEAN_TIME_SUM
-        mean = delay1 + delay2
-        scale = 1.0
-    elif state.kind is StateKind.ANTI_CORRELATED_FOCK:
-        variable = TimingVariable.MEAN_TIME_DIFFERENCE
-        mean = delay1 - delay2
-        scale = 1.0
+        variable, mean = TimingVariable.MEAN_TIME_SUM, delay1 + delay2
     else:
-        variable = TimingVariable.MEAN_TIME_DIFFERENCE
-        mean = delay1 - delay2
-        scale = _coherent_amplitude_scale(state)
-    return TimingDistribution(variable=variable, mean=mean, sigma=sigma, amplitude_scale=scale)
+        variable, mean = TimingVariable.MEAN_TIME_DIFFERENCE, delay1 - delay2
+    return TimingDistribution(variable=variable, mean=mean, sigma=sigma,
+                              amplitude_scale=_coherent_scale(state, 2.0 * state.n_photons))
 
 
 def gated_detector_distribution(
@@ -247,14 +266,11 @@ def gated_detector_distribution(
     gdd_sum = medium1.beta * mean_position1_cm + medium2.beta * mean_position2_cm
     sigma = quantum_width(spectrum.sigma_phi, state.n_photons, gdd_sum)
     mean = medium1.alpha * mean_position1_cm - medium2.alpha * mean_position2_cm
-    scale = 1.0
-    if state.kind is StateKind.ENTANGLED_COHERENT:
-        scale = _coherent_amplitude_scale(state)
     return TimingDistribution(
         variable=TimingVariable.GATED_POSITION_TIME_DIFFERENCE,
         mean=mean,
         sigma=sigma,
-        amplitude_scale=scale,
+        amplitude_scale=_coherent_scale(state, 2.0 * state.n_photons),
     )
 
 
@@ -266,7 +282,7 @@ def quantum_classical_ratio(
     Below 1 the entangled state beats classical averaging; above 1
     uncompensated dispersion has made it worse.
     """
-    _, gdd1, _, gdd2 = _aggregate(paths)
+    _, gdd1, _, gdd2 = paths.coefficients()
     sigma_q = quantum_width(spectrum.sigma_phi, state.n_photons, gdd1 + gdd2)
     sigma_c = classical_shot_noise(
         classical_width(spectrum.sigma_phi, gdd1, gdd2), state.n_photons
@@ -281,5 +297,4 @@ def density_at(dist: TimingDistribution, tau):
     or arrays.
     """
     z = (np.asarray(tau, dtype=float) - dist.mean) / dist.sigma
-    out = np.exp(-0.5 * z * z) / (dist.sigma * math.sqrt(2.0 * math.pi))
-    return out if out.ndim else float(out)
+    return _float_if_scalar(np.exp(-0.5 * z * z) / (dist.sigma * math.sqrt(2.0 * math.pi)))

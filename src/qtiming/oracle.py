@@ -33,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import StateKind, StateSpec, density_at, quantum_distribution
+from .distributions import (StateKind, StateSpec, _coherent_scale, density_at,
+                            quantum_distribution)
 from .errors import ConvergenceError, DomainError
 from .media import PathPair
 from .spectral import GaussianSpectrum
@@ -228,55 +229,57 @@ def _oscillatory_gaussian_integral(
     )
 
 
-def _linear_mean(state: StateSpec, paths: PathPair) -> float:
-    delay1, _, delay2, _ = paths.coefficients()
-    if state.kind is StateKind.CORRELATED_FOCK:
-        return delay1 + delay2
-    return delay1 - delay2
+def _case_geometry(
+    state: StateSpec, spectrum: GaussianSpectrum, paths: PathPair
+) -> tuple[float, float, float]:
+    """(gdd_sum, b, mean) of one case, computed once and shared by every tau.
 
-
-def _gdd_sum(paths: PathPair) -> float:
-    _, gdd1, _, gdd2 = paths.coefficients()
-    return gdd1 + gdd2
-
-
-def _check_envelope(b: float) -> None:
+    ``mean`` is the oracle's own choice of the linear offset (delay sum for
+    correlated states, difference otherwise), not the closed form's.
+    """
+    delay1, gdd1, delay2, gdd2 = paths.coefficients()
+    gdd_sum = gdd1 + gdd2
+    b = state.n_photons * gdd_sum * spectrum.sigma_phi**2
     if abs(b) > PHASE_ENVELOPE_RAD:
         raise DomainError(
             f"dispersion phase |N * gdd_sum * sigma_phi^2| = {abs(b):.3e} rad exceeds "
             f"the validated quadrature envelope of {PHASE_ENVELOPE_RAD:.0e} rad; "
             "the closed forms remain available at this scale"
         )
-
-
-def _coherent_scale(state: StateSpec) -> float:
-    if state.kind is not StateKind.ENTANGLED_COHERENT:
-        return 1.0
-    v, u = state.v_mag, state.u_mag
-    if v == 0.0 or u == 0.0:
-        return 0.0
-    try:
-        return math.exp(state.n_photons * (math.log(v) + math.log(u)))
-    except OverflowError:
-        raise DomainError(
-            "coherent amplitude scale overflows float64 at this photon number"
-        ) from None
+    mean = delay1 + delay2 if state.kind is StateKind.CORRELATED_FOCK else delay1 - delay2
+    return gdd_sum, b, mean
 
 
 def _amplitude_raw(
     state: StateSpec,
     spectrum: GaussianSpectrum,
-    paths: PathPair,
+    geometry: tuple[float, float, float],
     tau: float,
     quad: QuadratureSpec,
 ) -> tuple[complex, int]:
     """Amplitude without the coherent magnitude factor, plus points used."""
+    _, b, mean = geometry
     sigma_phi = spectrum.sigma_phi
-    b = state.n_photons * _gdd_sum(paths) * sigma_phi**2
-    _check_envelope(b)
-    z = state.n_photons * sigma_phi * (tau - _linear_mean(state, paths))
+    z = state.n_photons * sigma_phi * (tau - mean)
     value, _, points = _oscillatory_gaussian_integral(b, z, quad)
     return sigma_phi * value, points
+
+
+def _intensity(
+    state: StateSpec,
+    spectrum: GaussianSpectrum,
+    geometry: tuple[float, float, float],
+    taus: np.ndarray,
+    quad: QuadratureSpec,
+) -> tuple[np.ndarray, int]:
+    """|A|^2 (coherent factor dropped) at each of ``taus``, plus points used."""
+    values = np.empty_like(taus)
+    points = 0
+    for i, tau in enumerate(taus):
+        amp, used = _amplitude_raw(state, spectrum, geometry, float(tau), quad)
+        values[i] = abs(amp) ** 2
+        points += used
+    return values, points
 
 
 def amplitude_numeric(
@@ -293,9 +296,9 @@ def amplitude_numeric(
     1/N! prefactor is dropped; the coherent magnitude factor |v|^N |u|^N
     is included.
     """
-    quad = quad or QuadratureSpec()
-    value, _ = _amplitude_raw(state, spectrum, paths, tau, quad)
-    return _coherent_scale(state) * value
+    geometry = _case_geometry(state, spectrum, paths)
+    value, _ = _amplitude_raw(state, spectrum, geometry, tau, quad or QuadratureSpec())
+    return _coherent_scale(state, state.n_photons) * value
 
 
 def _width_bound(spectrum: GaussianSpectrum, n_photons: float, gdd_sum: float) -> float:
@@ -312,7 +315,7 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _density_on_nodes(
     state: StateSpec,
     spectrum: GaussianSpectrum,
-    paths: PathPair,
+    geometry: tuple[float, float, float],
     quad: QuadratureSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Numeric |A|^2 on Gauss-Legendre nodes spanning the distribution.
@@ -322,18 +325,12 @@ def _density_on_nodes(
     ``_WINDOW_SIGMAS`` conservative width bounds, so it always covers the
     true density regardless of what the closed form claims.
     """
-    center = _linear_mean(state, paths)
-    bound = _width_bound(spectrum, state.n_photons, _gdd_sum(paths))
+    gdd_sum, _, mean = geometry
+    half_width = _WINDOW_SIGMAS * _width_bound(spectrum, state.n_photons, gdd_sum)
     x, w = _leggauss(_NORM_NODES)
-    nodes = center + _WINDOW_SIGMAS * bound * x
-    weights = _WINDOW_SIGMAS * bound * w
-    values = np.empty_like(nodes)
-    points = 0
-    for i, tau in enumerate(nodes):
-        amp, used = _amplitude_raw(state, spectrum, paths, float(tau), quad)
-        values[i] = abs(amp) ** 2
-        points += used
-    return nodes, weights, values, points
+    nodes = mean + half_width * x
+    values, points = _intensity(state, spectrum, geometry, nodes, quad)
+    return nodes, half_width * w, values, points
 
 
 def verify_closed_form(
@@ -360,14 +357,10 @@ def verify_closed_form(
     dist = quantum_distribution(state, spectrum, paths)
     closed = np.asarray(density_at(dist, grid))
 
-    _, weights, node_values, points = _density_on_nodes(state, spectrum, paths, quad)
-    normalisation = float(weights @ node_values)
-
-    numeric = np.empty_like(grid)
-    for i, tau in enumerate(grid):
-        amp, used = _amplitude_raw(state, spectrum, paths, float(tau), quad)
-        numeric[i] = abs(amp) ** 2 / normalisation
-        points += used
+    geometry = _case_geometry(state, spectrum, paths)
+    _, weights, node_values, node_points = _density_on_nodes(state, spectrum, geometry, quad)
+    values, points = _intensity(state, spectrum, geometry, grid, quad)
+    numeric = values / float(weights @ node_values)
 
     peak = density_at(dist, dist.mean)
     mask = closed > 1e-8 * peak
@@ -380,8 +373,24 @@ def verify_closed_form(
         closed_form=[float(v) for v in closed],
         numeric=[float(v) for v in numeric],
         max_rel_err=max_rel_err,
-        points_used=points,
+        points_used=node_points + points,
     )
+
+
+def _central_moment(
+    state: StateSpec,
+    spectrum: GaussianSpectrum,
+    paths: PathPair,
+    order: int,
+    quad: QuadratureSpec | None,
+) -> tuple[float, float]:
+    """(mean, central moment of the given order) of the numeric density."""
+    geometry = _case_geometry(state, spectrum, paths)
+    nodes, weights, values, _ = _density_on_nodes(
+        state, spectrum, geometry, quad or QuadratureSpec())
+    mass = float(weights @ values)
+    mean = float(weights @ (nodes * values)) / mass
+    return mean, float(weights @ ((nodes - mean) ** order * values)) / mass
 
 
 def numeric_moments(
@@ -391,11 +400,7 @@ def numeric_moments(
     quad: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
     """Mean and width (fs) of the numeric density, by moment quadrature."""
-    quad = quad or QuadratureSpec()
-    nodes, weights, values, _ = _density_on_nodes(state, spectrum, paths, quad)
-    mass = float(weights @ values)
-    mean = float(weights @ (nodes * values)) / mass
-    variance = float(weights @ ((nodes - mean) ** 2 * values)) / mass
+    mean, variance = _central_moment(state, spectrum, paths, 2, quad)
     return mean, math.sqrt(variance)
 
 
@@ -407,8 +412,4 @@ def numeric_central_moment(
     quad: QuadratureSpec | None = None,
 ) -> float:
     """Central moment of the numeric density of the given order."""
-    quad = quad or QuadratureSpec()
-    nodes, weights, values, _ = _density_on_nodes(state, spectrum, paths, quad)
-    mass = float(weights @ values)
-    mean = float(weights @ (nodes * values)) / mass
-    return float(weights @ ((nodes - mean) ** order * values)) / mass
+    return _central_moment(state, spectrum, paths, order, quad)[1]

@@ -29,8 +29,8 @@ class GaussianSpectrum:
     sigma_phi: float
 
     def __post_init__(self):
-        if not self.sigma_phi > 0:
-            raise DomainError(f"sigma_phi must be positive, got {self.sigma_phi}")
+        if not 0 < self.sigma_phi < math.inf:
+            raise DomainError(f"sigma_phi must be finite and positive, got {self.sigma_phi}")
         if not self.omega0 > 0:
             raise DomainError(f"omega0 must be positive, got {self.omega0}")
 

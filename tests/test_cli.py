@@ -5,6 +5,7 @@ are parsed back and checked, including manifest round-trips.
 """
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,14 @@ SIGMA_PHI = 3.7e-4  # rad/fs, equals the CLI's 3.7e11 rad/s input
 
 def run(tmp_path, *argv):
     return main([*argv, "--out-dir", str(tmp_path)])
+
+
+def exit_code(tmp_path, *argv):
+    """Exit code of a CLI run, whether it returns or raises SystemExit."""
+    try:
+        return run(tmp_path, *argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_csv(path):
@@ -72,6 +81,19 @@ class TestWidth:
         with pytest.raises(SystemExit) as excinfo:
             run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "1")
         assert excinfo.value.code == 1
+
+    def test_coherent_scale_past_float64_range_is_finite(self, tmp_path, capsys):
+        code = run(tmp_path, "width", "--state", "coherent", "--v", "1.2", "--u", "0.8",
+                   "--n", "10000", "--B", "0", "--sigma-phi", "3.7e11", "--json")
+        assert code == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["amplitude_scale"])
+
+    def test_coherent_scale_overflow_is_domain_error(self, tmp_path, capsys):
+        code = run(tmp_path, "width", "--state", "coherent", "--v", "1.2", "--u", "1.2",
+                   "--n", "10000", "--B", "0", "--sigma-phi", "3.7e11")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
 
     def test_writes_manifest_and_report(self, tmp_path, capsys):
         run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "2", "--B", "100")
@@ -168,6 +190,46 @@ class TestSurface:
                 assert off[2] == on[2]
             else:
                 assert on[2] == 1.0
+
+
+BAD_GRIDS = [
+    # (argv, exit code): usage errors exit 1, invalid media 2.
+    (("scan", "--preset", "fig2", "--n-points", "0"), 1),
+    (("scan", "--preset", "fig2", "--n-max", "inf"), 1),
+    (("scan", "--preset", "fig2", "--n-min", "nan"), 1),
+    (("scan", "--preset", "fig2", "--n-min", "1e4", "--n-max", "10"), 1),
+    (("surface", "--preset", "fig3", "--n-points", "0"), 1),
+    (("surface", "--preset", "fig3", "--x-points", "0"), 1),
+    (("surface", "--preset", "fig3", "--n-max", "inf"), 1),
+    (("surface", "--preset", "fig3", "--n-min", "nan"), 1),
+    (("surface", "--preset", "fig3", "--n-min", "100", "--n-max", "10"), 1),
+    (("surface", "--preset", "fig3", "--x-max", "inf"), 1),
+    (("surface", "--preset", "fig3", "--x-min", "nan"), 1),
+    (("surface", "--preset", "fig3", "--x-min", "50", "--x-max", "5"), 1),
+    (("surface", "--preset", "fig3", "--beta", "nan"), 2),
+    (("surface", "--preset", "fig3", "--beta", "inf"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_GRIDS,
+                         ids=[" ".join(argv[:1] + argv[3:]) for argv, _ in BAD_GRIDS])
+def test_bad_grid_exits_without_csv(tmp_path, capsys, argv, code):
+    assert exit_code(tmp_path, *argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_preset_csvs_match_recorded_digests(tmp_path):
+    # SHA-256 of the fig2 and fig3 CSVs as first released; a refactor of the
+    # closed forms or the writer must keep these bytes.
+    assert run(tmp_path, "scan", "--preset", "fig2") == 0
+    assert run(tmp_path, "surface", "--preset", "fig3") == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("scan.csv", "surface.csv")}
+    assert digests == {
+        "scan.csv": "fe44b33279b3bb866f5bc288075bd99259757548d85bc94f4e8e6e5d14da243b",
+        "surface.csv": "8b7cf602ae90e08c09f3ac66036dbd0d0d4bc32ddc2a3f289193f4cff47049ab",
+    }
 
 
 class TestTransition:

@@ -178,6 +178,48 @@ class TestClassicalShotNoise:
             classical_shot_noise(1.0, 0)
 
 
+class TestArrayInputs:
+    """The closed forms take arrays; scalars still give Python floats."""
+
+    # The grids of the fig2 (scan) and fig3 (surface) presets.
+    FIG2_N = np.logspace(0.0, 6.0, 121)
+    FIG3_N, FIG3_X = np.meshgrid(np.logspace(0.0, 4.0, 33), np.linspace(0.0, 200.0, 41),
+                                 indexing="ij")
+
+    def test_fig2_grid_matches_scalar_loop(self):
+        gdd, sigma_t = 1.0e5, classical_width(SIGMA_PHI, 1.0e5, 0.0)
+        assert np.array_equal(
+            quantum_width(SIGMA_PHI, self.FIG2_N, gdd),
+            [quantum_width(SIGMA_PHI, n, gdd) for n in self.FIG2_N.tolist()])
+        assert np.array_equal(
+            classical_shot_noise(sigma_t, self.FIG2_N),
+            [classical_shot_noise(sigma_t, n) for n in self.FIG2_N.tolist()])
+
+    def test_fig3_grid_matches_scalar_loop(self):
+        n, gdd = self.FIG3_N.ravel(), 250.0 * self.FIG3_X.ravel()
+        pairs = list(zip(n.tolist(), gdd.tolist()))
+        assert np.array_equal(quantum_width(SIGMA_PHI, n, 2.0 * gdd),
+                              [quantum_width(SIGMA_PHI, a, 2.0 * g) for a, g in pairs])
+        sigma_t = classical_width(SIGMA_PHI, gdd, gdd)
+        assert np.array_equal(sigma_t, [classical_width(SIGMA_PHI, g, g) for _, g in pairs])
+        assert np.array_equal(
+            classical_shot_noise(sigma_t, n),
+            [classical_shot_noise(t, a) for t, (a, _) in zip(sigma_t.tolist(), pairs)])
+
+    def test_scalar_call_returns_float(self):
+        assert type(quantum_width(SIGMA_PHI, 10, 500.0)) is float
+        assert type(classical_width(SIGMA_PHI, 250.0, -250.0)) is float
+        assert type(classical_shot_noise(3.0, 4)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_array_with_nonpositive_photon_number_rejected(self, bad):
+        n = np.array([1.0, 10.0, bad])
+        with pytest.raises(DomainError):
+            quantum_width(SIGMA_PHI, n, 500.0)
+        with pytest.raises(DomainError):
+            classical_shot_noise(1.0, n)
+
+
 class TestStateSpec:
     def test_zero_photons_rejected(self):
         with pytest.raises(DomainError):
@@ -198,6 +240,11 @@ class TestStateSpec:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(DomainError):
             StateSpec(StateKind.ENTANGLED_COHERENT, 2, v_mag=-1.0, u_mag=1.0)
+
+    @pytest.mark.parametrize("magnitude", [math.inf, math.nan])
+    def test_non_finite_magnitude_rejected(self, magnitude):
+        with pytest.raises(DomainError):
+            StateSpec(StateKind.ENTANGLED_COHERENT, 2, v_mag=1.0, u_mag=magnitude)
 
 
 class TestQuantumDistribution:
@@ -243,6 +290,21 @@ class TestQuantumDistribution:
         assert other.sigma == base.sigma
         assert other.mean == base.mean
         assert other.amplitude_scale == v ** (2.0 * n) * u ** (2.0 * n)
+
+    def test_coherent_scale_past_float64_range_falls_back_to_log_space(self, spectrum):
+        # 1.2^20000 overflows on its own; the product 0.96^20000 underflows to 0.
+        state = StateSpec(StateKind.ENTANGLED_COHERENT, 10_000, v_mag=1.2, u_mag=0.8)
+        assert quantum_distribution(state, spectrum, pair(0.0, 0.0)).amplitude_scale == 0.0
+        # 3^2000 overflows on its own, the product 0.9^2000 ~ 1e-92 does not.
+        state = StateSpec(StateKind.ENTANGLED_COHERENT, 1_000, v_mag=3.0, u_mag=0.3)
+        expected = math.exp(2000.0 * (math.log(3.0) + math.log(0.3)))
+        scale = quantum_distribution(state, spectrum, pair(0.0, 0.0)).amplitude_scale
+        assert scale == pytest.approx(expected, rel=1e-12)
+
+    def test_coherent_scale_overflow_is_domain_error(self, spectrum):
+        state = StateSpec(StateKind.ENTANGLED_COHERENT, 10_000, v_mag=1.2, u_mag=1.2)
+        with pytest.raises(DomainError, match="overflows"):
+            quantum_distribution(state, spectrum, pair(0.0, 0.0))
 
     @given(photon_numbers, gdd_values, gdd_values)
     @settings(max_examples=60)

@@ -91,3 +91,9 @@ def test_nonpositive_bandwidth_rejected(sigma_phi):
 def test_nonpositive_carrier_rejected():
     with pytest.raises(DomainError):
         GaussianSpectrum(omega0=0.0, sigma_phi=1e-4)
+
+
+@pytest.mark.parametrize("sigma_phi", [math.inf, math.nan])
+def test_non_finite_bandwidth_rejected(sigma_phi):
+    with pytest.raises(DomainError):
+        GaussianSpectrum(omega0=2.35, sigma_phi=sigma_phi)

@@ -127,7 +127,10 @@ def _parse_segment(text: str) -> MediumSegment:
             "unit suffix, e.g. silica:1cm, air:10km"
         )
     material, length_str, unit = match.groups()
-    length_cm = float(length_str) * _LENGTH_UNITS_CM[unit]
+    try:
+        length_cm = float(length_str) * _LENGTH_UNITS_CM[unit]
+    except ValueError:
+        raise DomainError(f"bad path segment {text!r}: {length_str!r} is not a number") from None
     material = _MATERIAL_ALIASES.get(material, material)
     if material == "air":
         return MediumSegment(label="air", alpha=0.0, beta=reference_air_beta(), length=length_cm)
@@ -640,7 +643,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"qtiming: convergence failure: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ValueError) as exc:
+    except DomainError as exc:
         print(f"qtiming: error: {exc}", file=sys.stderr)
         return 2
 

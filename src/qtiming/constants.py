@@ -12,6 +12,10 @@ working quantities stay near unity.  Public entry points that accept SI
 values (rad/s, nm) convert at the boundary.
 """
 
+import math
+
+from .errors import DomainError
+
 C_CM_PER_FS = 2.99792458e-5
 """Speed of light in vacuum, cm/fs."""
 
@@ -26,15 +30,15 @@ TWO_PI = 6.283185307179586
 
 def omega_from_wavelength_nm(wavelength_nm: float) -> float:
     """Angular frequency (rad/fs) of light with the given vacuum wavelength."""
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength_nm} nm")
+    if not 0 < wavelength_nm < math.inf:
+        raise DomainError(f"wavelength must be finite and positive, got {wavelength_nm} nm")
     return TWO_PI * C_NM_PER_FS / wavelength_nm
 
 
 def wavelength_nm_from_omega(omega: float) -> float:
     """Vacuum wavelength (nm) for an angular frequency in rad/fs."""
-    if omega <= 0:
-        raise ValueError(f"angular frequency must be positive, got {omega} rad/fs")
+    if not 0 < omega < math.inf:
+        raise DomainError(f"angular frequency must be finite and positive, got {omega} rad/fs")
     return TWO_PI * C_NM_PER_FS / omega
 
 

@@ -134,8 +134,15 @@ class AirConditions:
     wavelength_nm: float = 800.0
 
     def __post_init__(self):
-        if not self.pressure_pa > 0:
-            raise DomainError(f"pressure must be positive, got {self.pressure_pa} Pa")
+        if not -273.15 < self.temperature_c < math.inf:
+            raise DomainError(
+                f"temperature must be finite and above absolute zero (-273.15 C), "
+                f"got {self.temperature_c} C"
+            )
+        if not math.isfinite(self.wavelength_nm):
+            raise DomainError(f"wavelength must be finite, got {self.wavelength_nm} nm")
+        if not 0 < self.pressure_pa < math.inf:
+            raise DomainError(f"pressure must be finite and positive, got {self.pressure_pa} Pa")
         if not 0.0 <= self.relative_humidity <= 1.0:
             raise DomainError(
                 f"relative humidity must be a fraction in [0, 1], got {self.relative_humidity}"

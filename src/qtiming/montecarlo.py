@@ -1,21 +1,33 @@
 """Stochastic verification of the width laws.
 
 Streams are Philox4x64-10 counter-based generators keyed by
-``(seed, shard_index)``, with normal variates produced by the inverse-CDF
+``(seed, substream)``, with normal variates produced by the inverse-CDF
 transform of 53-bit uniforms.  Both choices are deliberate: the stream is
-reproducible across platforms and worker counts, with no rejection-loop
-nondeterminism, and sharding just means handing different shard indices to
-different workers.  Trials are consumed in fixed-size shards so a merged
-estimate never depends on how the work was distributed.
+reproducible across platforms and thread counts, with no rejection-loop
+nondeterminism.  Trials are consumed in fixed-size shards of
+``SHARD_TRIALS`` trials.
+
+The classical sampler splits each shard's photons into column blocks of at
+most ``_DRAW_BLOCK`` variates; every ``(shard, block)`` pair has its own
+substream (:func:`_stream_id`) and is one task for a thread pool sized to
+the CPUs this process may use.  A task draws its block from the block's
+one generator in row chunks of about ``_CHUNK_NORMALS`` variates, which
+caps working memory per thread, and returns the block's per-trial row
+sums.  Each shard then adds its blocks' row sums in block order.  Neither
+the thread count nor the chunking changes a bit of the result: a
+generator yields the same sequence however its draws are split, the row
+sum of one trial never spans a chunk, and the merge order is fixed.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .distributions import TimingDistribution
 from .errors import DomainError
@@ -24,7 +36,8 @@ __all__ = ["SamplerConfig", "WidthEstimate", "sample_quantum", "sample_classical
 
 SHARD_TRIALS = 1 << 15
 MAX_PHOTONS_PER_TRIAL = 1_000_000
-_DRAW_BLOCK = 4_000_000  # per-chunk cap on simultaneous variates
+_DRAW_BLOCK = 4_000_000  # cap on variates per (shard, block) substream
+_CHUNK_NORMALS = 1 << 20  # variates drawn at once within a block
 
 
 @dataclass(frozen=True)
@@ -76,12 +89,19 @@ def _stream_id(domain: int, shard: int, block: int = 0) -> int:
     return (domain << 62) | (shard << 28) | block
 
 
-def _shard_normals(seed: int, stream: int, count: int) -> np.ndarray:
-    """``count`` standard normals from the (seed, stream) substream."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    raw = gen.integers(0, 1 << 53, size=count, dtype=np.uint64)
-    uniforms = (raw.astype(np.float64) + 0.5) * (2.0 ** -53)  # open (0, 1)
-    return ndtri(uniforms)
+def _generator(seed: int, stream: int) -> np.random.Generator:
+    """The generator of the (seed, stream) substream, at its start."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def _normals(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` standard normals of ``gen``'s stream."""
+    from scipy.special import ndtri  # deferred: importing scipy costs every CLI start
+
+    values = gen.integers(0, 1 << 53, size=count, dtype=np.uint64).astype(np.float64)
+    values += 0.5
+    values *= 2.0 ** -53  # open (0, 1)
+    return ndtri(values, out=values)
 
 
 def _estimate(values: np.ndarray) -> WidthEstimate:
@@ -114,10 +134,40 @@ def sample_quantum(dist: TimingDistribution, cfg: SamplerConfig) -> WidthEstimat
     values = np.empty(cfg.n_samples)
     start = 0
     for shard, count in _shards(cfg.n_samples):
-        normals = _shard_normals(cfg.seed, _stream_id(0, shard), count)
+        normals = _normals(_generator(cfg.seed, _stream_id(0, shard)), count)
         values[start:start + count] = dist.mean + dist.sigma * normals
         start += count
     return _estimate(values)
+
+
+def _thread_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, tasks, window: int):
+    """Yield ``fn(*task)`` for each task in task order, at most ``window`` in flight."""
+    pending = deque()
+    for task in tasks:
+        pending.append(pool.submit(fn, *task))
+        if len(pending) >= window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _block_row_sums(seed: int, stream: int, count: int, cols: int) -> np.ndarray:
+    """Per-trial sums of one ``count`` x ``cols`` block of the substream."""
+    gen = _generator(seed, stream)
+    sums = np.empty(count)
+    rows = max(1, _CHUNK_NORMALS // cols)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        sums[lo:hi] = _normals(gen, (hi - lo) * cols).reshape(hi - lo, cols).sum(axis=1)
+    return sums
 
 
 def sample_classical(sigma_t: float, cfg: SamplerConfig) -> WidthEstimate:
@@ -130,19 +180,20 @@ def sample_classical(sigma_t: float, cfg: SamplerConfig) -> WidthEstimate:
     if not sigma_t > 0:
         raise DomainError(f"sigma_t must be positive, got {sigma_t}")
     n = cfg.n_photons
+    layout = [(shard, count, max(1, _DRAW_BLOCK // count))
+              for shard, count in _shards(cfg.n_samples)]
+    tasks = ((cfg.seed, _stream_id(1, shard, block), count, min(cols, n - done))
+             for shard, count, cols in layout
+             for block, done in enumerate(range(0, n, cols)))
     values = np.empty(cfg.n_samples)
-    start = 0
-    for shard, count in _shards(cfg.n_samples):
-        sums = np.zeros(count)
-        cols_per_block = max(1, _DRAW_BLOCK // count)
-        done = 0
-        block_idx = 0
-        while done < n:
-            cols = min(cols_per_block, n - done)
-            block = _shard_normals(cfg.seed, _stream_id(1, shard, block_idx), count * cols)
-            sums += block.reshape(count, cols).sum(axis=1)
-            done += cols
-            block_idx += 1
-        values[start:start + count] = sigma_t * sums / n
-        start += count
+    threads = _thread_count()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        row_sums = _in_order(pool, _block_row_sums, tasks, 2 * threads)
+        start = 0
+        for _, count, cols in layout:
+            sums = np.zeros(count)
+            for _ in range(0, n, cols):
+                sums += next(row_sums)
+            values[start:start + count] = sigma_t * sums / n
+            start += count
     return _estimate(values)

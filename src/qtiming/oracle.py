@@ -18,6 +18,15 @@ error estimate exceeds their share of the tolerance are bisected, worst
 first, until the total estimate meets the target or the evaluation budget
 runs out (raising :class:`ConvergenceError` with the achieved estimate).
 
+Verification compares a self-normalised numeric density with the closed
+form.  That density depends only on the photon number, the spectral width
+and the case geometry (gdd_sum, b, mean offset), not on the state family,
+so :func:`verify_closed_form` computes it once per geometry, grid and
+quadrature spec and shares it through a small cache.  A report's
+``points_used`` is the integrand evaluations its density needs, whether or
+not they were spent on this call.  :func:`amplitude_numeric` and the moment
+helpers do not use the cache.
+
 The combinatorial 1/N! prefactor is dropped, matching the normalisation
 convention of the closed forms.  Beyond a dispersion phase |b| of ~1e3 rad
 the cost of resolving the oscillation explodes; such calls raise
@@ -251,23 +260,22 @@ def _case_geometry(
 
 
 def _amplitude_raw(
-    state: StateSpec,
-    spectrum: GaussianSpectrum,
+    n_photons: float,
+    sigma_phi: float,
     geometry: tuple[float, float, float],
     tau: float,
     quad: QuadratureSpec,
 ) -> tuple[complex, int]:
     """Amplitude without the coherent magnitude factor, plus points used."""
     _, b, mean = geometry
-    sigma_phi = spectrum.sigma_phi
-    z = state.n_photons * sigma_phi * (tau - mean)
+    z = n_photons * sigma_phi * (tau - mean)
     value, _, points = _oscillatory_gaussian_integral(b, z, quad)
     return sigma_phi * value, points
 
 
 def _intensity(
-    state: StateSpec,
-    spectrum: GaussianSpectrum,
+    n_photons: float,
+    sigma_phi: float,
     geometry: tuple[float, float, float],
     taus: np.ndarray,
     quad: QuadratureSpec,
@@ -276,7 +284,7 @@ def _intensity(
     values = np.empty_like(taus)
     points = 0
     for i, tau in enumerate(taus):
-        amp, used = _amplitude_raw(state, spectrum, geometry, float(tau), quad)
+        amp, used = _amplitude_raw(n_photons, sigma_phi, geometry, float(tau), quad)
         values[i] = abs(amp) ** 2
         points += used
     return values, points
@@ -297,13 +305,13 @@ def amplitude_numeric(
     is included.
     """
     geometry = _case_geometry(state, spectrum, paths)
-    value, _ = _amplitude_raw(state, spectrum, geometry, tau, quad or QuadratureSpec())
+    value, _ = _amplitude_raw(state.n_photons, spectrum.sigma_phi, geometry, tau,
+                              quad or QuadratureSpec())
     return _coherent_scale(state, state.n_photons) * value
 
 
-def _width_bound(spectrum: GaussianSpectrum, n_photons: float, gdd_sum: float) -> float:
+def _width_bound(s: float, n_photons: float, gdd_sum: float) -> float:
     # (1 + 2 s^2 N |D|) / (sqrt(2) s N) >= true width, since sqrt(1+a^2) <= 1+a.
-    s = spectrum.sigma_phi
     return (1.0 + 2.0 * s**2 * n_photons * abs(gdd_sum)) / (math.sqrt(2.0) * s * n_photons)
 
 
@@ -313,8 +321,8 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _density_on_nodes(
-    state: StateSpec,
-    spectrum: GaussianSpectrum,
+    n_photons: float,
+    sigma_phi: float,
     geometry: tuple[float, float, float],
     quad: QuadratureSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -326,11 +334,34 @@ def _density_on_nodes(
     true density regardless of what the closed form claims.
     """
     gdd_sum, _, mean = geometry
-    half_width = _WINDOW_SIGMAS * _width_bound(spectrum, state.n_photons, gdd_sum)
+    half_width = _WINDOW_SIGMAS * _width_bound(sigma_phi, n_photons, gdd_sum)
     x, w = _leggauss(_NORM_NODES)
     nodes = mean + half_width * x
-    values, points = _intensity(state, spectrum, geometry, nodes, quad)
+    values, points = _intensity(n_photons, sigma_phi, geometry, nodes, quad)
     return nodes, half_width * w, values, points
+
+
+@lru_cache(maxsize=32)
+def _numeric_density(
+    n_photons: float,
+    sigma_phi: float,
+    geometry: tuple[float, float, float],
+    grid_bytes: bytes,
+    quad: QuadratureSpec,
+) -> tuple[np.ndarray, int]:
+    """Self-normalised numeric density on the grid, plus the points it took.
+
+    Keyed on exactly the inputs the numbers depend on, so state families
+    with equal geometry share one evaluation.  The returned array is
+    read-only, because every caller with the same key receives it.
+    """
+    grid = np.frombuffer(grid_bytes, dtype=np.float64)
+    _, weights, node_values, node_points = _density_on_nodes(
+        n_photons, sigma_phi, geometry, quad)
+    values, points = _intensity(n_photons, sigma_phi, geometry, grid, quad)
+    numeric = values / float(weights @ node_values)
+    numeric.flags.writeable = False
+    return numeric, node_points + points
 
 
 def verify_closed_form(
@@ -358,9 +389,8 @@ def verify_closed_form(
     closed = np.asarray(density_at(dist, grid))
 
     geometry = _case_geometry(state, spectrum, paths)
-    _, weights, node_values, node_points = _density_on_nodes(state, spectrum, geometry, quad)
-    values, points = _intensity(state, spectrum, geometry, grid, quad)
-    numeric = values / float(weights @ node_values)
+    numeric, points = _numeric_density(
+        state.n_photons, spectrum.sigma_phi, geometry, grid.tobytes(), quad)
 
     peak = density_at(dist, dist.mean)
     mask = closed > 1e-8 * peak
@@ -373,7 +403,7 @@ def verify_closed_form(
         closed_form=[float(v) for v in closed],
         numeric=[float(v) for v in numeric],
         max_rel_err=max_rel_err,
-        points_used=node_points + points,
+        points_used=points,
     )
 
 
@@ -387,7 +417,7 @@ def _central_moment(
     """(mean, central moment of the given order) of the numeric density."""
     geometry = _case_geometry(state, spectrum, paths)
     nodes, weights, values, _ = _density_on_nodes(
-        state, spectrum, geometry, quad or QuadratureSpec())
+        state.n_photons, spectrum.sigma_phi, geometry, quad or QuadratureSpec())
     mass = float(weights @ values)
     mean = float(weights @ (nodes * values)) / mass
     return mean, float(weights @ ((nodes - mean) ** order * values)) / mass

@@ -8,11 +8,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtiming
 from qtiming.cli import main
 
 SIGMA_PHI = 3.7e-4  # rad/fs, equals the CLI's 3.7e11 rad/s input
@@ -275,6 +279,43 @@ class TestMedia:
 
     def test_unknown_material_is_domain_error(self, tmp_path):
         assert run(tmp_path, "media", "--material", "diamond") == 2
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "-300"])
+    def test_unphysical_temperature_exits_without_report(self, tmp_path, capsys, temperature):
+        code = run(tmp_path, "media", "--material", "air", "--temperature", temperature)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "temperature" in err
+        assert not (tmp_path / "media_report.json").exists()
+
+
+BAD_INPUTS = [
+    ("width", "--sigma-phi", "3.7e11", "--n", "3", "--path1", "silica:1.2.3cm"),
+    ("scan", "--sigma-phi", "3.7e11", "--n-min", "1", "--n-max", "10",
+     "--path2", "air:1e-3.5km"),
+    ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--wavelength", "-5"),
+    ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "-5"),
+    ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "inf"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=[" ".join(argv[:1] + argv[-2:]) for argv in BAD_INPUTS])
+def test_bad_input_is_domain_error(tmp_path, capsys, argv):
+    assert exit_code(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("qtiming: error:")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the samplers' normal transform; commands that never
+    # sample must not pay for importing it.
+    src = str(Path(qtiming.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, qtiming.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestVerify:

@@ -124,6 +124,26 @@ class TestAirConditions:
         with pytest.raises(DomainError):
             AirConditions(pressure_pa=0.0)
 
+    @pytest.mark.parametrize("pressure", [math.nan, math.inf])
+    def test_non_finite_pressure_rejected(self, pressure):
+        with pytest.raises(DomainError, match="pressure"):
+            AirConditions(pressure_pa=pressure)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, -273.15, -300.0])
+    def test_unphysical_temperature_rejected(self, temperature):
+        with pytest.raises(DomainError, match="temperature"):
+            AirConditions(temperature_c=temperature)
+
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf])
+    def test_non_finite_wavelength_rejected(self, wavelength):
+        with pytest.raises(DomainError, match="wavelength"):
+            AirConditions(wavelength_nm=wavelength)
+
+    @pytest.mark.parametrize("wavelength", [-5.0, 0.0, math.nan, math.inf])
+    def test_bad_wavelength_to_omega_is_domain_error(self, wavelength):
+        with pytest.raises(DomainError, match="wavelength"):
+            omega_from_wavelength_nm(wavelength)
+
     @pytest.mark.parametrize("wavelength", [300.0, 1800.0])
     def test_out_of_band_wavelength_raises_at_evaluation(self, wavelength):
         cond = AirConditions(wavelength_nm=wavelength)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qtiming import montecarlo
 from qtiming.distributions import TimingDistribution, TimingVariable
 from qtiming.errors import DomainError
 from qtiming.montecarlo import SamplerConfig, sample_classical, sample_quantum
@@ -84,6 +85,40 @@ class TestSampleClassical:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(DomainError):
             sample_classical(0.0, SamplerConfig(seed=1, n_samples=100))
+
+
+class TestClassicalStream:
+    """The classical stream is pinned bit for bit, whatever runs the blocks."""
+
+    # Two shards (the second partial) and three blocks in the first shard.
+    CFG = SamplerConfig(seed=42, n_samples=40_000, n_photons=300)
+    # Recorded from the single-threaded, unchunked sampler.
+    RECORDED = {
+        "sigma_hat_fs": 0.057614243982795826,
+        "standard_error_fs": 0.0002036996593275117,
+        "n_samples": 40_000,
+        "mean_hat_fs": -0.0002697545314285554,
+        "mean_standard_error_fs": 0.00028807121991397916,
+    }
+
+    def test_estimate_matches_recorded_stream(self):
+        assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_thread_count_leaves_bits_unchanged(self, monkeypatch, threads):
+        monkeypatch.setattr(montecarlo, "_thread_count", lambda: threads)
+        assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
+
+    def test_uneven_draw_chunks_leave_bits_unchanged(self, monkeypatch):
+        # 50,000 variates split neither shard's rows evenly.
+        monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 50_000)
+        assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
+
+    def test_single_row_draw_chunks_leave_bits_unchanged(self, monkeypatch):
+        cfg = SamplerConfig(seed=42, n_samples=100, n_photons=300)
+        whole = sample_classical(1.0, cfg)
+        monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 1)
+        assert sample_classical(1.0, cfg) == whole
 
 
 def test_quantum_exceeds_classical_beyond_transition():

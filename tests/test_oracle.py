@@ -20,6 +20,7 @@ from qtiming.oracle import (
     numeric_central_moment,
     numeric_moments,
     verify_closed_form,
+    _numeric_density,
     _oscillatory_gaussian_integral,
 )
 from qtiming.spectral import GaussianSpectrum
@@ -208,6 +209,41 @@ class TestVerifyClosedForm:
             "grid_fs", "closed_form_per_fs", "numeric_per_fs", "max_rel_err", "points_used",
         }
         assert len(payload["grid_fs"]) == 5
+
+
+class TestSharedNumericDensity:
+    """State families with equal geometry share one numeric density."""
+
+    STATES = [
+        StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3),
+        StateSpec(StateKind.CORRELATED_FOCK, 3),
+        StateSpec(StateKind.ENTANGLED_COHERENT, 3, 1.2, 0.8),
+    ]
+
+    @staticmethod
+    def verify(state, spectrum):
+        grid = np.linspace(-5.0, 5.0, 41) * quantum_width(SIGMA_PHI, 3, 500.0)
+        return verify_closed_form(state, spectrum, pair(250.0, 250.0), grid)
+
+    def test_families_match_uncached_evaluation(self, spectrum):
+        uncached = []
+        for state in self.STATES:
+            _numeric_density.cache_clear()
+            uncached.append(self.verify(state, spectrum))
+        _numeric_density.cache_clear()
+        shared = [self.verify(state, spectrum) for state in self.STATES]
+        info = _numeric_density.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        for fresh, report in zip(uncached, shared):
+            assert report.max_rel_err == fresh.max_rel_err
+            assert report.points_used == fresh.points_used
+            assert report == fresh
+
+    def test_clearing_cache_leaves_report_unchanged(self, spectrum):
+        state = self.STATES[0]
+        first = self.verify(state, spectrum)
+        _numeric_density.cache_clear()
+        assert self.verify(state, spectrum) == first
 
 
 class TestNumericMoments:

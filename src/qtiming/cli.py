@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -64,6 +63,7 @@ OUT_DIR_ENV = "QTIMING_OUT_DIR"
 _LENGTH_UNITS_CM = {"cm": 1.0, "m": 100.0, "km": 100_000.0}
 _SEGMENT_RE = re.compile(r"^([A-Za-z_][\w]*):([0-9.eE+\-]+)(cm|m|km)$")
 _MATERIAL_ALIASES = {"silica": "fused_silica"}
+_CSV_BLOCK_ROWS = 2048
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,18 +105,32 @@ def _out_dir(args) -> Path:
 def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
     """Write equal-length float columns to the ``--out`` CSV, plus its manifest.
 
-    Rows are streamed as Python floats, which ``csv`` writes as shortest
-    round-trip ``repr`` (numpy scalars would print as ``np.float64(...)``).
+    Every cell is the shortest round-trip ``repr`` of a Python float, and
+    every row ends in CRLF: the bytes ``csv.writer`` gives for the rows as
+    lists of floats.  The header names are plain identifiers, so joining
+    them with commas needs no quoting.
+
+    Rows go out in blocks of ``_CSV_BLOCK_ROWS``.  Within a block each
+    distinct float64 bit pattern is formatted once (bit patterns, so
+    ``-0.0`` and ``0.0`` keep their own text): a ``surface`` block repeats
+    a few N values, the x grid, and ``R`` wherever it equals ``R_raw``.
+    Only one block's strings are alive at a time, so memory does not grow
+    with the grid.
     """
     out = _out_dir(args)
     path = out / args.out
-    rows = np.column_stack(columns)
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    n_rows = len(columns[0])
+    row_format = ",".join(["%s"] * len(columns)) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(row.tolist() for row in rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            fh.write(row_format * len(block) % tuple(text[inverse].tolist()))
     RunManifest(command=args.command, parameters=parameters, outputs=[str(path)]).write(out)
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} ({n_rows} rows)")
 
 
 def _parse_segment(text: str) -> MediumSegment:

@@ -183,9 +183,18 @@ def edlen_refractivity(conditions: AirConditions) -> float:
     return ns * density
 
 
+_BUCK_POLE_C = -257.14
+
+
 def _saturation_vapor_pressure_mbar(temperature_c: float) -> float:
     # Buck (1981), over water; accurate to ~0.1% between -20 C and +50 C.
+    # Above its pole the exponent stays below ~20, so exp cannot overflow.
     t = temperature_c
+    if not t > _BUCK_POLE_C:
+        raise DomainError(
+            f"temperature {t} C is at or below the pole ({_BUCK_POLE_C} C) of the Buck "
+            "saturation-vapour-pressure fit that the Owens formula uses"
+        )
     return 6.1121 * math.exp((18.678 - t / 234.5) * t / (257.14 + t))
 
 
@@ -196,6 +205,10 @@ def owens_refractivity(conditions: AirConditions) -> float:
     vapour, each multiplied by its density factor; pressures in mbar,
     temperature in kelvin.  The water-vapour partial pressure comes from
     the relative humidity via the Buck saturation-pressure equation.
+
+    Raises :class:`DomainError` when the temperature is at or below the
+    Buck fit's pole (-257.14 C), and when a density term or the result is
+    not finite (e.g. ``temperature_c=1e200``, whose powers overflow).
     """
     _check_wavelength(conditions.wavelength_nm)
     sig2 = (1000.0 / conditions.wavelength_nm) ** 2
@@ -207,17 +220,27 @@ def owens_refractivity(conditions: AirConditions) -> float:
         raise DomainError("water-vapour partial pressure exceeds total pressure")
     p_dry = p_total - p_water
 
-    density_dry = (p_dry / t_k) * (
-        1.0 + p_dry * (57.90e-8 - 9.3250e-4 / t_k + 0.25844 / t_k**2)
-    )
-    density_water = (p_water / t_k) * (
-        1.0 + p_water * (1.0 + 3.7e-4 * p_water)
-        * (-2.37321e-3 + 2.23366 / t_k - 710.792 / t_k**2 + 7.75141e4 / t_k**3)
-    )
+    try:
+        density_dry = (p_dry / t_k) * (
+            1.0 + p_dry * (57.90e-8 - 9.3250e-4 / t_k + 0.25844 / t_k**2)
+        )
+        density_water = (p_water / t_k) * (
+            1.0 + p_water * (1.0 + 3.7e-4 * p_water)
+            * (-2.37321e-3 + 2.23366 / t_k - 710.792 / t_k**2 + 7.75141e4 / t_k**3)
+        )
+    except OverflowError:
+        density_dry = density_water = math.inf
 
     dry_term = 2371.34 + 683939.7 / (130.0 - sig2) + 4547.3 / (38.9 - sig2)
     water_term = 6487.31 + 58.058 * sig2 - 0.71150 * sig2**2 + 0.08851 * sig2**3
-    return (dry_term * density_dry + water_term * density_water) * 1e-8
+    refractivity = (dry_term * density_dry + water_term * density_water) * 1e-8
+    if not math.isfinite(refractivity):
+        raise DomainError(
+            f"Owens refractivity is not finite at temperature {conditions.temperature_c} C, "
+            f"pressure {conditions.pressure_pa} Pa, relative humidity "
+            f"{conditions.relative_humidity}"
+        )
+    return refractivity
 
 
 def edlen_index_function(conditions: AirConditions) -> Callable[[float], float]:
@@ -309,6 +332,10 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
     """beta of air (fs^2/cm) at the conditions' wavelength.
 
     ``formula`` selects ``"edlen"`` (dry) or ``"owens"`` (humidity-aware).
+    Air disperses normally, so a result that is not finite and positive
+    means the formula has left its range at these conditions (a near-vacuum
+    pressure whose index rounds to exactly 1, or a temperature whose
+    density factor overflows); that raises :class:`DomainError`.
     """
     if formula == "edlen":
         fn = edlen_index_function(conditions)
@@ -316,7 +343,14 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
         fn = owens_index_function(conditions)
     else:
         raise DomainError(f"unknown air-index formula {formula!r} (use 'edlen' or 'owens')")
-    return beta_from_index(fn, omega_from_wavelength_nm(conditions.wavelength_nm))
+    beta = beta_from_index(fn, omega_from_wavelength_nm(conditions.wavelength_nm))
+    if not 0 < beta < math.inf:
+        raise DomainError(
+            f"{formula} air dispersion coefficient is {beta} fs^2/cm, not finite and positive, "
+            f"at temperature {conditions.temperature_c} C, pressure {conditions.pressure_pa} Pa, "
+            f"relative humidity {conditions.relative_humidity}"
+        )
+    return beta
 
 
 @lru_cache(maxsize=1)

@@ -23,14 +23,26 @@ class GaussianSpectrum:
     The amplitude is exp(-detuning^2 / (2 sigma_phi^2)); no normalisation
     constant is carried since every probability density downstream is
     normalised at the final step.
+
+    ``sigma_phi`` must be finite and positive, and so must its fourth power
+    and that power's reciprocal: the closed forms square the curvature
+    1/(2 sigma_phi^2), and a bandwidth past that float64 range would
+    overflow or divide by zero there.  In rad/s that range is roughly
+    1e-62 to 1e92.
     """
 
     omega0: float
     sigma_phi: float
 
     def __post_init__(self):
-        if not 0 < self.sigma_phi < math.inf:
-            raise DomainError(f"sigma_phi must be finite and positive, got {self.sigma_phi}")
+        square = self.sigma_phi * self.sigma_phi
+        fourth = square * square
+        if not (0 < self.sigma_phi < math.inf and 0 < fourth < math.inf
+                and 1.0 / fourth < math.inf):
+            raise DomainError(
+                f"sigma_phi must be finite and positive with a finite, non-zero fourth "
+                f"power and reciprocal, got {self.sigma_phi} rad/fs"
+            )
         if not self.omega0 > 0:
             raise DomainError(f"omega0 must be positive, got {self.omega0}")
 

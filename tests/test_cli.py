@@ -4,8 +4,10 @@ Each command runs through ``main(argv)`` against a temp directory; outputs
 are parsed back and checked, including manifest round-trips.
 """
 
+import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import qtiming
+from qtiming import cli
 from qtiming.cli import main
 
 SIGMA_PHI = 3.7e-4  # rad/fs, equals the CLI's 3.7e11 rad/s input
@@ -236,6 +239,67 @@ def test_preset_csvs_match_recorded_digests(tmp_path):
     }
 
 
+def test_grid_fine_csvs_match_recorded_digests(tmp_path):
+    # The benchmark's seed-0 grid-fine jobs: 180,000 and 200,000 rows, so
+    # unlike fig2 and fig3 they span many writer blocks.
+    assert run(tmp_path, "scan", "--sigma-phi", "3.7e11", "--path1", "silica:400cm",
+               "--n-min", "1.0844421851525048", "--n-max", "1075795.4402940301",
+               "--n-points", "180000") == 0
+    assert run(tmp_path, "surface", "--sigma-phi", "3.7e11", "--beta", "250",
+               "--n-min", "1.0420571580830844", "--n-max", "10258.916750292963",
+               "--n-points", "400", "--x-min", "2.5563736068430427",
+               "--x-max", "208.09868274900828", "--x-points", "500", "--clip", "unity") == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("scan.csv", "surface.csv")}
+    assert digests == {
+        "scan.csv": "2eea64db790aec4dcf11b6e0286f19b001eea1e25a43a018eaf479999490114b",
+        "surface.csv": "4b547b20f83ef81c07f19233645f2909580b67e4cf587961cc91c342acc3f863",
+    }
+
+
+def reference_csv(header, columns):
+    """The writer's earlier body: csv.writer over each row's tolist()."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(row.tolist() for row in np.column_stack(columns))
+    return fh.getvalue().encode("utf-8")
+
+
+def written_csv(tmp_path, header, columns):
+    args = argparse.Namespace(out_dir=str(tmp_path), out="table.csv", command="scan")
+    cli._write_csv(args, header, columns, {})
+    return (tmp_path / "table.csv").read_bytes()
+
+
+WRITER_TABLES = {
+    "signed zeros": (["a", "b"], [np.array([-0.0, 0.0, 0.0, -0.0]),
+                                  np.array([0.0, -0.0, -0.0, 1.0])]),
+    "special values": (["x", "y"], [
+        np.array([math.nan, math.inf, -math.inf, 1e16, 1e-5, 5e-324, -5e-324]),
+        np.array([1e-5, 1e16, 5e-324, math.nan, -math.inf, math.inf, 0.1])]),
+    "repeated value": (["p", "q", "r"], [np.full(5, 0.1), np.full(5, 0.1), np.full(5, 0.1)]),
+    "one column": (["N"], [np.logspace(0, 6, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_TABLES)
+def test_csv_writer_bytes_match_csv_module(tmp_path, capsys, name):
+    header, columns = WRITER_TABLES[name]
+    assert written_csv(tmp_path, header, columns) == reference_csv(header, columns)
+    assert f"({len(columns[0])} rows)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 9])
+def test_csv_writer_bytes_across_block_edges(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 8)
+    rng = np.random.default_rng(rows)
+    n = rng.choice([1.0, 2.5, -0.0, 0.0, 1e300], size=rows)
+    columns = [n, rng.standard_normal(rows), np.maximum(n, 1.0), n]
+    header = ["N", "x_cm", "R", "R_raw"]
+    assert written_csv(tmp_path, header, columns) == reference_csv(header, columns)
+
+
 class TestTransition:
     def test_one_centimetre_preset(self, tmp_path, capsys):
         assert run(tmp_path, "transition", "--preset", "ntrans-1cm", "--json") == 0
@@ -289,6 +353,20 @@ class TestMedia:
         assert not (tmp_path / "media_report.json").exists()
 
 
+    @pytest.mark.parametrize("flags", [
+        ("--pressure", "1e-308"),
+        ("--formula", "owens", "--rh", "0.5", "--temperature", "-257.14"),
+        ("--formula", "owens", "--rh", "0.5", "--temperature", "-258"),
+        ("--formula", "owens", "--rh", "0.5", "--temperature", "1e308"),
+        ("--temperature", "1e308"),
+    ], ids=" ".join)
+    def test_air_outside_formula_range_exits_without_report(self, tmp_path, capsys, flags):
+        assert run(tmp_path, "media", "--material", "air", *flags) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("qtiming: error:")
+        assert not (tmp_path / "media_report.json").exists()
+
+
 BAD_INPUTS = [
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--path1", "silica:1.2.3cm"),
     ("scan", "--sigma-phi", "3.7e11", "--n-min", "1", "--n-max", "10",
@@ -304,6 +382,23 @@ def test_bad_input_is_domain_error(tmp_path, capsys, argv):
     assert exit_code(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("qtiming: error:")
+
+
+EXTREME_BANDWIDTHS = [
+    (*argv, "--sigma-phi", sigma_phi)
+    for argv in (("width", "--n", "3", "--B", "500"), ("transition", "--B", "500"),
+                 ("surface", "--preset", "fig3"))
+    for sigma_phi in ("1e308", "1e-308")
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_BANDWIDTHS,
+                         ids=[" ".join(argv[:1] + argv[-1:]) for argv in EXTREME_BANDWIDTHS])
+def test_extreme_bandwidth_exits_without_output(tmp_path, capsys, argv):
+    assert exit_code(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "sigma_phi" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -186,6 +186,32 @@ class TestRefractivity:
         saturated = owens_refractivity(AirConditions(15.0, 101325.0, 1.0, 800.0))
         assert saturated < dry
 
+    @pytest.mark.parametrize("temperature", [-257.14, -258.0, -273.0])
+    def test_owens_at_or_below_buck_pole_rejected(self, temperature):
+        with pytest.raises(DomainError, match="pole"):
+            owens_refractivity(AirConditions(temperature, 101325.0, 0.5, 800.0))
+
+    def test_owens_just_above_buck_pole_is_finite(self):
+        assert math.isfinite(owens_refractivity(AirConditions(-257.0, 101325.0, 0.5, 800.0)))
+
+    @pytest.mark.parametrize("temperature, pressure", [(1e200, 101325.0), (1e308, 101325.0),
+                                                       (15.0, 1e308)])
+    def test_owens_non_finite_terms_rejected(self, temperature, pressure):
+        with pytest.raises(DomainError, match="not finite"):
+            owens_refractivity(AirConditions(temperature, pressure, 0.5, 800.0))
+
+
+class TestAirDispersionRange:
+    @pytest.mark.parametrize("formula", ["edlen", "owens"])
+    def test_vacuum_like_pressure_rejected(self, formula):
+        # The index rounds to exactly 1, so beta comes out as 0.0.
+        with pytest.raises(DomainError, match="not finite and positive"):
+            air_dispersion_coefficient(AirConditions(pressure_pa=1e-308), formula)
+
+    def test_non_finite_edlen_beta_rejected(self):
+        with pytest.raises(DomainError, match="not finite and positive"):
+            air_dispersion_coefficient(AirConditions(temperature_c=1e308), "edlen")
+
 
 class TestBetaFromIndex:
     def test_constant_index_gives_zero(self):

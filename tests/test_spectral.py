@@ -97,3 +97,17 @@ def test_nonpositive_carrier_rejected():
 def test_non_finite_bandwidth_rejected(sigma_phi):
     with pytest.raises(DomainError):
         GaussianSpectrum(omega0=2.35, sigma_phi=sigma_phi)
+
+
+@pytest.mark.parametrize("sigma_phi", [1e293, 1e78, 1e-78, 1e-323])
+def test_bandwidth_outside_fourth_power_range_rejected(sigma_phi):
+    # The closed forms use sigma_phi^4 (the squared curvature) and its
+    # reciprocal; either leaving float64 used to end in an OverflowError
+    # or a ZeroDivisionError downstream.
+    with pytest.raises(DomainError, match="sigma_phi"):
+        GaussianSpectrum(omega0=2.35, sigma_phi=sigma_phi)
+
+
+@pytest.mark.parametrize("sigma_phi", [1e76, 1e-77])
+def test_bandwidth_inside_fourth_power_range_accepted(sigma_phi):
+    assert GaussianSpectrum(omega0=2.35, sigma_phi=sigma_phi).sigma_phi == sigma_phi

@@ -124,6 +124,16 @@ def _float_if_scalar(value):
     return value if value.ndim else float(value)
 
 
+def _finite_or_raise(result, law: str, sigma_phi: float, **inputs):
+    """``result`` as a float or array, or DomainError naming the inputs where it overflows."""
+    finite = np.isfinite(result)
+    if finite.all():
+        return _float_if_scalar(result)
+    named = ", ".join(f"{name} = {np.broadcast_to(value, result.shape)[~finite][0]:g}"
+                      for name, value in inputs.items())
+    raise DomainError(f"{law} overflows float64 at sigma_phi = {sigma_phi:g} rad/fs, {named}")
+
+
 def _check_photon_number(n_photons):
     n = np.asarray(n_photons, dtype=float)
     if not (n > 0).all():
@@ -146,9 +156,10 @@ def quantum_width(sigma_phi: float, n_photons, gdd_sum):
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
     n = _check_photon_number(n_photons)
     packet_width = 1.0 / (math.sqrt(2.0) * sigma_phi)
-    dispersion_phase = 2.0 * sigma_phi**2 * n * gdd_sum
-    return _float_if_scalar(
-        np.sqrt(1.0 + dispersion_phase * dispersion_phase) * (packet_width / n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dispersion_phase = 2.0 * sigma_phi**2 * n * gdd_sum
+        width = np.sqrt(1.0 + dispersion_phase * dispersion_phase) * (packet_width / n)
+    return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd_sum)
 
 
 def asymptotic_width(sigma_phi: float, gdd_sum: float) -> float:
@@ -169,7 +180,9 @@ def transition_photon_number(sigma_phi: float, gdd_sum: float) -> float:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
     if gdd_sum == 0:
         raise DomainError("no transition: dispersion fully cancelled (gdd_sum = 0)")
-    return 1.0 / (2.0 * sigma_phi**2 * abs(gdd_sum))
+    with np.errstate(divide="ignore", over="ignore"):
+        n_t = 1.0 / np.float64(2.0 * sigma_phi**2 * abs(gdd_sum))
+    return _finite_or_raise(n_t, "transition photon number", sigma_phi, gdd_sum_fs2=gdd_sum)
 
 
 def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
@@ -182,8 +195,11 @@ def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
     if not sigma_phi > 0:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
     curvature = 1.0 / (2.0 * sigma_phi**2)  # Gaussian exponent coefficient, fs^2
-    variance = (2.0 * curvature**2 + (np.square(gdd_path1) + np.square(gdd_path2))) / curvature
-    return _float_if_scalar(np.sqrt(variance))
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = (2.0 * curvature**2 + (np.square(gdd_path1) + np.square(gdd_path2))) / curvature
+        width = np.sqrt(variance)
+    return _finite_or_raise(width, "classical width", sigma_phi,
+                            gdd_path1_fs2=gdd_path1, gdd_path2_fs2=gdd_path2)
 
 
 def classical_shot_noise(sigma_t, n_photons):

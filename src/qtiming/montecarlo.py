@@ -2,9 +2,9 @@
 
 Streams are Philox4x64-10 counter-based generators keyed by
 ``(seed, substream)``, with normal variates produced by the inverse-CDF
-transform of 53-bit uniforms.  Both choices are deliberate: the stream is
-reproducible across platforms and thread counts, with no rejection-loop
-nondeterminism.  Trials are consumed in fixed-size shards of
+transform of 53-bit uniforms (k + 1/2) * 2^-53.  Both choices are
+deliberate: the stream is reproducible across platforms and thread
+counts, with no rejection-loop nondeterminism.  Trials are consumed in fixed-size shards of
 ``SHARD_TRIALS`` trials.
 
 The classical sampler splits each shard's photons into column blocks of at
@@ -98,9 +98,10 @@ def _normals(gen: np.random.Generator, count: int) -> np.ndarray:
     """The next ``count`` standard normals of ``gen``'s stream."""
     from scipy.special import ndtri  # deferred: importing scipy costs every CLI start
 
-    values = gen.integers(0, 1 << 53, size=count, dtype=np.uint64).astype(np.float64)
-    values += 0.5
-    values *= 2.0 ** -53  # open (0, 1)
+    # random() is k * 2^-53 for the top 53 bits k of one raw draw, the same k
+    # that integers(0, 2^53) returns, so this is (k + 1/2) * 2^-53 in (0, 1).
+    values = gen.random(count)
+    values += 2.0 ** -54
     return ndtri(values, out=values)
 
 

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +399,30 @@ def test_extreme_bandwidth_exits_without_output(tmp_path, capsys, argv):
     assert exit_code(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "sigma_phi" in err
+    assert not list(tmp_path.iterdir())
+
+
+OVERFLOWING_LAWS = [
+    ("width", "--sigma-phi", "1e91", "--n", "3", "--B", "500"),
+    ("scan", "--sigma-phi", "3.7e11", "--B", "1e300",
+     "--n-min", "1", "--n-max", "10", "--n-points", "3"),
+    ("width", "--sigma-phi", "3.7e11", "--n", "1e12", "--B", "1e300"),
+    ("transition", "--sigma-phi", "3.7e11", "--B", "1e-320"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_LAWS,
+                         ids=[" ".join(argv) for argv in OVERFLOWING_LAWS])
+def test_closed_form_overflow_exits_without_output(tmp_path, capsys, argv):
+    # Accepted inputs whose closed form leaves float64 exit 2 rather than
+    # report inf (or end in a ZeroDivisionError, for the transition).
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert exit_code(tmp_path, *argv) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert "overflows float64 at sigma_phi" in err
     assert not list(tmp_path.iterdir())
 
 

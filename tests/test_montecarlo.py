@@ -87,6 +87,27 @@ class TestSampleClassical:
             sample_classical(0.0, SamplerConfig(seed=1, n_samples=100))
 
 
+def reference_normals(gen, count):
+    # The 53-bit integer draw the uniforms were first defined by.
+    from scipy.special import ndtri
+
+    values = gen.integers(0, 1 << 53, size=count, dtype=np.uint64).astype(np.float64)
+    values += 0.5
+    values *= 2.0 ** -53
+    return ndtri(values, out=values)
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (42, 7), (2**64 - 1, 2**63 + 5)])
+@pytest.mark.parametrize("chunks", [(1,), (3, 1000, 17), (1 << 16, 5)])
+def test_normals_match_integer_reference_bit_for_bit(seed, stream, chunks):
+    fast = montecarlo._generator(seed, stream)
+    slow = montecarlo._generator(seed, stream)
+    for count in chunks:
+        expected = reference_normals(slow, count)
+        assert montecarlo._normals(fast, count).view(np.uint64).tolist() == \
+            expected.view(np.uint64).tolist()
+
+
 class TestClassicalStream:
     """The classical stream is pinned bit for bit, whatever runs the blocks."""
 

@@ -1,8 +1,7 @@
 """Tests for the quadrature oracle.
 
-The engine is checked first against textbook integrals (so the G7/K15
-constants themselves are covered), then against the closed-form laws it
-exists to validate.
+The trapezoid engine is checked first against textbook integrals, then
+against the closed-form laws it exists to validate.
 """
 
 import math
@@ -13,6 +12,7 @@ import pytest
 from qtiming.distributions import StateKind, StateSpec, quantum_distribution, quantum_width
 from qtiming.errors import ConvergenceError, DomainError
 from qtiming.media import MediumSegment, PathPair
+from qtiming import oracle
 from qtiming.oracle import (
     PHASE_ENVELOPE_RAD,
     QuadratureSpec,
@@ -22,6 +22,7 @@ from qtiming.oracle import (
     verify_closed_form,
     _numeric_density,
     _oscillatory_gaussian_integral,
+    _trapezoid_integral,
 )
 from qtiming.spectral import GaussianSpectrum
 
@@ -94,6 +95,49 @@ class TestQuadratureEngine:
         assert a == b
 
 
+class TestTrapezoidVectorisation:
+    """Each z's value depends only on (b, z, quad), however the zs are batched."""
+
+    ZS = np.concatenate([np.linspace(-40.0, 40.0, 37), [0.0, 1e-3, 250.0]])
+
+    @pytest.mark.parametrize("b", [0.0, 1.37, -12.0, 137.0])
+    def test_vectorised_matches_scalar_per_z(self, b):
+        quad = QuadratureSpec()
+        values, errors, points = _trapezoid_integral(b, self.ZS, quad)
+        scalar = [_oscillatory_gaussian_integral(b, float(z), quad) for z in self.ZS]
+        assert values.tolist() == [value for value, _, _ in scalar]
+        assert errors.tolist() == [err for _, err, _ in scalar]
+        assert points == sum(used for _, _, used in scalar)
+
+    @pytest.mark.parametrize("b", [0.0, 137.0])
+    def test_block_split_leaves_values_unchanged(self, b, monkeypatch):
+        quad = QuadratureSpec()
+        whole = _trapezoid_integral(b, self.ZS, quad)
+        # Small enough that every level splits the zs over several blocks.
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 64)
+        split = _trapezoid_integral(b, self.ZS, quad)
+        assert split[0].tolist() == whole[0].tolist()
+        assert split[1].tolist() == whole[1].tolist()
+        assert split[2] == whole[2]
+
+    @pytest.mark.parametrize("b,quad", [
+        (800.0, QuadratureSpec(max_points=600, rel_tol=0.1)),
+        # b (h/2)^2 = 6 pi at h = 0.3125: the sums at h and h/2 both see
+        # exp(i b u^2) = 1 and agree to rounding, on the b = 0 value.
+        (24.0 * math.pi / 0.3125**2, QuadratureSpec(max_points=600)),
+    ])
+    def test_unresolved_budget_raises_rather_than_accept_aliased_sums(
+            self, b, quad, monkeypatch):
+        with pytest.raises(ConvergenceError, match="resolving its phase") as excinfo:
+            _trapezoid_integral(b, np.array([0.0]), quad)
+        assert excinfo.value.points_used <= quad.max_points
+        # Without the resolving step, h against h/2 alone accepts a wrong value.
+        monkeypatch.setattr(oracle, "_RESOLVE_SAFETY", 0.0)
+        values, _, _ = _trapezoid_integral(b, np.array([0.0]), quad)
+        expected = reference_integral(b, 0.0)
+        assert abs(values[0] - expected) > abs(expected)
+
+
 class TestQuadratureSpecValidation:
     def test_half_width_floor(self):
         with pytest.raises(DomainError):
@@ -132,6 +176,12 @@ class TestAmplitudeNumeric:
             StateSpec(StateKind.ENTANGLED_COHERENT, 3, v_mag=1.5, u_mag=0.5), spectrum, paths, 100.0
         )
         assert abs(coherent) == pytest.approx((1.5 * 0.5) ** 3 * abs(fock), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_is_domain_error(self, spectrum, tau):
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3)
+        with pytest.raises(DomainError, match="finite"):
+            amplitude_numeric(state, spectrum, pair(100.0, 100.0), tau=tau)
 
     def test_phase_envelope_enforced(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1e6)

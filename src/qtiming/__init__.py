@@ -4,6 +4,8 @@ dispersion, an independent quadrature oracle, and stochastic checks."""
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .constants import (
     omega_from_wavelength_nm,
     sigma_phi_from_rad_per_s,
@@ -40,16 +42,29 @@ from .media import (
     path_coefficients,
     reference_air_beta,
 )
-from .montecarlo import SamplerConfig, WidthEstimate, sample_classical, sample_quantum
-from .oracle import (
-    QuadratureSpec,
-    VerificationReport,
-    amplitude_numeric,
-    numeric_central_moment,
-    numeric_moments,
-    verify_closed_form,
-)
 from .spectral import GaussianSpectrum
+
+# The sampler and the oracle load on first use (PEP 562), so that importing
+# the package, or the CLI for a command that neither samples nor verifies,
+# does not pay for them or for the thread pool module.
+_LAZY = {
+    **dict.fromkeys(
+        ("SamplerConfig", "WidthEstimate", "sample_classical", "sample_quantum"),
+        "montecarlo"),
+    **dict.fromkeys(
+        ("QuadratureSpec", "VerificationReport", "amplitude_numeric",
+         "numeric_central_moment", "numeric_moments", "verify_closed_form"),
+        "oracle"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "__version__",

@@ -20,7 +20,9 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._cpus import usable_cpus
 from .distributions import (
     StateKind,
     StateSpec,
@@ -52,8 +55,6 @@ from .media import (
     owens_refractivity,
     reference_air_beta,
 )
-from .montecarlo import SamplerConfig, sample_classical, sample_quantum
-from .oracle import QuadratureSpec, verify_closed_form
 from .spectral import GaussianSpectrum
 
 MANIFEST_SCHEMA = "qtiming.run-manifest/1"
@@ -102,6 +103,65 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _format_block(column_slices) -> str:
+    """CSV rows, CRLF-terminated, of equal-length float64 column slices.
+
+    Each distinct float64 bit pattern is formatted once (bit patterns, so
+    ``-0.0`` and ``0.0`` keep their own text): a ``surface`` block repeats
+    a few N values, the x grid, and ``R`` wherever it equals ``R_raw``.
+    """
+    block = np.column_stack(column_slices)
+    bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    row_format = ",".join(["%s"] * block.shape[1]) + "\r\n"
+    return row_format * len(block) % tuple(text[inverse].tolist())
+
+
+def _row_shares(n_rows: int) -> list[range]:
+    """Rows split into contiguous runs of whole blocks, one run per usable CPU.
+
+    One run where ``os.fork`` does not exist, and never more runs than
+    blocks, so a grid of one block is written by one process.
+    """
+    n_blocks = -(-n_rows // _CSV_BLOCK_ROWS)
+    n_shares = max(1, min(n_blocks, usable_cpus() if hasattr(os, "fork") else 1))
+    edges = [k * n_blocks // n_shares * _CSV_BLOCK_ROWS for k in range(n_shares)] + [n_rows]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _write_share(fh, columns, rows: range) -> None:
+    for start in range(rows.start, rows.stop, _CSV_BLOCK_ROWS):
+        fh.write(_format_block([c[start:start + _CSV_BLOCK_ROWS] for c in columns]).encode())
+
+
+def _fork_share(columns, rows: range):
+    """Format ``rows`` in a forked child into an anonymous temporary file.
+
+    Returns ``(pid, file)``.  The child never returns: it exits with status
+    0 once the file holds its rows, 1 after printing any exception.
+    """
+    tmp = tempfile.TemporaryFile()
+    try:
+        pid = os.fork()
+    except BaseException:
+        tmp.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            _write_share(tmp, columns, rows)
+            tmp.flush()
+            status = 0
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+    return pid, tmp
+
+
 def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
     """Write equal-length float columns to the ``--out`` CSV, plus its manifest.
 
@@ -110,25 +170,47 @@ def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
     lists of floats.  The header names are plain identifiers, so joining
     them with commas needs no quoting.
 
-    Rows go out in blocks of ``_CSV_BLOCK_ROWS``.  Within a block each
-    distinct float64 bit pattern is formatted once (bit patterns, so
-    ``-0.0`` and ``0.0`` keep their own text): a ``surface`` block repeats
-    a few N values, the x grid, and ``R`` wherever it equals ``R_raw``.
-    Only one block's strings are alive at a time, so memory does not grow
+    Rows are formatted in blocks of ``_CSV_BLOCK_ROWS`` by
+    :func:`_format_block`, and the blocks are split into one contiguous
+    share per usable CPU (:func:`_row_shares`).  Before formatting, this
+    process forks one child per share after the first; each child writes
+    its share into an anonymous temporary file opened before the fork.
+    This process writes the header and the first share straight into the
+    CSV, then waits for the children in share order and appends each one's
+    file, so the bytes are those of one serial pass.  If a child fails, the
+    partial CSV is removed and no manifest is written.  Only one block's
+    strings are alive at a time in each process, so memory does not grow
     with the grid.
     """
     out = _out_dir(args)
     path = out / args.out
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n_rows = len(columns[0])
-    row_format = ",".join(["%s"] * len(columns)) + "\r\n"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-            bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            fh.write(row_format * len(block) % tuple(text[inverse].tolist()))
+    first, *rest = _row_shares(n_rows)
+    children = []
+    try:
+        for rows in rest:
+            children.append((rows, *_fork_share(columns, rows)))
+        with path.open("wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            _write_share(fh, columns, first)
+            while children:
+                rows, pid, tmp = children.pop(0)
+                with tmp:
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if status != 0:
+                        raise RuntimeError(
+                            f"CSV formatter for rows {rows.start}-{rows.stop - 1} "
+                            f"(pid {pid}) exited with status {status}")
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, fh)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    finally:
+        for _, pid, tmp in children:
+            tmp.close()
+            os.waitpid(pid, 0)
     RunManifest(command=args.command, parameters=parameters, outputs=[str(path)]).write(out)
     print(f"wrote {path} ({n_rows} rows)")
 
@@ -428,6 +510,8 @@ def _cmd_media(parser: _Parser, args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def _run_quadrature_suite(max_points: int | None) -> list[dict]:
+    from .oracle import QuadratureSpec, verify_closed_form
+
     tolerance = 1e-6
     spectrum = GaussianSpectrum.from_si(3.7e11)
     quad = QuadratureSpec(max_points=max_points) if max_points is not None else QuadratureSpec()
@@ -452,6 +536,8 @@ def _run_quadrature_suite(max_points: int | None) -> list[dict]:
 
 
 def _run_montecarlo_suite(seed: int) -> list[dict]:
+    from .montecarlo import SamplerConfig, sample_classical, sample_quantum
+
     cases = []
 
     # Scaling of the classical averaging law with photon number.

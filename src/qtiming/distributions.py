@@ -212,7 +212,8 @@ def _coherent_scale(state: StateSpec, power: float) -> float:
 
     The direct product ``v**power * u**power`` whenever both factors fit in
     float64, so tests can match it exactly; log space when a factor alone
-    overflows.
+    overflows.  Raises :class:`DomainError` when the product itself does
+    not fit in float64.
     """
     if state.kind is not StateKind.ENTANGLED_COHERENT:
         return 1.0
@@ -220,15 +221,15 @@ def _coherent_scale(state: StateSpec, power: float) -> float:
     if v == 0.0 or u == 0.0:
         return 0.0
     try:
-        return v**power * u**power
+        scale = v**power * u**power
     except OverflowError:
-        pass
-    try:
-        return math.exp(power * (math.log(v) + math.log(u)))
-    except OverflowError:
-        raise DomainError(
-            "coherent amplitude scale overflows float64 at this photon number"
-        ) from None
+        try:
+            scale = math.exp(power * (math.log(v) + math.log(u)))
+        except OverflowError:
+            scale = math.inf
+    if not math.isfinite(scale):
+        raise DomainError("coherent amplitude scale overflows float64 at this photon number")
+    return scale
 
 
 def quantum_distribution(

@@ -21,7 +21,9 @@ formulas:
 All empirical coefficients below are transcribed from those publications.
 The wavelength validity window is enforced as 350–1700 nm, a conservative
 envelope of the two formulas; outside it the functions raise rather than
-extrapolate.
+extrapolate.  Temperature has a window too, −20…+50 °C, the range the Buck
+fit states for itself; :func:`air_dispersion_coefficient` applies it to
+both formulas.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
 ]
 
 WAVELENGTH_RANGE_NM = (350.0, 1700.0)
+TEMPERATURE_RANGE_C = (-20.0, 50.0)
 
 _TORR_PER_PA = 760.0 / 101325.0
 _MBAR_PER_PA = 1e-2
@@ -121,7 +124,8 @@ def path_coefficients(path: Sequence[MediumSegment]) -> tuple[float, float]:
 class AirConditions:
     """Atmospheric state for the refractive-index formulas.
 
-    temperature_c : air temperature, degrees Celsius
+    temperature_c : air temperature, degrees Celsius (validity window
+                    -20..+50 C, checked by :func:`air_dispersion_coefficient`)
     pressure_pa   : total pressure, Pa (> 0)
     relative_humidity : fraction in [0, 1]
     wavelength_nm : vacuum wavelength, nm (validity window 350-1700 nm,
@@ -335,7 +339,9 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
     Air disperses normally, so a result that is not finite and positive
     means the formula has left its range at these conditions (a near-vacuum
     pressure whose index rounds to exactly 1, or a temperature whose
-    density factor overflows); that raises :class:`DomainError`.
+    density factor overflows); that raises :class:`DomainError`.  So does a
+    temperature outside ``TEMPERATURE_RANGE_C``, checked after the result so
+    that a formula's own failure keeps its own message.
     """
     if formula == "edlen":
         fn = edlen_index_function(conditions)
@@ -349,6 +355,12 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
             f"{formula} air dispersion coefficient is {beta} fs^2/cm, not finite and positive, "
             f"at temperature {conditions.temperature_c} C, pressure {conditions.pressure_pa} Pa, "
             f"relative humidity {conditions.relative_humidity}"
+        )
+    lo, hi = TEMPERATURE_RANGE_C
+    if not lo <= conditions.temperature_c <= hi:
+        raise DomainError(
+            f"temperature {conditions.temperature_c:g} C outside the validity window "
+            f"[{lo:g}, {hi:g}] C of the empirical air-index formulas"
         )
     return beta
 

@@ -22,13 +22,13 @@ sum of one trial never spans a chunk, and the merge order is fixed.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._cpus import usable_cpus as _thread_count
 from .distributions import TimingDistribution
 from .errors import DomainError
 
@@ -139,14 +139,6 @@ def sample_quantum(dist: TimingDistribution, cfg: SamplerConfig) -> WidthEstimat
         values[start:start + count] = dist.mean + dist.sigma * normals
         start += count
     return _estimate(values)
-
-
-def _thread_count() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
 
 
 def _in_order(pool: ThreadPoolExecutor, fn, tasks, window: int):

@@ -301,6 +301,84 @@ def test_csv_writer_bytes_across_block_edges(tmp_path, monkeypatch, rows):
     assert written_csv(tmp_path, header, columns) == reference_csv(header, columns)
 
 
+@pytest.mark.parametrize("shares", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 8, 9, 16, 17, 23, 24, 25, 40, 41])
+def test_csv_writer_bytes_across_shares(tmp_path, monkeypatch, capsys, shares, rows):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 8)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: shares)
+    assert len(cli._row_shares(rows)) == min(shares, -(-rows // 8))
+    rng = np.random.default_rng(rows)
+    columns = [rng.standard_normal(rows) for _ in range(3)]
+    # Every block edge, and so every share edge, carries a special value.
+    specials = [-0.0, math.nan, math.inf, -math.inf]
+    for k, i in enumerate(i for i in range(rows) if i % 8 in (0, 7)):
+        columns[k % 3][i] = specials[k % 4]
+        columns[(k + 1) % 3][i] = specials[(k + 1) % 4]
+    header = ["a", "b", "c"]
+    assert written_csv(tmp_path, header, columns) == reference_csv(header, columns)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan_manifest.json", "table.csv"]
+    assert capsys.readouterr().err == ""
+
+
+FAILING_CHILD = """
+import os, sys
+from qtiming import cli
+parent = os.getpid()
+format_block = cli._format_block
+def failing_in_child(column_slices):
+    if os.getpid() != parent:
+        raise ZeroDivisionError("formatter failed in the child")
+    return format_block(column_slices)
+cli._format_block = failing_in_child
+cli._CSV_BLOCK_ROWS = 8
+cli.usable_cpus = lambda: 3
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_csv_writer_child_failure_leaves_no_csv_and_no_manifest(tmp_path):
+    (tmp_path / "earlier.txt").write_text("kept\n")
+    src = str(Path(qtiming.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run(
+        [sys.executable, "-c", FAILING_CHILD, "scan", "--sigma-phi", "3.7e11", "--B", "500",
+         "--n-min", "1", "--n-max", "100", "--n-points", "40", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode != 0
+    assert "formatter failed in the child" in result.stderr
+    assert "exited with status 1" in result.stderr
+    assert "wrote" not in result.stdout  # no child returned into main
+    assert [p.name for p in tmp_path.iterdir()] == ["earlier.txt"]
+
+
+def test_csv_writer_without_fork_formats_in_one_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 8)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    monkeypatch.delattr(os, "fork")
+    pids = []
+    format_block = cli._format_block
+
+    def recording(column_slices):
+        pids.append(os.getpid())
+        return format_block(column_slices)
+
+    monkeypatch.setattr(cli, "_format_block", recording)
+    header, columns = ["a", "b"], [np.linspace(-1.0, 1.0, 41), np.logspace(-3, 3, 41)]
+    assert written_csv(tmp_path, header, columns) == reference_csv(header, columns)
+    assert pids == [os.getpid()] * 6
+
+
+def test_one_block_csvs_never_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a one-block CSV must not fork")
+
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(tmp_path, "scan", "--preset", "fig2") == 0
+    assert run(tmp_path, "surface", "--preset", "fig3") == 0
+
+
 class TestTransition:
     def test_one_centimetre_preset(self, tmp_path, capsys):
         assert run(tmp_path, "transition", "--preset", "ntrans-1cm", "--json") == 0
@@ -436,6 +514,12 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+    # Nor the oracle, the sampler, or the pool modules only the sampler needs.
+    unloaded = ("qtiming.oracle", "qtiming.montecarlo", "concurrent.futures", "multiprocessing")
+    probe = f"import sys, qtiming.cli; print([m for m in {unloaded!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestVerify:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtiming.distributions import (
@@ -277,19 +277,24 @@ class TestQuantumDistribution:
         st.floats(min_value=0.1, max_value=3.0),
         gdd_values,
     )
+    @example(200.0, 3.0, 3.0, 0.0)  # (3 * 3)^400 overflows float64
     @settings(max_examples=60)
     def test_coherent_width_independent_of_magnitudes(self, n, v, u, gdd):
         spectrum = GaussianSpectrum.from_si(3.7e11)
         paths = pair(gdd, 0.0)
+        state = StateSpec(StateKind.ENTANGLED_COHERENT, n, v_mag=v, u_mag=u)
+        expected = v ** (2.0 * n) * u ** (2.0 * n)
+        if not math.isfinite(expected):
+            with pytest.raises(DomainError, match="overflows"):
+                quantum_distribution(state, spectrum, paths)
+            return
         base = quantum_distribution(
             StateSpec(StateKind.ENTANGLED_COHERENT, n, v_mag=1.0, u_mag=1.0), spectrum, paths
         )
-        other = quantum_distribution(
-            StateSpec(StateKind.ENTANGLED_COHERENT, n, v_mag=v, u_mag=u), spectrum, paths
-        )
+        other = quantum_distribution(state, spectrum, paths)
         assert other.sigma == base.sigma
         assert other.mean == base.mean
-        assert other.amplitude_scale == v ** (2.0 * n) * u ** (2.0 * n)
+        assert other.amplitude_scale == expected
 
     def test_coherent_scale_past_float64_range_falls_back_to_log_space(self, spectrum):
         # 1.2^20000 overflows on its own; the product 0.96^20000 underflows to 0.

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qtiming.constants import C_CM_PER_FS, omega_from_wavelength_nm
 from qtiming.errors import CancellationError, DomainError
 from qtiming.media import (
+    TEMPERATURE_RANGE_C,
     AirConditions,
     MediumSegment,
     PathPair,
@@ -211,6 +212,21 @@ class TestAirDispersionRange:
     def test_non_finite_edlen_beta_rejected(self):
         with pytest.raises(DomainError, match="not finite and positive"):
             air_dispersion_coefficient(AirConditions(temperature_c=1e308), "edlen")
+
+    @pytest.mark.parametrize("formula, temperature", [
+        ("edlen", -273.0), ("owens", -257.0), ("edlen", -20.001), ("owens", 50.001),
+    ])
+    def test_temperature_outside_window_rejected(self, formula, temperature):
+        # Both formulas return finite, positive betas here (205.9 and 3.70
+        # fs^2/cm at the first two points), far outside the fits' range.
+        with pytest.raises(DomainError, match="validity window"):
+            air_dispersion_coefficient(AirConditions(temperature, 101325.0, 0.2), formula)
+
+    @pytest.mark.parametrize("formula", ["edlen", "owens"])
+    @pytest.mark.parametrize("temperature", TEMPERATURE_RANGE_C)
+    def test_temperature_window_edges_accepted(self, formula, temperature):
+        beta = air_dispersion_coefficient(AirConditions(temperature, 101325.0, 0.2), formula)
+        assert 0 < beta < math.inf
 
 
 class TestBetaFromIndex:

@@ -11,10 +11,11 @@ The classical sampler splits each shard's photons into column blocks of at
 most ``_DRAW_BLOCK`` variates; every ``(shard, block)`` pair has its own
 substream (:func:`_stream_id`) and is one task for a thread pool sized to
 the CPUs this process may use.  A task draws its block from the block's
-one generator in row chunks of about ``_CHUNK_NORMALS`` variates, which
-caps working memory per thread, and returns the block's per-trial row
-sums.  Each shard then adds its blocks' row sums in block order.  Neither
-the thread count nor the chunking changes a bit of the result: a
+one generator in row chunks of about ``_CHUNK_NORMALS`` variates, into
+one of the draw buffers the call allocates once per thread, which caps
+working memory per thread, and returns the block's per-trial row sums.
+Each shard then adds its blocks' row sums in block order.  Neither the
+thread count nor the chunking changes a bit of the result: a
 generator yields the same sequence however its draws are split, the row
 sum of one trial never spans a chunk, and the merge order is fixed.
 """
@@ -22,6 +23,7 @@ sum of one trial never spans a chunk, and the merge order is fixed.
 from __future__ import annotations
 
 import math
+import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -94,13 +96,13 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def _normals(gen: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` standard normals of ``gen``'s stream."""
+def _normals(gen: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The next ``count`` standard normals of ``gen``'s stream, in ``out`` if given."""
     from scipy.special import ndtri  # deferred: importing scipy costs every CLI start
 
     # random() is k * 2^-53 for the top 53 bits k of one raw draw, the same k
     # that integers(0, 2^53) returns, so this is (k + 1/2) * 2^-53 in (0, 1).
-    values = gen.random(count)
+    values = gen.random(count, out=out)
     values += 2.0 ** -54
     return ndtri(values, out=values)
 
@@ -152,14 +154,24 @@ def _in_order(pool: ThreadPoolExecutor, fn, tasks, window: int):
         yield pending.popleft().result()
 
 
-def _block_row_sums(seed: int, stream: int, count: int, cols: int) -> np.ndarray:
-    """Per-trial sums of one ``count`` x ``cols`` block of the substream."""
+def _block_row_sums(buffers: queue.SimpleQueue, seed: int, stream: int, count: int,
+                    cols: int) -> np.ndarray:
+    """Per-trial sums of one ``count`` x ``cols`` block of the substream.
+
+    The variates are drawn into a buffer of at least ``max(_CHUNK_NORMALS,
+    cols)`` floats, held from ``buffers`` for the length of the call.
+    """
     gen = _generator(seed, stream)
     sums = np.empty(count)
     rows = max(1, _CHUNK_NORMALS // cols)
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
-        sums[lo:hi] = _normals(gen, (hi - lo) * cols).reshape(hi - lo, cols).sum(axis=1)
+    buf = buffers.get()
+    try:
+        for lo in range(0, count, rows):
+            hi = min(lo + rows, count)
+            chunk = _normals(gen, (hi - lo) * cols, out=buf[:(hi - lo) * cols])
+            chunk.reshape(hi - lo, cols).sum(axis=1, out=sums[lo:hi])
+    finally:
+        buffers.put(buf)
     return sums
 
 
@@ -175,11 +187,17 @@ def sample_classical(sigma_t: float, cfg: SamplerConfig) -> WidthEstimate:
     n = cfg.n_photons
     layout = [(shard, count, max(1, _DRAW_BLOCK // count))
               for shard, count in _shards(cfg.n_samples)]
-    tasks = ((cfg.seed, _stream_id(1, shard, block), count, min(cols, n - done))
+    threads = _thread_count()
+    # One draw buffer per thread, allocated here in one size: the workers
+    # allocate nothing large, so the peak memory does not depend on how
+    # their draws and frees interleave.
+    buffers = queue.SimpleQueue()
+    for _ in range(threads):
+        buffers.put(np.empty(max(_CHUNK_NORMALS, n)))
+    tasks = ((buffers, cfg.seed, _stream_id(1, shard, block), count, min(cols, n - done))
              for shard, count, cols in layout
              for block, done in enumerate(range(0, n, cols)))
     values = np.empty(cfg.n_samples)
-    threads = _thread_count()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         row_sums = _in_order(pool, _block_row_sums, tasks, 2 * threads)
         start = 0

@@ -108,6 +108,17 @@ def test_normals_match_integer_reference_bit_for_bit(seed, stream, chunks):
             expected.view(np.uint64).tolist()
 
 
+def test_normals_into_buffer_match_fresh_draws():
+    fresh = montecarlo._generator(7, 3)
+    buffered = montecarlo._generator(7, 3)
+    buf = np.full(1000, np.nan)
+    for count in (1000, 17, 600):
+        expected = montecarlo._normals(fresh, count)
+        got = montecarlo._normals(buffered, count, out=buf[:count])
+        assert np.shares_memory(got, buf)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
 class TestClassicalStream:
     """The classical stream is pinned bit for bit, whatever runs the blocks."""
 

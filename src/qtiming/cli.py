@@ -2,9 +2,10 @@
 
 Subcommands compute widths, sweep photon numbers, grid the quantum/classical
 ratio, locate transition photon numbers, evaluate air dispersion, and run
-the numerical verification suites.  Every command writes a run manifest
-(JSON) listing its parameters with units and every file it produced, so a
-run can be reproduced from the manifest alone; CSV output is RFC-4180
+the numerical verification suites.  Every command writes one CSV or JSON
+report, then a run manifest (JSON) listing its parameters with units and
+that file, so a run can be reproduced from the manifest alone; an output
+path that cannot be opened is a usage error.  CSV output is RFC-4180
 style with '.' decimals and shortest-roundtrip float formatting, byte
 identical across reruns with equal parameters.
 
@@ -23,7 +24,6 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,14 +45,13 @@ from .distributions import (
 )
 from .errors import ConvergenceError, DomainError
 from .media import (
+    AIR_FORMULAS,
     AirConditions,
     MediumSegment,
     PathPair,
     air_dispersion_coefficient,
     catalog_segment,
-    edlen_refractivity,
     material_catalog,
-    owens_refractivity,
     reference_air_beta,
 )
 from .spectral import GaussianSpectrum
@@ -75,32 +74,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    outputs: list[str] = field(default_factory=list)
-    artifact_version: str = __version__
-    schema: str = MANIFEST_SCHEMA
-
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / f"{self.command}_manifest.json"
-        payload = {
-            "schema": self.schema,
-            "command": self.command,
-            "parameters": self.parameters,
-            "artifact_version": self.artifact_version,
-            "outputs": self.outputs,
-            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return path
-
-
-def _out_dir(args) -> Path:
+def _open_output(args, filename: str):
+    """``(path, file)`` for ``filename`` in the output directory; an OSError is a usage error."""
     out = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        return out / filename, (out / filename).open("wb")
+    except OSError as exc:
+        raise argparse.ArgumentError(None, f"cannot write {exc.filename}: {exc.strerror}") from None
+
+
+def _write_json(args, filename: str, payload: dict) -> Path:
+    path, fh = _open_output(args, filename)
+    with fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    return path
+
+
+def _write_manifest(args, parameters: dict, output: Path) -> None:
+    _write_json(args, f"{args.command}_manifest.json", {
+        "schema": MANIFEST_SCHEMA,
+        "command": args.command,
+        "parameters": parameters,
+        "artifact_version": __version__,
+        "outputs": [str(output)],
+        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+    })
+
+
+def _write_report(args, filename: str, payload: dict, parameters: dict) -> Path:
+    """Write ``payload`` as the JSON report ``filename``, then its manifest."""
+    path = _write_json(args, filename, payload)
+    _write_manifest(args, parameters, path)
+    return path
 
 
 def _format_block(column_slices) -> str:
@@ -177,21 +183,21 @@ def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
     its share into an anonymous temporary file opened before the fork.
     This process writes the header and the first share straight into the
     CSV, then waits for the children in share order and appends each one's
-    file, so the bytes are those of one serial pass.  If a child fails, the
-    partial CSV is removed and no manifest is written.  Only one block's
-    strings are alive at a time in each process, so memory does not grow
-    with the grid.
+    file, so the bytes are those of one serial pass.  The CSV is opened
+    first, so an unwritable path forks and removes nothing; if a child
+    fails, the partial CSV is removed and no manifest is written.  Only one
+    block's strings are alive at a time in each process, so memory does not
+    grow with the grid.
     """
-    out = _out_dir(args)
-    path = out / args.out
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n_rows = len(columns[0])
     first, *rest = _row_shares(n_rows)
+    path, fh = _open_output(args, args.out)
     children = []
     try:
-        for rows in rest:
-            children.append((rows, *_fork_share(columns, rows)))
-        with path.open("wb") as fh:
+        with fh:
+            for rows in rest:
+                children.append((rows, *_fork_share(columns, rows)))
             fh.write((",".join(header) + "\r\n").encode())
             _write_share(fh, columns, first)
             while children:
@@ -211,7 +217,7 @@ def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
         for _, pid, tmp in children:
             tmp.close()
             os.waitpid(pid, 0)
-    RunManifest(command=args.command, parameters=parameters, outputs=[str(path)]).write(out)
+    _write_manifest(args, parameters, path)
     print(f"wrote {path} ({n_rows} rows)")
 
 
@@ -305,12 +311,6 @@ def _emit(args, payload: dict) -> None:
             print(f"{key:<{width}}  {value}")
 
 
-def _add_common_output_flags(sub: _Parser) -> None:
-    sub.add_argument("--out-dir", default=None,
-                     help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
-    sub.add_argument("--json", action="store_true", help="print the report as JSON")
-
-
 def _add_media_flags(sub: _Parser) -> None:
     sub.add_argument("--sigma-phi", type=float, default=None,
                      help="spectral one-sigma width, rad/s")
@@ -328,7 +328,6 @@ def _add_media_flags(sub: _Parser) -> None:
 # -- width --------------------------------------------------------------------
 
 def _cmd_width(parser: _Parser, args) -> int:
-    _apply_preset(parser, args)
     spectrum = _spectrum_from_args(parser, args)
     paths, gdd_sum = _paths_from_args(parser, args)
     state = _state_from_args(parser, args)
@@ -351,16 +350,9 @@ def _cmd_width(parser: _Parser, args) -> int:
         "asymptotic_width_fs": asymptotic_width(spectrum.sigma_phi, gdd_sum),
         "amplitude_scale": dist.amplitude_scale,
     }
-    out = _out_dir(args)
-    report_path = out / "width_report.json"
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest = RunManifest(
-        command="width",
-        parameters={**_media_params(args), "n": args.n, "state": args.state,
-                    "v": args.v, "u": args.u},
-        outputs=[str(report_path)],
-    )
-    manifest.write(out)
+    _write_report(args, "width_report.json", payload,
+                  {**_media_params(args), "n": args.n, "state": args.state,
+                   "v": args.v, "u": args.u})
     _emit(args, payload)
     return 0
 
@@ -368,9 +360,6 @@ def _cmd_width(parser: _Parser, args) -> int:
 # -- scan ---------------------------------------------------------------------
 
 def _cmd_scan(parser: _Parser, args) -> int:
-    _apply_preset(parser, args)
-    if args.n_points is None:
-        args.n_points = 61
     spectrum = _spectrum_from_args(parser, args)
     paths, gdd_sum = _paths_from_args(parser, args)
     n = _photon_grid(parser, args)
@@ -390,13 +379,6 @@ def _cmd_scan(parser: _Parser, args) -> int:
 # -- surface ------------------------------------------------------------------
 
 def _cmd_surface(parser: _Parser, args) -> int:
-    _apply_preset(parser, args)
-    if args.n_points is None:
-        args.n_points = 33
-    if args.x_points is None:
-        args.x_points = 41
-    if args.clip is None:
-        args.clip = "none"
     if args.sigma_phi is None:
         parser.error("--sigma-phi (rad/s) is required")
     if args.beta is None:
@@ -416,9 +398,12 @@ def _cmd_surface(parser: _Parser, args) -> int:
     # classical per-path products beta*x each.
     n, x = np.meshgrid(n_values, np.linspace(args.x_min, args.x_max, args.x_points),
                        indexing="ij")
-    gdd_path = beta * x
-    ratio = (quantum_width(sigma_phi, n, 2.0 * gdd_path)
-             / classical_shot_noise(classical_width(sigma_phi, gdd_path, gdd_path), n))
+    # A GDD that overflows is left to the closed forms, which reject a width
+    # that is not finite.
+    with np.errstate(over="ignore"):
+        gdd_path = beta * x
+        ratio = (quantum_width(sigma_phi, n, 2.0 * gdd_path)
+                 / classical_shot_noise(classical_width(sigma_phi, gdd_path, gdd_path), n))
     clipped = np.maximum(ratio, 1.0) if args.clip == "unity" else ratio
 
     _write_csv(
@@ -433,7 +418,6 @@ def _cmd_surface(parser: _Parser, args) -> int:
 # -- transition ---------------------------------------------------------------
 
 def _cmd_transition(parser: _Parser, args) -> int:
-    _apply_preset(parser, args)
     spectrum = _spectrum_from_args(parser, args)
     _, gdd_sum = _paths_from_args(parser, args)
     n_t = transition_photon_number(spectrum.sigma_phi, gdd_sum)
@@ -445,11 +429,9 @@ def _cmd_transition(parser: _Parser, args) -> int:
         "equivalent_silica_total_cm": abs(gdd_sum) / silica_beta,
         "equivalent_air_total_m": abs(gdd_sum) / reference_air_beta() / 100.0,
     }
-    out = _out_dir(args)
-    report_path = out / "transition_report.json"
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    RunManifest(command="transition", parameters=_media_params(args),
-                outputs=[str(report_path)]).write(out)
+    if not math.isfinite(payload["equivalent_air_total_m"]):
+        raise DomainError(f"the air length equivalent to gdd_sum {gdd_sum} fs^2 overflows float64")
+    _write_report(args, "transition_report.json", payload, _media_params(args))
     _emit(args, payload)
     return 0
 
@@ -457,31 +439,30 @@ def _cmd_transition(parser: _Parser, args) -> int:
 # -- media --------------------------------------------------------------------
 
 def _cmd_media(parser: _Parser, args) -> int:
+    # The manifest's parameters, which an air report also starts with.
+    parameters = {"material": args.material, "formula": args.formula,
+                  "wavelength_nm": args.wavelength, "temperature_c": args.temperature,
+                  "pressure_pa": args.pressure, "relative_humidity": args.rh}
+    # Built for every material, so that no report records an unphysical condition.
+    conditions = AirConditions(
+        temperature_c=args.temperature,
+        pressure_pa=args.pressure,
+        relative_humidity=args.rh,
+        wavelength_nm=args.wavelength,
+    )
     material = _MATERIAL_ALIASES.get(args.material, args.material)
-    silica_beta = material_catalog()["fused_silica"].beta
+    catalog = material_catalog()
+    silica_beta = catalog["fused_silica"].beta
     if material == "air":
-        conditions = AirConditions(
-            temperature_c=args.temperature,
-            pressure_pa=args.pressure,
-            relative_humidity=args.rh,
-            wavelength_nm=args.wavelength,
-        )
-        refractivity = (edlen_refractivity(conditions) if args.formula == "edlen"
-                        else owens_refractivity(conditions))
+        refractivity = AIR_FORMULAS[args.formula](conditions)
         beta = air_dispersion_coefficient(conditions, formula=args.formula)
         payload = {
-            "material": "air",
-            "formula": args.formula,
-            "wavelength_nm": args.wavelength,
-            "temperature_c": args.temperature,
-            "pressure_pa": args.pressure,
-            "relative_humidity": args.rh,
+            **parameters,
             "n_minus_1": refractivity,
             "beta_fs2_per_cm": beta,
             "length_equivalent_to_1cm_silica_m": silica_beta / beta / 100.0,
         }
     else:
-        catalog = material_catalog()
         if material not in catalog:
             raise DomainError(f"unknown material {args.material!r}; catalog has {sorted(catalog)} plus 'air'")
         entry = catalog[material]
@@ -493,16 +474,7 @@ def _cmd_media(parser: _Parser, args) -> int:
         }
         if entry.beta != 0:
             payload["length_equivalent_to_1cm_silica_cm"] = silica_beta / entry.beta
-    out = _out_dir(args)
-    report_path = out / "media_report.json"
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    RunManifest(
-        command="media",
-        parameters={"material": args.material, "formula": args.formula,
-                    "wavelength_nm": args.wavelength, "temperature_c": args.temperature,
-                    "pressure_pa": args.pressure, "relative_humidity": args.rh},
-        outputs=[str(report_path)],
-    ).write(out)
+    _write_report(args, "media_report.json", payload, parameters)
     _emit(args, payload)
     return 0
 
@@ -591,15 +563,9 @@ def _cmd_verify(parser: _Parser, args) -> int:
         "cases": cases,
         "passed": passed,
     }
-    out = _out_dir(args)
-    report_path = out / args.out
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    RunManifest(
-        command="verify",
-        parameters={"suite": args.suite, "seed": args.seed,
-                    "max_points": args.max_points, "out": args.out},
-        outputs=[str(report_path)],
-    ).write(out)
+    report_path = _write_report(args, args.out, report,
+                                {"suite": args.suite, "seed": args.seed,
+                                 "max_points": args.max_points, "out": args.out})
 
     for case in cases:
         status = "pass" if case["passed"] else "FAIL"
@@ -616,33 +582,30 @@ def _cmd_verify(parser: _Parser, args) -> int:
 # -- presets ------------------------------------------------------------------
 
 _PRESETS = {
-    "fig2": {
-        "command": "scan",
-        "values": {"sigma_phi": 3.7e11, "path1": ["silica:400cm"], "path2": [],
-                   "n_min": 1.0, "n_max": 1.0e6, "n_points": 121},
+    "scan": {
+        "fig2": {"sigma_phi": 3.7e11, "path1": ["silica:400cm"], "path2": [],
+                 "n_min": 1.0, "n_max": 1.0e6, "n_points": 121},
     },
-    "fig3": {
-        "command": "surface",
-        "values": {"sigma_phi": 3.7e11, "beta": 250.0,
-                   "n_min": 1.0, "n_max": 1.0e4, "n_points": 33,
-                   "x_min": 0.0, "x_max": 200.0, "x_points": 41, "clip": "unity"},
+    "surface": {
+        "fig3": {"sigma_phi": 3.7e11, "beta": 250.0,
+                 "n_min": 1.0, "n_max": 1.0e4, "n_points": 33,
+                 "x_min": 0.0, "x_max": 200.0, "x_points": 41, "clip": "unity"},
     },
-    "ntrans-1cm": {
-        "command": "transition",
-        "values": {"sigma_phi": 3.7e11, "path1": ["silica:1cm"], "path2": ["silica:1cm"]},
+    "transition": {
+        "ntrans-1cm": {"sigma_phi": 3.7e11, "path1": ["silica:1cm"], "path2": ["silica:1cm"]},
     },
 }
 
+# Defaults filled after the preset, by the same rule, so that a preset can
+# replace them; argparse defaults would count as set.
+_UNSET_DEFAULTS = {"scan": {"n_points": 61},
+                   "surface": {"n_points": 33, "x_points": 41, "clip": "none"}}
 
-def _apply_preset(parser: _Parser, args) -> None:
-    preset_name = getattr(args, "preset", None)
-    if not preset_name:
-        return
-    preset = _PRESETS.get(preset_name)
-    if preset is None or preset["command"] != args.command:
-        valid = sorted(k for k, v in _PRESETS.items() if v["command"] == args.command)
-        parser.error(f"unknown preset {preset_name!r} for {args.command}; valid: {valid}")
-    for key, value in preset["values"].items():
+
+def _apply_preset(args) -> None:
+    """Fill each flag left unset (None or []) from the chosen preset, then ``_UNSET_DEFAULTS``."""
+    preset = _PRESETS.get(args.command, {}).get(getattr(args, "preset", None), {})
+    for key, value in [*preset.items(), *_UNSET_DEFAULTS.get(args.command, {}).items()]:
         if getattr(args, key, None) in (None, [],):
             setattr(args, key, value)
 
@@ -665,8 +628,6 @@ def build_parser() -> _Parser:
                        help="entangled state family (default anti)")
     width.add_argument("--v", type=float, default=None, help="coherent |v| (coherent state only)")
     width.add_argument("--u", type=float, default=None, help="coherent |u| (coherent state only)")
-    width.add_argument("--preset", default=None, help=argparse.SUPPRESS)
-    _add_common_output_flags(width)
     width.set_defaults(func=_cmd_width)
 
     scan = sub.add_parser("scan", help="sweep photon number; CSV of dimensionless widths")
@@ -674,10 +635,7 @@ def build_parser() -> _Parser:
     scan.add_argument("--n-min", type=float, default=None)
     scan.add_argument("--n-max", type=float, default=None)
     scan.add_argument("--n-points", type=int, default=None, help="log-spaced points (default 61)")
-    scan.add_argument("--preset", choices=["fig2"], default=None,
-                      help="named parameter bundle pinned by the verification suite")
     scan.add_argument("--out", default="scan.csv", help="CSV filename (default scan.csv)")
-    _add_common_output_flags(scan)
     scan.set_defaults(func=_cmd_scan)
 
     surface = sub.add_parser(
@@ -697,18 +655,12 @@ def build_parser() -> _Parser:
     surface.add_argument("--clip", choices=["none", "unity"], default=None,
                          help="clip ratios below 1 to 1.0 in the R column "
                               "(raw kept in R_raw; default none)")
-    surface.add_argument("--preset", choices=["fig3"], default=None,
-                         help="named parameter bundle pinned by the verification suite")
     surface.add_argument("--out", default="surface.csv", help="CSV filename (default surface.csv)")
-    _add_common_output_flags(surface)
     surface.set_defaults(func=_cmd_surface)
 
     transition = sub.add_parser("transition", help="photon number where dispersion "
                                                    "broadening overtakes the bandwidth term")
     _add_media_flags(transition)
-    transition.add_argument("--preset", choices=["ntrans-1cm"], default=None,
-                            help="named parameter bundle pinned by the verification suite")
-    _add_common_output_flags(transition)
     transition.set_defaults(func=_cmd_transition)
 
     verify = sub.add_parser("verify", help="run the numerical verification suites")
@@ -717,29 +669,38 @@ def build_parser() -> _Parser:
     verify.add_argument("--max-points", type=int, default=None,
                         help="override the quadrature evaluation budget")
     verify.add_argument("--out", default="verification_report.json")
-    _add_common_output_flags(verify)
     verify.set_defaults(func=_cmd_verify)
 
     media = sub.add_parser("media", help="dispersion coefficient of a medium")
     media.add_argument("--material", required=True,
                        help="'air' or a catalog material (fused_silica, vacuum)")
-    media.add_argument("--formula", choices=["edlen", "owens"], default="edlen",
+    media.add_argument("--formula", choices=AIR_FORMULAS, default="edlen",
                        help="air-index formula (air only; default edlen)")
     media.add_argument("--wavelength", type=float, default=800.0, help="nm (default 800)")
     media.add_argument("--temperature", type=float, default=15.0, help="deg C (default 15)")
     media.add_argument("--pressure", type=float, default=101325.0, help="Pa (default 101325)")
     media.add_argument("--rh", type=float, default=0.0, help="relative humidity fraction (default 0)")
-    _add_common_output_flags(media)
     media.set_defaults(func=_cmd_media)
 
+    # Last on every subcommand, so each help lists them after its own flags.
+    for name, command in sub.choices.items():
+        if name in _PRESETS:
+            command.add_argument("--preset", choices=_PRESETS[name],
+                                 help="named parameter bundle pinned by the verification suite")
+        command.add_argument("--out-dir", default=None,
+                             help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
+        command.add_argument("--json", action="store_true", help="print the report as JSON")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _apply_preset(args)
     try:
         return args.func(parser, args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except ConvergenceError as exc:
         print(f"qtiming: convergence failure: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,9 @@ formulas:
   factor", J. Appl. Meteor. 20, 1527 (1981) — saturation vapour pressure
   over water, to turn relative humidity into a partial pressure.
 
-All empirical coefficients below are transcribed from those publications.
+``AIR_FORMULAS`` maps each formula's name to its refractivity function, and
+everything that selects a formula by name reads it.  All empirical
+coefficients below are transcribed from those publications.
 The wavelength validity window is enforced as 350–1700 nm, a conservative
 envelope of the two formulas; outside it the functions raise rather than
 extrapolate.  Temperature has a window too, −20…+50 °C, the range the Buck
@@ -46,6 +48,8 @@ __all__ = [
     "path_coefficients",
     "edlen_refractivity",
     "owens_refractivity",
+    "AIR_FORMULAS",
+    "air_index_function",
     "edlen_index_function",
     "owens_index_function",
     "air_dispersion_coefficient",
@@ -247,24 +251,34 @@ def owens_refractivity(conditions: AirConditions) -> float:
     return refractivity
 
 
-def edlen_index_function(conditions: AirConditions) -> Callable[[float], float]:
-    """n(omega) for Edlén air at fixed conditions; omega in rad/fs."""
+AIR_FORMULAS: Mapping[str, Callable[[AirConditions], float]] = MappingProxyType({
+    "edlen": edlen_refractivity,
+    "owens": owens_refractivity,
+})
+"""The air-index formulas by name: each maps conditions to the refractivity n - 1."""
+
+
+def air_index_function(conditions: AirConditions, formula: str) -> Callable[[float], float]:
+    """n(omega) for air under the :data:`AIR_FORMULAS` entry ``formula``; omega in rad/fs."""
+    refractivity = AIR_FORMULAS.get(formula)
+    if refractivity is None:
+        raise DomainError(f"unknown air-index formula {formula!r}; known: {sorted(AIR_FORMULAS)}")
 
     def index(omega: float) -> float:
         wl = wavelength_nm_from_omega(omega)
-        return 1.0 + edlen_refractivity(replace(conditions, wavelength_nm=wl))
+        return 1.0 + refractivity(replace(conditions, wavelength_nm=wl))
 
     return index
+
+
+def edlen_index_function(conditions: AirConditions) -> Callable[[float], float]:
+    """n(omega) for Edlén air at fixed conditions; omega in rad/fs."""
+    return air_index_function(conditions, "edlen")
 
 
 def owens_index_function(conditions: AirConditions) -> Callable[[float], float]:
     """n(omega) for Owens air at fixed conditions; omega in rad/fs."""
-
-    def index(omega: float) -> float:
-        wl = wavelength_nm_from_omega(omega)
-        return 1.0 + owens_refractivity(replace(conditions, wavelength_nm=wl))
-
-    return index
+    return air_index_function(conditions, "owens")
 
 
 def beta_from_index(
@@ -335,7 +349,7 @@ def beta_from_index(
 def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen") -> float:
     """beta of air (fs^2/cm) at the conditions' wavelength.
 
-    ``formula`` selects ``"edlen"`` (dry) or ``"owens"`` (humidity-aware).
+    ``formula`` is a key of :data:`AIR_FORMULAS`, ``"edlen"`` (dry) or ``"owens"`` (humid).
     Air disperses normally, so a result that is not finite and positive
     means the formula has left its range at these conditions (a near-vacuum
     pressure whose index rounds to exactly 1, or a temperature whose
@@ -343,13 +357,8 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
     temperature outside ``TEMPERATURE_RANGE_C``, checked after the result so
     that a formula's own failure keeps its own message.
     """
-    if formula == "edlen":
-        fn = edlen_index_function(conditions)
-    elif formula == "owens":
-        fn = owens_index_function(conditions)
-    else:
-        raise DomainError(f"unknown air-index formula {formula!r} (use 'edlen' or 'owens')")
-    beta = beta_from_index(fn, omega_from_wavelength_nm(conditions.wavelength_nm))
+    beta = beta_from_index(air_index_function(conditions, formula),
+                           omega_from_wavelength_nm(conditions.wavelength_nm))
     if not 0 < beta < math.inf:
         raise DomainError(
             f"{formula} air dispersion coefficient is {beta} fs^2/cm, not finite and positive, "

@@ -5,6 +5,7 @@ are parsed back and checked, including manifest round-trips.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -13,11 +14,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtiming
 from qtiming import cli
@@ -504,6 +508,161 @@ def test_closed_form_overflow_exits_without_output(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+UNWRITABLE_OUTPUTS = {
+    "out-dir is a file": ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10",
+                          "--out-dir", "{dir}/kept.txt"),
+    "out is a directory": ("scan", "--preset", "fig2", "--out", ".", "--out-dir", "{dir}"),
+    "out in a missing directory": ("verify", "--suite", "quadrature", "--max-points", "120",
+                                   "--out", "sub/x.json", "--out-dir", "{dir}"),
+}
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, name):
+    # Nothing is written and nothing is removed: the file already in the
+    # output directory, and the directory itself, are left as they were.
+    (tmp_path / "kept.txt").write_text("kept\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(dir=tmp_path) for arg in UNWRITABLE_OUTPUTS[name]])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "qtiming: error: cannot write " in err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
+
+
+# Argv property test: every drawn command line ends in exit 0, 1 or 2 with
+# no traceback and no RuntimeWarning, and a 0 exit writes only finite numbers.
+EXTREMES = ("0", "-0.0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "5e-324")
+
+
+def _numbers(*typical):
+    # About half typical values, so that some command lines succeed.
+    return st.one_of(st.sampled_from(typical), st.sampled_from(EXTREMES))
+
+
+def _flag(name, values):
+    # --flag=VALUE, so that values such as -inf are not read as flags.
+    return values.map(lambda value: [f"{name}={value}"])
+
+
+def _repeated(name, values):
+    return st.lists(values, max_size=2).map(lambda vs: [f"{name}={v}" for v in vs])
+
+
+SEGMENTS = st.one_of(
+    st.sampled_from(["silica:1cm", "air:10km", "vacuum:0m", "fused_silica:2.5m", "silica:400cm"]),
+    st.sampled_from(["silica:0cm", "silica:-1cm", "silica:1e308km", "air:1e-308cm",
+                     "silica:5e-324m", "silica:1.2.3cm", "air:1e-3.5km", "diamond:1cm", "silica",
+                     ":1cm", "silica:1", "silica:nancm", "silica:infcm", "silica:1e400m",
+                     "air:-0km"]),
+)
+GRID_POINTS = st.sampled_from(["-1", "0", "1", "2", "3", "40"])  # one writer block
+SIGMA_PHI_FLAG = _flag("--sigma-phi", _numbers("3.7e11", "1e9", "1e14"))
+MEDIA_FLAGS = [
+    _flag("--wavelength", _numbers("800", "350", "1700", "1e5")),
+    _flag("--B", _numbers("500", "36523", "-250", "1e300", "1e-320")),
+    _repeated("--path1", SEGMENTS),
+    _repeated("--path2", SEGMENTS),
+]
+# Per command: the flags every drawn command line gives, then those it may give.
+COMMAND_FLAGS = {
+    "width": ([SIGMA_PHI_FLAG, _flag("--n", _numbers("1", "3", "100", "7305", "1e12"))],
+              [*MEDIA_FLAGS,
+               _flag("--state", st.sampled_from(["anti", "corr", "coherent"])),
+               _flag("--v", _numbers("1.2", "0.8", "3")),
+               _flag("--u", _numbers("1.2", "0.8", "3"))]),
+    "scan": ([], [SIGMA_PHI_FLAG, *MEDIA_FLAGS,
+                  _flag("--preset", st.just("fig2")),
+                  _flag("--n-min", _numbers("1", "10", "1e6")),
+                  _flag("--n-max", _numbers("1", "1e4", "1e6")),
+                  _flag("--n-points", st.sampled_from(["-1", "0", "1", "2", "121", "1000"]))]),
+    "surface": ([], [_flag("--sigma-phi", _numbers("3.7e11", "1e9")),
+                     _flag("--beta", _numbers("250", "-250", "1e300")),
+                     _flag("--preset", st.just("fig3")),
+                     _flag("--n-min", _numbers("1", "10")),
+                     _flag("--n-max", _numbers("1e4", "100")),
+                     _flag("--n-points", GRID_POINTS),
+                     _flag("--x-min", _numbers("0", "5")),
+                     _flag("--x-max", _numbers("200", "5")),
+                     _flag("--x-points", GRID_POINTS),
+                     _flag("--clip", st.sampled_from(["none", "unity"]))]),
+    "transition": ([], [SIGMA_PHI_FLAG, *MEDIA_FLAGS, _flag("--preset", st.just("ntrans-1cm"))]),
+    "media": ([_flag("--material", st.sampled_from(["air", "silica", "fused_silica", "vacuum",
+                                                    "diamond", ""]))],
+              [_flag("--formula", st.sampled_from(["edlen", "owens"])),
+               _flag("--wavelength", _numbers("800", "350", "1700", "1e5")),
+               _flag("--temperature", _numbers("15", "-20", "50", "-257.14", "-273.15")),
+               _flag("--pressure", _numbers("101325", "1e3")),
+               _flag("--rh", _numbers("0.2", "1", "0.5"))]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    given_flags, optional_flags = COMMAND_FLAGS[command]
+    argv = [command]
+    for flag in [*given_flags, *(f for f in optional_flags if draw(st.booleans()))]:
+        argv += draw(flag)
+    return argv
+
+
+def _numbers_in(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers_in(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers_in(v)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=command_lines())
+def test_any_command_line_exits_cleanly(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out_dir, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([*argv, "--out-dir", out_dir])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        assert "RuntimeWarning" not in stderr.getvalue()
+        if code != 0:
+            return
+        outputs = sorted(Path(out_dir).iterdir())
+        assert {p.suffix for p in outputs} <= {".csv", ".json"} and len(outputs) == 2
+        for path in outputs:
+            if path.suffix == ".json":
+                numbers = _numbers_in(json.loads(path.read_text()))
+            else:
+                with open(path, newline="") as fh:
+                    numbers = [float(cell) for row in list(csv.reader(fh))[1:] for cell in row]
+            assert all(math.isfinite(x) for x in numbers), path.name
+
+
+NONFINITE_OUTPUTS = [
+    # Each once exited 0 with a non-finite number in its report or manifest,
+    # or with a RuntimeWarning on stderr.
+    ("media", "--material", "silica", "--temperature", "nan"),
+    ("transition", "--sigma-phi", "3.7e11", "--B", "1e308"),
+    ("surface", "--preset", "fig3", "--x-max", "1e308"),
+]
+
+
+@pytest.mark.parametrize("argv", NONFINITE_OUTPUTS, ids=" ".join)
+def test_nonfinite_result_exits_without_output(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert exit_code(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("qtiming: error:")
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy serves only the samplers' normal transform; commands that never
     # sample must not pay for importing it.
@@ -544,18 +703,31 @@ class TestVerify:
         assert "[pass]" in out
 
 
+MANIFEST_RUNS = {
+    "width": ("width", "--sigma-phi", "3.7e11", "--n", "2", "--B", "100"),
+    "scan": ("scan", "--sigma-phi", "3.7e11", "--B", "0",
+             "--n-min", "1", "--n-max", "10", "--n-points", "2"),
+    "surface": ("surface", "--preset", "fig3"),
+    "transition": ("transition", "--preset", "ntrans-1cm"),
+    "media": ("media", "--material", "air", "--formula", "owens", "--rh", "0.2"),
+    "verify": ("verify", "--suite", "quadrature"),
+}
+
+
 class TestManifests:
-    def test_manifest_matches_schema(self, tmp_path):
+    @pytest.mark.parametrize("command", MANIFEST_RUNS)
+    def test_manifest_matches_schema(self, tmp_path, command):
         import jsonschema
         from importlib import resources
 
-        run(tmp_path, "scan", "--sigma-phi", "3.7e11", "--B", "0",
-            "--n-min", "1", "--n-max", "10", "--n-points", "2")
-        manifest = json.loads((tmp_path / "scan_manifest.json").read_text())
+        assert run(tmp_path, *MANIFEST_RUNS[command]) == 0
+        manifest = json.loads((tmp_path / f"{command}_manifest.json").read_text())
         schema = json.loads(
             (resources.files("qtiming") / "data" / "manifest.schema.json").read_text()
         )
         jsonschema.validate(manifest, schema)
+        assert manifest["command"] == command
+        assert manifest["outputs"] and all(Path(p).exists() for p in manifest["outputs"])
 
     def test_out_dir_environment_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QTIMING_OUT_DIR", str(tmp_path))

@@ -14,17 +14,20 @@ from hypothesis import strategies as st
 from qtiming.constants import C_CM_PER_FS, omega_from_wavelength_nm
 from qtiming.errors import CancellationError, DomainError
 from qtiming.media import (
+    AIR_FORMULAS,
     TEMPERATURE_RANGE_C,
     AirConditions,
     MediumSegment,
     PathPair,
     air_dispersion_coefficient,
+    air_index_function,
     beta_from_index,
     catalog_segment,
     edlen_index_function,
     edlen_refractivity,
     equivalent_air_length,
     material_catalog,
+    owens_index_function,
     owens_refractivity,
     path_coefficients,
     reference_air_beta,
@@ -327,3 +330,17 @@ class TestCatalog:
 
     def test_reference_air_beta_is_owens_value(self):
         assert reference_air_beta() == pytest.approx(BETA_OWENS_RH20_800, rel=1e-4)
+
+
+class TestAirFormulaTable:
+    def test_index_functions_read_the_table(self):
+        omega = omega_from_wavelength_nm(800.0)
+        cond = AirConditions(relative_humidity=0.2)
+        assert AIR_FORMULAS == {"edlen": edlen_refractivity, "owens": owens_refractivity}
+        assert edlen_index_function(cond)(omega) == air_index_function(cond, "edlen")(omega)
+        assert owens_index_function(cond)(omega) == air_index_function(cond, "owens")(omega)
+        assert owens_index_function(cond)(omega) == 1.0 + owens_refractivity(cond)
+
+    def test_unknown_formula_is_domain_error(self):
+        with pytest.raises(DomainError, match="unknown air-index formula 'ciddor'"):
+            air_dispersion_coefficient(AirConditions(), formula="ciddor")

@@ -64,6 +64,13 @@ _LENGTH_UNITS_CM = {"cm": 1.0, "m": 100.0, "km": 100_000.0}
 _SEGMENT_RE = re.compile(r"^([A-Za-z_][\w]*):([0-9.eE+\-]+)(cm|m|km)$")
 _MATERIAL_ALIASES = {"silica": "fused_silica"}
 _CSV_BLOCK_ROWS = 2048
+# Rows a scan or surface grid may have.  At its peak a grid holds about
+# seven float64 values per row (surface: N, x, the GDD, R, R_raw and the
+# closed forms' temporaries; scan: four), 56 B, so the cap bounds the
+# arrays at 224 MiB, twenty times grid-fine's 2e5-row grids.
+_MAX_GRID_ROWS = 1 << 22
+# The commands that print a report, and so take --json.
+_REPORT_COMMANDS = ("width", "transition", "media")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +91,14 @@ def _open_output(args, filename: str):
         raise argparse.ArgumentError(None, f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
+def _dump_json(fh, payload: dict) -> None:
+    fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+
+
 def _write_json(args, filename: str, payload: dict) -> Path:
     path, fh = _open_output(args, filename)
     with fh:
-        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+        _dump_json(fh, payload)
     return path
 
 
@@ -262,14 +273,21 @@ def _paths_from_args(parser: _Parser, args) -> tuple[PathPair, float]:
     return paths, gdd1 + gdd2
 
 
-def _photon_grid(parser: _Parser, args) -> np.ndarray:
-    """Log-spaced photon numbers from --n-min/--n-max/--n-points."""
+def _photon_grid(parser: _Parser, args, rows_per_n: int = 1) -> np.ndarray:
+    """Log-spaced photon numbers from --n-min/--n-max/--n-points.
+
+    A grid of more than ``_MAX_GRID_ROWS`` rows, ``rows_per_n`` for each
+    photon number, is a usage error, raised before any array is built.
+    """
     if args.n_min is None or args.n_max is None:
         parser.error("--n-min and --n-max are required")
     if not 0 < args.n_min <= args.n_max < math.inf:
         parser.error("need 0 < n-min <= n-max < inf")
     if args.n_points < 1:
         parser.error("--n-points must be >= 1")
+    if args.n_points * rows_per_n > _MAX_GRID_ROWS:
+        parser.error(f"a grid of {args.n_points * rows_per_n} rows exceeds "
+                     f"the limit of {_MAX_GRID_ROWS} rows")
     if args.n_points == 1:
         return np.array([float(args.n_min)])
     return np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points)
@@ -383,7 +401,8 @@ def _cmd_surface(parser: _Parser, args) -> int:
         parser.error("--sigma-phi (rad/s) is required")
     if args.beta is None:
         parser.error("--beta (fs^2/cm) is required")
-    n_values = _photon_grid(parser, args)
+    # An --x-points below 1 passes the row cap and fails its own check below.
+    n_values = _photon_grid(parser, args, rows_per_n=args.x_points)
     if args.x_min is None or args.x_max is None:
         parser.error("--x-min and --x-max are required")
     if not 0 <= args.x_min <= args.x_max < math.inf:
@@ -549,23 +568,29 @@ def _run_montecarlo_suite(seed: int) -> list[dict]:
 
 
 def _cmd_verify(parser: _Parser, args) -> int:
-    cases: list[dict] = []
-    if args.suite in ("quadrature", "all"):
-        cases.extend(_run_quadrature_suite(args.max_points))
-    if args.suite in ("montecarlo", "all"):
-        cases.extend(_run_montecarlo_suite(args.seed))
-    passed = all(case["passed"] for case in cases)
-
-    report = {
-        "schema": REPORT_SCHEMA,
-        "suite": args.suite,
-        "seed": args.seed,
-        "cases": cases,
-        "passed": passed,
-    }
-    report_path = _write_report(args, args.out, report,
-                                {"suite": args.suite, "seed": args.seed,
-                                 "max_points": args.max_points, "out": args.out})
+    # Opened first, so that an unwritable report costs no suite run; a
+    # suite that raises leaves no report behind.
+    report_path, fh = _open_output(args, args.out)
+    try:
+        with fh:
+            cases: list[dict] = []
+            if args.suite in ("quadrature", "all"):
+                cases.extend(_run_quadrature_suite(args.max_points))
+            if args.suite in ("montecarlo", "all"):
+                cases.extend(_run_montecarlo_suite(args.seed))
+            passed = all(case["passed"] for case in cases)
+            _dump_json(fh, {
+                "schema": REPORT_SCHEMA,
+                "suite": args.suite,
+                "seed": args.seed,
+                "cases": cases,
+                "passed": passed,
+            })
+    except BaseException:
+        report_path.unlink(missing_ok=True)
+        raise
+    _write_manifest(args, {"suite": args.suite, "seed": args.seed,
+                           "max_points": args.max_points, "out": args.out}, report_path)
 
     for case in cases:
         status = "pass" if case["passed"] else "FAIL"
@@ -689,7 +714,8 @@ def build_parser() -> _Parser:
                                  help="named parameter bundle pinned by the verification suite")
         command.add_argument("--out-dir", default=None,
                              help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
-        command.add_argument("--json", action="store_true", help="print the report as JSON")
+        if name in _REPORT_COMMANDS:
+            command.add_argument("--json", action="store_true", help="print the report as JSON")
     return parser
 
 

@@ -231,6 +231,43 @@ def test_bad_grid_exits_without_csv(tmp_path, capsys, argv, code):
     assert not list(tmp_path.glob("*.csv"))
 
 
+OVERSIZED_GRIDS = [
+    # Refused before any array is built: ~10^10 surface cells would need
+    # hundreds of GB, and 2^22 + 1 scan rows pass every other check.
+    ("surface", "--preset", "fig3", "--n-points", "100000", "--x-points", "100000"),
+    ("scan", "--preset", "fig2", "--n-points", str((1 << 22) + 1)),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_GRIDS, ids=" ".join)
+def test_oversized_grid_is_usage_error(tmp_path, capsys, argv):
+    assert exit_code(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"exceeds the limit of {1 << 22} rows" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_grid_row_limit_is_inclusive(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_GRID_ROWS", 12)
+    assert run(tmp_path, "surface", "--preset", "fig3", "--n-points", "3", "--x-points", "4") == 0
+    assert run(tmp_path, "scan", "--preset", "fig2", "--n-points", "12") == 0
+    for argv in (("surface", "--preset", "fig3", "--n-points", "13", "--x-points", "1"),
+                 ("surface", "--preset", "fig3", "--n-points", "1", "--x-points", "13"),
+                 ("scan", "--preset", "fig2", "--n-points", "13")):
+        assert exit_code(tmp_path / "refused", *argv) == 1
+    assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("argv", [("scan", "--preset", "fig2"), ("surface", "--preset", "fig3"),
+                                  ("verify", "--suite", "quadrature")], ids=lambda a: a[0])
+def test_json_flag_only_on_report_commands(tmp_path, capsys, argv):
+    # scan, surface and verify print no report, so --json is unrecognized.
+    assert exit_code(tmp_path, *argv, "--json") == 1
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_preset_csvs_match_recorded_digests(tmp_path):
     # SHA-256 of the fig2 and fig3 CSVs as first released; a refactor of the
     # closed forms or the writer must keep these bytes.
@@ -514,20 +551,27 @@ UNWRITABLE_OUTPUTS = {
     "out is a directory": ("scan", "--preset", "fig2", "--out", ".", "--out-dir", "{dir}"),
     "out in a missing directory": ("verify", "--suite", "quadrature", "--max-points", "120",
                                    "--out", "sub/x.json", "--out-dir", "{dir}"),
+    # The report is opened before the suites run, so none of them runs.
+    "verify all into a missing directory": ("verify", "--suite", "all", "--out", "sub/x.json",
+                                            "--out-dir", "{dir}"),
 }
 
 
 @pytest.mark.parametrize("name", UNWRITABLE_OUTPUTS)
-def test_unwritable_output_is_usage_error(tmp_path, capsys, name):
+def test_unwritable_output_is_usage_error(tmp_path, capsys, monkeypatch, name):
     # Nothing is written and nothing is removed: the file already in the
     # output directory, and the directory itself, are left as they were.
+    # No verification suite runs for a report that cannot be written.
     (tmp_path / "kept.txt").write_text("kept\n")
+    for suite in ("_run_quadrature_suite", "_run_montecarlo_suite"):
+        monkeypatch.setattr(cli, suite, lambda *_: pytest.fail("a suite ran"))
     with pytest.raises(SystemExit) as excinfo:
         main([arg.format(dir=tmp_path) for arg in UNWRITABLE_OUTPUTS[name]])
     assert excinfo.value.code == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert "qtiming: error: cannot write " in err
+    assert "[pass]" not in out and "[FAIL]" not in out
     assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
     assert (tmp_path / "kept.txt").read_text() == "kept\n"
 
@@ -696,6 +740,15 @@ class TestVerify:
         report = json.loads((tmp_path / "verification_report.json").read_text())
         assert report["passed"] is False
         assert any("error" in case for case in report["cases"])
+
+    def test_suite_that_raises_leaves_no_report(self, tmp_path, monkeypatch):
+        def interrupted(seed):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_run_montecarlo_suite", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(tmp_path, "verify", "--suite", "montecarlo")
+        assert not list(tmp_path.iterdir())
 
     def test_report_lines_printed(self, tmp_path, capsys):
         run(tmp_path, "verify", "--suite", "montecarlo", "--seed", "1")

@@ -152,6 +152,81 @@ class TestClassicalStream:
         monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 1)
         assert sample_classical(1.0, cfg) == whole
 
+    def test_single_variate_draw_chunks_leave_recorded_bits_unchanged(self, monkeypatch):
+        # One row per chunk across both shards and all three blocks.
+        monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 1)
+        assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
+
+    @pytest.mark.parametrize("task_normals", [4 * 300, 50_000, 1 << 20])
+    def test_task_slicing_leaves_bits_unchanged(self, monkeypatch, task_normals):
+        # 4 x 300 variates: slices of a handful of rows, each started by a
+        # counter offset; 50,000 splits no substream evenly.
+        monkeypatch.setattr(montecarlo, "_TASK_NORMALS", task_normals)
+        assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
+
+    def test_slices_larger_than_draw_chunks_leave_bits_unchanged(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_TASK_NORMALS", 50_000)
+        monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 7_000)
+        monkeypatch.setattr(montecarlo, "_thread_count", lambda: 3)
+        assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
+
+
+def test_philox_advance_skips_four_raw_draws_per_step():
+    for steps in (0, 1, 3, 1000):
+        fresh = montecarlo._generator(42, 7).bit_generator.random_raw(4 * steps + 50)
+        advanced = montecarlo._generator(42, 7).bit_generator
+        advanced.advance(steps)
+        assert advanced.random_raw(50).tolist() == fresh[4 * steps:].tolist()
+        gen = montecarlo._generator(42, 7)
+        gen.bit_generator.advance(steps)
+        expected = montecarlo._normals(montecarlo._generator(42, 7), 4 * steps + 50)[4 * steps:]
+        assert montecarlo._normals(gen, 50).view(np.uint64).tolist() == \
+            expected.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("count,cols", [(32_768, 122), (32_768, 1), (7_232, 300), (1_696, 2_358),
+                                        (5, 3), (100, 1_000_000)])
+@pytest.mark.parametrize("task_normals", [1, 4 * 300, 1 << 20])
+def test_slices_tile_the_rows_on_whole_counter_steps(monkeypatch, count, cols, task_normals):
+    monkeypatch.setattr(montecarlo, "_TASK_NORMALS", task_normals)
+    slices = list(montecarlo._slices(count, cols))
+    assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
+    assert slices[-1][1] == count
+    assert all(lo * cols % 4 == 0 for lo, _ in slices)
+    sizes = [hi - lo for lo, hi in slices]
+    assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+    # About task_normals variates each: no more slices than the substream needs.
+    assert len(slices) <= -(-count * cols // task_normals)
+
+
+@pytest.mark.parametrize("n_photons", [1, 2, 7, 122])
+def test_slices_of_odd_widths_leave_bits_unchanged(monkeypatch, n_photons):
+    # Widths not divisible by 4 need slices of 2 or 4 rows, so that each
+    # slice starts on a whole Philox counter step.
+    cfg = SamplerConfig(seed=9, n_samples=1000, n_photons=n_photons)
+    whole = sample_classical(1.0, cfg)
+    monkeypatch.setattr(montecarlo, "_TASK_NORMALS", 30)
+    assert sample_classical(1.0, cfg) == whole
+
+
+def test_one_substream_is_split_into_several_tasks(monkeypatch):
+    # 30,000 trials of 100 photons: one shard, one block, 3e6 variates.
+    cfg = SamplerConfig(seed=3, n_samples=30_000, n_photons=100)
+    whole = sample_classical(1.0, cfg)
+    calls = []
+
+    def recording(buffers, seed, stream, lo, hi, cols):
+        calls.append((stream, lo, hi, cols))
+        return block_row_sums(buffers, seed, stream, lo, hi, cols)
+
+    block_row_sums = montecarlo._block_row_sums
+    monkeypatch.setattr(montecarlo, "_block_row_sums", recording)
+    assert sample_classical(1.0, cfg) == whole
+    assert len(calls) >= 2
+    assert {stream for stream, *_ in calls} == {montecarlo._stream_id(1, 0, 0)}
+    assert sorted((lo, hi) for _, lo, hi, _ in calls) == \
+        list(montecarlo._slices(30_000, 100))
+
 
 def test_quantum_exceeds_classical_beyond_transition():
     # 4 m of silica in path 1, far above the transition photon number: the

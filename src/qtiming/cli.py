@@ -527,16 +527,14 @@ def _run_quadrature_suite(max_points: int | None) -> list[dict]:
 
 
 def _run_montecarlo_suite(seed: int) -> list[dict]:
-    from .montecarlo import SamplerConfig, sample_classical, sample_quantum
+    from .montecarlo import SamplerConfig, sample_classical_scaling, sample_quantum
 
     cases = []
 
     # Scaling of the classical averaging law with photon number.
-    widths = []
     photon_numbers = (1, 10, 100, 1000)
-    for n in photon_numbers:
-        estimate = sample_classical(1.0, SamplerConfig(seed=seed, n_samples=100_000, n_photons=n))
-        widths.append(estimate.sigma_hat)
+    estimates = sample_classical_scaling(1.0, seed, 100_000, photon_numbers)
+    widths = [estimate.sigma_hat for estimate in estimates]
     slope = float(np.polyfit(np.log10(photon_numbers), np.log10(widths), 1)[0])
     cases.append({
         "name": "classical-averaging-slope",
@@ -568,6 +566,9 @@ def _run_montecarlo_suite(seed: int) -> list[dict]:
 
 
 def _cmd_verify(parser: _Parser, args) -> int:
+    # Checked before any suite runs, whichever suite uses the seed.
+    if not 0 <= args.seed < 2**64:
+        raise DomainError(f"--seed must be in [0, 2^64), got {args.seed}")
     # Opened first, so that an unwritable report costs no suite run; a
     # suite that raises leaves no report behind.
     report_path, fh = _open_output(args, args.out)

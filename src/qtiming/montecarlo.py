@@ -9,21 +9,30 @@ counts, with no rejection-loop nondeterminism.  Trials are consumed in fixed-siz
 
 The classical sampler splits each shard's photons into column blocks of at
 most ``_DRAW_BLOCK`` variates; every ``(shard, block)`` pair has its own
-substream (:func:`_stream_id`).  Each substream's rows are split into
-equal slices of about ``_TASK_NORMALS`` variates (:func:`_slices`), and
-each slice is one task for a thread pool sized to the CPUs this process
-may use.  A task starts its slice's generator at the slice's first
-variate by advancing the Philox counter, which skips exactly four raw
-draws per step; the slices are cut so that every slice starts on a
-multiple of four variates.  It draws the slice in row chunks of about
-``_CHUNK_NORMALS`` variates (1 MiB, inside a core's L2 cache)
-into one of the draw buffers the call allocates once per thread, and
-returns the slice's per-trial row sums.  The sampler adds each slice's
-row sums into its trials in block order.  Neither the thread count, the
-slicing nor the chunking changes a bit of the result: a counter offset
-reaches the same variates as drawing up to it, the row sum of one trial
-never spans a chunk or a slice, and every trial sees the same additions
-in the same order.
+substream (:func:`_stream_id`), whatever the photon number N.  At N
+photons a shard's block reads the first ``count * w`` variates of its
+substream as ``count`` rows of its width w, a prefix of what any larger N
+reads, so :func:`sample_classical_scaling` draws each substream once for
+all the widths it is read at, as far as the widest needs, in passes
+(:func:`_passes`).  Each pass's rows are split into equal
+slices of about ``_TASK_NORMALS`` variates (:func:`_slices`), and each
+slice is one task for a thread pool sized to the CPUs this process may
+use.  A task starts its slice's generator at the slice's first variate by
+advancing the Philox counter, which skips exactly four raw draws per step;
+the slices are cut so that every slice starts on a multiple of four
+variates and of every width of the pass.  It draws the slice in chunks of
+about ``_CHUNK_NORMALS`` variates (1 MiB, inside a core's L2 cache), each
+a multiple of every width, into one of the draw buffers the call
+allocates once per thread, and sums each trial's row at each width.  Block
+0's row sums go straight into each N's trial sums, as their first terms;
+the sampler adds later blocks' row sums into them in block order.
+Neither the thread count, the slicing, the chunking nor the other photon
+numbers of a call changes a bit of the result: a counter offset reaches
+the same variates as drawing up to it, the row sum of one trial never
+spans a chunk or a slice, and every trial sees the same additions in the
+same order.  (Writing block 0's row sum gives the bits of adding it to
+zero, as a sampler that adds every block would: no variate is -0, so no
+row sum is.)
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import functools
 import math
 import queue
 from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,7 +51,10 @@ from ._cpus import usable_cpus as _thread_count
 from .distributions import TimingDistribution
 from .errors import DomainError
 
-__all__ = ["SamplerConfig", "WidthEstimate", "sample_quantum", "sample_classical"]
+__all__ = [
+    "SamplerConfig", "WidthEstimate", "sample_quantum", "sample_classical",
+    "sample_classical_scaling",
+]
 
 SHARD_TRIALS = 1 << 15
 MAX_PHOTONS_PER_TRIAL = 1_000_000
@@ -155,24 +168,30 @@ def sample_quantum(dist: TimingDistribution, cfg: SamplerConfig) -> WidthEstimat
 
 
 def _in_order(pool: ThreadPoolExecutor, fn, tasks, window: int):
-    """Yield ``fn(*task)`` for each task in task order, at most ``window`` in flight."""
+    """Yield ``(key, fn(*args))`` for each ``(key, args)`` of ``tasks``, in task order.
+
+    At most ``window`` tasks are in flight, and none is held longer.
+    """
     pending = deque()
-    for task in tasks:
-        pending.append(pool.submit(fn, *task))
+    for key, args in tasks:
+        pending.append((key, pool.submit(fn, *args)))
         if len(pending) >= window:
-            yield pending.popleft().result()
+            key, future = pending.popleft()
+            yield key, future.result()
     while pending:
-        yield pending.popleft().result()
+        key, future = pending.popleft()
+        yield key, future.result()
 
 
-def _slices(count: int, cols: int):
+def _slices(count: int, cols: int, unit: int = 4):
     """Row ranges ``(lo, hi)`` that split a ``count`` x ``cols`` substream into tasks.
 
     The slices are equal but for a shorter last one, each holds about
-    ``_TASK_NORMALS`` variates, and every ``lo * cols`` is a multiple of 4,
-    the raw draws one Philox counter step yields.
+    ``_TASK_NORMALS`` variates, and every ``lo * cols`` is a multiple of
+    ``unit`` and of ``cols``.  ``unit`` is a multiple of 4, the raw draws
+    one Philox counter step yields.
     """
-    align = 4 // math.gcd(cols, 4)
+    align = math.lcm(unit, cols) // cols
     n_slices = -(-count * cols // _TASK_NORMALS)
     step = -(-count // n_slices)
     step = -(-step // align) * align
@@ -180,71 +199,148 @@ def _slices(count: int, cols: int):
         yield lo, min(lo + step, count)
 
 
-def _classical_tasks(n_samples: int, n_photons: int):
-    """``(trials, (stream, lo, hi, cols))`` for each task, in merge order.
+def _passes(widths) -> list[tuple[int, ...]]:
+    """``widths`` grouped into passes over one substream, each widest first.
 
-    ``trials`` is the slice of all trials that rows ``lo:hi`` of the
-    ``cols``-wide substream ``stream`` add to.
+    A pass draws the prefix its widest width needs once and sums its rows
+    at every width of the pass.  Its slices start on multiples of
+    ``lcm(4, widths)`` variates, so a width joins a pass only while that
+    stays within ``_CHUNK_NORMALS``; a width on its own always forms one.
+    """
+    passes: list[list[int]] = []
+    for w in sorted(widths, reverse=True):
+        for group in passes:
+            if math.lcm(4, w, *group) <= _CHUNK_NORMALS:
+                group.append(w)
+                break
+        else:
+            passes.append([w])
+    return [tuple(group) for group in passes]
+
+
+def _classical_tasks(n_samples: int, photon_numbers):
+    """``(block, stream, lo, hi, targets)`` for each task, in merge order.
+
+    The task draws rows ``lo:hi``, counted at the widest width, of block
+    ``block``'s substream ``stream``.  ``targets`` lists, widest first,
+    ``(width, numbers, first, rows)`` for each width with rows there: the
+    task's ``rows`` row sums at ``width`` belong to trials ``first``
+    onwards of each photon number in ``numbers``.
     """
     start = 0
     for shard, count in _shards(n_samples):
         width = max(1, _DRAW_BLOCK // count)
-        for block, done in enumerate(range(0, n_photons, width)):
-            cols = min(width, n_photons - done)
-            for lo, hi in _slices(count, cols):
-                yield slice(start + lo, start + hi), (_stream_id(1, shard, block), lo, hi, cols)
+        for block, done in enumerate(range(0, max(photon_numbers), width)):
+            users: dict[int, list[int]] = {}
+            for n in photon_numbers:
+                if n > done:
+                    users.setdefault(min(width, n - done), []).append(n)
+            stream = _stream_id(1, shard, block)
+            for widths in _passes(users):
+                for lo, hi in _slices(count, widths[0], math.lcm(4, *widths)):
+                    targets = []
+                    for w in widths:
+                        first = lo * widths[0] // w
+                        rows = min(hi * widths[0] // w, count) - first
+                        if rows > 0:
+                            targets.append((w, users[w], start + first, rows))
+                    yield block, stream, lo, hi, targets
         start += count
 
 
 def _block_row_sums(buffers: queue.SimpleQueue, seed: int, stream: int, lo: int, hi: int,
-                    cols: int) -> np.ndarray:
-    """Per-trial sums of rows ``lo:hi`` of the ``cols``-wide substream ``stream``.
+                    outs: list[tuple[int, np.ndarray]]) -> None:
+    """Row sums of substream ``stream`` at several widths, from one draw.
 
-    ``lo * cols`` must be a multiple of 4.  The variates are drawn into a
-    buffer of at least ``max(_CHUNK_NORMALS, cols)`` floats, held from
-    ``buffers`` for the length of the call.
+    ``outs`` lists ``(width, out)`` pairs, widest first.  The call draws
+    rows ``lo:hi`` at the widest width, and ``out`` receives the sums of
+    the first ``out.size`` rows at ``width`` that start there.  The first
+    variate, ``lo`` rows at the widest width, must be a multiple of 4 and
+    of every width.  The variates are drawn in chunks of a multiple of
+    every width, so that no row spans two, into a buffer of at least
+    ``max(_CHUNK_NORMALS, lcm(widths))`` floats, held from ``buffers`` for
+    the length of the call.
     """
+    begin, end = lo * outs[0][0], hi * outs[0][0]
     gen = _generator(seed, stream)
-    gen.bit_generator.advance(lo * cols // 4)
-    sums = np.empty(hi - lo)
-    rows = max(1, _CHUNK_NORMALS // cols)
+    gen.bit_generator.advance(begin // 4)
+    step = math.lcm(*(w for w, _ in outs))
+    step *= max(1, _CHUNK_NORMALS // step)
     buf = buffers.get()
     try:
-        for i in range(0, hi - lo, rows):
-            j = min(i + rows, hi - lo)
-            chunk = _normals(gen, (j - i) * cols, out=buf[:(j - i) * cols])
-            chunk.reshape(j - i, cols).sum(axis=1, out=sums[i:j])
+        for a in range(begin, end, step):
+            b = min(a + step, end)
+            chunk = _normals(gen, b - a, out=buf[:b - a])
+            for w, out in outs:
+                i, j = (a - begin) // w, min((b - begin) // w, out.size)
+                if i < j:
+                    chunk[:(j - i) * w].reshape(j - i, w).sum(axis=1, out=out[i:j])
     finally:
         buffers.put(buf)
+
+
+def _classical_sums(seed: int, n_samples: int, numbers: list[int]) -> dict[int, np.ndarray]:
+    """Each trial's sum of its N standard normals, for each distinct N in ``numbers``."""
+    threads = _thread_count()
+    # One draw buffer per thread, allocated here in one size and freed on
+    # return, before the estimates need memory: the workers allocate
+    # nothing, so the peak memory does not depend on how they interleave.
+    buffers = queue.SimpleQueue()
+    for _ in range(threads):
+        buffers.put(np.empty(max(_CHUNK_NORMALS, *numbers)))
+    sums = {n: np.empty(n_samples) for n in numbers}
+
+    def tasks():
+        for block, stream, lo, hi, targets in _classical_tasks(n_samples, numbers):
+            # Block 0 is each trial's first term, so its row sums are drawn
+            # straight into the sums; later blocks' row sums are added.
+            outs = [(w, sums[users[0]][first:first + rows] if block == 0 else np.empty(rows))
+                    for w, users, first, rows in targets]
+            yield (block, targets, outs), (stream, lo, hi, outs)
+
+    draw = functools.partial(_block_row_sums, buffers, seed)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for (block, targets, outs), _ in _in_order(pool, draw, tasks(), 2 * threads):
+            for (_, users, first, rows), (_, out) in zip(targets, outs):
+                trials = slice(first, first + rows)
+                if block == 0:
+                    for n in users[1:]:
+                        sums[n][trials] = out
+                else:
+                    for n in users:
+                        sums[n][trials] += out
     return sums
 
 
-def sample_classical(sigma_t: float, cfg: SamplerConfig) -> WidthEstimate:
-    """Empirical width of per-trial averages of N classical pulse pairs.
+def sample_classical_scaling(sigma_t: float, seed: int, n_samples: int,
+                             photon_numbers: Sequence[int]) -> list[WidthEstimate]:
+    """Empirical widths of per-trial averages of N classical pulse pairs, per N.
 
-    Each trial draws ``cfg.n_photons`` independent arrival-time differences
-    of width ``sigma_t`` (fs) and averages them; the spread of the trial
-    averages is expected to shrink like sigma_t / sqrt(N).
+    For each N in ``photon_numbers``, each of ``n_samples`` trials draws N
+    independent arrival-time differences of width ``sigma_t`` (fs) and
+    averages them; the spread of the trial averages is expected to shrink
+    like sigma_t / sqrt(N).  Returns one estimate per entry of
+    ``photon_numbers``.  Every N reads the same substreams, so each is
+    drawn once, as far as the largest N needs, and each estimate has the
+    bits of a call for its N alone.
     """
     if not sigma_t > 0:
         raise DomainError(f"sigma_t must be positive, got {sigma_t}")
-    n = cfg.n_photons
-    threads = _thread_count()
-    # One draw buffer per thread, allocated here in one size: the workers
-    # allocate nothing large, so the peak memory does not depend on how
-    # their draws and frees interleave.
-    buffers = queue.SimpleQueue()
-    for _ in range(threads):
-        buffers.put(np.empty(max(_CHUNK_NORMALS, n)))
-    # The tasks are listed twice, to submit and to merge, so that none of
-    # them is held longer than it is in flight.
-    draw = functools.partial(_block_row_sums, buffers, cfg.seed)
-    work = (task for _, task in _classical_tasks(cfg.n_samples, n))
-    sums = np.zeros(cfg.n_samples)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        row_sums = _in_order(pool, draw, work, 2 * threads)
-        for (trials, _), part in zip(_classical_tasks(cfg.n_samples, n), row_sums):
-            sums[trials] += part
-    sums *= sigma_t
-    sums /= n
-    return _estimate(sums)
+    if not photon_numbers:
+        raise DomainError("need at least one photon number")
+    for n in photon_numbers:
+        SamplerConfig(seed=seed, n_samples=n_samples, n_photons=n)
+    estimates = {}
+    for n, values in _classical_sums(seed, n_samples, list(dict.fromkeys(photon_numbers))).items():
+        values *= sigma_t
+        values /= n
+        estimates[n] = _estimate(values)
+    return [estimates[n] for n in photon_numbers]
+
+
+def sample_classical(sigma_t: float, cfg: SamplerConfig) -> WidthEstimate:
+    """Empirical width of per-trial averages of ``cfg.n_photons`` classical pulse pairs.
+
+    The one-photon-number case of :func:`sample_classical_scaling`.
+    """
+    return sample_classical_scaling(sigma_t, cfg.seed, cfg.n_samples, (cfg.n_photons,))[0]

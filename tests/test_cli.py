@@ -755,6 +755,28 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[pass]" in out
 
+    @pytest.mark.parametrize("suite", ["quadrature", "montecarlo", "all"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exits_before_any_suite(self, tmp_path, capsys, monkeypatch,
+                                                      suite, seed):
+        # The quadrature suite ignores the seed; it once ran, and its report
+        # recorded the seed, before the Monte Carlo suite rejected it.
+        def never(*args):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "_run_quadrature_suite", never)
+        monkeypatch.setattr(cli, "_run_montecarlo_suite", never)
+        assert exit_code(tmp_path, "verify", "--suite", suite, "--seed", seed) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qtiming: error: --seed") and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_seed_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_run_quadrature_suite", lambda max_points: [])
+        assert run(tmp_path, "verify", "--suite", "quadrature", "--seed", str(2**64 - 1)) == 0
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        assert report["seed"] == 2**64 - 1
+
 
 MANIFEST_RUNS = {
     "width": ("width", "--sigma-phi", "3.7e11", "--n", "2", "--B", "100"),

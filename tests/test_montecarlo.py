@@ -1,6 +1,7 @@
 """Tests for the stochastic width estimators."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from qtiming import montecarlo
 from qtiming.distributions import TimingDistribution, TimingVariable
 from qtiming.errors import DomainError
-from qtiming.montecarlo import SamplerConfig, sample_classical, sample_quantum
+from qtiming.montecarlo import (
+    SamplerConfig, sample_classical, sample_classical_scaling, sample_quantum,
+)
 
 
 def dist(mean=0.0, sigma=1.0):
@@ -170,6 +173,15 @@ class TestClassicalStream:
         monkeypatch.setattr(montecarlo, "_thread_count", lambda: 3)
         assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
 
+    def test_shared_pass_leaves_recorded_bits_unchanged(self):
+        # Block 0 of the full shard is read at widths 1, 10, 100 and 122.
+        numbers = (1, 10, 100, 300)
+        estimates = sample_classical_scaling(1.0, 42, self.CFG.n_samples, numbers)
+        assert estimates[-1].to_dict() == self.RECORDED
+        for n, estimate in zip(numbers[:-1], estimates):
+            cfg = SamplerConfig(seed=42, n_samples=self.CFG.n_samples, n_photons=n)
+            assert estimate == sample_classical(1.0, cfg)
+
 
 def test_philox_advance_skips_four_raw_draws_per_step():
     for steps in (0, 1, 3, 1000):
@@ -226,6 +238,107 @@ def test_one_substream_is_split_into_several_tasks(monkeypatch):
     assert {stream for stream, *_ in calls} == {montecarlo._stream_id(1, 0, 0)}
     assert sorted((lo, hi) for _, lo, hi, _ in calls) == \
         list(montecarlo._slices(30_000, 100))
+
+
+def reference_classical(seed, n_samples, n_photons):
+    """The classical estimate from one whole substream at a time, serially."""
+    sums = np.zeros(n_samples)
+    for shard, start in enumerate(range(0, n_samples, montecarlo.SHARD_TRIALS)):
+        count = min(montecarlo.SHARD_TRIALS, n_samples - start)
+        width = max(1, montecarlo._DRAW_BLOCK // count)
+        for block, done in enumerate(range(0, n_photons, width)):
+            cols = min(width, n_photons - done)
+            gen = montecarlo._generator(seed, montecarlo._stream_id(1, shard, block))
+            normals = montecarlo._normals(gen, count * cols)
+            sums[start:start + count] += normals.reshape(count, cols).sum(axis=1)
+    return montecarlo._estimate(sums / n_photons)
+
+
+@pytest.fixture
+def small_layout(monkeypatch):
+    # The suite's layout in miniature: 300 trials make two full shards whose
+    # blocks are 122 photons wide and a last shard of 44 trials.
+    monkeypatch.setattr(montecarlo, "SHARD_TRIALS", 128)
+    monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", 128 * 122)
+    return 300
+
+
+SCALING_SETS = {
+    # Block 0 is read at widths 1, 10, 100 and 122 (354 in the last shard).
+    "suite": (1, 10, 100, 1000),
+    # Widths that divide neither each other nor 4; in the full shards, width
+    # 122 serves two photon numbers.
+    "coprime": (3, 7, 122, 1000),
+    # lcm(4, 122, 100, 99) exceeds _CHUNK_NORMALS: block 0 takes two passes.
+    "several-passes": (97, 99, 100, 1000),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("chunk,task", [(None, None), (7_000, 5_000), (1, 30)])
+@pytest.mark.parametrize("numbers", SCALING_SETS.values(), ids=SCALING_SETS)
+def test_scaling_matches_serial_reference(monkeypatch, small_layout, numbers, threads,
+                                          chunk, task):
+    monkeypatch.setattr(montecarlo, "_thread_count", lambda: threads)
+    if chunk is not None:
+        monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", chunk)
+        monkeypatch.setattr(montecarlo, "_TASK_NORMALS", task)
+    expected = [reference_classical(5, small_layout, n) for n in numbers]
+    assert sample_classical_scaling(1.0, 5, small_layout, numbers) == expected
+
+
+def test_scaling_under_frequent_thread_switches(monkeypatch, small_layout):
+    # Workers write block 0's row sums straight into the shared sums while
+    # the caller adds later blocks: a write out of block order changes bits.
+    monkeypatch.setattr(montecarlo, "_thread_count", lambda: 4)
+    monkeypatch.setattr(montecarlo, "_TASK_NORMALS", 2_000)
+    monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 500)
+    numbers = SCALING_SETS["coprime"]
+    expected = [reference_classical(8, small_layout, n) for n in numbers]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_classical_scaling(1.0, 8, small_layout, numbers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+@pytest.mark.parametrize("numbers,per_trial", [((1, 10, 100, 1000), 1000),
+                                                ((97, 99, 100, 1000), 1000 + 99)])
+def test_each_pass_draws_its_prefix_once(monkeypatch, small_layout, numbers, per_trial):
+    drawn = []
+    normals = montecarlo._normals
+
+    def counting(gen, count, out=None):
+        drawn.append(count)
+        return normals(gen, count, out)
+
+    monkeypatch.setattr(montecarlo, "_normals", counting)
+    sample_classical_scaling(1.0, 5, small_layout, numbers)
+    assert sum(drawn) == small_layout * per_trial
+
+
+def test_scaling_returns_one_estimate_per_entry():
+    estimates = sample_classical_scaling(2.0, 4, 500, (30, 3, 30))
+    assert estimates[0] == estimates[2]
+    assert estimates[1] == sample_classical(2.0, SamplerConfig(seed=4, n_samples=500, n_photons=3))
+
+
+@pytest.mark.parametrize("numbers", [(), (10, 0), (10, 2_000_000)])
+def test_scaling_rejects_bad_photon_numbers(numbers):
+    with pytest.raises(DomainError):
+        sample_classical_scaling(1.0, 1, 100, numbers)
+
+
+def test_passes_keep_slice_starts_within_a_chunk():
+    assert montecarlo._passes({1, 10, 100, 122}) == [(122, 100, 10, 1)]
+    assert montecarlo._passes({122, 100, 99, 97}) == [(122, 100), (99, 97)]
+    for widths in ([1_000_000, 3], [5, 7, 11, 13, 17, 19]):
+        passes = montecarlo._passes(widths)
+        assert sorted(w for group in passes for w in group) == sorted(widths)
+        assert all(len(group) == 1 or math.lcm(4, *group) <= montecarlo._CHUNK_NORMALS
+                   for group in passes)
 
 
 def test_quantum_exceeds_classical_beyond_transition():

@@ -46,7 +46,10 @@ from .spectral import GaussianSpectrum
 
 # The sampler and the oracle load on first use (PEP 562), so that importing
 # the package, or the CLI for a command that neither samples nor verifies,
-# does not pay for them or for the thread pool module.
+# does not pay for them or for the thread pool module.  Nothing imported here
+# loads numpy either: the closed forms compute scalars with math and import
+# numpy only for arrays, so the package, and the width, transition and media
+# commands, run without it.
 _LAZY = {
     **dict.fromkeys(
         ("SamplerConfig", "WidthEstimate", "sample_classical", "sample_quantum"),

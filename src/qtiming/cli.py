@@ -21,13 +21,9 @@ import json
 import math
 import os
 import re
-import shutil
 import sys
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from ._cpus import usable_cpus
@@ -127,6 +123,8 @@ def _format_block(column_slices) -> str:
     ``-0.0`` and ``0.0`` keep their own text): a ``surface`` block repeats
     a few N values, the x grid, and ``R`` wherever it equals ``R_raw``.
     """
+    import numpy as np
+
     block = np.column_stack(column_slices)
     bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
     text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
@@ -157,6 +155,8 @@ def _fork_share(columns, rows: range):
     Returns ``(pid, file)``.  The child never returns: it exits with status
     0 once the file holds its rows, 1 after printing any exception.
     """
+    import tempfile
+
     tmp = tempfile.TemporaryFile()
     try:
         pid = os.fork()
@@ -200,6 +200,10 @@ def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
     block's strings are alive at a time in each process, so memory does not
     grow with the grid.
     """
+    import shutil
+
+    import numpy as np
+
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n_rows = len(columns[0])
     first, *rest = _row_shares(n_rows)
@@ -273,12 +277,14 @@ def _paths_from_args(parser: _Parser, args) -> tuple[PathPair, float]:
     return paths, gdd1 + gdd2
 
 
-def _photon_grid(parser: _Parser, args, rows_per_n: int = 1) -> np.ndarray:
+def _photon_grid(parser: _Parser, args, rows_per_n: int = 1):
     """Log-spaced photon numbers from --n-min/--n-max/--n-points.
 
     A grid of more than ``_MAX_GRID_ROWS`` rows, ``rows_per_n`` for each
     photon number, is a usage error, raised before any array is built.
     """
+    import numpy as np
+
     if args.n_min is None or args.n_max is None:
         parser.error("--n-min and --n-max are required")
     if not 0 < args.n_min <= args.n_max < math.inf:
@@ -397,6 +403,8 @@ def _cmd_scan(parser: _Parser, args) -> int:
 # -- surface ------------------------------------------------------------------
 
 def _cmd_surface(parser: _Parser, args) -> int:
+    import numpy as np
+
     if args.sigma_phi is None:
         parser.error("--sigma-phi (rad/s) is required")
     if args.beta is None:
@@ -501,6 +509,8 @@ def _cmd_media(parser: _Parser, args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def _run_quadrature_suite(max_points: int | None) -> list[dict]:
+    import numpy as np
+
     from .oracle import QuadratureSpec, verify_closed_form
 
     tolerance = 1e-6
@@ -527,6 +537,8 @@ def _run_quadrature_suite(max_points: int | None) -> list[dict]:
 
 
 def _run_montecarlo_suite(seed: int) -> list[dict]:
+    import numpy as np
+
     from .montecarlo import SamplerConfig, sample_classical_scaling, sample_quantum
 
     cases = []

@@ -21,15 +21,25 @@ bandwidth prefactors of the raw detection probability are dropped (they
 overflow beyond N ~ 85 and carry no timing information).  The only
 surviving amplitude factor is the coherent-state photon-number weight,
 reported separately as ``amplitude_scale``.
+
+The width laws take scalars or arrays.  When every input is a Python int or
+float (``np.float64`` is a float), they compute with :mod:`math` and plain
+float arithmetic and never import numpy; otherwise with numpy, on float64
+arrays.  Both routes apply only correctly rounded operations to the inputs
+(+, -, *, / and sqrt), and square an input as ``x * x``: never ``x ** 2``,
+which is libm's ``pow`` (not guaranteed correctly rounded) and raises
+OverflowError for a Python float.  So a scalar gives the same bits as a
+one-element array, and an overflow raises the same :class:`DomainError`
+text.  :func:`density_at` uses numpy even for a scalar, because ``np.exp``
+and libm's ``exp`` may differ in the last bit.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import DomainError
 from .media import PathPair
@@ -121,24 +131,47 @@ class TimingDistribution:
 
 def _float_if_scalar(value):
     # Closed forms take scalars or arrays: a scalar in gives a Python float out.
-    return value if value.ndim else float(value)
+    return value if getattr(value, "ndim", 0) else float(value)
+
+
+@contextmanager
+def _namespace(*inputs):
+    """Yield ``(xp, *inputs)``: the module a closed form computes with, and its inputs.
+
+    ``math`` and the inputs as Python floats when every input is an int or a
+    float; otherwise numpy and the inputs as float64 arrays, with overflow
+    and invalid operations giving inf and NaN silently, as Python floats do.
+    """
+    if all(isinstance(value, (int, float)) for value in inputs):
+        yield (math, *map(float, inputs))
+        return
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        yield (np, *(np.asarray(value, dtype=float) for value in inputs))
 
 
 def _finite_or_raise(result, law: str, sigma_phi: float, **inputs):
     """``result`` as a float or array, or DomainError naming the inputs where it overflows."""
-    finite = np.isfinite(result)
-    if finite.all():
-        return _float_if_scalar(result)
-    named = ", ".join(f"{name} = {np.broadcast_to(value, result.shape)[~finite][0]:g}"
-                      for name, value in inputs.items())
+    if isinstance(result, float):
+        if math.isfinite(result):
+            return float(result)
+        named = ", ".join(f"{name} = {value:g}" for name, value in inputs.items())
+    else:
+        import numpy as np
+
+        finite = np.isfinite(result)
+        if finite.all():
+            return result
+        named = ", ".join(f"{name} = {np.broadcast_to(value, result.shape)[~finite][0]:g}"
+                          for name, value in inputs.items())
     raise DomainError(f"{law} overflows float64 at sigma_phi = {sigma_phi:g} rad/fs, {named}")
 
 
-def _check_photon_number(n_photons):
-    n = np.asarray(n_photons, dtype=float)
-    if not (n > 0).all():
+def _check_photon_number(n) -> None:
+    """DomainError unless every photon number in ``n``, a float or an array, is positive."""
+    if not (n > 0 if isinstance(n, float) else (n > 0).all()):
         raise DomainError("photon number must be positive: width undefined at N = 0")
-    return n
 
 
 def quantum_width(sigma_phi: float, n_photons, gdd_sum):
@@ -154,12 +187,12 @@ def quantum_width(sigma_phi: float, n_photons, gdd_sum):
     """
     if not sigma_phi > 0:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
-    n = _check_photon_number(n_photons)
     packet_width = 1.0 / (math.sqrt(2.0) * sigma_phi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dispersion_phase = 2.0 * sigma_phi**2 * n * gdd_sum
-        width = np.sqrt(1.0 + dispersion_phase * dispersion_phase) * (packet_width / n)
-    return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd_sum)
+    with _namespace(n_photons, gdd_sum) as (xp, n, gdd):
+        _check_photon_number(n)
+        dispersion_phase = 2.0 * sigma_phi**2 * n * gdd
+        width = xp.sqrt(1.0 + dispersion_phase * dispersion_phase) * (packet_width / n)
+    return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd)
 
 
 def asymptotic_width(sigma_phi: float, gdd_sum: float) -> float:
@@ -174,14 +207,15 @@ def transition_photon_number(sigma_phi: float, gdd_sum: float) -> float:
 
     N_t = 1/(2 sigma_phi^2 |gdd_sum|); at N_t the width is exactly sqrt(2)
     times the asymptote, and raising N further has diminishing returns.
-    Returned as a real; callers may round.
+    Returned as a real; callers may round.  Scalars only.
     """
     if not sigma_phi > 0:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
     if gdd_sum == 0:
         raise DomainError("no transition: dispersion fully cancelled (gdd_sum = 0)")
-    with np.errstate(divide="ignore", over="ignore"):
-        n_t = 1.0 / np.float64(2.0 * sigma_phi**2 * abs(gdd_sum))
+    denominator = 2.0 * sigma_phi**2 * abs(float(gdd_sum))
+    # A denominator that underflows to zero puts N_t beyond float64.
+    n_t = 1.0 / denominator if denominator else math.inf
     return _finite_or_raise(n_t, "transition photon number", sigma_phi, gdd_sum_fs2=gdd_sum)
 
 
@@ -195,16 +229,18 @@ def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
     if not sigma_phi > 0:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
     curvature = 1.0 / (2.0 * sigma_phi**2)  # Gaussian exponent coefficient, fs^2
-    with np.errstate(over="ignore", invalid="ignore"):
-        variance = (2.0 * curvature**2 + (np.square(gdd_path1) + np.square(gdd_path2))) / curvature
-        width = np.sqrt(variance)
+    with _namespace(gdd_path1, gdd_path2) as (xp, gdd1, gdd2):
+        variance = (2.0 * curvature**2 + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature
+        width = xp.sqrt(variance)
     return _finite_or_raise(width, "classical width", sigma_phi,
-                            gdd_path1_fs2=gdd_path1, gdd_path2_fs2=gdd_path2)
+                            gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
 
 
 def classical_shot_noise(sigma_t, n_photons):
     """Classical timing uncertainty after averaging N pulse pairs: sigma_t/sqrt(N)."""
-    return _float_if_scalar(sigma_t / np.sqrt(_check_photon_number(n_photons)))
+    with _namespace(sigma_t, n_photons) as (xp, sigma, n):
+        _check_photon_number(n)
+        return _float_if_scalar(sigma / xp.sqrt(n))
 
 
 def _coherent_scale(state: StateSpec, power: float) -> float:
@@ -313,5 +349,7 @@ def density_at(dist: TimingDistribution, tau):
     Integrates to one regardless of ``amplitude_scale``.  Accepts scalars
     or arrays.
     """
+    import numpy as np  # np.exp for scalars too: libm's exp may differ in the last bit
+
     z = (np.asarray(tau, dtype=float) - dist.mean) / dist.sigma
     return _float_if_scalar(np.exp(-0.5 * z * z) / (dist.sigma * math.sqrt(2.0 * math.pi)))

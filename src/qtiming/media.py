@@ -31,9 +31,9 @@ both formulas.
 from __future__ import annotations
 
 import math
+import pkgutil
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from importlib import resources
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -420,7 +420,8 @@ def _parse_catalog(text: str) -> dict[str, CatalogEntry]:
 @lru_cache(maxsize=1)
 def material_catalog() -> Mapping[str, CatalogEntry]:
     """The built-in materials catalog, parsed once and immutable."""
-    text = (resources.files("qtiming") / "data" / "materials.dat").read_text(encoding="utf-8")
+    # pkgutil, not importlib.resources, which imports tempfile, shutil and random.
+    text = pkgutil.get_data(__package__, "data/materials.dat").decode("utf-8")
     return MappingProxyType(_parse_catalog(text))
 
 

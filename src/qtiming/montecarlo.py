@@ -2,7 +2,8 @@
 
 Streams are Philox4x64-10 counter-based generators keyed by
 ``(seed, substream)``, with normal variates produced by the inverse-CDF
-transform of 53-bit uniforms (k + 1/2) * 2^-53.  Both choices are
+transform of 53-bit uniforms in (0, 1), about (k + 1/2) * 2^-53 (see
+:func:`_normals`).  Both choices are
 deliberate: the stream is reproducible across platforms and thread
 counts, with no rejection-loop nondeterminism.  Trials are consumed in fixed-size shards of
 ``SHARD_TRIALS`` trials.
@@ -120,14 +121,23 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
+_U_MAX = math.nextafter(1.0, 0.0)
+"""The largest uniform :func:`_normals` feeds the inverse CDF, 1 - 2^-53."""
+
+
 def _normals(gen: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """The next ``count`` standard normals of ``gen``'s stream, in ``out`` if given."""
     from scipy.special import ndtri  # deferred: importing scipy costs every CLI start
 
     # random() is k * 2^-53 for the top 53 bits k of one raw draw, the same k
-    # that integers(0, 2^53) returns, so this is (k + 1/2) * 2^-53 in (0, 1).
+    # that integers(0, 2^53) returns.  Adding 2^-54 gives u = (k + 1/2) * 2^-53
+    # for k < 2^52.  For k >= 2^52 the sum is a float64 tie that rounds to
+    # even: u = k * 2^-53 for even k, (k + 1) * 2^-53 for odd k, so k = 2^52
+    # gives 0.5 (a normal of 0.0) and k = 2^53 - 1 gives 1.0, whose normal is
+    # inf.  The clamp moves that one u to 1 - 2^-53 and keeps every u in (0, 1).
     values = gen.random(count, out=out)
     values += 2.0 ** -54
+    np.minimum(values, _U_MAX, out=values)
     return ndtri(values, out=values)
 
 

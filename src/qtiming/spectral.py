@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import omega_from_wavelength_nm, sigma_phi_from_rad_per_s
 from .errors import DomainError
 
@@ -61,6 +59,8 @@ class GaussianSpectrum:
 
     def amplitude(self, detuning):
         """Spectral amplitude at a detuning (rad/fs) from the carrier."""
+        import numpy as np
+
         return np.exp(-np.square(detuning) * self.envelope_curvature)
 
     def intensity_width(self) -> float:

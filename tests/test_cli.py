@@ -707,22 +707,52 @@ def test_nonfinite_result_exits_without_output(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the samplers' normal transform; commands that never
-    # sample must not pay for importing it.
+def _probe(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter importing this qtiming."""
     src = str(Path(qtiming.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = "import sys, qtiming.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
-    # Nor the oracle, the sampler, or the pool modules only the sampler needs.
-    unloaded = ("qtiming.oracle", "qtiming.montecarlo", "concurrent.futures", "multiprocessing")
-    probe = f"import sys, qtiming.cli; print([m for m in {unloaded!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+# numpy serves the array paths, scipy only the samplers' normal transform,
+# and the oracle, the sampler and the pool modules only `verify`.
+_UNLOADED = ("numpy", "scipy", "qtiming.oracle", "qtiming.montecarlo",
+             "concurrent.futures", "multiprocessing")
+
+
+@pytest.mark.parametrize("module", ["qtiming", "qtiming.cli"])
+def test_import_leaves_numpy_scipy_and_samplers_unloaded(module):
+    # The CSV writer's tempfile and shutil load on first use too.  They are
+    # checked against what the interpreter loaded before the import, since a
+    # site hook may load them at start-up.
+    probe = (f"import sys; before = set(sys.modules); import {module}; "
+             f"print([m for m in {_UNLOADED!r} if m in sys.modules] + "
+             f"[m for m in ('tempfile', 'shutil') if m in sys.modules and m not in before])")
+    assert _probe(probe) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["width", "--sigma-phi", "3.7e11", "--n", "7305", "--B", "500", "--json"],
+    ["width", "--sigma-phi", "3.7e11", "--n", "100",
+     "--path1", "silica:1cm", "--path2", "silica:1cm"],
+    ["width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500",
+     "--state", "coherent", "--v", "1.2", "--u", "0.8"],
+    ["transition", "--preset", "ntrans-1cm"],
+    ["media", "--material", "air", "--formula", "owens"],
+    ["media", "--material", "silica"],
+], ids=["width-B", "width-paths", "width-coherent", "transition", "media-air",
+        "media-silica"])
+def test_report_commands_never_load_numpy(tmp_path, argv):
+    # Scalar closed forms go through math.  argparse's help formatter imports
+    # shutil, so only tempfile is checked among the CSV writer's modules.
+    probe = (f"import sys; before = set(sys.modules); from qtiming.cli import main; "
+             f"code = main({[*argv, '--out-dir', str(tmp_path)]!r}); "
+             f"print([code] + [m for m in {_UNLOADED!r} if m in sys.modules] + "
+             f"(['tempfile'] if 'tempfile' in sys.modules and 'tempfile' not in before else []))")
+    assert _probe(probe) == "[0]"
 
 
 class TestVerify:

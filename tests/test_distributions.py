@@ -211,6 +211,58 @@ class TestArrayInputs:
         assert type(classical_width(SIGMA_PHI, 250.0, -250.0)) is float
         assert type(classical_shot_noise(3.0, 4)) is float
 
+    # A scalar computes with math, an array with numpy: the same overflow
+    # must raise the same text on both routes.
+    @pytest.mark.parametrize("law,inputs,message", [
+        (quantum_width, (1e12, 1e300),
+         "quantum width overflows float64 at sigma_phi = 0.00037 rad/fs, "
+         "N = 1e+12, gdd_sum_fs2 = 1e+300"),
+        (classical_width, (1e160, 0.0),
+         "classical width overflows float64 at sigma_phi = 0.00037 rad/fs, "
+         "gdd_path1_fs2 = 1e+160, gdd_path2_fs2 = 0"),
+        (classical_width, (1e160, 1e160),
+         "classical width overflows float64 at sigma_phi = 0.00037 rad/fs, "
+         "gdd_path1_fs2 = 1e+160, gdd_path2_fs2 = 1e+160"),
+    ])
+    def test_scalar_and_array_overflow_raise_the_same_text(self, law, inputs, message):
+        with pytest.raises(DomainError) as scalar:
+            law(SIGMA_PHI, *inputs)
+        with pytest.raises(DomainError) as array:
+            law(SIGMA_PHI, *(np.array([x]) for x in inputs))
+        assert str(scalar.value) == str(array.value) == message
+
+    @pytest.mark.parametrize("gdd,outcome", [
+        (1e-300, 3.6523009495982476e+306),
+        (1e-310, "transition photon number overflows float64 at sigma_phi = 0.00037 rad/fs, "
+                 "gdd_sum_fs2 = 1e-310"),
+        # The denominator underflows to zero.
+        (-5e-324, "transition photon number overflows float64 at sigma_phi = 0.00037 rad/fs, "
+                  "gdd_sum_fs2 = -4.94066e-324"),
+        (0.0, "no transition: dispersion fully cancelled (gdd_sum = 0)"),
+    ])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_transition_at_vanishing_dispersion(self, gdd, outcome, kind):
+        if isinstance(outcome, float):
+            n_t = transition_photon_number(SIGMA_PHI, kind(gdd))
+            assert type(n_t) is float and n_t == outcome
+        else:
+            with pytest.raises(DomainError) as error:
+                transition_photon_number(SIGMA_PHI, kind(gdd))
+            assert str(error.value) == outcome
+
+    @pytest.mark.parametrize("kind", [int, np.float64])
+    def test_int_and_numpy_scalars_match_array_bits(self, kind):
+        def same(scalar, array):
+            assert type(scalar) is float
+            assert np.array([scalar]).view(np.uint64) == array.view(np.uint64)
+
+        same(quantum_width(SIGMA_PHI, kind(10), kind(500)),
+             quantum_width(SIGMA_PHI, np.array([10.0]), np.array([500.0])))
+        same(classical_width(SIGMA_PHI, kind(250), kind(-250)),
+             classical_width(SIGMA_PHI, np.array([250.0]), np.array([-250.0])))
+        same(classical_shot_noise(kind(3), kind(7)),
+             classical_shot_noise(np.array([3.0]), np.array([7.0])))
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_array_with_nonpositive_photon_number_rejected(self, bad):
         n = np.array([1.0, 10.0, bad])

@@ -122,6 +122,36 @@ def test_normals_into_buffer_match_fresh_draws():
         assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
+class FixedDraws:
+    """Stands in for a Generator whose random() yields the given 53-bit draws k."""
+
+    def __init__(self, draws):
+        self.uniforms = np.array(draws, dtype=np.uint64).astype(np.float64) * 2.0 ** -53
+
+    def random(self, count, out=None):
+        out = np.empty(count) if out is None else out
+        out[...] = self.uniforms[:count]
+        return out
+
+
+def test_extreme_draws_give_finite_normals():
+    from scipy.special import ndtri
+
+    top = 1 << 53
+    half = 1 << 52
+    draws = [0, half - 1, half, half + 1, top - 2, top - 1]
+    # Below 2^52 the uniform is (k + 1/2) * 2^-53; from 2^52 up it rounds to
+    # even, and the top draw, which would round to 1.0, is held at 1 - 2^-53.
+    uniforms = [2.0 ** -54, 0.5 - 2.0 ** -54, 0.5, 0.5 + 2.0 ** -52,
+                1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]
+    normals = montecarlo._normals(FixedDraws(draws), len(draws))
+    assert np.isfinite(normals).all()
+    assert normals.view(np.uint64).tolist() == \
+        ndtri(np.array(uniforms)).view(np.uint64).tolist()
+    assert normals[2] == 0.0 and not math.copysign(1.0, normals[2]) < 0
+    assert normals[-1] > 8.0
+
+
 class TestClassicalStream:
     """The classical stream is pinned bit for bit, whatever runs the blocks."""
 

@@ -1,0 +1,6 @@
+"""``python -m qtiming``: the ``qtiming`` program."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,6 +11,9 @@ identical across reruns with equal parameters.
 
 Exit codes: 0 success, 1 usage error, 2 domain/validation error,
 3 verification failure.
+
+Run as the program (``qtiming`` or ``python -m qtiming``), it starts
+OpenBLAS with one thread unless a BLAS thread variable is already set.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ _CSV_BLOCK_ROWS = 2048
 _MAX_GRID_ROWS = 1 << 22
 # The commands that print a report, and so take --json.
 _REPORT_COMMANDS = ("width", "transition", "media")
+# The variables OpenBLAS reads its thread count from, in its order of precedence.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -732,7 +737,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _single_threaded_blas(argv) -> None:
+    """Start OpenBLAS with one thread when ``main`` runs as the program.
+
+    qtiming's BLAS work is a 200-element dot, a 200x200 eigensolve and a
+    4x2 least-squares fit, yet each OpenBLAS copy that numpy and scipy load
+    starts worker threads that busy-wait on a CPU.  OpenBLAS reads its
+    thread count once, as it loads, so this must run before numpy does.  It
+    acts only for the program (``argv`` None: arguments from ``sys.argv``),
+    only before numpy has loaded, and only if none of
+    ``_BLAS_THREAD_VARIABLES`` is set.  A library import, or ``main(argv)``
+    called in-process, leaves the host's environment alone.
+    """
+    if (argv is None and "numpy" not in sys.modules
+            and not any(name in os.environ for name in _BLAS_THREAD_VARIABLES)):
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
 def main(argv=None) -> int:
+    _single_threaded_blas(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_preset(args)
@@ -746,7 +769,3 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"qtiming: error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

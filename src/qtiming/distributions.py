@@ -30,8 +30,11 @@ arrays.  Both routes apply only correctly rounded operations to the inputs
 which is libm's ``pow`` (not guaranteed correctly rounded) and raises
 OverflowError for a Python float.  So a scalar gives the same bits as a
 one-element array, and an overflow raises the same :class:`DomainError`
-text.  :func:`density_at` uses numpy even for a scalar, because ``np.exp``
-and libm's ``exp`` may differ in the last bit.
+text.  The squares of sigma_phi and of the curvature 1/(2 sigma_phi^2)
+keep ``**``, and the bits it has always given, through :func:`_squared`,
+which turns its OverflowError into that DomainError.  :func:`density_at`
+uses numpy even for a scalar, because ``np.exp`` and libm's ``exp`` may
+differ in the last bit.
 """
 
 from __future__ import annotations
@@ -156,16 +159,31 @@ def _finite_or_raise(result, law: str, sigma_phi: float, **inputs):
     if isinstance(result, float):
         if math.isfinite(result):
             return float(result)
-        named = ", ".join(f"{name} = {value:g}" for name, value in inputs.items())
+        named = "".join(f", {name} = {value:g}" for name, value in inputs.items())
     else:
         import numpy as np
 
         finite = np.isfinite(result)
         if finite.all():
             return result
-        named = ", ".join(f"{name} = {np.broadcast_to(value, result.shape)[~finite][0]:g}"
-                          for name, value in inputs.items())
-    raise DomainError(f"{law} overflows float64 at sigma_phi = {sigma_phi:g} rad/fs, {named}")
+        named = "".join(f", {name} = {np.broadcast_to(value, result.shape)[~finite][0]:g}"
+                        for name, value in inputs.items())
+    raise DomainError(f"{law} overflows float64 at sigma_phi = {sigma_phi:g} rad/fs{named}")
+
+
+def _squared(value: float, law: str, sigma_phi: float) -> float:
+    """``value**2`` for a sigma_phi-only factor, or DomainError where it overflows.
+
+    ``**`` keeps the bits these laws have always given (libm's ``pow``, which
+    ``x * x`` does not match everywhere).  On a Python float it raises
+    OverflowError, which becomes :func:`_finite_or_raise`'s error; an
+    ``np.float64`` is converted first, so it does the same, not warn.
+    """
+    try:
+        square = float(value)**2
+    except OverflowError:
+        square = math.inf
+    return _finite_or_raise(square, law, sigma_phi)
 
 
 def _check_photon_number(n) -> None:
@@ -187,12 +205,13 @@ def quantum_width(sigma_phi: float, n_photons, gdd_sum):
     """
     if not sigma_phi > 0:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
+    law = "quantum width"
     packet_width = 1.0 / (math.sqrt(2.0) * sigma_phi)
     with _namespace(n_photons, gdd_sum) as (xp, n, gdd):
         _check_photon_number(n)
-        dispersion_phase = 2.0 * sigma_phi**2 * n * gdd
+        dispersion_phase = 2.0 * _squared(sigma_phi, law, sigma_phi) * n * gdd
         width = xp.sqrt(1.0 + dispersion_phase * dispersion_phase) * (packet_width / n)
-    return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd)
+    return _finite_or_raise(width, law, sigma_phi, N=n, gdd_sum_fs2=gdd)
 
 
 def asymptotic_width(sigma_phi: float, gdd_sum: float) -> float:
@@ -213,10 +232,11 @@ def transition_photon_number(sigma_phi: float, gdd_sum: float) -> float:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
     if gdd_sum == 0:
         raise DomainError("no transition: dispersion fully cancelled (gdd_sum = 0)")
-    denominator = 2.0 * sigma_phi**2 * abs(float(gdd_sum))
+    law = "transition photon number"
+    denominator = 2.0 * _squared(sigma_phi, law, sigma_phi) * abs(float(gdd_sum))
     # A denominator that underflows to zero puts N_t beyond float64.
     n_t = 1.0 / denominator if denominator else math.inf
-    return _finite_or_raise(n_t, "transition photon number", sigma_phi, gdd_sum_fs2=gdd_sum)
+    return _finite_or_raise(n_t, law, sigma_phi, gdd_sum_fs2=gdd_sum)
 
 
 def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
@@ -228,12 +248,15 @@ def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
     """
     if not sigma_phi > 0:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
-    curvature = 1.0 / (2.0 * sigma_phi**2)  # Gaussian exponent coefficient, fs^2
+    law = "classical width"
+    # Gaussian exponent coefficient, fs^2, beyond float64 where sigma_phi**2 underflows.
+    denominator = 2.0 * _squared(sigma_phi, law, sigma_phi)
+    curvature = _finite_or_raise(1.0 / denominator if denominator else math.inf, law, sigma_phi)
+    curvature_squared = _squared(curvature, law, sigma_phi)
     with _namespace(gdd_path1, gdd_path2) as (xp, gdd1, gdd2):
-        variance = (2.0 * curvature**2 + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature
+        variance = (2.0 * curvature_squared + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature
         width = xp.sqrt(variance)
-    return _finite_or_raise(width, "classical width", sigma_phi,
-                            gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
+    return _finite_or_raise(width, law, sigma_phi, gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
 
 
 def classical_shot_noise(sigma_t, n_photons):

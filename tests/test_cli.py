@@ -707,12 +707,17 @@ def test_nonfinite_result_exits_without_output(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-def _probe(code: str) -> str:
-    """Standard output of ``code`` run in a fresh interpreter importing this qtiming."""
+def _child_env(**env: str) -> dict:
+    """An environment that imports this qtiming, with ``env`` as its only BLAS thread variables."""
     src = str(Path(qtiming.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    inherited = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
+    return {**inherited, **env, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+
+
+def _probe(code: str, **env: str) -> str:
+    """Last line of standard output of ``code`` run in a fresh interpreter importing this qtiming."""
+    result = subprocess.run([sys.executable, "-c", code], env=_child_env(**env),
                             capture_output=True, text=True, check=True)
     return result.stdout.strip().splitlines()[-1]
 
@@ -753,6 +758,77 @@ def test_report_commands_never_load_numpy(tmp_path, argv):
              f"print([code] + [m for m in {_UNLOADED!r} if m in sys.modules] + "
              f"(['tempfile'] if 'tempfile' in sys.modules and 'tempfile' not in before else []))")
     assert _probe(probe) == "[0]"
+
+
+_FIG2 = ["scan", "--preset", "fig2"]
+
+
+def _as_program(tmp_path, argv, prelude="pass", **env: str) -> dict:
+    """Exit code, thread count and BLAS thread variables after ``main()`` ran as the program.
+
+    ``main()`` reads ``argv`` from ``sys.argv``, in a fresh interpreter that
+    first runs ``prelude``.  The thread count is None without Linux's /proc.
+    """
+    probe = (f"import json, os, sys; {prelude}; "
+             f"sys.argv = ['qtiming', *{[*argv, '--out-dir', str(tmp_path)]!r}]; "
+             "from qtiming.cli import main, _BLAS_THREAD_VARIABLES; code = main(); "
+             "task = '/proc/self/task'; "
+             "print(json.dumps({'code': code, "
+             "'threads': len(os.listdir(task)) if os.path.isdir(task) else None, "
+             "'env': {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}}))")
+    return json.loads(_probe(probe, **env))
+
+
+def _blas_env(**values: str) -> dict:
+    return {name: values.get(name) for name in cli._BLAS_THREAD_VARIABLES}
+
+
+def test_program_entry_starts_blas_single_threaded(tmp_path):
+    result = _as_program(tmp_path, _FIG2)
+    assert result["code"] == 0
+    assert result["env"] == _blas_env(OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_cold_scan_runs_on_one_thread(tmp_path):
+    # Without the default, numpy's OpenBLAS starts a spinning worker per
+    # further CPU as it loads.
+    assert _as_program(tmp_path, _FIG2)["threads"] == 1
+
+
+@pytest.mark.parametrize("variable", cli._BLAS_THREAD_VARIABLES)
+def test_user_blas_thread_setting_is_kept(tmp_path, variable):
+    result = _as_program(tmp_path, _FIG2, **{variable: "2"})
+    assert result["code"] == 0
+    assert result["env"] == _blas_env(**{variable: "2"})
+
+
+def test_program_entry_after_numpy_leaves_environment_alone(tmp_path):
+    # OpenBLAS has read its thread count by then; setting it would only mislead.
+    result = _as_program(tmp_path, _FIG2, prelude="import numpy")
+    assert result["code"] == 0
+    assert result["env"] == _blas_env()
+
+
+def test_library_and_in_process_main_leave_environment_alone(tmp_path):
+    # main(argv) runs before anything loads numpy, so only argv tells it
+    # that this process is a host, not the program.
+    probe = ("import os; before = dict(os.environ); import qtiming, qtiming.cli; "
+             f"code = qtiming.cli.main({[*_FIG2, '--out-dir', str(tmp_path)]!r}); "
+             "import qtiming.distributions, qtiming.media, qtiming.montecarlo, qtiming.oracle; "
+             "print([code, dict(os.environ) == before])")
+    assert _probe(probe) == "[0, True]"
+
+
+def test_python_dash_m_runs_the_program(tmp_path, capsys):
+    argv = ["transition", "--preset", "ntrans-1cm", "--json"]
+    result = subprocess.run([sys.executable, "-m", "qtiming", *argv, "--out-dir", str(tmp_path / "m")],
+                            env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert run(tmp_path / "main", *argv) == 0
+    assert result.stdout == capsys.readouterr().out
+    report = "transition_report.json"
+    assert (tmp_path / "m" / report).read_bytes() == (tmp_path / "main" / report).read_bytes()
 
 
 class TestVerify:

@@ -23,7 +23,7 @@ from qtiming.distributions import (
     transition_photon_number,
 )
 from qtiming.errors import DomainError
-from qtiming.media import MediumSegment, PathPair
+from qtiming.media import MediumSegment, PathPair, catalog_segment
 from qtiming.spectral import GaussianSpectrum
 
 SIGMA_PHI = 3.7e-4  # rad/fs
@@ -270,6 +270,114 @@ class TestArrayInputs:
             quantum_width(SIGMA_PHI, n, 500.0)
         with pytest.raises(DomainError):
             classical_shot_noise(1.0, n)
+
+
+class TestBandwidthOverflow:
+    """A sigma_phi whose square, or whose curvature's square, leaves float64.
+
+    Python's ``**`` raises OverflowError there; the laws raise DomainError.
+    """
+
+    @pytest.mark.parametrize("law,args", [
+        (classical_width, (1e-100, 0.0, 0.0)),
+        (classical_width, (1e160, 1.0, 1.0)),
+        # sigma_phi**2 underflows to zero, so the curvature is beyond float64.
+        (classical_width, (1e-200, 0.0, 0.0)),
+        (quantum_width, (1e160, 1.0, 0.0)),
+        (transition_photon_number, (1e160, 1.0)),
+    ])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_domain_error_not_overflow_error(self, law, args, kind):
+        with pytest.raises(DomainError) as error:
+            law(kind(args[0]), *args[1:])
+        assert str(error.value) == (f"{law.__name__.replace('_', ' ')} overflows float64 "
+                                    f"at sigma_phi = {args[0]:g} rad/fs")
+
+    def test_array_inputs_raise_the_same_text(self):
+        with pytest.raises(DomainError, match=r"^quantum width overflows float64 "
+                                              r"at sigma_phi = 1e\+160 rad/fs$"):
+            quantum_width(1e160, np.array([1.0, 2.0]), 0.0)
+        with pytest.raises(DomainError, match=r"^classical width overflows float64 "
+                                              r"at sigma_phi = 1e-100 rad/fs$"):
+            classical_width(1e-100, np.zeros(2), np.zeros(2))
+
+
+class TestPlancherelMoments:
+    """The widths from moments of the raw integrand, with no closed form.
+
+    The amplitude of a dimensionless time offset z is the integral of
+    g(u) e^{-izu} du, with g(u) = exp(-u^2/2 + i b u^2) and b the dispersion
+    phase.  By Plancherel, the k-th moment of |amplitude|^2 is
+    2 pi times the integral of conj(g) (i d/du)^k g, so
+    Var_z = int |g'|^2 / int |g|^2 - <z>^2, with <z> = int conj(g) i g' / int |g|^2.
+    |g| = exp(-u^2/2) does not oscillate at any b, so a plain trapezoid
+    converges; the square in the exponent is never completed.
+    Quantum: b = N D sigma_phi^2 and sigma = sigma_z / (N sigma_phi).
+    Classical: one pulse per path, each with N = 1 and b_k = gdd_k
+    sigma_phi^2; the difference's variance is the sum of the two.
+    """
+
+    U = np.linspace(-10.0, 10.0, 4001)
+    # Total GDD of fig2 (400 cm of silica in one path), fs^2.
+    FIG2_GDD = PathPair([catalog_segment("fused_silica", 400.0)], []).coefficients()[1]
+
+    @classmethod
+    def variance(cls, b):
+        """Var_z at dispersion phase ``b``."""
+        u, step = cls.U, cls.U[1] - cls.U[0]
+
+        def trapezoid(f):
+            return step * (f.sum() - 0.5 * (f[0] + f[-1]))
+
+        envelope, chirp = np.exp(-0.5 * u * u), np.exp(1j * b * u * u)
+        g = envelope * chirp
+        g_prime = -u * envelope * chirp + envelope * (2j * b * u * chirp)  # product rule
+        norm = trapezoid(np.abs(g) ** 2)
+        mean = trapezoid(np.conj(g) * 1j * g_prime).real / norm
+        return trapezoid(np.abs(g_prime) ** 2) / norm - mean * mean
+
+    @classmethod
+    def quantum(cls, n, gdd_sum):
+        return math.sqrt(cls.variance(n * gdd_sum * SIGMA_PHI**2)) / (n * SIGMA_PHI)
+
+    @classmethod
+    def classical(cls, gdd1, gdd2):
+        return math.sqrt(cls.variance(gdd1 * SIGMA_PHI**2)
+                         + cls.variance(gdd2 * SIGMA_PHI**2)) / SIGMA_PHI
+
+    def test_quantum_width_at_every_fig2_row(self):
+        n_values = TestArrayInputs.FIG2_N
+        widths = quantum_width(SIGMA_PHI, n_values, self.FIG2_GDD)
+        expected = [self.quantum(n, self.FIG2_GDD) for n in n_values.tolist()]
+        # The rows reach the plateau, b up to 1.37e4.
+        assert n_values[-1] * self.FIG2_GDD * SIGMA_PHI**2 > 1e4
+        np.testing.assert_allclose(widths, expected, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("gdd1,gdd2", [
+        *((250.0 * x, 250.0 * x) for x in TestArrayInputs.FIG3_X[0].tolist()),
+        (250.0, -250.0), (1.0e4, -2.5e3), (-5.0e4, 1.0e5),
+        # Fig3's GDD adds at most 2e-4 to the variance; here dispersion dominates.
+        (1.0e7, -1.0e7), (-5.0e8, 2.0e8),
+    ])
+    def test_classical_width(self, gdd1, gdd2):
+        assert classical_width(SIGMA_PHI, gdd1, gdd2) == pytest.approx(
+            self.classical(gdd1, gdd2), rel=1e-6)
+
+    def test_fig3_ratio_surface(self):
+        # 33 x 41: N down the rows, x cm of silica in each path across the columns.
+        n, gdd = TestArrayInputs.FIG3_N, 250.0 * TestArrayInputs.FIG3_X
+        ratio = (quantum_width(SIGMA_PHI, n, 2.0 * gdd)
+                 / classical_shot_noise(classical_width(SIGMA_PHI, gdd, gdd), n))
+        classical = [self.classical(g, g) for g in gdd[0].tolist()]
+        expected = [[self.quantum(a, 2.0 * g) * math.sqrt(a) / c
+                     for g, c in zip(gdd[0].tolist(), classical)] for a in n[:, 0].tolist()]
+        np.testing.assert_allclose(ratio, expected, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("gdd_sum", [500.0, -500.0, FIG2_GDD])
+    def test_sqrt_two_at_transition(self, gdd_sum):
+        n_t = transition_photon_number(SIGMA_PHI, gdd_sum)
+        assert self.quantum(n_t, gdd_sum) / asymptotic_width(SIGMA_PHI, gdd_sum) == pytest.approx(
+            math.sqrt(2.0), rel=1e-6)
 
 
 class TestStateSpec:

@@ -740,9 +740,9 @@ def build_parser() -> _Parser:
 def _single_threaded_blas(argv) -> None:
     """Start OpenBLAS with one thread when ``main`` runs as the program.
 
-    qtiming's BLAS work is a 200-element dot, a 200x200 eigensolve and a
-    4x2 least-squares fit, yet each OpenBLAS copy that numpy and scipy load
-    starts worker threads that busy-wait on a CPU.  OpenBLAS reads its
+    qtiming's BLAS work is one 4x2 least-squares fit, yet each OpenBLAS
+    copy that numpy and scipy load starts worker threads that busy-wait on
+    a CPU.  OpenBLAS reads its
     thread count once, as it loads, so this must run before numpy does.  It
     acts only for the program (``argv`` None: arguments from ``sys.argv``),
     only before numpy has loaded, and only if none of

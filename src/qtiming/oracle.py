@@ -26,28 +26,29 @@ Evaluation is vectorised over z in blocks of at most 2^18 complex values
 (one z per block when its new nodes alone exceed that), and each z's
 result depends only on (b, z, quadrature spec), not on its block.
 
-Verification compares a self-normalised numeric density with the closed
-form.  That density depends only on the photon number, the spectral width
-and the case geometry (gdd_sum, b, mean offset), not on the state family,
-so :func:`verify_closed_form` computes it once per geometry, grid and
-quadrature spec and shares it through a small cache.  A report's
-``points_used`` is the integrand evaluations its density needs, whether or
-not they were spent on this call.  :func:`amplitude_numeric` and the moment
-helpers do not use the cache.
+Moments of |I(b, z)|^2 over z, the normaliser M_0 included, come from
+Plancherel's theorem instead: integral (z - m)^k |I|^2 dz is 2 pi times an
+integral over u of exp(-u^2) times a polynomial built from the raw
+integrand's derivatives.  That weight does not oscillate, so one plain
+trapezoid on a fixed node set gives every moment at any b.
+:func:`verify_closed_form` compares the closed form with the numeric
+density N sigma_phi |I(z)|^2 / M_0, and its ``points_used`` counts the
+ladder's integrand evaluations at the grid points.
 
 The combinatorial 1/N! prefactor is dropped, matching the normalisation
 convention of the closed forms.  The resolving step takes about |b| H^2
 nodes per amplitude (1e5 at |b| = 1e3), so beyond a dispersion phase of
-``PHASE_ENVELOPE_RAD`` calls raise :class:`DomainError` rather than
-silently degrading (the closed forms remain available at any scale).
+``PHASE_ENVELOPE_RAD`` amplitudes and densities raise
+:class:`DomainError` rather than silently degrading (the closed forms
+remain available at any scale).  The moments cost the same at every b and
+have no such limit.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,23 +69,23 @@ __all__ = [
 ]
 
 PHASE_ENVELOPE_RAD = 1.0e3
-"""Largest supported dispersion phase |N * gdd_sum * sigma_phi^2|, rad."""
+"""Largest dispersion phase |N * gdd_sum * sigma_phi^2| (rad) of an amplitude."""
 
 _COARSEST_INTERVALS = 4    # ladder level j splits [-H, H] into 4 * 2**j intervals
 _RESOLVE_SAFETY = 1.5      # least ratio of 2 pi / h to the largest local frequency
 _BLOCK_ENTRIES = 1 << 18   # complex integrand values held at once (one row at least)
 _ENVELOPE_MASS = math.sqrt(2.0 * math.pi)  # integral of exp(-u^2/2): the absolute mass
-_NORM_NODES = 200          # Gauss-Legendre nodes for densities' normalisation
-_WINDOW_SIGMAS = 12.0      # half-width of the normalisation window, in width bounds
+_MOMENT_STEP = 1.0 / 64    # trapezoid step in u of the Plancherel moments
+_MOMENT_REACH = 28.0       # exp(-u^2) is 0.0 in float64 beyond it: farther nodes add nothing
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Controls for the trapezoid quadrature.
 
-    half_width : integration window in units of sigma_phi (>= 6; the
-                 envelope beyond 6 sigma contributes < 2e-8 of the mass)
-    max_points : budget of integrand evaluations per amplitude
+    half_width : integration window in units of sigma_phi (finite, >= 6;
+                 the envelope beyond 6 sigma contributes < 2e-8 of the mass)
+    max_points : budget of integrand evaluations per amplitude (an integer)
     rel_tol    : target error relative to the amplitude scale (>= 1e-12)
     """
 
@@ -93,12 +94,12 @@ class QuadratureSpec:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.half_width >= 6:
-            raise DomainError(f"half_width must be >= 6, got {self.half_width}")
+        if not (math.isfinite(self.half_width) and self.half_width >= 6):
+            raise DomainError(f"half_width must be finite and >= 6, got {self.half_width}")
         if not self.rel_tol >= 1e-12:
             raise DomainError(f"rel_tol must be >= 1e-12, got {self.rel_tol}")
-        if self.max_points < 15:
-            raise DomainError(f"max_points must be >= 15, got {self.max_points}")
+        if not isinstance(self.max_points, numbers.Integral) or self.max_points < 15:
+            raise DomainError(f"max_points must be an integer >= 15, got {self.max_points!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,15 @@ def _trapezoid_integral(
     first level whose step resolves its largest local frequency and whose
     change from the previous level is within the tolerance.  Its value
     depends on nothing but (b, z, quad): not on the other zs, nor on how
-    the zs are split into blocks.
+    the zs are split into blocks.  Beyond ``PHASE_ENVELOPE_RAD`` it raises
+    :class:`DomainError`, since the resolving step grows with |b|.
     """
+    if abs(b) > PHASE_ENVELOPE_RAD:
+        raise DomainError(
+            f"dispersion phase |N * gdd_sum * sigma_phi^2| = {abs(b):.3e} rad exceeds "
+            f"the validated quadrature envelope of {PHASE_ENVELOPE_RAD:.0e} rad; "
+            "the closed forms and the numeric moments remain available at this scale"
+        )
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     if not np.isfinite(zs).all():
         raise DomainError("observable values must be finite")
@@ -201,45 +209,62 @@ def _trapezoid_integral(
 
 
 def _oscillatory_gaussian_integral(
-    b: float, z: float, quad: QuadratureSpec, phase_offset: float = 0.0
+    b: float, z: float, quad: QuadratureSpec
 ) -> tuple[complex, float, int]:
-    """I(b, z) times exp(i phase_offset); returns (value, err, points)."""
+    """I(b, z) for one z; returns (value, err, points)."""
     values, errors, points = _trapezoid_integral(b, np.array([z], dtype=float), quad)
-    return complex(values[0]) * cmath.exp(1j * phase_offset), float(errors[0]), points
+    return complex(values[0]), float(errors[0]), points
+
+
+def _plancherel_moments(b: float, order: int, quad: QuadratureSpec) -> tuple[float, np.ndarray]:
+    """(<z>, central moments 0..order of |I(b, z)|^2 over z), by Plancherel.
+
+    I(b, .) is the Fourier transform of g(u) = exp(-u^2/2 + i b u^2) on
+    [-H, H], and (z - m) times it is the transform of (-i d/du - m) g.  So
+    integral (z - m)^k |I|^2 dz = 2 pi integral exp(-u^2) P_k(u) du, with
+    P_0 = 1 and P_{k+1} = -i P_k' + (i + 2b) u P_k - m P_k.  The weight
+    exp(-u^2) = |g|^2 does not oscillate at any b, so a plain trapezoid on
+    a fixed node set converges, and the cost does not grow with |b|.
+    """
+    reach = int(min(quad.half_width, _MOMENT_REACH) / _MOMENT_STEP)
+    u = _MOMENT_STEP * np.arange(-reach, reach + 1)
+    term = np.exp(-u * u)
+    term[[0, -1]] *= 0.5
+    # 2 pi times the trapezoid value of integral exp(-u^2) u^j du, j = 0..order.
+    scale = 2.0 * math.pi * _MOMENT_STEP
+    powers = []
+    for _ in range(max(order, 1) + 1):
+        powers.append(scale * term.sum())
+        term *= u
+    powers = np.array(powers)
+
+    def central(mean: float, top: int) -> np.ndarray:
+        poly = np.zeros(top + 1, dtype=complex)  # P_k's coefficients, lowest power first
+        poly[0] = 1.0
+        moments = [powers[0]]
+        for _ in range(top):
+            derivative = np.append(poly[1:] * np.arange(1, top + 1), 0.0)
+            poly = -1j * derivative + (1j + 2.0 * b) * np.append(0.0, poly[:-1]) - mean * poly
+            moments.append((poly * powers[:top + 1]).sum().real)
+        return np.array(moments)
+
+    first = central(0.0, 1)
+    mean = float(first[1] / first[0])
+    return mean, central(mean, order)
 
 
 def _case_geometry(
     state: StateSpec, spectrum: GaussianSpectrum, paths: PathPair
-) -> tuple[float, float, float]:
-    """(gdd_sum, b, mean) of one case, computed once and shared by every tau.
+) -> tuple[float, float]:
+    """(b, mean) of one case, computed once and shared by every tau.
 
     ``mean`` is the oracle's own choice of the linear offset (delay sum for
     correlated states, difference otherwise), not the closed form's.
     """
     delay1, gdd1, delay2, gdd2 = paths.coefficients()
-    gdd_sum = gdd1 + gdd2
-    b = state.n_photons * gdd_sum * spectrum.sigma_phi**2
-    if abs(b) > PHASE_ENVELOPE_RAD:
-        raise DomainError(
-            f"dispersion phase |N * gdd_sum * sigma_phi^2| = {abs(b):.3e} rad exceeds "
-            f"the validated quadrature envelope of {PHASE_ENVELOPE_RAD:.0e} rad; "
-            "the closed forms remain available at this scale"
-        )
+    b = state.n_photons * (gdd1 + gdd2) * spectrum.sigma_phi**2
     mean = delay1 + delay2 if state.kind is StateKind.CORRELATED_FOCK else delay1 - delay2
-    return gdd_sum, b, mean
-
-
-def _intensity(
-    n_photons: float,
-    sigma_phi: float,
-    geometry: tuple[float, float, float],
-    taus: np.ndarray,
-    quad: QuadratureSpec,
-) -> tuple[np.ndarray, int]:
-    """|A|^2 (coherent factor dropped) at each of ``taus``, plus points used."""
-    _, b, mean = geometry
-    values, _, points = _trapezoid_integral(b, n_photons * sigma_phi * (taus - mean), quad)
-    return np.abs(sigma_phi * values) ** 2, points
+    return b, mean
 
 
 def amplitude_numeric(
@@ -256,65 +281,11 @@ def amplitude_numeric(
     1/N! prefactor is dropped; the coherent magnitude factor |v|^N |u|^N
     is included.
     """
-    _, b, mean = _case_geometry(state, spectrum, paths)
+    b, mean = _case_geometry(state, spectrum, paths)
     sigma_phi = spectrum.sigma_phi
     value, _, _ = _oscillatory_gaussian_integral(
         b, state.n_photons * sigma_phi * (tau - mean), quad or QuadratureSpec())
     return _coherent_scale(state, state.n_photons) * (sigma_phi * value)
-
-
-def _width_bound(s: float, n_photons: float, gdd_sum: float) -> float:
-    # (1 + 2 s^2 N |D|) / (sqrt(2) s N) >= true width, since sqrt(1+a^2) <= 1+a.
-    return (1.0 + 2.0 * s**2 * n_photons * abs(gdd_sum)) / (math.sqrt(2.0) * s * n_photons)
-
-
-@lru_cache(maxsize=4)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _density_on_nodes(
-    n_photons: float,
-    sigma_phi: float,
-    geometry: tuple[float, float, float],
-    quad: QuadratureSpec,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Numeric |A|^2 on Gauss-Legendre nodes spanning the distribution.
-
-    Returns (nodes, weights, |A|^2 values, points_used).  The window is
-    centred on the exactly-known linear mean with half-width
-    ``_WINDOW_SIGMAS`` conservative width bounds, so it always covers the
-    true density regardless of what the closed form claims.
-    """
-    gdd_sum, _, mean = geometry
-    half_width = _WINDOW_SIGMAS * _width_bound(sigma_phi, n_photons, gdd_sum)
-    x, w = _leggauss(_NORM_NODES)
-    nodes = mean + half_width * x
-    values, points = _intensity(n_photons, sigma_phi, geometry, nodes, quad)
-    return nodes, half_width * w, values, points
-
-
-@lru_cache(maxsize=32)
-def _numeric_density(
-    n_photons: float,
-    sigma_phi: float,
-    geometry: tuple[float, float, float],
-    grid_bytes: bytes,
-    quad: QuadratureSpec,
-) -> tuple[np.ndarray, int]:
-    """Self-normalised numeric density on the grid, plus the points it took.
-
-    Keyed on exactly the inputs the numbers depend on, so state families
-    with equal geometry share one evaluation.  The returned array is
-    read-only, because every caller with the same key receives it.
-    """
-    grid = np.frombuffer(grid_bytes, dtype=np.float64)
-    _, weights, node_values, node_points = _density_on_nodes(
-        n_photons, sigma_phi, geometry, quad)
-    values, points = _intensity(n_photons, sigma_phi, geometry, grid, quad)
-    numeric = values / float(weights @ node_values)
-    numeric.flags.writeable = False
-    return numeric, node_points + points
 
 
 def verify_closed_form(
@@ -326,8 +297,9 @@ def verify_closed_form(
 ) -> VerificationReport:
     """Compare the normalised numeric density against the closed form.
 
-    The numeric side integrates |A|^2 by quadrature and normalises it with
-    its own numerically-computed integral; at no point does it use the
+    The numeric side is N sigma_phi |I(z)|^2 / M_0, with I(z) summed by
+    the trapezoid ladder at each grid point and the normaliser M_0 =
+    integral |I|^2 dz taken by Plancherel; at no point does it use the
     completed-square result.  The maximum relative error is taken over
     grid points where the closed-form density exceeds 1e-8 of its peak
     (further out, the oscillatory integral cancels to below float64
@@ -341,9 +313,11 @@ def verify_closed_form(
     dist = quantum_distribution(state, spectrum, paths)
     closed = np.asarray(density_at(dist, grid))
 
-    geometry = _case_geometry(state, spectrum, paths)
-    numeric, points = _numeric_density(
-        state.n_photons, spectrum.sigma_phi, geometry, grid.tobytes(), quad)
+    b, mean = _case_geometry(state, spectrum, paths)
+    scale = state.n_photons * spectrum.sigma_phi
+    values, _, points = _trapezoid_integral(b, scale * (grid - mean), quad)
+    _, moments = _plancherel_moments(b, 0, quad)
+    numeric = scale * np.abs(values) ** 2 / moments[0]
 
     peak = density_at(dist, dist.mean)
     mask = closed > 1e-8 * peak
@@ -367,13 +341,11 @@ def _central_moment(
     order: int,
     quad: QuadratureSpec | None,
 ) -> tuple[float, float]:
-    """(mean, central moment of the given order) of the numeric density."""
-    geometry = _case_geometry(state, spectrum, paths)
-    nodes, weights, values, _ = _density_on_nodes(
-        state.n_photons, spectrum.sigma_phi, geometry, quad or QuadratureSpec())
-    mass = float(weights @ values)
-    mean = float(weights @ (nodes * values)) / mass
-    return mean, float(weights @ ((nodes - mean) ** order * values)) / mass
+    """(mean, central moment of the given order) of the numeric density, in fs."""
+    b, offset = _case_geometry(state, spectrum, paths)
+    scale = state.n_photons * spectrum.sigma_phi
+    centre, moments = _plancherel_moments(b, order, quad or QuadratureSpec())
+    return offset + centre / scale, float(moments[order] / moments[0]) / scale**order
 
 
 def numeric_moments(
@@ -382,7 +354,7 @@ def numeric_moments(
     paths: PathPair,
     quad: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
-    """Mean and width (fs) of the numeric density, by moment quadrature."""
+    """Mean and width (fs) of the numeric density, by Plancherel moments."""
     mean, variance = _central_moment(state, spectrum, paths, 2, quad)
     return mean, math.sqrt(variance)
 
@@ -395,4 +367,6 @@ def numeric_central_moment(
     quad: QuadratureSpec | None = None,
 ) -> float:
     """Central moment of the numeric density of the given order."""
+    if not isinstance(order, numbers.Integral) or order < 0:
+        raise DomainError(f"order must be a non-negative integer, got {order!r}")
     return _central_moment(state, spectrum, paths, order, quad)[1]

@@ -11,7 +11,7 @@ import pytest
 
 from qtiming.distributions import StateKind, StateSpec, quantum_distribution, quantum_width
 from qtiming.errors import ConvergenceError, DomainError
-from qtiming.media import MediumSegment, PathPair
+from qtiming.media import MediumSegment, PathPair, catalog_segment
 from qtiming import oracle
 from qtiming.oracle import (
     PHASE_ENVELOPE_RAD,
@@ -20,8 +20,8 @@ from qtiming.oracle import (
     numeric_central_moment,
     numeric_moments,
     verify_closed_form,
-    _numeric_density,
     _oscillatory_gaussian_integral,
+    _plancherel_moments,
     _trapezoid_integral,
 )
 from qtiming.spectral import GaussianSpectrum
@@ -64,12 +64,6 @@ class TestQuadratureEngine:
         value, _, _ = _oscillatory_gaussian_integral(b, z, QuadratureSpec())
         expected = reference_integral(b, z)
         assert abs(value - expected) / abs(expected) < 1e-10
-
-    def test_fixed_phase_offset_leaves_modulus_unchanged(self):
-        quad = QuadratureSpec()
-        plain, _, _ = _oscillatory_gaussian_integral(12.0, 1.5, quad)
-        shifted, _, _ = _oscillatory_gaussian_integral(12.0, 1.5, quad, phase_offset=0.6180)
-        assert abs(shifted) ** 2 == pytest.approx(abs(plain) ** 2, rel=1e-12)
 
     def test_budget_exhaustion_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as excinfo:
@@ -150,6 +144,19 @@ class TestQuadratureSpecValidation:
     def test_max_points_floor(self):
         with pytest.raises(DomainError):
             QuadratureSpec(max_points=10)
+
+    @pytest.mark.parametrize("half_width", [math.inf, math.nan])
+    def test_half_width_must_be_finite(self, half_width):
+        with pytest.raises(DomainError, match="finite"):
+            QuadratureSpec(half_width=half_width)
+
+    @pytest.mark.parametrize("max_points", [1e6, 600.5, "600"])
+    def test_max_points_must_be_an_integer(self, max_points):
+        with pytest.raises(DomainError, match="integer"):
+            QuadratureSpec(max_points=max_points)
+
+    def test_numpy_integer_max_points_accepted(self):
+        assert QuadratureSpec(max_points=np.int64(600)).max_points == 600
 
 
 class TestAmplitudeNumeric:
@@ -249,6 +256,26 @@ class TestVerifyClosedForm:
         with pytest.raises(DomainError, match="tail"):
             verify_closed_form(state, spectrum, pair(0.0, 0.0), [50.0 * sigma])
 
+    def test_phase_envelope_enforced(self, spectrum):
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1e6)
+        with pytest.raises(DomainError, match="envelope"):
+            verify_closed_form(state, spectrum, pair(5e4, 5e4), [0.0])
+
+    def test_amplitude_scale_error_is_caught(self, spectrum, monkeypatch):
+        # The Plancherel normaliser does not cancel an error in the
+        # amplitude's absolute scale, as self-normalisation would.
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3)
+        paths, grid = pair(200.0, 200.0), self.grid_for(spectrum, 3, 400.0)
+        assert verify_closed_form(state, spectrum, paths, grid).max_rel_err < 1e-6
+        exact = oracle._trapezoid_integral
+
+        def scaled(b, zs, quad):
+            values, errors, points = exact(b, zs, quad)
+            return values * (1.0 + 1e-5), errors, points
+
+        monkeypatch.setattr(oracle, "_trapezoid_integral", scaled)
+        assert verify_closed_form(state, spectrum, paths, grid).max_rel_err > 1e-6
+
     def test_report_serialises(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 2)
         report = verify_closed_form(
@@ -261,8 +288,8 @@ class TestVerifyClosedForm:
         assert len(payload["grid_fs"]) == 5
 
 
-class TestSharedNumericDensity:
-    """State families with equal geometry share one numeric density."""
+class TestStateFamilies:
+    """State families with equal geometry give equal reports."""
 
     STATES = [
         StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3),
@@ -275,25 +302,15 @@ class TestSharedNumericDensity:
         grid = np.linspace(-5.0, 5.0, 41) * quantum_width(SIGMA_PHI, 3, 500.0)
         return verify_closed_form(state, spectrum, pair(250.0, 250.0), grid)
 
-    def test_families_match_uncached_evaluation(self, spectrum):
-        uncached = []
-        for state in self.STATES:
-            _numeric_density.cache_clear()
-            uncached.append(self.verify(state, spectrum))
-        _numeric_density.cache_clear()
-        shared = [self.verify(state, spectrum) for state in self.STATES]
-        info = _numeric_density.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        for fresh, report in zip(uncached, shared):
-            assert report.max_rel_err == fresh.max_rel_err
-            assert report.points_used == fresh.points_used
-            assert report == fresh
+    def test_families_at_equal_geometry_give_equal_reports(self, spectrum):
+        reports = [self.verify(state, spectrum) for state in self.STATES]
+        assert reports[0].max_rel_err < 1e-6
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
 
-    def test_clearing_cache_leaves_report_unchanged(self, spectrum):
+    def test_repeat_verification_gives_equal_report(self, spectrum):
         state = self.STATES[0]
-        first = self.verify(state, spectrum)
-        _numeric_density.cache_clear()
-        assert self.verify(state, spectrum) == first
+        assert self.verify(state, spectrum) == self.verify(state, spectrum)
 
 
 class TestNumericMoments:
@@ -322,3 +339,59 @@ class TestNumericMoments:
         third = numeric_central_moment(state, spectrum, paths, order=3)
         _, sigma = numeric_moments(state, spectrum, paths)
         assert abs(third) < 1e-8 * sigma**3
+
+    @pytest.mark.parametrize("order", [-1, 2.5, 2.0, "2"])
+    def test_invalid_order_rejected(self, spectrum, order):
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 5)
+        with pytest.raises(DomainError, match="order"):
+            numeric_central_moment(state, spectrum, pair(250.0, 250.0), order=order)
+
+    def test_zeroth_moment_is_one(self, spectrum):
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 5)
+        assert numeric_central_moment(state, spectrum, pair(250.0, 250.0), order=0) == 1.0
+
+    @pytest.mark.parametrize("n", [1e5, 1e6])
+    def test_fig2_plateau(self, spectrum, n):
+        # 400 cm of silica in one path: b = N gdd sigma_phi^2 reaches 1.37e4,
+        # beyond the amplitudes' envelope, where dispersion destroys the gain.
+        paths = PathPair([catalog_segment("fused_silica", 400.0)], [])
+        delay1, gdd1, delay2, gdd2 = paths.coefficients()
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, n)
+        assert n * (gdd1 + gdd2) * spectrum.sigma_phi**2 > PHASE_ENVELOPE_RAD
+        mean, sigma = numeric_moments(state, spectrum, paths)
+        assert mean == pytest.approx(delay1 - delay2, abs=1e-6)
+        assert sigma == pytest.approx(
+            quantum_width(spectrum.sigma_phi, n, gdd1 + gdd2), rel=1e-6)
+        # The density is Gaussian: kurtosis 3.
+        fourth = numeric_central_moment(state, spectrum, paths, order=4)
+        assert fourth / sigma**4 == pytest.approx(3.0, rel=1e-12)
+
+
+class TestPlancherelMoments:
+    @pytest.mark.parametrize("b", [0.0, 1.37, -137.0, 1.37e4, 2e4])
+    def test_variance_is_exact(self, b):
+        mean, moments = _plancherel_moments(b, 2, QuadratureSpec())
+        variance = (1.0 + 4.0 * b * b) / 2.0
+        assert moments[0] == pytest.approx(2.0 * math.pi**1.5, rel=1e-15)
+        assert moments[2] / moments[0] == pytest.approx(variance, rel=1e-15)
+        assert abs(mean) <= 1e-15 * math.sqrt(variance)
+
+    @pytest.mark.parametrize("half_width", [6.0, 1e4, 1e12])
+    def test_any_window_gives_the_same_moments(self, half_width):
+        # The weight exp(-u^2) is resolved on every window; beyond u = 6 it
+        # holds about 1e-16 of the mass.
+        _, moments = _plancherel_moments(137.0, 2, QuadratureSpec(half_width=half_width))
+        assert moments[0] == pytest.approx(2.0 * math.pi**1.5, rel=1e-14)
+        assert moments[2] / moments[0] == pytest.approx((1.0 + 4.0 * 137.0**2) / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("b", [0.0, 137.0, 1.37e4])
+    def test_doubling_nodes_leaves_moments_unchanged(self, b, monkeypatch):
+        quad = QuadratureSpec()
+        mean, moments = _plancherel_moments(b, 4, quad)
+        monkeypatch.setattr(oracle, "_MOMENT_STEP", oracle._MOMENT_STEP / 2.0)
+        doubled_mean, doubled = _plancherel_moments(b, 4, quad)
+        # Each moment against its natural scale, M_0 sigma_z^k.
+        sigma_z = math.sqrt(moments[2] / moments[0])
+        assert abs(doubled_mean - mean) <= 1e-14 * sigma_z
+        for k in range(5):
+            assert abs(doubled[k] - moments[k]) <= 1e-14 * moments[0] * sigma_z**k

@@ -9,8 +9,9 @@ path that cannot be opened is a usage error.  CSV output is RFC-4180
 style with '.' decimals and shortest-roundtrip float formatting, byte
 identical across reruns with equal parameters.
 
-Exit codes: 0 success, 1 usage error, 2 domain/validation error,
-3 verification failure.
+Exit codes: 0 success, 1 usage error or closed output, 2 domain/validation
+error, 3 verification failure.  A report or manifest written before the
+output closed stays on disk.
 
 Run as the program (``qtiming`` or ``python -m qtiming``), it starts
 OpenBLAS with one thread unless a BLAS thread variable is already set.
@@ -757,10 +758,18 @@ def _single_threaded_blas(argv) -> None:
 def main(argv=None) -> int:
     _single_threaded_blas(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_preset(args)
     try:
-        return args.func(parser, args)
+        try:
+            args = parser.parse_args(argv)
+            _apply_preset(args)
+            return args.func(parser, args)
+        finally:
+            sys.stdout.flush()  # a reader that closed early shows here, not at exit
+    except BrokenPipeError:
+        if argv is None:
+            # The interpreter flushes stdout once more as it exits.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
     except ConvergenceError as exc:

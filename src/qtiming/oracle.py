@@ -12,19 +12,22 @@ integrand *before* any completing-the-square step, so it can confirm or
 refute the closed forms independently.
 
 Rule: the integrand is entire and damped like exp(-u^2/2), so the uniform
-trapezoid rule on [-H, H] converges geometrically in the step h (Trefethen
-& Weideman, SIAM Rev. 56, 385 (2014)).  The steps form a fixed nested
-ladder, h = 2H / (4 * 2^j), and each halving evaluates only the new odd
-nodes, reusing the rest.  The error estimate of a level is its change from
-the level before (h against h/2).  The phase advances by |2bu - z| per
-unit u, so the largest local frequency is 2|b|H + |z|.  A level counts as
-converged only once its step resolves that frequency, with 2 pi / h at
-least 1.5 times it: two coarser, aliased sums can agree with each other
-and still be wrong.  When the budget runs out first,
-:class:`ConvergenceError` carries the smallest estimate the ladder reached.
-Evaluation is vectorised over z in blocks of at most 2^18 complex values
-(one z per block when its new nodes alone exceed that), and each z's
-result depends only on (b, z, quadrature spec), not on its block.
+trapezoid rule on the nodes u_k = k h, |u_k| <= H, converges geometrically
+in the step h (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  A grid of
+evenly spaced z = z0 + m dz shares one node lattice: with h dz L = 2 pi
+for a power of two L at least the grid's size, the sums at every grid
+point are one FFT of length L of the node terms folded by k mod L.  A
+single z is the same sum with L = 1, starting at h = H / 2.  The steps form
+a nested ladder: each level halves h, doubles L and evaluates only the new
+odd nodes.  The error estimate of a level is its change from the level
+before (h against h/2).  The phase advances by |2bu - z| per unit u, so the
+largest local frequency is 2|b|H + max |z|.  A level counts as converged
+only once its step resolves that frequency, with 2 pi / h at least 1.5
+times it (two coarser, aliased sums can agree with each other and still be
+wrong), and once its change is within the tolerance at every grid point.
+When the budget runs out first, :class:`ConvergenceError` carries the
+smallest estimate the ladder reached.  A value depends only on (b, z0, dz,
+grid size, quadrature spec).
 
 Moments of |I(b, z)|^2 over z, the normaliser M_0 included, come from
 Plancherel's theorem instead: integral (z - m)^k |I|^2 dz is 2 pi times an
@@ -33,19 +36,20 @@ integrand's derivatives.  That weight does not oscillate, so one plain
 trapezoid on a fixed node set gives every moment at any b.
 :func:`verify_closed_form` compares the closed form with the numeric
 density N sigma_phi |I(z)|^2 / M_0, and its ``points_used`` counts the
-ladder's integrand evaluations at the grid points.
+lattice's integrand evaluations.
 
 The combinatorial 1/N! prefactor is dropped, matching the normalisation
 convention of the closed forms.  The resolving step takes about |b| H^2
-nodes per amplitude (1e5 at |b| = 1e3), so beyond a dispersion phase of
-``PHASE_ENVELOPE_RAD`` amplitudes and densities raise
-:class:`DomainError` rather than silently degrading (the closed forms
-remain available at any scale).  The moments cost the same at every b and
-have no such limit.
+nodes per lattice (2e6 for fig2's 41-point density at |b| = 1.37e4), so
+beyond a dispersion phase of ``PHASE_ENVELOPE_RAD`` = 2e4 rad amplitudes
+and densities raise :class:`DomainError` rather than silently degrading
+(the closed forms remain available at any scale).  The moments cost the
+same at every b and have no such limit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -68,12 +72,10 @@ __all__ = [
     "PHASE_ENVELOPE_RAD",
 ]
 
-PHASE_ENVELOPE_RAD = 1.0e3
+PHASE_ENVELOPE_RAD = 2.0e4
 """Largest dispersion phase |N * gdd_sum * sigma_phi^2| (rad) of an amplitude."""
 
-_COARSEST_INTERVALS = 4    # ladder level j splits [-H, H] into 4 * 2**j intervals
 _RESOLVE_SAFETY = 1.5      # least ratio of 2 pi / h to the largest local frequency
-_BLOCK_ENTRIES = 1 << 18   # complex integrand values held at once (one row at least)
 _ENVELOPE_MASS = math.sqrt(2.0 * math.pi)  # integral of exp(-u^2/2): the absolute mass
 _MOMENT_STEP = 1.0 / 64    # trapezoid step in u of the Plancherel moments
 _MOMENT_REACH = 28.0       # exp(-u^2) is 0.0 in float64 beyond it: farther nodes add nothing
@@ -85,7 +87,8 @@ class QuadratureSpec:
 
     half_width : integration window in units of sigma_phi (finite, >= 6;
                  the envelope beyond 6 sigma contributes < 2e-8 of the mass)
-    max_points : budget of integrand evaluations per amplitude (an integer)
+    max_points : budget of integrand evaluations, and of FFT length, per
+                 lattice (an integer)
     rel_tol    : target error relative to the amplitude scale (>= 1e-12)
     """
 
@@ -122,17 +125,23 @@ class VerificationReport:
         }
 
 
+def _fold(values: np.ndarray, first: int, size: int) -> np.ndarray:
+    """Sums of ``values``, the terms of indices first, first + 1, ..., by index mod ``size``."""
+    full = values.size - values.size % size
+    sums = values[:full].reshape(-1, size).sum(axis=0)
+    sums[:values.size - full] += values[full:]
+    return np.roll(sums, first)
+
+
 def _trapezoid_integral(
     b: float, zs: np.ndarray, quad: QuadratureSpec
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Trapezoid values of I(b, z) for each of ``zs``: (values, errors, points).
+    """Trapezoid values of I(b, z) on the evenly spaced ``zs``: (values, errors, points).
 
-    Every z walks the same nested ladder of uniform steps, and each level
-    adds only the odd nodes between the previous ones.  A z is done at the
-    first level whose step resolves its largest local frequency and whose
-    change from the previous level is within the tolerance.  Its value
-    depends on nothing but (b, z, quad): not on the other zs, nor on how
-    the zs are split into blocks.  Beyond ``PHASE_ENVELOPE_RAD`` it raises
+    One nested lattice ladder serves the whole grid (see the module
+    docstring): I(z0 + m dz) = h FFT_L(fold_L(g(u_k) exp(-i z0 u_k)))[m],
+    with g the raw integrand.  Each level adds the odd nodes' fold to the
+    odd residues.  Beyond ``PHASE_ENVELOPE_RAD`` it raises
     :class:`DomainError`, since the resolving step grows with |b|.
     """
     if abs(b) > PHASE_ENVELOPE_RAD:
@@ -144,76 +153,55 @@ def _trapezoid_integral(
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     if not np.isfinite(zs).all():
         raise DomainError("observable values must be finite")
-    half = quad.half_width
-    top = ((quad.max_points - 1) // _COARSEST_INTERVALS).bit_length() - 1
-    # First level with step <= 2 pi / (safety * (2|b|H + |z|)).
-    oversampling = (_RESOLVE_SAFETY * half / (math.pi * _COARSEST_INTERVALS)
-                    * (2.0 * abs(b) * half + np.abs(zs)))
-    resolved = np.maximum(np.ceil(np.log2(np.maximum(oversampling, 1.0))), 1.0)
+    half, count, start = quad.half_width, zs.size, zs[0]
+    size = 1 << (count - 1).bit_length()   # L at the first level: 1 for a single z
+    coarsest = (half / 2.0 if count == 1
+                else 2.0 * math.pi * (count - 1) / ((zs[-1] - start) * size))
+    # First level with step <= 2 pi / (safety * (2|b|H + max|z|)).
+    oversampling = (_RESOLVE_SAFETY * coarsest / (2.0 * math.pi)
+                    * (2.0 * abs(b) * half + np.abs(zs).max()))
+    resolved = max(1, math.ceil(math.log2(max(oversampling, 1.0))))
 
-    node_sums = np.zeros(zs.shape, dtype=complex)
-    values = np.zeros(zs.shape, dtype=complex)
-    errors = np.full(zs.shape, np.inf)
-    achieved = np.full(zs.shape, np.inf)   # smallest estimate on the ladder so far
-    level = np.zeros(zs.shape, dtype=int)
-    pending = np.ones(zs.shape, dtype=bool)
-    for j in range(top + 1):
-        rows = np.flatnonzero(pending)
-        if rows.size == 0:
+    def integrand(u):
+        return np.exp(-0.5 * u * u + 1j * (b * u * u - start * u))
+
+    errors = np.full(count, np.inf)
+    achieved, points = math.inf, 0   # achieved: the smallest level-wide largest change
+    for level in itertools.count():
+        step = coarsest / 2**level
+        reach = int(half / step)     # nodes k = -reach .. reach
+        lattice = size << level
+        if max(2 * reach + 1, lattice) > quad.max_points:
             break
-        intervals = _COARSEST_INTERVALS << j
-        step = 2.0 * half / intervals
-        if j == 0:
-            u = np.linspace(-half, half, intervals + 1)
-            weights = np.ones(u.size)
-            weights[[0, -1]] = 0.5
+        points = 2 * reach + 1
+        if level == 0:
+            fold = _fold(integrand(step * np.arange(-reach, reach + 1)), -reach, lattice)
         else:
-            u = -half + step * np.arange(1, intervals, 2)
-            weights = 1.0
-        envelope = weights * np.exp(-0.5 * u * u + 1j * (b * u * u))
-        per_block = max(1, _BLOCK_ENTRIES // u.size)
-        for lo in range(0, rows.size, per_block):
-            block = rows[lo:lo + per_block]
-            phase = np.multiply.outer(zs[block], -u)
-            f = np.empty(phase.shape, dtype=complex)  # exp(-i z u), filled in place
-            np.cos(phase, out=f.real)
-            np.sin(phase, out=f.imag)
-            f *= envelope
-            node_sums[block] += f.sum(axis=1)
-        previous = values[rows]
-        values[rows] = current = step * node_sums[rows]
-        level[rows] = j
-        if j == 0:
-            continue
-        estimate = np.abs(current - previous)
-        errors[rows] = estimate
-        achieved[rows] = np.minimum(achieved[rows], estimate)
-        # Tail-safe scale: when cancellation makes |I| tiny, hold the target
-        # to a fixed fraction of the absolute mass instead.
-        target = quad.rel_tol * np.maximum(np.abs(current), 1e-3 * _ENVELOPE_MASS)
-        pending[rows[(j >= resolved[rows]) & (estimate <= target)]] = False
+            # The odd nodes k = 2i + 1 fall on the residues 2 (i mod L/2) + 1.
+            first = -((reach + 1) // 2)
+            odd = _fold(integrand(step * (2.0 * np.arange(first, (reach - 1) // 2 + 1) + 1.0)),
+                        first, lattice // 2)
+            fold = np.stack((fold, odd), axis=1).ravel()
+        current = step * np.fft.fft(fold)[:count]
+        if level:
+            errors = np.abs(current - values)
+            achieved = min(achieved, float(errors.max()))
+            # Tail-safe scale: when cancellation makes |I| tiny, hold the target
+            # to a fixed fraction of the absolute mass instead.
+            target = quad.rel_tol * np.maximum(np.abs(current), 1e-3 * _ENVELOPE_MASS)
+            if level >= resolved and (errors <= target).all():
+                return current, errors, points
+        values = current
 
-    points = (_COARSEST_INTERVALS << level) + 1
-    if pending.any():
-        first = int(np.flatnonzero(pending)[0])
-        needed = (_COARSEST_INTERVALS << int(resolved[first])) + 1
-        unresolved = (f"; resolving its phase takes {needed} points"
-                      if needed > quad.max_points else "")
-        raise ConvergenceError(
-            f"quadrature budget of {quad.max_points} points exhausted at z = {zs[first]:.6g} "
-            f"(error estimate {achieved[first]:.3e}{unresolved})",
-            achieved=float(achieved[first]),
-            points_used=int(points[first]),
-        )
-    return values, errors, int(points.sum())
-
-
-def _oscillatory_gaussian_integral(
-    b: float, z: float, quad: QuadratureSpec
-) -> tuple[complex, float, int]:
-    """I(b, z) for one z; returns (value, err, points)."""
-    values, errors, points = _trapezoid_integral(b, np.array([z], dtype=float), quad)
-    return complex(values[0]), float(errors[0]), points
+    needed = 2 * int(half / (coarsest / 2**resolved)) + 1
+    unresolved = (f"; resolving its phase takes {needed} points"
+                  if needed > quad.max_points else "")
+    raise ConvergenceError(
+        f"quadrature budget of {quad.max_points} points exhausted at z = "
+        f"{zs[np.argmax(errors)]:.6g} (error estimate {achieved:.3e}{unresolved})",
+        achieved=achieved,
+        points_used=points,
+    )
 
 
 def _plancherel_moments(b: float, order: int, quad: QuadratureSpec) -> tuple[float, np.ndarray]:
@@ -283,9 +271,9 @@ def amplitude_numeric(
     """
     b, mean = _case_geometry(state, spectrum, paths)
     sigma_phi = spectrum.sigma_phi
-    value, _, _ = _oscillatory_gaussian_integral(
-        b, state.n_photons * sigma_phi * (tau - mean), quad or QuadratureSpec())
-    return _coherent_scale(state, state.n_photons) * (sigma_phi * value)
+    values, _, _ = _trapezoid_integral(
+        b, np.array([state.n_photons * sigma_phi * (tau - mean)]), quad or QuadratureSpec())
+    return _coherent_scale(state, state.n_photons) * (sigma_phi * complex(values[0]))
 
 
 def verify_closed_form(
@@ -297,8 +285,9 @@ def verify_closed_form(
 ) -> VerificationReport:
     """Compare the normalised numeric density against the closed form.
 
-    The numeric side is N sigma_phi |I(z)|^2 / M_0, with I(z) summed by
-    the trapezoid ladder at each grid point and the normaliser M_0 =
+    The grid must be ascending and evenly spaced, as ``np.linspace``
+    gives.  The numeric side is N sigma_phi |I(z)|^2 / M_0, with I(z) on
+    the whole grid from one trapezoid lattice and the normaliser M_0 =
     integral |I|^2 dz taken by Plancherel; at no point does it use the
     completed-square result.  The maximum relative error is taken over
     grid points where the closed-form density exceeds 1e-8 of its peak
@@ -308,6 +297,14 @@ def verify_closed_form(
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise DomainError("verification grid must be non-empty")
+    if not np.isfinite(grid).all():
+        raise DomainError("observable values must be finite")
+    # Even to within a few ulps of its largest value, as np.linspace gives.
+    steps = np.diff(grid)
+    spacing = (grid[-1] - grid[0]) / max(grid.size - 1, 1)
+    if not (np.all(steps > 0)
+            and np.all(np.abs(steps - spacing) <= 8.0 * np.spacing(np.abs(grid).max()))):
+        raise DomainError("verification grid must be ascending and evenly spaced")
     quad = quad or QuadratureSpec()
 
     dist = quantum_distribution(state, spectrum, paths)

@@ -831,6 +831,26 @@ def test_python_dash_m_runs_the_program(tmp_path, capsys):
     assert (tmp_path / "m" / report).read_bytes() == (tmp_path / "main" / report).read_bytes()
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,report", [
+    (["width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500"], "width_report.json"),
+    (["verify", "--suite", "quadrature"], "verification_report.json"),
+], ids=["width", "verify"])
+def test_closed_output_exits_1_without_traceback(tmp_path, argv, report, unbuffered):
+    # As under `qtiming ... | head -1`: the reader is gone before the first
+    # line.  A buffered stdout fails at its flush, an unbuffered one at print.
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen([sys.executable, "-m", "qtiming", *argv, "--out-dir", str(tmp_path)],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=60)
+    assert (child.returncode, stderr) == (1, "")
+    assert (tmp_path / report).is_file()
+    assert (tmp_path / f"{argv[0]}_manifest.json").is_file()
+
+
 class TestVerify:
     def test_montecarlo_suite_passes_and_is_deterministic(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "--suite", "montecarlo", "--seed", "42") == 0

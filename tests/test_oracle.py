@@ -20,7 +20,6 @@ from qtiming.oracle import (
     numeric_central_moment,
     numeric_moments,
     verify_closed_form,
-    _oscillatory_gaussian_integral,
     _plancherel_moments,
     _trapezoid_integral,
 )
@@ -50,10 +49,10 @@ def reference_integral(b, z):
 
 class TestQuadratureEngine:
     def test_pure_gaussian(self):
-        value, err, points = _oscillatory_gaussian_integral(0.0, 0.0, QuadratureSpec())
-        assert value.real == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
-        assert abs(value.imag) < 1e-14
-        assert err < 1e-12
+        values, errors, points = _trapezoid_integral(0.0, np.array([0.0]), QuadratureSpec())
+        assert values[0].real == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
+        assert abs(values[0].imag) < 1e-14
+        assert errors[0] < 1e-12
         assert points >= 15
 
     @pytest.mark.parametrize(
@@ -61,13 +60,13 @@ class TestQuadratureEngine:
         [(0.0, 2.0), (5.0, 0.0), (-5.0, 1.0), (50.0, 3.0), (500.0, 7.0), (999.0, 0.5)],
     )
     def test_against_reference_formula(self, b, z):
-        value, _, _ = _oscillatory_gaussian_integral(b, z, QuadratureSpec())
+        values, _, _ = _trapezoid_integral(b, np.array([z]), QuadratureSpec())
         expected = reference_integral(b, z)
-        assert abs(value - expected) / abs(expected) < 1e-10
+        assert abs(values[0] - expected) / abs(expected) < 1e-10
 
     def test_budget_exhaustion_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as excinfo:
-            _oscillatory_gaussian_integral(800.0, 0.0, QuadratureSpec(max_points=600))
+            _trapezoid_integral(800.0, np.array([0.0]), QuadratureSpec(max_points=600))
         assert excinfo.value.achieved > 0
         assert excinfo.value.points_used <= 600
 
@@ -75,44 +74,53 @@ class TestQuadratureEngine:
         achieved = []
         for max_points in (600, 1200, 2400, 4800):
             try:
-                _, err, _ = _oscillatory_gaussian_integral(
-                    800.0, 0.0, QuadratureSpec(max_points=max_points, rel_tol=1e-12)
+                _, errors, _ = _trapezoid_integral(
+                    800.0, np.array([0.0]), QuadratureSpec(max_points=max_points, rel_tol=1e-12)
                 )
-                achieved.append(err)
+                achieved.append(errors[0])
             except ConvergenceError as exc:
                 achieved.append(exc.achieved)
         assert all(b <= a for a, b in zip(achieved, achieved[1:]))
 
     def test_determinism(self):
-        a = _oscillatory_gaussian_integral(137.0, 2.5, QuadratureSpec())
-        b = _oscillatory_gaussian_integral(137.0, 2.5, QuadratureSpec())
-        assert a == b
+        zs = np.linspace(-40.0, 60.0, 37)
+        first = _trapezoid_integral(137.0, zs, QuadratureSpec())
+        again = _trapezoid_integral(137.0, zs, QuadratureSpec())
+        assert first[0].tolist() == again[0].tolist()
+        assert first[1].tolist() == again[1].tolist()
+        assert first[2] == again[2]
 
 
 class TestTrapezoidVectorisation:
-    """Each z's value depends only on (b, z, quad), however the zs are batched."""
+    """One FFT-folded lattice per grid gives the one-point sums at each z."""
 
-    ZS = np.concatenate([np.linspace(-40.0, 40.0, 37), [0.0, 1e-3, 250.0]])
+    ZS = np.linspace(-40.0, 60.0, 37)
 
     @pytest.mark.parametrize("b", [0.0, 1.37, -12.0, 137.0])
-    def test_vectorised_matches_scalar_per_z(self, b):
+    def test_lattice_matches_one_point_sums(self, b):
         quad = QuadratureSpec()
-        values, errors, points = _trapezoid_integral(b, self.ZS, quad)
-        scalar = [_oscillatory_gaussian_integral(b, float(z), quad) for z in self.ZS]
-        assert values.tolist() == [value for value, _, _ in scalar]
-        assert errors.tolist() == [err for _, err, _ in scalar]
-        assert points == sum(used for _, _, used in scalar)
+        values, _, points = _trapezoid_integral(b, self.ZS, quad)
+        single = [_trapezoid_integral(b, np.array([z]), quad) for z in self.ZS]
+        one_point = np.array([value[0] for value, _, _ in single])
+        assert np.abs(values - one_point).max() <= 1e-12 * np.abs(one_point).max()
+        assert points < sum(used for _, _, used in single)
 
-    @pytest.mark.parametrize("b", [0.0, 137.0])
-    def test_block_split_leaves_values_unchanged(self, b, monkeypatch):
+    @pytest.mark.parametrize("b", [0.0, 1.37])
+    def test_every_grid_point_meets_the_tolerance(self, b):
+        # On [0, 10] the far end settles a level after z = 0: there the
+        # sum's period 2 pi / h still folds in the peak.
         quad = QuadratureSpec()
-        whole = _trapezoid_integral(b, self.ZS, quad)
-        # Small enough that every level splits the zs over several blocks.
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 64)
-        split = _trapezoid_integral(b, self.ZS, quad)
-        assert split[0].tolist() == whole[0].tolist()
-        assert split[1].tolist() == whole[1].tolist()
-        assert split[2] == whole[2]
+        values, errors, _ = _trapezoid_integral(b, np.linspace(0.0, 10.0, 11), quad)
+        floor = 1e-3 * math.sqrt(2.0 * math.pi)
+        assert np.all(errors <= quad.rel_tol * np.maximum(np.abs(values), floor))
+
+    def test_lattice_beyond_budget_raises(self):
+        # h dz L = 2 pi: a grid this fine needs L ~ 1e9 once h resolves the
+        # Gaussian, so the FFT length is held to the budget too.
+        quad = QuadratureSpec(max_points=4096)
+        with pytest.raises(ConvergenceError) as excinfo:
+            _trapezoid_integral(0.0, np.linspace(0.0, 1e-6, 5), quad)
+        assert excinfo.value.points_used <= quad.max_points
 
     @pytest.mark.parametrize("b,quad", [
         (800.0, QuadratureSpec(max_points=600, rel_tol=0.1)),
@@ -191,9 +199,9 @@ class TestAmplitudeNumeric:
             amplitude_numeric(state, spectrum, pair(100.0, 100.0), tau=tau)
 
     def test_phase_envelope_enforced(self, spectrum):
-        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1e6)
-        # N * gdd * sigma_phi^2 = 1e6 * 1e5 * 1.369e-7 = 1.37e4 rad > envelope
-        assert 1e6 * 1e5 * spectrum.sigma_phi**2 > PHASE_ENVELOPE_RAD
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1e7)
+        # N * gdd * sigma_phi^2 = 1e7 * 1e5 * 1.369e-7 = 1.37e5 rad > envelope
+        assert 1e7 * 1e5 * spectrum.sigma_phi**2 > PHASE_ENVELOPE_RAD
         with pytest.raises(DomainError, match="envelope"):
             amplitude_numeric(state, spectrum, pair(5e4, 5e4), tau=0.0)
 
@@ -257,9 +265,31 @@ class TestVerifyClosedForm:
             verify_closed_form(state, spectrum, pair(0.0, 0.0), [50.0 * sigma])
 
     def test_phase_envelope_enforced(self, spectrum):
-        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1e6)
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1e7)
         with pytest.raises(DomainError, match="envelope"):
             verify_closed_form(state, spectrum, pair(5e4, 5e4), [0.0])
+
+    @pytest.mark.parametrize("n", [1e5, 1e6])
+    def test_fig2_plateau(self, spectrum, n):
+        # 400 cm of silica in one path: b = N gdd sigma_phi^2 reaches 1.37e4 at
+        # N = 1e6, on the plateau where dispersion destroys the gain.
+        paths = PathPair([catalog_segment("fused_silica", 400.0)], [])
+        _, gdd1, _, gdd2 = paths.coefficients()
+        grid = self.grid_for(spectrum, n, gdd1 + gdd2)
+        report = verify_closed_form(StateSpec(StateKind.ANTI_CORRELATED_FOCK, n), spectrum,
+                                    paths, grid)
+        assert report.max_rel_err < 1e-6
+
+    @pytest.mark.parametrize("grid,match", [
+        ([-2.0, -1.0, 0.5, 1.0], "evenly spaced"),
+        ([1.0, 0.0, -1.0], "ascending"),
+        ([-1.0, 0.0, 0.0, 1.0], "ascending"),
+        ([0.0, math.inf], "finite"),
+    ], ids=["uneven", "descending", "repeated", "infinite"])
+    def test_grid_must_ascend_evenly(self, spectrum, grid, match):
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3)
+        with pytest.raises(DomainError, match=match):
+            verify_closed_form(state, spectrum, pair(200.0, 200.0), grid)
 
     def test_amplitude_scale_error_is_caught(self, spectrum, monkeypatch):
         # The Plancherel normaliser does not cancel an error in the
@@ -352,12 +382,11 @@ class TestNumericMoments:
 
     @pytest.mark.parametrize("n", [1e5, 1e6])
     def test_fig2_plateau(self, spectrum, n):
-        # 400 cm of silica in one path: b = N gdd sigma_phi^2 reaches 1.37e4,
-        # beyond the amplitudes' envelope, where dispersion destroys the gain.
+        # 400 cm of silica in one path: b = N gdd sigma_phi^2 reaches 1.37e4 at
+        # N = 1e6, where dispersion destroys the gain.
         paths = PathPair([catalog_segment("fused_silica", 400.0)], [])
         delay1, gdd1, delay2, gdd2 = paths.coefficients()
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, n)
-        assert n * (gdd1 + gdd2) * spectrum.sigma_phi**2 > PHASE_ENVELOPE_RAD
         mean, sigma = numeric_moments(state, spectrum, paths)
         assert mean == pytest.approx(delay1 - delay2, abs=1e-6)
         assert sigma == pytest.approx(
@@ -365,6 +394,17 @@ class TestNumericMoments:
         # The density is Gaussian: kurtosis 3.
         fourth = numeric_central_moment(state, spectrum, paths, order=4)
         assert fourth / sigma**4 == pytest.approx(3.0, rel=1e-12)
+
+    def test_moments_reach_beyond_amplitude_envelope(self, spectrum):
+        # fig2's medium at N = 1e7: b = 1.37e5, beyond the amplitudes' envelope.
+        paths = PathPair([catalog_segment("fused_silica", 400.0)], [])
+        _, gdd1, _, gdd2 = paths.coefficients()
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1e7)
+        assert 1e7 * (gdd1 + gdd2) * spectrum.sigma_phi**2 > PHASE_ENVELOPE_RAD
+        with pytest.raises(DomainError, match="envelope"):
+            amplitude_numeric(state, spectrum, paths, tau=0.0)
+        _, sigma = numeric_moments(state, spectrum, paths)
+        assert sigma == pytest.approx(quantum_width(spectrum.sigma_phi, 1e7, gdd1 + gdd2), rel=1e-6)
 
 
 class TestPlancherelMoments:

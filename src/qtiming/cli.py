@@ -5,7 +5,8 @@ ratio, locate transition photon numbers, evaluate air dispersion, and run
 the numerical verification suites.  Every command writes one CSV or JSON
 report, then a run manifest (JSON) listing its parameters with units and
 that file, so a run can be reproduced from the manifest alone; an output
-path that cannot be opened is a usage error.  CSV output is RFC-4180
+path that cannot be opened or written is a usage error, which removes the
+partial file and writes no manifest.  CSV output is RFC-4180
 style with '.' decimals and shortest-roundtrip float formatting, byte
 identical across reruns with equal parameters.
 
@@ -20,11 +21,13 @@ OpenBLAS with one thread unless a BLAS thread variable is already set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import os
 import re
+import stat
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -83,14 +86,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _open_output(args, filename: str):
-    """``(path, file)`` for ``filename`` in the output directory; an OSError is a usage error."""
+@contextlib.contextmanager
+def _output(args, filename: str):
+    """Open ``filename`` in the output directory as ``(path, file)`` for a ``with`` block.
+
+    An OSError from creating the directory, opening the file or writing it
+    in the block is a usage error, ``cannot write <path>: <reason>``; a
+    BrokenPipeError is left to :func:`main`.  If the block raises, the
+    partial file is removed, but only while ``path`` still names the
+    regular file that was opened: a symlink, a device or a pipe given as
+    the output is left in place.
+    """
     out = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
+    path = out / filename
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return out / filename, (out / filename).open("wb")
+        fh = path.open("wb")
     except OSError as exc:
         raise argparse.ArgumentError(None, f"cannot write {exc.filename}: {exc.strerror}") from None
+    opened = os.fstat(fh.fileno())
+    try:
+        with fh:
+            yield path, fh
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(os.lstat(path), opened):
+                path.unlink()
+        if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
+            raise argparse.ArgumentError(
+                None, f"cannot write {exc.filename or path}: {exc.strerror}") from None
+        raise
 
 
 def _dump_json(fh, payload: dict) -> None:
@@ -98,8 +123,7 @@ def _dump_json(fh, payload: dict) -> None:
 
 
 def _write_json(args, filename: str, payload: dict) -> Path:
-    path, fh = _open_output(args, filename)
-    with fh:
+    with _output(args, filename) as (path, fh):
         _dump_json(fh, payload)
     return path
 
@@ -213,10 +237,9 @@ def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n_rows = len(columns[0])
     first, *rest = _row_shares(n_rows)
-    path, fh = _open_output(args, args.out)
-    children = []
-    try:
-        with fh:
+    with _output(args, args.out) as (path, fh):
+        children = []
+        try:
             for rows in rest:
                 children.append((rows, *_fork_share(columns, rows)))
             fh.write((",".join(header) + "\r\n").encode())
@@ -231,13 +254,10 @@ def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
                             f"(pid {pid}) exited with status {status}")
                     tmp.seek(0)
                     shutil.copyfileobj(tmp, fh)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    finally:
-        for _, pid, tmp in children:
-            tmp.close()
-            os.waitpid(pid, 0)
+        finally:
+            for _, pid, tmp in children:
+                tmp.close()
+                os.waitpid(pid, 0)
     _write_manifest(args, parameters, path)
     print(f"wrote {path} ({n_rows} rows)")
 
@@ -514,14 +534,13 @@ def _cmd_media(parser: _Parser, args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _run_quadrature_suite(max_points: int | None) -> list[dict]:
+def _run_quadrature_suite(quad) -> list[dict]:
     import numpy as np
 
-    from .oracle import QuadratureSpec, verify_closed_form
+    from .oracle import verify_closed_form
 
     tolerance = 1e-6
     spectrum = GaussianSpectrum.from_si(3.7e11)
-    quad = QuadratureSpec(max_points=max_points) if max_points is not None else QuadratureSpec()
     cases = []
     for kind, n, gdd_total in itertools.product(StateKind, (1, 3, 10, 100), (0.0, 500.0, 1.0e5)):
         magnitudes = (1.2, 0.8) if kind is StateKind.ENTANGLED_COHERENT else (None, None)
@@ -584,30 +603,28 @@ def _run_montecarlo_suite(seed: int) -> list[dict]:
 
 
 def _cmd_verify(parser: _Parser, args) -> int:
-    # Checked before any suite runs, whichever suite uses the seed.
+    from .oracle import QuadratureSpec
+
+    # Checked before the report is opened, whichever suite uses them.
     if not 0 <= args.seed < 2**64:
         raise DomainError(f"--seed must be in [0, 2^64), got {args.seed}")
+    quad = QuadratureSpec() if args.max_points is None else QuadratureSpec(max_points=args.max_points)
     # Opened first, so that an unwritable report costs no suite run; a
     # suite that raises leaves no report behind.
-    report_path, fh = _open_output(args, args.out)
-    try:
-        with fh:
-            cases: list[dict] = []
-            if args.suite in ("quadrature", "all"):
-                cases.extend(_run_quadrature_suite(args.max_points))
-            if args.suite in ("montecarlo", "all"):
-                cases.extend(_run_montecarlo_suite(args.seed))
-            passed = all(case["passed"] for case in cases)
-            _dump_json(fh, {
-                "schema": REPORT_SCHEMA,
-                "suite": args.suite,
-                "seed": args.seed,
-                "cases": cases,
-                "passed": passed,
-            })
-    except BaseException:
-        report_path.unlink(missing_ok=True)
-        raise
+    with _output(args, args.out) as (report_path, fh):
+        cases: list[dict] = []
+        if args.suite in ("quadrature", "all"):
+            cases.extend(_run_quadrature_suite(quad))
+        if args.suite in ("montecarlo", "all"):
+            cases.extend(_run_montecarlo_suite(args.seed))
+        passed = all(case["passed"] for case in cases)
+        _dump_json(fh, {
+            "schema": REPORT_SCHEMA,
+            "suite": args.suite,
+            "seed": args.seed,
+            "cases": cases,
+            "passed": passed,
+        })
     _write_manifest(args, {"suite": args.suite, "seed": args.seed,
                            "max_points": args.max_points, "out": args.out}, report_path)
 

@@ -15,25 +15,19 @@ photons a shard's block reads the first ``count * w`` variates of its
 substream as ``count`` rows of its width w, a prefix of what any larger N
 reads, so :func:`sample_classical_scaling` draws each substream once for
 all the widths it is read at, as far as the widest needs, in passes
-(:func:`_passes`).  Each pass's rows are split into equal
-slices of about ``_TASK_NORMALS`` variates (:func:`_slices`), and each
-slice is one task for a thread pool sized to the CPUs this process may
-use.  A task starts its slice's generator at the slice's first variate by
-advancing the Philox counter, which skips exactly four raw draws per step;
-the slices are cut so that every slice starts on a multiple of four
-variates and of every width of the pass.  It draws the slice in chunks of
-about ``_CHUNK_NORMALS`` variates (1 MiB, inside a core's L2 cache), each
-a multiple of every width, into one of the draw buffers the call
-allocates once per thread, and sums each trial's row at each width.  Block
-0's row sums go straight into each N's trial sums, as their first terms;
-the sampler adds later blocks' row sums into them in block order.
-Neither the thread count, the slicing, the chunking nor the other photon
-numbers of a call changes a bit of the result: a counter offset reaches
-the same variates as drawing up to it, the row sum of one trial never
-spans a chunk or a slice, and every trial sees the same additions in the
-same order.  (Writing block 0's row sum gives the bits of adding it to
-zero, as a sampler that adds every block would: no variate is -0, so no
-row sum is.)
+(:func:`_passes`).  Each pass over a substream is one task for a thread
+pool sized to the CPUs this process may use.  The task draws the
+substream from its start in chunks of about ``_CHUNK_NORMALS`` variates
+(1 MiB, inside a core's L2 cache), each a multiple of every width of the
+pass, into one of the draw buffers the call allocates once per thread,
+and sums each trial's row at each width.  Block 0's row sums go straight
+into each N's trial sums, as their first terms; the sampler adds later
+blocks' row sums into them in block order.  Neither the thread count, the
+chunking nor the other photon numbers of a call changes a bit of the
+result: the row sum of one trial never spans two chunks, and every trial
+sees the same additions in the same order.  (Writing block 0's row sum
+gives the bits of adding it to zero, as a sampler that adds every block
+would: no variate is -0, so no row sum is.)
 """
 
 from __future__ import annotations
@@ -60,7 +54,6 @@ __all__ = [
 SHARD_TRIALS = 1 << 15
 MAX_PHOTONS_PER_TRIAL = 1_000_000
 _DRAW_BLOCK = 4_000_000  # cap on variates per (shard, block) substream
-_TASK_NORMALS = 1 << 20  # variates per task: one slice of a substream's rows
 # Variates drawn at once within a task: 1 MiB, inside a core's L2 cache.
 # Each chunk takes the GIL four times; at 2^15, on a 2-vCPU Xeon, the two
 # workers slept about twice as long waiting for it, at the same CPU time.
@@ -193,34 +186,18 @@ def _in_order(pool: ThreadPoolExecutor, fn, tasks, window: int):
         yield key, future.result()
 
 
-def _slices(count: int, cols: int, unit: int = 4):
-    """Row ranges ``(lo, hi)`` that split a ``count`` x ``cols`` substream into tasks.
-
-    The slices are equal but for a shorter last one, each holds about
-    ``_TASK_NORMALS`` variates, and every ``lo * cols`` is a multiple of
-    ``unit`` and of ``cols``.  ``unit`` is a multiple of 4, the raw draws
-    one Philox counter step yields.
-    """
-    align = math.lcm(unit, cols) // cols
-    n_slices = -(-count * cols // _TASK_NORMALS)
-    step = -(-count // n_slices)
-    step = -(-step // align) * align
-    for lo in range(0, count, step):
-        yield lo, min(lo + step, count)
-
-
 def _passes(widths) -> list[tuple[int, ...]]:
     """``widths`` grouped into passes over one substream, each widest first.
 
     A pass draws the prefix its widest width needs once and sums its rows
-    at every width of the pass.  Its slices start on multiples of
-    ``lcm(4, widths)`` variates, so a width joins a pass only while that
-    stays within ``_CHUNK_NORMALS``; a width on its own always forms one.
+    at every width of the pass.  It draws in chunks of a multiple of
+    ``lcm(widths)`` variates, so a width joins a pass only while that stays
+    within ``_CHUNK_NORMALS``; a width on its own always forms one.
     """
     passes: list[list[int]] = []
     for w in sorted(widths, reverse=True):
         for group in passes:
-            if math.lcm(4, w, *group) <= _CHUNK_NORMALS:
+            if math.lcm(w, *group) <= _CHUNK_NORMALS:
                 group.append(w)
                 break
         else:
@@ -229,16 +206,16 @@ def _passes(widths) -> list[tuple[int, ...]]:
 
 
 def _classical_tasks(n_samples: int, photon_numbers):
-    """``(block, stream, lo, hi, targets)`` for each task, in merge order.
+    """``(block, stream, trials, targets)`` for each task, in merge order.
 
-    The task draws rows ``lo:hi``, counted at the widest width, of block
-    ``block``'s substream ``stream``.  ``targets`` lists, widest first,
-    ``(width, numbers, first, rows)`` for each width with rows there: the
-    task's ``rows`` row sums at ``width`` belong to trials ``first``
-    onwards of each photon number in ``numbers``.
+    The task draws block ``block``'s substream ``stream`` for the shard
+    whose trials are the slice ``trials``.  ``targets`` lists, widest first,
+    ``(width, numbers)`` for each width of the pass: the row sums at
+    ``width`` belong to those trials of each photon number in ``numbers``.
     """
     start = 0
     for shard, count in _shards(n_samples):
+        trials = slice(start, start + count)
         width = max(1, _DRAW_BLOCK // count)
         for block, done in enumerate(range(0, max(photon_numbers), width)):
             users: dict[int, list[int]] = {}
@@ -247,42 +224,33 @@ def _classical_tasks(n_samples: int, photon_numbers):
                     users.setdefault(min(width, n - done), []).append(n)
             stream = _stream_id(1, shard, block)
             for widths in _passes(users):
-                for lo, hi in _slices(count, widths[0], math.lcm(4, *widths)):
-                    targets = []
-                    for w in widths:
-                        first = lo * widths[0] // w
-                        rows = min(hi * widths[0] // w, count) - first
-                        if rows > 0:
-                            targets.append((w, users[w], start + first, rows))
-                    yield block, stream, lo, hi, targets
+                yield block, stream, trials, [(w, users[w]) for w in widths]
         start += count
 
 
-def _block_row_sums(buffers: queue.SimpleQueue, seed: int, stream: int, lo: int, hi: int,
+def _block_row_sums(buffers: queue.SimpleQueue, seed: int, stream: int,
                     outs: list[tuple[int, np.ndarray]]) -> None:
     """Row sums of substream ``stream`` at several widths, from one draw.
 
-    ``outs`` lists ``(width, out)`` pairs, widest first.  The call draws
-    rows ``lo:hi`` at the widest width, and ``out`` receives the sums of
-    the first ``out.size`` rows at ``width`` that start there.  The first
-    variate, ``lo`` rows at the widest width, must be a multiple of 4 and
-    of every width.  The variates are drawn in chunks of a multiple of
-    every width, so that no row spans two, into a buffer of at least
-    ``max(_CHUNK_NORMALS, lcm(widths))`` floats, held from ``buffers`` for
-    the length of the call.
+    ``outs`` lists ``(width, out)`` pairs, widest first, with outs of one
+    size: ``out`` receives the sums of the first ``out.size`` rows at
+    ``width``.  The call draws those rows at the widest width from the
+    start of the substream, in chunks of a multiple of every width, so that
+    no row spans two, into a buffer of at least ``max(_CHUNK_NORMALS,
+    lcm(widths))`` floats, held from ``buffers`` for the length of the call.
     """
-    begin, end = lo * outs[0][0], hi * outs[0][0]
+    count = outs[0][1].size
+    end = count * outs[0][0]
     gen = _generator(seed, stream)
-    gen.bit_generator.advance(begin // 4)
     step = math.lcm(*(w for w, _ in outs))
     step *= max(1, _CHUNK_NORMALS // step)
     buf = buffers.get()
     try:
-        for a in range(begin, end, step):
+        for a in range(0, end, step):
             b = min(a + step, end)
             chunk = _normals(gen, b - a, out=buf[:b - a])
             for w, out in outs:
-                i, j = (a - begin) // w, min((b - begin) // w, out.size)
+                i, j = a // w, min(b // w, count)
                 if i < j:
                     chunk[:(j - i) * w].reshape(j - i, w).sum(axis=1, out=out[i:j])
     finally:
@@ -301,18 +269,17 @@ def _classical_sums(seed: int, n_samples: int, numbers: list[int]) -> dict[int, 
     sums = {n: np.empty(n_samples) for n in numbers}
 
     def tasks():
-        for block, stream, lo, hi, targets in _classical_tasks(n_samples, numbers):
+        for block, stream, trials, targets in _classical_tasks(n_samples, numbers):
             # Block 0 is each trial's first term, so its row sums are drawn
             # straight into the sums; later blocks' row sums are added.
-            outs = [(w, sums[users[0]][first:first + rows] if block == 0 else np.empty(rows))
-                    for w, users, first, rows in targets]
-            yield (block, targets, outs), (stream, lo, hi, outs)
+            outs = [(w, sums[users[0]][trials] if block == 0
+                     else np.empty(trials.stop - trials.start)) for w, users in targets]
+            yield (block, trials, targets, outs), (stream, outs)
 
     draw = functools.partial(_block_row_sums, buffers, seed)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for (block, targets, outs), _ in _in_order(pool, draw, tasks(), 2 * threads):
-            for (_, users, first, rows), (_, out) in zip(targets, outs):
-                trials = slice(first, first + rows)
+        for (block, trials, targets, outs), _ in _in_order(pool, draw, tasks(), 2 * threads):
+            for (_, users), (_, out) in zip(targets, outs):
                 if block == 0:
                     for n in users[1:]:
                         sums[n][trials] = out

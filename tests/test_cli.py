@@ -7,6 +7,7 @@ are parsed back and checked, including manifest round-trips.
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -393,6 +394,21 @@ def test_csv_writer_child_failure_leaves_no_csv_and_no_manifest(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["earlier.txt"]
 
 
+def test_csv_writer_child_failure_keeps_a_symlinked_csv(tmp_path):
+    # The partial CSV is removed only while --out names the regular file
+    # the writer opened, not a symlink to it.
+    (tmp_path / "target.csv").write_text("kept\n")
+    (tmp_path / "scan.csv").symlink_to(tmp_path / "target.csv")
+    result = subprocess.run(
+        [sys.executable, "-c", FAILING_CHILD, "scan", "--sigma-phi", "3.7e11", "--B", "500",
+         "--n-min", "1", "--n-max", "100", "--n-points", "40", "--out-dir", str(tmp_path)],
+        env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode != 0
+    assert "exited with status 1" in result.stderr
+    assert (tmp_path / "scan.csv").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv", "target.csv"]
+
+
 def test_csv_writer_without_fork_formats_in_one_process(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 8)
     monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
@@ -574,6 +590,53 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, monkeypatch, name):
     assert "[pass]" not in out and "[FAIL]" not in out
     assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
     assert (tmp_path / "kept.txt").read_text() == "kept\n"
+
+
+WRITE_ERRORS = {
+    # A file-size limit in bytes, below the size of the output it breaks.
+    "width": (["width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500"],
+              0, "width_report.json"),
+    "scan": (["scan", "--preset", "fig2"], 2048, "scan.csv"),
+    "verify": (["verify", "--suite", "quadrature"], 2048, "verification_report.json"),
+}
+
+
+@pytest.mark.parametrize("name", WRITE_ERRORS)
+def test_write_error_is_usage_error(tmp_path, name):
+    # Under a file-size limit the write fails with EFBIG (CPython ignores
+    # SIGXFSZ): one error line and exit 1, the partial file removed and no
+    # manifest written.
+    import resource
+
+    argv, limit, output = WRITE_ERRORS[name]
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    result = subprocess.run([sys.executable, "-m", "qtiming", *argv, "--out-dir", str(tmp_path)],
+                            env=_child_env(), capture_output=True, text=True, timeout=120,
+                            preexec_fn=limit_file_size)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"qtiming: error: cannot write {tmp_path / output}: File too large\n" in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_manifest_write_error_is_usage_error(tmp_path, capsys, monkeypatch):
+    dump_json = cli._dump_json
+
+    def full_disk(fh, payload):
+        if payload.get("schema") == cli.MANIFEST_SCHEMA:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        dump_json(fh, payload)
+
+    monkeypatch.setattr(cli, "_dump_json", full_disk)
+    assert exit_code(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"qtiming: error: cannot write {tmp_path / 'width_manifest.json'}: " \
+        f"{os.strerror(errno.ENOSPC)}\n" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["width_report.json"]
 
 
 # Argv property test: every drawn command line ends in exit 0, 1 or 2 with
@@ -875,6 +938,35 @@ class TestVerify:
         with pytest.raises(KeyboardInterrupt):
             run(tmp_path, "verify", "--suite", "montecarlo")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("target", ["file", "devnull"])
+    def test_suite_that_raises_keeps_a_symlinked_report(self, tmp_path, monkeypatch, target):
+        def interrupted(seed):
+            raise KeyboardInterrupt
+
+        (tmp_path / "target.json").write_text("kept\n")
+        destination = tmp_path / "target.json" if target == "file" else Path(os.devnull)
+        (tmp_path / "report.json").symlink_to(destination)
+        monkeypatch.setattr(cli, "_run_montecarlo_suite", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(tmp_path, "verify", "--suite", "montecarlo", "--out", "report.json")
+        assert (tmp_path / "report.json").is_symlink()
+        assert Path(os.devnull).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "target.json"]
+
+    def test_small_budget_exits_before_the_report_is_opened(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def never(*args):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "_run_quadrature_suite", never)
+        monkeypatch.setattr(cli, "_run_montecarlo_suite", never)
+        (tmp_path / "verification_report.json").write_text("earlier report\n")
+        assert exit_code(tmp_path, "verify", "--suite", "quadrature", "--max-points", "10") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qtiming: error: max_points") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["verification_report.json"]
+        assert (tmp_path / "verification_report.json").read_text() == "earlier report\n"
 
     def test_report_lines_printed(self, tmp_path, capsys):
         run(tmp_path, "verify", "--suite", "montecarlo", "--seed", "1")

@@ -190,19 +190,6 @@ class TestClassicalStream:
         monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 1)
         assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
 
-    @pytest.mark.parametrize("task_normals", [4 * 300, 50_000, 1 << 20])
-    def test_task_slicing_leaves_bits_unchanged(self, monkeypatch, task_normals):
-        # 4 x 300 variates: slices of a handful of rows, each started by a
-        # counter offset; 50,000 splits no substream evenly.
-        monkeypatch.setattr(montecarlo, "_TASK_NORMALS", task_normals)
-        assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
-
-    def test_slices_larger_than_draw_chunks_leave_bits_unchanged(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_TASK_NORMALS", 50_000)
-        monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 7_000)
-        monkeypatch.setattr(montecarlo, "_thread_count", lambda: 3)
-        assert sample_classical(1.0, self.CFG).to_dict() == self.RECORDED
-
     def test_shared_pass_leaves_recorded_bits_unchanged(self):
         # Block 0 of the full shard is read at widths 1, 10, 100 and 122.
         numbers = (1, 10, 100, 300)
@@ -211,63 +198,6 @@ class TestClassicalStream:
         for n, estimate in zip(numbers[:-1], estimates):
             cfg = SamplerConfig(seed=42, n_samples=self.CFG.n_samples, n_photons=n)
             assert estimate == sample_classical(1.0, cfg)
-
-
-def test_philox_advance_skips_four_raw_draws_per_step():
-    for steps in (0, 1, 3, 1000):
-        fresh = montecarlo._generator(42, 7).bit_generator.random_raw(4 * steps + 50)
-        advanced = montecarlo._generator(42, 7).bit_generator
-        advanced.advance(steps)
-        assert advanced.random_raw(50).tolist() == fresh[4 * steps:].tolist()
-        gen = montecarlo._generator(42, 7)
-        gen.bit_generator.advance(steps)
-        expected = montecarlo._normals(montecarlo._generator(42, 7), 4 * steps + 50)[4 * steps:]
-        assert montecarlo._normals(gen, 50).view(np.uint64).tolist() == \
-            expected.view(np.uint64).tolist()
-
-
-@pytest.mark.parametrize("count,cols", [(32_768, 122), (32_768, 1), (7_232, 300), (1_696, 2_358),
-                                        (5, 3), (100, 1_000_000)])
-@pytest.mark.parametrize("task_normals", [1, 4 * 300, 1 << 20])
-def test_slices_tile_the_rows_on_whole_counter_steps(monkeypatch, count, cols, task_normals):
-    monkeypatch.setattr(montecarlo, "_TASK_NORMALS", task_normals)
-    slices = list(montecarlo._slices(count, cols))
-    assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
-    assert slices[-1][1] == count
-    assert all(lo * cols % 4 == 0 for lo, _ in slices)
-    sizes = [hi - lo for lo, hi in slices]
-    assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
-    # About task_normals variates each: no more slices than the substream needs.
-    assert len(slices) <= -(-count * cols // task_normals)
-
-
-@pytest.mark.parametrize("n_photons", [1, 2, 7, 122])
-def test_slices_of_odd_widths_leave_bits_unchanged(monkeypatch, n_photons):
-    # Widths not divisible by 4 need slices of 2 or 4 rows, so that each
-    # slice starts on a whole Philox counter step.
-    cfg = SamplerConfig(seed=9, n_samples=1000, n_photons=n_photons)
-    whole = sample_classical(1.0, cfg)
-    monkeypatch.setattr(montecarlo, "_TASK_NORMALS", 30)
-    assert sample_classical(1.0, cfg) == whole
-
-
-def test_one_substream_is_split_into_several_tasks(monkeypatch):
-    # 30,000 trials of 100 photons: one shard, one block, 3e6 variates.
-    cfg = SamplerConfig(seed=3, n_samples=30_000, n_photons=100)
-    whole = sample_classical(1.0, cfg)
-    calls = []
-
-    def recording(buffers, seed, stream, lo, hi, cols):
-        calls.append((stream, lo, hi, cols))
-        return block_row_sums(buffers, seed, stream, lo, hi, cols)
-
-    block_row_sums = montecarlo._block_row_sums
-    monkeypatch.setattr(montecarlo, "_block_row_sums", recording)
-    assert sample_classical(1.0, cfg) == whole
-    assert len(calls) >= 2
-    assert {stream for stream, *_ in calls} == {montecarlo._stream_id(1, 0, 0)}
-    assert sorted((lo, hi) for _, lo, hi, _ in calls) == \
-        list(montecarlo._slices(30_000, 100))
 
 
 def reference_classical(seed, n_samples, n_photons):
@@ -299,20 +229,20 @@ SCALING_SETS = {
     # Widths that divide neither each other nor 4; in the full shards, width
     # 122 serves two photon numbers.
     "coprime": (3, 7, 122, 1000),
-    # lcm(4, 122, 100, 99) exceeds _CHUNK_NORMALS: block 0 takes two passes.
+    # lcm(122, 100, 99) exceeds _CHUNK_NORMALS: block 0 takes two passes.
     "several-passes": (97, 99, 100, 1000),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-@pytest.mark.parametrize("chunk,task", [(None, None), (7_000, 5_000), (1, 30)])
+# Ids kept from the (chunk, task size) pairs these cases once took, so that
+# the cases keep their names.
+@pytest.mark.parametrize("chunk", [None, 7_000, 1], ids=["None-None", "7000-5000", "1-30"])
 @pytest.mark.parametrize("numbers", SCALING_SETS.values(), ids=SCALING_SETS)
-def test_scaling_matches_serial_reference(monkeypatch, small_layout, numbers, threads,
-                                          chunk, task):
+def test_scaling_matches_serial_reference(monkeypatch, small_layout, numbers, threads, chunk):
     monkeypatch.setattr(montecarlo, "_thread_count", lambda: threads)
     if chunk is not None:
         monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", chunk)
-        monkeypatch.setattr(montecarlo, "_TASK_NORMALS", task)
     expected = [reference_classical(5, small_layout, n) for n in numbers]
     assert sample_classical_scaling(1.0, 5, small_layout, numbers) == expected
 
@@ -321,7 +251,6 @@ def test_scaling_under_frequent_thread_switches(monkeypatch, small_layout):
     # Workers write block 0's row sums straight into the shared sums while
     # the caller adds later blocks: a write out of block order changes bits.
     monkeypatch.setattr(montecarlo, "_thread_count", lambda: 4)
-    monkeypatch.setattr(montecarlo, "_TASK_NORMALS", 2_000)
     monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 500)
     numbers = SCALING_SETS["coprime"]
     expected = [reference_classical(8, small_layout, n) for n in numbers]
@@ -349,6 +278,26 @@ def test_each_pass_draws_its_prefix_once(monkeypatch, small_layout, numbers, per
     assert sum(drawn) == small_layout * per_trial
 
 
+def test_each_pass_over_a_substream_is_one_task(monkeypatch, small_layout):
+    calls = []
+    block_row_sums = montecarlo._block_row_sums
+
+    def recording(buffers, seed, stream, outs):
+        calls.append((stream, tuple(w for w, _ in outs)))
+        return block_row_sums(buffers, seed, stream, outs)
+
+    monkeypatch.setattr(montecarlo, "_block_row_sums", recording)
+    sample_classical_scaling(1.0, 5, small_layout, SCALING_SETS["several-passes"])
+    # 1000 photons take 9 blocks of width 122 in each full shard and 3 of
+    # width 354 in the last; block 0 takes two passes, every other block one.
+    streams = {montecarlo._stream_id(1, shard, block)
+               for shard, n_blocks in ((0, 9), (1, 9), (2, 3)) for block in range(n_blocks)}
+    firsts = [montecarlo._stream_id(1, shard, 0) for shard in range(3)]
+    assert sorted(stream for stream, _ in calls) == sorted([*streams, *firsts])
+    assert sorted(w for stream, w in calls if stream == firsts[0]) == [(99, 97), (122, 100)]
+    assert sorted(w for stream, w in calls if stream == firsts[2]) == [(99, 97), (354, 100)]
+
+
 def test_scaling_returns_one_estimate_per_entry():
     estimates = sample_classical_scaling(2.0, 4, 500, (30, 3, 30))
     assert estimates[0] == estimates[2]
@@ -361,13 +310,13 @@ def test_scaling_rejects_bad_photon_numbers(numbers):
         sample_classical_scaling(1.0, 1, 100, numbers)
 
 
-def test_passes_keep_slice_starts_within_a_chunk():
+def test_passes_keep_whole_rows_within_a_chunk():
     assert montecarlo._passes({1, 10, 100, 122}) == [(122, 100, 10, 1)]
     assert montecarlo._passes({122, 100, 99, 97}) == [(122, 100), (99, 97)]
     for widths in ([1_000_000, 3], [5, 7, 11, 13, 17, 19]):
         passes = montecarlo._passes(widths)
         assert sorted(w for group in passes for w in group) == sorted(widths)
-        assert all(len(group) == 1 or math.lcm(4, *group) <= montecarlo._CHUNK_NORMALS
+        assert all(len(group) == 1 or math.lcm(*group) <= montecarlo._CHUNK_NORMALS
                    for group in passes)
 
 

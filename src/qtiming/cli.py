@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -37,8 +36,6 @@ from ._cpus import usable_cpus
 from .distributions import (
     StateKind,
     StateSpec,
-    TimingDistribution,
-    TimingVariable,
     asymptotic_width,
     classical_shot_noise,
     classical_width,
@@ -58,6 +55,7 @@ from .media import (
     reference_air_beta,
 )
 from .spectral import GaussianSpectrum
+from .verify import SUITES
 
 MANIFEST_SCHEMA = "qtiming.run-manifest/1"
 REPORT_SCHEMA = "qtiming.verification-report/1"
@@ -76,6 +74,13 @@ _MAX_GRID_ROWS = 1 << 22
 _REPORT_COMMANDS = ("width", "transition", "media")
 # The variables OpenBLAS reads its thread count from, in its order of precedence.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Parsed names that are not parameters of the computation, and the manifest
+# keys of the flags whose names carry no unit.
+_NOT_PARAMETERS = ("command", "func", "preset", "out_dir", "json")
+_PARAMETER_KEYS = {"sigma_phi": "sigma_phi_rad_per_s", "B": "B_fs2", "wavelength": "wavelength_nm",
+                   "beta": "beta_fs2_per_cm", "x_min": "x_min_cm", "x_max": "x_max_cm",
+                   "temperature": "temperature_c", "pressure": "pressure_pa",
+                   "rh": "relative_humidity"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,21 +133,27 @@ def _write_json(args, filename: str, payload: dict) -> Path:
     return path
 
 
-def _write_manifest(args, parameters: dict, output: Path) -> None:
+def _parameters(args) -> dict:
+    """The command's flags, in flag order, keyed with their units: the manifest's parameters."""
+    return {_PARAMETER_KEYS.get(name, name): value
+            for name, value in vars(args).items() if name not in _NOT_PARAMETERS}
+
+
+def _write_manifest(args, output: Path) -> None:
     _write_json(args, f"{args.command}_manifest.json", {
         "schema": MANIFEST_SCHEMA,
         "command": args.command,
-        "parameters": parameters,
+        "parameters": _parameters(args),
         "artifact_version": __version__,
         "outputs": [str(output)],
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
     })
 
 
-def _write_report(args, filename: str, payload: dict, parameters: dict) -> Path:
+def _write_report(args, filename: str, payload: dict) -> Path:
     """Write ``payload`` as the JSON report ``filename``, then its manifest."""
     path = _write_json(args, filename, payload)
-    _write_manifest(args, parameters, path)
+    _write_manifest(args, path)
     return path
 
 
@@ -209,7 +220,7 @@ def _fork_share(columns, rows: range):
     return pid, tmp
 
 
-def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
+def _write_csv(args, header: list[str], columns) -> None:
     """Write equal-length float columns to the ``--out`` CSV, plus its manifest.
 
     Every cell is the shortest round-trip ``repr`` of a Python float, and
@@ -258,7 +269,7 @@ def _write_csv(args, header: list[str], columns, parameters: dict) -> None:
             for _, pid, tmp in children:
                 tmp.close()
                 os.waitpid(pid, 0)
-    _write_manifest(args, parameters, path)
+    _write_manifest(args, path)
     print(f"wrote {path} ({n_rows} rows)")
 
 
@@ -280,12 +291,6 @@ def _parse_segment(text: str) -> MediumSegment:
     return catalog_segment(material, length_cm)
 
 
-def _symmetric_paths(gdd_total: float) -> PathPair:
-    """A bare total GDD (fs^2), split evenly over two single-segment paths."""
-    half = MediumSegment("aggregate", alpha=0.0, beta=gdd_total / 2.0, length=1.0)
-    return PathPair([half], [half])
-
-
 def _paths_from_args(parser: _Parser, args) -> tuple[PathPair, float]:
     """Resolve media flags into a PathPair; returns (paths, gdd_sum fs^2)."""
     has_paths = bool(args.path1 or args.path2)
@@ -295,10 +300,9 @@ def _paths_from_args(parser: _Parser, args) -> tuple[PathPair, float]:
     if not has_paths and not has_b:
         parser.error("media unspecified: give --B or --path1/--path2 explicitly")
     if has_b:
-        return _symmetric_paths(args.B), args.B
-    path1 = [_parse_segment(s) for s in (args.path1 or [])]
-    path2 = [_parse_segment(s) for s in (args.path2 or [])]
-    paths = PathPair(path1, path2)
+        return PathPair.symmetric(args.B), args.B
+    paths = PathPair([_parse_segment(s) for s in args.path1],
+                     [_parse_segment(s) for s in args.path2])
     _, gdd1, _, gdd2 = paths.coefficients()
     return paths, gdd1 + gdd2
 
@@ -342,16 +346,6 @@ def _state_from_args(parser: _Parser, args) -> StateSpec:
     return StateSpec(kind=kind, n_photons=args.n)
 
 
-def _media_params(args) -> dict:
-    return {
-        "sigma_phi_rad_per_s": args.sigma_phi,
-        "B_fs2": args.B,
-        "path1": list(args.path1 or []),
-        "path2": list(args.path2 or []),
-        "wavelength_nm": args.wavelength,
-    }
-
-
 def _emit(args, payload: dict) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -365,13 +359,15 @@ def _add_media_flags(sub: _Parser) -> None:
     sub.add_argument("--sigma-phi", type=float, default=None,
                      help="spectral one-sigma width, rad/s")
     sub.add_argument("--wavelength", type=float, default=800.0,
-                     help="carrier wavelength, nm (default 800)")
+                     help="carrier wavelength, nm (default 800); validated and recorded in "
+                          "the manifest, but it changes no number: silica comes from the "
+                          "800 nm catalog and air: segments from reference air at 800 nm")
     sub.add_argument("--B", type=float, default=None,
                      help="total group-delay dispersion beta1*x1 + beta2*x2, fs^2 "
                           "(split evenly over the two paths); conflicts with --path*")
-    sub.add_argument("--path1", action="append", metavar="MATERIAL:LENGTH",
+    sub.add_argument("--path1", action="append", default=[], metavar="MATERIAL:LENGTH",
                      help="segment of path 1, e.g. silica:1cm or air:10km (repeatable)")
-    sub.add_argument("--path2", action="append", metavar="MATERIAL:LENGTH",
+    sub.add_argument("--path2", action="append", default=[], metavar="MATERIAL:LENGTH",
                      help="segment of path 2 (repeatable)")
 
 
@@ -400,9 +396,7 @@ def _cmd_width(parser: _Parser, args) -> int:
         "asymptotic_width_fs": asymptotic_width(spectrum.sigma_phi, gdd_sum),
         "amplitude_scale": dist.amplitude_scale,
     }
-    _write_report(args, "width_report.json", payload,
-                  {**_media_params(args), "n": args.n, "state": args.state,
-                   "v": args.v, "u": args.u})
+    _write_report(args, "width_report.json", payload)
     _emit(args, payload)
     return 0
 
@@ -420,9 +414,7 @@ def _cmd_scan(parser: _Parser, args) -> int:
     columns = (n, sigma_phi * quantum_width(sigma_phi, n, gdd_sum),
                sigma_phi * classical_shot_noise(sigma_t, n))
 
-    _write_csv(args, ["N", "p_quantum", "p_classical"], columns,
-               {**_media_params(args), "n_min": args.n_min, "n_max": args.n_max,
-                "n_points": args.n_points, "out": args.out})
+    _write_csv(args, ["N", "p_quantum", "p_classical"], columns)
     return 0
 
 
@@ -459,12 +451,7 @@ def _cmd_surface(parser: _Parser, args) -> int:
                  / classical_shot_noise(classical_width(sigma_phi, gdd_path, gdd_path), n))
     clipped = np.maximum(ratio, 1.0) if args.clip == "unity" else ratio
 
-    _write_csv(
-        args, ["N", "x_cm", "R", "R_raw"], [a.ravel() for a in (n, x, clipped, ratio)],
-        {"sigma_phi_rad_per_s": args.sigma_phi, "beta_fs2_per_cm": args.beta,
-         "n_min": args.n_min, "n_max": args.n_max, "n_points": args.n_points,
-         "x_min_cm": args.x_min, "x_max_cm": args.x_max, "x_points": args.x_points,
-         "clip": args.clip, "out": args.out})
+    _write_csv(args, ["N", "x_cm", "R", "R_raw"], [a.ravel() for a in (n, x, clipped, ratio)])
     return 0
 
 
@@ -484,7 +471,7 @@ def _cmd_transition(parser: _Parser, args) -> int:
     }
     if not math.isfinite(payload["equivalent_air_total_m"]):
         raise DomainError(f"the air length equivalent to gdd_sum {gdd_sum} fs^2 overflows float64")
-    _write_report(args, "transition_report.json", payload, _media_params(args))
+    _write_report(args, "transition_report.json", payload)
     _emit(args, payload)
     return 0
 
@@ -492,10 +479,6 @@ def _cmd_transition(parser: _Parser, args) -> int:
 # -- media --------------------------------------------------------------------
 
 def _cmd_media(parser: _Parser, args) -> int:
-    # The manifest's parameters, which an air report also starts with.
-    parameters = {"material": args.material, "formula": args.formula,
-                  "wavelength_nm": args.wavelength, "temperature_c": args.temperature,
-                  "pressure_pa": args.pressure, "relative_humidity": args.rh}
     # Built for every material, so that no report records an unphysical condition.
     conditions = AirConditions(
         temperature_c=args.temperature,
@@ -510,7 +493,7 @@ def _cmd_media(parser: _Parser, args) -> int:
         refractivity = AIR_FORMULAS[args.formula](conditions)
         beta = air_dispersion_coefficient(conditions, formula=args.formula)
         payload = {
-            **parameters,
+            **_parameters(args),   # the manifest's parameters, in flag order
             "n_minus_1": refractivity,
             "beta_fs2_per_cm": beta,
             "length_equivalent_to_1cm_silica_m": silica_beta / beta / 100.0,
@@ -527,80 +510,12 @@ def _cmd_media(parser: _Parser, args) -> int:
         }
         if entry.beta != 0:
             payload["length_equivalent_to_1cm_silica_cm"] = silica_beta / entry.beta
-    _write_report(args, "media_report.json", payload, parameters)
+    _write_report(args, "media_report.json", payload)
     _emit(args, payload)
     return 0
 
 
 # -- verify -------------------------------------------------------------------
-
-def _run_quadrature_suite(quad) -> list[dict]:
-    import numpy as np
-
-    from .oracle import verify_closed_form
-
-    tolerance = 1e-6
-    spectrum = GaussianSpectrum.from_si(3.7e11)
-    cases = []
-    for kind, n, gdd_total in itertools.product(StateKind, (1, 3, 10, 100), (0.0, 500.0, 1.0e5)):
-        magnitudes = (1.2, 0.8) if kind is StateKind.ENTANGLED_COHERENT else (None, None)
-        state = StateSpec(kind, n, *magnitudes)
-        sigma = quantum_width(spectrum.sigma_phi, n, gdd_total)
-        grid = np.linspace(-5.0 * sigma, 5.0 * sigma, 41)
-        case = {"name": f"{kind.value}/N={n}/gdd={gdd_total:g}", "tolerance": tolerance}
-        try:
-            report = verify_closed_form(state, spectrum, _symmetric_paths(gdd_total), grid, quad)
-            case["max_rel_err"] = report.max_rel_err
-            case["points_used"] = report.points_used
-            case["passed"] = report.max_rel_err < tolerance
-        except ConvergenceError as exc:
-            case["error"] = str(exc)
-            case["achieved"] = exc.achieved
-            case["passed"] = False
-        cases.append(case)
-    return cases
-
-
-def _run_montecarlo_suite(seed: int) -> list[dict]:
-    import numpy as np
-
-    from .montecarlo import SamplerConfig, sample_classical_scaling, sample_quantum
-
-    cases = []
-
-    # Scaling of the classical averaging law with photon number.
-    photon_numbers = (1, 10, 100, 1000)
-    estimates = sample_classical_scaling(1.0, seed, 100_000, photon_numbers)
-    widths = [estimate.sigma_hat for estimate in estimates]
-    slope = float(np.polyfit(np.log10(photon_numbers), np.log10(widths), 1)[0])
-    cases.append({
-        "name": "classical-averaging-slope",
-        "slope": slope,
-        "tolerance": 0.02,
-        "passed": abs(slope + 0.5) < 0.02,
-    })
-
-    # Quantum sampler consistency with the closed form.
-    dist = TimingDistribution(
-        variable=TimingVariable.MEAN_TIME_DIFFERENCE, mean=25.0, sigma=3.5)
-    estimate = sample_quantum(dist, SamplerConfig(seed=seed, n_samples=100_000))
-    sigma_ok = abs(estimate.sigma_hat - dist.sigma) < 3.0 * estimate.standard_error
-    mean_ok = abs(estimate.mean_hat - dist.mean) < 3.0 * estimate.mean_standard_error
-    cases.append({
-        "name": "quantum-sampler-consistency",
-        "estimate": estimate.to_dict(),
-        "sigma_expected": dist.sigma,
-        "passed": bool(sigma_ok and mean_ok),
-    })
-
-    # Determinism: identical seeds give bit-identical estimates.
-    repeat = sample_quantum(dist, SamplerConfig(seed=seed, n_samples=100_000))
-    cases.append({
-        "name": "determinism-per-seed",
-        "passed": repeat == estimate,
-    })
-    return cases
-
 
 def _cmd_verify(parser: _Parser, args) -> int:
     from .oracle import QuadratureSpec
@@ -612,11 +527,8 @@ def _cmd_verify(parser: _Parser, args) -> int:
     # Opened first, so that an unwritable report costs no suite run; a
     # suite that raises leaves no report behind.
     with _output(args, args.out) as (report_path, fh):
-        cases: list[dict] = []
-        if args.suite in ("quadrature", "all"):
-            cases.extend(_run_quadrature_suite(quad))
-        if args.suite in ("montecarlo", "all"):
-            cases.extend(_run_montecarlo_suite(args.seed))
+        names = list(SUITES) if args.suite == "all" else [args.suite]
+        cases = [case for name in names for case in SUITES[name](quad, args.seed)]
         passed = all(case["passed"] for case in cases)
         _dump_json(fh, {
             "schema": REPORT_SCHEMA,
@@ -625,8 +537,7 @@ def _cmd_verify(parser: _Parser, args) -> int:
             "cases": cases,
             "passed": passed,
         })
-    _write_manifest(args, {"suite": args.suite, "seed": args.seed,
-                           "max_points": args.max_points, "out": args.out}, report_path)
+    _write_manifest(args, report_path)
 
     for case in cases:
         status = "pass" if case["passed"] else "FAIL"
@@ -725,7 +636,7 @@ def build_parser() -> _Parser:
     transition.set_defaults(func=_cmd_transition)
 
     verify = sub.add_parser("verify", help="run the numerical verification suites")
-    verify.add_argument("--suite", choices=["quadrature", "montecarlo", "all"], default="all")
+    verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--max-points", type=int, default=None,
                         help="override the quadrature evaluation budget")

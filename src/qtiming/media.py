@@ -101,6 +101,12 @@ class PathPair:
         object.__setattr__(self, "path1", tuple(path1))
         object.__setattr__(self, "path2", tuple(path2))
 
+    @classmethod
+    def symmetric(cls, gdd_total: float) -> "PathPair":
+        """A bare total GDD (fs^2), split evenly over two single-segment paths."""
+        half = MediumSegment("aggregate", alpha=0.0, beta=gdd_total / 2.0, length=1.0)
+        return cls([half], [half])
+
     def coefficients(self) -> tuple[float, float, float, float]:
         """Aggregate (alpha*x, beta*x) for both paths.
 

@@ -52,17 +52,6 @@ class GaussianSpectrum:
             sigma_phi=sigma_phi_from_rad_per_s(sigma_phi_rad_per_s),
         )
 
-    @property
-    def envelope_curvature(self) -> float:
-        """1 / (2 sigma_phi^2), the Gaussian exponent coefficient, fs^2."""
-        return 1.0 / (2.0 * self.sigma_phi**2)
-
-    def amplitude(self, detuning):
-        """Spectral amplitude at a detuning (rad/fs) from the carrier."""
-        import numpy as np
-
-        return np.exp(-np.square(detuning) * self.envelope_curvature)
-
     def intensity_width(self) -> float:
         """One-sigma width (fs) of the time-domain intensity envelope.
 
@@ -72,9 +61,3 @@ class GaussianSpectrum:
         width * sigma_phi = 1/sqrt(2) exactly.
         """
         return 1.0 / (math.sqrt(2.0) * self.sigma_phi)
-
-    def shot_noise_width(self, n_photons: float) -> float:
-        """Classical timing floor (fs) from averaging n independent packets."""
-        if n_photons <= 0:
-            raise DomainError(f"photon number must be positive, got {n_photons}")
-        return self.intensity_width() / math.sqrt(n_photons)

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtiming
-from qtiming import cli
+from qtiming import cli, verify
 from qtiming.cli import main
 
 SIGMA_PHI = 3.7e-4  # rad/fs, equals the CLI's 3.7e11 rad/s input
@@ -311,7 +311,7 @@ def reference_csv(header, columns):
 
 def written_csv(tmp_path, header, columns):
     args = argparse.Namespace(out_dir=str(tmp_path), out="table.csv", command="scan")
-    cli._write_csv(args, header, columns, {})
+    cli._write_csv(args, header, columns)
     return (tmp_path / "table.csv").read_bytes()
 
 
@@ -579,8 +579,8 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, monkeypatch, name):
     # output directory, and the directory itself, are left as they were.
     # No verification suite runs for a report that cannot be written.
     (tmp_path / "kept.txt").write_text("kept\n")
-    for suite in ("_run_quadrature_suite", "_run_montecarlo_suite"):
-        monkeypatch.setattr(cli, suite, lambda *_: pytest.fail("a suite ran"))
+    for suite in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, suite, lambda *_: pytest.fail("a suite ran"))
     with pytest.raises(SystemExit) as excinfo:
         main([arg.format(dir=tmp_path) for arg in UNWRITABLE_OUTPUTS[name]])
     assert excinfo.value.code == 1
@@ -926,28 +926,59 @@ class TestVerify:
     def test_tiny_budget_surfaces_convergence_failure(self, tmp_path, capsys):
         code = run(tmp_path, "verify", "--suite", "quadrature", "--max-points", "120")
         assert code == 3
-        report = json.loads((tmp_path / "verification_report.json").read_text())
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+        report = json.loads((tmp_path / "verification_report.json").read_text(),
+                            parse_constant=reject)
         assert report["passed"] is False
-        assert any("error" in case for case in report["cases"])
+        failed = [case for case in report["cases"] if "error" in case]
+        assert failed
+        for case in failed:
+            assert type(case["points_used"]) is int and case["points_used"] <= 120
+
+    def test_suite_choices_are_the_table(self):
+        suite = next(action for action in _subcommands()["verify"]._actions
+                     if action.dest == "suite")
+        assert suite.choices == [*verify.SUITES, "all"]
+
+    def test_all_runs_each_suite_once_in_table_order(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def recorder(name):
+            def suite(quad, seed):
+                calls.append((name, quad, seed))
+                return [{"name": name, "passed": True}]
+            return suite
+
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, recorder(name))
+        assert run(tmp_path, "verify", "--suite", "all", "--seed", "7", "--max-points", "500") == 0
+        assert [name for name, _, _ in calls] == list(verify.SUITES)
+        assert all(quad is calls[0][1] and seed == 7 for _, quad, seed in calls)
+        assert calls[0][1].max_points == 500
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        assert [case["name"] for case in report["cases"]] == list(verify.SUITES)
 
     def test_suite_that_raises_leaves_no_report(self, tmp_path, monkeypatch):
-        def interrupted(seed):
+        def interrupted(quad, seed):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "_run_montecarlo_suite", interrupted)
+        monkeypatch.setitem(verify.SUITES, "montecarlo", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run(tmp_path, "verify", "--suite", "montecarlo")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("target", ["file", "devnull"])
     def test_suite_that_raises_keeps_a_symlinked_report(self, tmp_path, monkeypatch, target):
-        def interrupted(seed):
+        def interrupted(quad, seed):
             raise KeyboardInterrupt
 
         (tmp_path / "target.json").write_text("kept\n")
         destination = tmp_path / "target.json" if target == "file" else Path(os.devnull)
         (tmp_path / "report.json").symlink_to(destination)
-        monkeypatch.setattr(cli, "_run_montecarlo_suite", interrupted)
+        monkeypatch.setitem(verify.SUITES, "montecarlo", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run(tmp_path, "verify", "--suite", "montecarlo", "--out", "report.json")
         assert (tmp_path / "report.json").is_symlink()
@@ -959,8 +990,8 @@ class TestVerify:
         def never(*args):
             raise AssertionError("a suite ran")
 
-        monkeypatch.setattr(cli, "_run_quadrature_suite", never)
-        monkeypatch.setattr(cli, "_run_montecarlo_suite", never)
+        monkeypatch.setitem(verify.SUITES, "quadrature", never)
+        monkeypatch.setitem(verify.SUITES, "montecarlo", never)
         (tmp_path / "verification_report.json").write_text("earlier report\n")
         assert exit_code(tmp_path, "verify", "--suite", "quadrature", "--max-points", "10") == 2
         err = capsys.readouterr().err
@@ -982,15 +1013,15 @@ class TestVerify:
         def never(*args):
             raise AssertionError("a suite ran")
 
-        monkeypatch.setattr(cli, "_run_quadrature_suite", never)
-        monkeypatch.setattr(cli, "_run_montecarlo_suite", never)
+        monkeypatch.setitem(verify.SUITES, "quadrature", never)
+        monkeypatch.setitem(verify.SUITES, "montecarlo", never)
         assert exit_code(tmp_path, "verify", "--suite", suite, "--seed", seed) == 2
         err = capsys.readouterr().err
         assert err.startswith("qtiming: error: --seed") and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
     def test_largest_seed_is_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_run_quadrature_suite", lambda max_points: [])
+        monkeypatch.setitem(verify.SUITES, "quadrature", lambda quad, seed: [])
         assert run(tmp_path, "verify", "--suite", "quadrature", "--seed", str(2**64 - 1)) == 0
         report = json.loads((tmp_path / "verification_report.json").read_text())
         assert report["seed"] == 2**64 - 1
@@ -1007,6 +1038,12 @@ MANIFEST_RUNS = {
 }
 
 
+def _subcommands() -> dict:
+    """The subcommands' parsers, by name."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 class TestManifests:
     @pytest.mark.parametrize("command", MANIFEST_RUNS)
     def test_manifest_matches_schema(self, tmp_path, command):
@@ -1021,6 +1058,23 @@ class TestManifests:
         jsonschema.validate(manifest, schema)
         assert manifest["command"] == command
         assert manifest["outputs"] and all(Path(p).exists() for p in manifest["outputs"])
+
+    def test_runs_cover_every_command(self):
+        assert set(MANIFEST_RUNS) == set(_subcommands())
+
+    @pytest.mark.parametrize("command", MANIFEST_RUNS)
+    def test_manifest_records_every_flag(self, tmp_path, command):
+        # Each flag of the command, under its manifest key, with the value
+        # the command ran with; only the output flags and --preset are left out.
+        assert run(tmp_path, *MANIFEST_RUNS[command]) == 0
+        parameters = json.loads((tmp_path / f"{command}_manifest.json").read_text())["parameters"]
+        args = cli.build_parser().parse_args(MANIFEST_RUNS[command])
+        cli._apply_preset(args)
+        flags = [action.dest for action in _subcommands()[command]._actions
+                 if action.option_strings
+                 and action.dest not in ("help", "out_dir", "json", "preset")]
+        assert parameters == {cli._PARAMETER_KEYS.get(flag, flag): getattr(args, flag)
+                              for flag in flags}
 
     def test_out_dir_environment_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QTIMING_OUT_DIR", str(tmp_path))

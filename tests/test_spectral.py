@@ -24,18 +24,6 @@ def test_from_si_converts_units(spectrum):
     assert spectrum.omega0 == pytest.approx(2.354564459136067)
 
 
-def test_amplitude_peak(spectrum):
-    assert spectrum.amplitude(0.0) == 1.0
-
-
-def test_amplitude_at_one_sigma(spectrum):
-    assert spectrum.amplitude(spectrum.sigma_phi) == pytest.approx(math.exp(-0.5))
-
-
-def test_amplitude_at_three_sigma(spectrum):
-    assert spectrum.amplitude(3 * spectrum.sigma_phi) == pytest.approx(math.exp(-4.5))
-
-
 def test_intensity_width_value(spectrum):
     assert spectrum.intensity_width() == pytest.approx(SIGMA_G, rel=1e-12)
 
@@ -64,22 +52,13 @@ def test_intensity_width_matches_quadrature_oracle(spectrum):
     t = t_half * nodes
     w_t = t_half * weights
 
-    packet = (spectrum.amplitude(eps)[None, :] * np.exp(-1j * np.outer(t, eps))) @ w_eps
+    amplitude = np.exp(-eps**2 / (2.0 * spectrum.sigma_phi**2))
+    packet = (amplitude[None, :] * np.exp(-1j * np.outer(t, eps))) @ w_eps
     intensity = np.abs(packet) ** 2
     mass = w_t @ intensity
     mean = (w_t @ (t * intensity)) / mass
     variance = (w_t @ ((t - mean) ** 2 * intensity)) / mass
     assert math.sqrt(variance) == pytest.approx(spectrum.intensity_width(), rel=1e-6)
-
-
-def test_shot_noise_width(spectrum):
-    assert spectrum.shot_noise_width(1) == spectrum.intensity_width()
-    assert spectrum.shot_noise_width(100) == pytest.approx(spectrum.intensity_width() / 10)
-
-
-def test_shot_noise_width_rejects_nonpositive_n(spectrum):
-    with pytest.raises(DomainError):
-        spectrum.shot_noise_width(0)
 
 
 @pytest.mark.parametrize("sigma_phi", [0.0, -1.0])

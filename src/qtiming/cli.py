@@ -15,13 +15,17 @@ error, 3 verification failure.  A report or manifest written before the
 output closed stays on disk.
 
 Run as the program (``qtiming`` or ``python -m qtiming``), it starts
-OpenBLAS with one thread unless a BLAS thread variable is already set.
+OpenBLAS with one thread unless a BLAS thread variable is already set, and
+it freezes the heap (``gc.freeze``) when it is done, so that the
+interpreter's exit skips collecting objects the OS reclaims anyway.
+``main(argv)`` called in-process, and the library, do neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
@@ -72,6 +76,9 @@ _CSV_BLOCK_ROWS = 2048
 _MAX_GRID_ROWS = 1 << 22
 # The commands that print a report, and so take --json.
 _REPORT_COMMANDS = ("width", "transition", "media")
+# What a negative number after a flag looks like.  Python 3.11's argparse
+# accepts only -\d+ and -\d*\.\d+, so it takes -1e5, -5. or -inf for a flag.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 # The variables OpenBLAS reads its thread count from, in its order of precedence.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Parsed names that are not parameters of the computation, and the manifest
@@ -84,7 +91,15 @@ _PARAMETER_KEYS = {"sigma_phi": "sigma_phi_rad_per_s", "B": "B_fs2", "wavelength
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1 instead of 2."""
+    """argparse with usage errors on exit code 1 instead of 2.
+
+    A flag's value that starts like a negative float (``-1e5``, ``-5.``,
+    ``-inf``) is read as the value, not as another flag.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -683,9 +698,7 @@ def _single_threaded_blas(argv) -> None:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
-def main(argv=None) -> int:
-    _single_threaded_blas(argv)
-    parser = build_parser()
+def _run(parser: _Parser, argv) -> int:
     try:
         try:
             args = parser.parse_args(argv)
@@ -706,3 +719,15 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"qtiming: error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    _single_threaded_blas(argv)
+    try:
+        return _run(build_parser(), argv)
+    finally:
+        if argv is None:
+            # The program is done and the OS frees its heap at exit, so the
+            # interpreter's teardown need not collect it.  A host that calls
+            # main(argv) keeps its heap collectable.
+            gc.freeze()

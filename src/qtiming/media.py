@@ -87,7 +87,8 @@ class MediumSegment:
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise DomainError(f"segment {self.label!r}: alpha and beta must be finite")
         if not (math.isfinite(self.length) and self.length >= 0):
-            raise DomainError(f"segment {self.label!r}: length must be >= 0, got {self.length}")
+            raise DomainError(
+                f"segment {self.label!r}: length must be finite and >= 0, got {self.length}")
 
 
 @dataclass(frozen=True)
@@ -393,10 +394,14 @@ def equivalent_air_length(silica_length_cm: float) -> float:
     Uses the catalog silica coefficient and the Owens coefficient of
     :data:`REFERENCE_AIR` (humid standard air at 800 nm).
     """
-    if silica_length_cm < 0:
-        raise DomainError(f"silica length must be >= 0, got {silica_length_cm}")
+    if not (math.isfinite(silica_length_cm) and silica_length_cm >= 0):
+        raise DomainError(f"silica length must be finite and >= 0, got {silica_length_cm}")
     beta_silica = material_catalog()["fused_silica"].beta
-    return silica_length_cm * (beta_silica / reference_air_beta()) / 100.0
+    length_m = silica_length_cm * (beta_silica / reference_air_beta()) / 100.0
+    if not math.isfinite(length_m):
+        raise DomainError(f"the air length equivalent to {silica_length_cm} cm of silica "
+                          "overflows float64")
+    return length_m
 
 
 # -- materials catalog -------------------------------------------------------

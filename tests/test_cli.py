@@ -8,6 +8,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -510,6 +511,7 @@ BAD_INPUTS = [
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--wavelength", "-5"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "-5"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "inf"),
+    ("width", "--sigma-phi", "3.7e11", "--n", "3", "--path1", "air:1e308km"),
 ]
 
 
@@ -518,6 +520,37 @@ def test_bad_input_is_domain_error(tmp_path, capsys, argv):
     assert exit_code(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("qtiming: error:")
+
+
+NEGATIVE_VALUES = [
+    # (argv, exit code), the negative value last.  argparse's own rule reads
+    # only -\d+ and -\d*\.\d+ as numbers, so each of these once ended in
+    # "expected one argument" and exit 1.
+    (("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "-1e5"), 0),
+    (("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "-5."), 0),
+    (("surface", "--preset", "fig3", "--beta", "-2.5e2"), 0),
+    (("media", "--material", "air", "--temperature", "-2e1"), 0),
+    (("media", "--material", "air", "--temperature", "-1E1"), 0),
+    (("width", "--n", "3", "--B", "500", "--sigma-phi", "-3.7e11"), 2),
+    (("width", "--sigma-phi", "3.7e11", "--B", "500", "--n", "-1e0"), 2),
+    (("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "-8e2"), 2),
+    (("media", "--material", "air", "--temperature", "-3e2"), 2),
+    (("media", "--material", "air", "--temperature", "-inf"), 2),
+    (("media", "--material", "air", "--pressure", "-1E3"), 2),
+    (("media", "--material", "air", "--rh", "-.5e0"), 2),
+    # Grid bounds are usage errors, as in BAD_GRIDS.
+    (("scan", "--preset", "fig2", "--n-min", "-1e0"), 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", NEGATIVE_VALUES,
+                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in NEGATIVE_VALUES])
+def test_negative_value_after_a_space_is_the_flags_value(tmp_path, capsys, argv, code):
+    assert exit_code(tmp_path / "space", *argv) == code
+    err = capsys.readouterr().err
+    assert "expected one argument" not in err and "Traceback" not in err
+    # The same exit as the --flag=VALUE form, which argparse never misreads.
+    assert exit_code(tmp_path / "equals", *argv[:-2], f"{argv[-2]}={argv[-1]}") == code
 
 
 EXTREME_BANDWIDTHS = [
@@ -736,6 +769,7 @@ def test_any_command_line_exits_cleanly(argv):
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), stderr.getvalue()
+        assert gc.get_freeze_count() == 0  # in-process main(argv) never freezes
         assert "Traceback" not in stderr.getvalue()
         assert "RuntimeWarning" not in stderr.getvalue()
         if code != 0:
@@ -827,18 +861,28 @@ _FIG2 = ["scan", "--preset", "fig2"]
 
 
 def _as_program(tmp_path, argv, prelude="pass", **env: str) -> dict:
-    """Exit code, thread count and BLAS thread variables after ``main()`` ran as the program.
+    """What ``main()`` left behind when it ran as the program.
 
-    ``main()`` reads ``argv`` from ``sys.argv``, in a fresh interpreter that
-    first runs ``prelude``.  The thread count is None without Linux's /proc.
+    That is the exit code, the thread count, the BLAS thread variables and
+    the frozen object count (``gc.get_freeze_count()``).  ``main()`` reads
+    ``argv`` from ``sys.argv``, in a fresh interpreter that first runs
+    ``prelude``; a ``SystemExit`` from it gives the exit code.  The thread
+    count is None without Linux's /proc.
     """
-    probe = (f"import json, os, sys; {prelude}; "
-             f"sys.argv = ['qtiming', *{[*argv, '--out-dir', str(tmp_path)]!r}]; "
-             "from qtiming.cli import main, _BLAS_THREAD_VARIABLES; code = main(); "
-             "task = '/proc/self/task'; "
-             "print(json.dumps({'code': code, "
-             "'threads': len(os.listdir(task)) if os.path.isdir(task) else None, "
-             "'env': {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}}))")
+    probe = "\n".join([
+        f"import gc, json, os, sys; {prelude}",
+        f"sys.argv = ['qtiming', *{[*argv, '--out-dir', str(tmp_path)]!r}]",
+        "from qtiming.cli import main, _BLAS_THREAD_VARIABLES",
+        "try:",
+        "    code = main()",
+        "except SystemExit as exc:",
+        "    code = exc.code",
+        "task = '/proc/self/task'",
+        "print(json.dumps({'code': code, "
+        "'threads': len(os.listdir(task)) if os.path.isdir(task) else None, "
+        "'env': {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}, "
+        "'frozen': gc.get_freeze_count()}))",
+    ])
     return json.loads(_probe(probe, **env))
 
 
@@ -850,6 +894,34 @@ def test_program_entry_starts_blas_single_threaded(tmp_path):
     result = _as_program(tmp_path, _FIG2)
     assert result["code"] == 0
     assert result["env"] == _blas_env(OPENBLAS_NUM_THREADS="1")
+    assert result["frozen"] > 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500"], 0),
+    (["width", "--sigma-phi", "1e308", "--n", "10", "--B", "500"], 2),
+    (["verify", "--suite", "quadrature", "--max-points", "120"], 3),
+    (["scan", "--preset", "fig2", "--n-points", "0"], 1),     # parser.error's SystemExit
+    (["width", "--no-such-flag"], 1),                           # parse_args' SystemExit
+    (["--version"], 0),
+], ids=["returns-0", "returns-2", "returns-3", "usage-error", "bad-flag", "version"])
+def test_program_entry_freezes_the_heap_on_every_exit(tmp_path, argv, code):
+    # Finalisation's collections skip a frozen heap; the exit code stays.
+    result = _as_program(tmp_path, argv)
+    assert (result["code"], result["frozen"] > 0) == (code, True)
+
+
+def test_program_entry_freezes_the_heap_after_a_closed_output(tmp_path):
+    # The BrokenPipeError path: the reader is gone before the first line.
+    probe = (f"import gc, sys; sys.argv = ['qtiming', 'width', '--sigma-phi', '3.7e11', "
+             f"'--n', '10', '--B', '500', '--out-dir', {str(tmp_path)!r}]; "
+             "from qtiming.cli import main; code = main(); "
+             "sys.stderr.write(f'{code} {gc.get_freeze_count() > 0}')")
+    child = subprocess.Popen([sys.executable, "-c", probe], env=_child_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=60)
+    assert (child.returncode, stderr) == (0, "1 True")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
@@ -876,22 +948,56 @@ def test_program_entry_after_numpy_leaves_environment_alone(tmp_path):
 def test_library_and_in_process_main_leave_environment_alone(tmp_path):
     # main(argv) runs before anything loads numpy, so only argv tells it
     # that this process is a host, not the program.
-    probe = ("import os; before = dict(os.environ); import qtiming, qtiming.cli; "
+    # Nor does either freeze the heap, which would put the host's objects
+    # beyond its cycle collector for good.
+    probe = ("import gc, os; before = dict(os.environ); import qtiming, qtiming.cli; "
              f"code = qtiming.cli.main({[*_FIG2, '--out-dir', str(tmp_path)]!r}); "
              "import qtiming.distributions, qtiming.media, qtiming.montecarlo, qtiming.oracle; "
-             "print([code, dict(os.environ) == before])")
-    assert _probe(probe) == "[0, True]"
+             "print([code, dict(os.environ) == before, gc.get_freeze_count()])")
+    assert _probe(probe) == "[0, True, 0]"
 
 
-def test_python_dash_m_runs_the_program(tmp_path, capsys):
-    argv = ["transition", "--preset", "ntrans-1cm", "--json"]
-    result = subprocess.run([sys.executable, "-m", "qtiming", *argv, "--out-dir", str(tmp_path / "m")],
+README_COMMANDS = {
+    # The README's CLI examples, with the quadrature suite for its `verify --suite all`.
+    "width-paths": ["width", "--sigma-phi", "3.7e11", "--n", "100",
+                    "--path1", "silica:1cm", "--path2", "silica:1cm"],
+    "width-json": ["width", "--sigma-phi", "3.7e11", "--n", "7305", "--B", "500", "--json"],
+    "scan-fig2": ["scan", "--preset", "fig2"],
+    "surface-fig3": ["surface", "--preset", "fig3"],
+    "transition": ["transition", "--preset", "ntrans-1cm"],
+    "media-owens": ["media", "--material", "air", "--formula", "owens", "--rh", "0.2"],
+    "verify-quadrature": ["verify", "--suite", "quadrature"],
+}
+
+
+def _outputs(out_dir: Path) -> dict:
+    """Every file in ``out_dir``: bytes, or a manifest's JSON without its timestamp."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name.endswith("_manifest.json"):
+            manifest = json.loads(path.read_text())
+            del manifest["timestamp_utc"]
+            files[path.name] = manifest
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("name", README_COMMANDS)
+def test_python_dash_m_runs_the_program(tmp_path, capsys, name):
+    # The program (python -m, which also freezes the heap at the end) and
+    # main(argv) in-process write into the same directory in turn, so every
+    # path they print or record is the same.
+    argv = [*README_COMMANDS[name], "--out-dir", str(tmp_path / "out")]
+    result = subprocess.run([sys.executable, "-m", "qtiming", *argv],
                             env=_child_env(), capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stderr) == (0, "")
-    assert run(tmp_path / "main", *argv) == 0
-    assert result.stdout == capsys.readouterr().out
-    report = "transition_report.json"
-    assert (tmp_path / "m" / report).read_bytes() == (tmp_path / "main" / report).read_bytes()
+    assert result.returncode == 0, result.stderr
+    program = _outputs(tmp_path / "out")
+    (tmp_path / "out").rename(tmp_path / "program")
+    assert main(argv) == 0
+    assert (result.stdout, result.stderr) == capsys.readouterr()
+    assert _outputs(tmp_path / "out") == program
+    assert len(program) == 2
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

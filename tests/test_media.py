@@ -99,8 +99,13 @@ class TestPathCoefficients:
 
 class TestSegmentValidation:
     def test_negative_length_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="length must be finite and >= 0"):
             MediumSegment("bad", alpha=0.0, beta=1.0, length=-1.0)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_non_finite_length_rejected(self, length):
+        with pytest.raises(DomainError, match="length must be finite and >= 0"):
+            MediumSegment("bad", alpha=0.0, beta=1.0, length=length)
 
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(DomainError):
@@ -304,6 +309,15 @@ class TestEquivalentAirLength:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             equivalent_air_length(-1.0)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, length):
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            equivalent_air_length(length)
+
+    def test_overflowing_length_rejected(self):
+        with pytest.raises(DomainError, match="overflows float64"):
+            equivalent_air_length(1e308)
 
     def test_proportional_to_length(self):
         assert equivalent_air_length(2.0) == pytest.approx(2 * equivalent_air_length(1.0))

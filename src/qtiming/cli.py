@@ -4,15 +4,16 @@ Subcommands compute widths, sweep photon numbers, grid the quantum/classical
 ratio, locate transition photon numbers, evaluate air dispersion, and run
 the numerical verification suites.  Every command writes one CSV or JSON
 report, then a run manifest (JSON) listing its parameters with units and
-that file, so a run can be reproduced from the manifest alone; an output
-path that cannot be opened or written is a usage error, which removes the
-partial file and writes no manifest.  CSV output is RFC-4180
-style with '.' decimals and shortest-roundtrip float formatting, byte
-identical across reruns with equal parameters.
+that file, so a run can be reproduced from the manifest alone.  CSV output
+is RFC-4180 style with '.' decimals and shortest-roundtrip float
+formatting, byte identical across reruns with equal parameters.
 
-Exit codes: 0 success, 1 usage error or closed output, 2 domain/validation
-error, 3 verification failure.  A report or manifest written before the
-output closed stays on disk.
+Exit codes: 0 success; 1 usage: an argparse error, a missing or conflicting
+flag or a grid over 2^22 rows (checked once, after any preset, and shown
+with the command's usage line), or an output that cannot be written (the
+partial file removed, no manifest) or has closed (what was written before
+stays); 2 domain: any value out of range, grid bounds and counts included;
+3 verification failure.
 
 Run as the program (``qtiming`` or ``python -m qtiming``), it starts
 OpenBLAS with one thread unless a BLAS thread variable is already set, and
@@ -74,6 +75,11 @@ _CSV_BLOCK_ROWS = 2048
 # closed forms' temporaries; scan: four), 56 B, so the cap bounds the
 # arrays at 224 MiB, twenty times grid-fine's 2e5-row grids.
 _MAX_GRID_ROWS = 1 << 22
+# The flags each command needs.  argparse cannot require them, because a
+# preset fills them in after parsing.
+_REQUIRED_FLAGS = {"width": ("--sigma-phi",), "transition": ("--sigma-phi",),
+                   "scan": ("--sigma-phi", "--n-min", "--n-max"),
+                   "surface": ("--sigma-phi", "--beta", "--n-min", "--n-max", "--x-min", "--x-max")}
 # The commands that print a report, and so take --json.
 _REPORT_COMMANDS = ("width", "transition", "media")
 # What a negative number after a flag looks like.  Python 3.11's argparse
@@ -288,6 +294,14 @@ def _write_csv(args, header: list[str], columns) -> None:
     print(f"wrote {path} ({n_rows} rows)")
 
 
+def _material(name: str) -> str:
+    """The material ``name`` stands for: ``air`` or a catalog key (``silica`` is ``fused_silica``)."""
+    material = _MATERIAL_ALIASES.get(name, name)
+    if material != "air" and material not in material_catalog():
+        raise DomainError(f"unknown material {name!r}; catalog has {sorted(material_catalog())} plus 'air'")
+    return material
+
+
 def _parse_segment(text: str) -> MediumSegment:
     match = _SEGMENT_RE.match(text)
     if match is None:
@@ -300,21 +314,15 @@ def _parse_segment(text: str) -> MediumSegment:
         length_cm = float(length_str) * _LENGTH_UNITS_CM[unit]
     except ValueError:
         raise DomainError(f"bad path segment {text!r}: {length_str!r} is not a number") from None
-    material = _MATERIAL_ALIASES.get(material, material)
+    material = _material(material)
     if material == "air":
         return MediumSegment(label="air", alpha=0.0, beta=reference_air_beta(), length=length_cm)
     return catalog_segment(material, length_cm)
 
 
-def _paths_from_args(parser: _Parser, args) -> tuple[PathPair, float]:
+def _paths_from_args(args) -> tuple[PathPair, float]:
     """Resolve media flags into a PathPair; returns (paths, gdd_sum fs^2)."""
-    has_paths = bool(args.path1 or args.path2)
-    has_b = args.B is not None
-    if has_paths and has_b:
-        parser.error("--B conflicts with --path1/--path2; give one or the other")
-    if not has_paths and not has_b:
-        parser.error("media unspecified: give --B or --path1/--path2 explicitly")
-    if has_b:
+    if args.B is not None:
         return PathPair.symmetric(args.B), args.B
     paths = PathPair([_parse_segment(s) for s in args.path1],
                      [_parse_segment(s) for s in args.path2])
@@ -322,43 +330,17 @@ def _paths_from_args(parser: _Parser, args) -> tuple[PathPair, float]:
     return paths, gdd1 + gdd2
 
 
-def _photon_grid(parser: _Parser, args, rows_per_n: int = 1):
-    """Log-spaced photon numbers from --n-min/--n-max/--n-points.
-
-    A grid of more than ``_MAX_GRID_ROWS`` rows, ``rows_per_n`` for each
-    photon number, is a usage error, raised before any array is built.
-    """
+def _photon_grid(args):
+    """Log-spaced photon numbers from --n-min/--n-max/--n-points."""
     import numpy as np
 
-    if args.n_min is None or args.n_max is None:
-        parser.error("--n-min and --n-max are required")
     if not 0 < args.n_min <= args.n_max < math.inf:
-        parser.error("need 0 < n-min <= n-max < inf")
+        raise DomainError(f"need 0 < n-min <= n-max < inf, got {args.n_min} and {args.n_max}")
     if args.n_points < 1:
-        parser.error("--n-points must be >= 1")
-    if args.n_points * rows_per_n > _MAX_GRID_ROWS:
-        parser.error(f"a grid of {args.n_points * rows_per_n} rows exceeds "
-                     f"the limit of {_MAX_GRID_ROWS} rows")
+        raise DomainError(f"--n-points must be >= 1, got {args.n_points}")
     if args.n_points == 1:
         return np.array([float(args.n_min)])
     return np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points)
-
-
-def _spectrum_from_args(parser: _Parser, args) -> GaussianSpectrum:
-    if args.sigma_phi is None:
-        parser.error("--sigma-phi (rad/s) is required")
-    return GaussianSpectrum.from_si(args.sigma_phi, wavelength_nm=args.wavelength)
-
-
-def _state_from_args(parser: _Parser, args) -> StateSpec:
-    kind = StateKind(args.state)
-    if kind is StateKind.ENTANGLED_COHERENT:
-        if args.v is None or args.u is None:
-            parser.error("--state coherent needs --v and --u magnitudes")
-        return StateSpec(kind=kind, n_photons=args.n, v_mag=args.v, u_mag=args.u)
-    if args.v is not None or args.u is not None:
-        parser.error("--v/--u apply only to --state coherent")
-    return StateSpec(kind=kind, n_photons=args.n)
 
 
 def _emit(args, payload: dict) -> None:
@@ -388,10 +370,10 @@ def _add_media_flags(sub: _Parser) -> None:
 
 # -- width --------------------------------------------------------------------
 
-def _cmd_width(parser: _Parser, args) -> int:
-    spectrum = _spectrum_from_args(parser, args)
-    paths, gdd_sum = _paths_from_args(parser, args)
-    state = _state_from_args(parser, args)
+def _cmd_width(args) -> int:
+    spectrum = GaussianSpectrum.from_si(args.sigma_phi, wavelength_nm=args.wavelength)
+    paths, gdd_sum = _paths_from_args(args)
+    state = StateSpec(StateKind(args.state), args.n, v_mag=args.v, u_mag=args.u)
 
     dist = quantum_distribution(state, spectrum, paths)
     _, gdd1, _, gdd2 = paths.coefficients()
@@ -418,10 +400,10 @@ def _cmd_width(parser: _Parser, args) -> int:
 
 # -- scan ---------------------------------------------------------------------
 
-def _cmd_scan(parser: _Parser, args) -> int:
-    spectrum = _spectrum_from_args(parser, args)
-    paths, gdd_sum = _paths_from_args(parser, args)
-    n = _photon_grid(parser, args)
+def _cmd_scan(args) -> int:
+    spectrum = GaussianSpectrum.from_si(args.sigma_phi, wavelength_nm=args.wavelength)
+    paths, gdd_sum = _paths_from_args(args)
+    n = _photon_grid(args)
 
     sigma_phi = spectrum.sigma_phi
     _, gdd1, _, gdd2 = paths.coefficients()
@@ -435,24 +417,17 @@ def _cmd_scan(parser: _Parser, args) -> int:
 
 # -- surface ------------------------------------------------------------------
 
-def _cmd_surface(parser: _Parser, args) -> int:
+def _cmd_surface(args) -> int:
     import numpy as np
 
-    if args.sigma_phi is None:
-        parser.error("--sigma-phi (rad/s) is required")
-    if args.beta is None:
-        parser.error("--beta (fs^2/cm) is required")
-    # An --x-points below 1 passes the row cap and fails its own check below.
-    n_values = _photon_grid(parser, args, rows_per_n=args.x_points)
-    if args.x_min is None or args.x_max is None:
-        parser.error("--x-min and --x-max are required")
+    n_values = _photon_grid(args)
     if not 0 <= args.x_min <= args.x_max < math.inf:
-        parser.error("need 0 <= x-min <= x-max < inf")
+        raise DomainError(f"need 0 <= x-min <= x-max < inf, got {args.x_min} and {args.x_max}")
     if args.x_points < 1:
-        parser.error("--x-points must be >= 1")
-    # Built only for their checks: finite, positive sigma_phi and finite beta.
+        raise DomainError(f"--x-points must be >= 1, got {args.x_points}")
+    if not math.isfinite(args.beta):
+        raise DomainError(f"--beta must be finite, got {args.beta}")
     sigma_phi = GaussianSpectrum.from_si(args.sigma_phi).sigma_phi
-    beta = MediumSegment("surface", alpha=0.0, beta=args.beta, length=0.0).beta
 
     # N-major grid with x cm of the medium in each path: total GDD 2*beta*x,
     # classical per-path products beta*x each.
@@ -461,7 +436,7 @@ def _cmd_surface(parser: _Parser, args) -> int:
     # A GDD that overflows is left to the closed forms, which reject a width
     # that is not finite.
     with np.errstate(over="ignore"):
-        gdd_path = beta * x
+        gdd_path = args.beta * x
         ratio = (quantum_width(sigma_phi, n, 2.0 * gdd_path)
                  / classical_shot_noise(classical_width(sigma_phi, gdd_path, gdd_path), n))
     clipped = np.maximum(ratio, 1.0) if args.clip == "unity" else ratio
@@ -472,9 +447,9 @@ def _cmd_surface(parser: _Parser, args) -> int:
 
 # -- transition ---------------------------------------------------------------
 
-def _cmd_transition(parser: _Parser, args) -> int:
-    spectrum = _spectrum_from_args(parser, args)
-    _, gdd_sum = _paths_from_args(parser, args)
+def _cmd_transition(args) -> int:
+    spectrum = GaussianSpectrum.from_si(args.sigma_phi, wavelength_nm=args.wavelength)
+    _, gdd_sum = _paths_from_args(args)
     n_t = transition_photon_number(spectrum.sigma_phi, gdd_sum)
 
     silica_beta = material_catalog()["fused_silica"].beta
@@ -493,7 +468,7 @@ def _cmd_transition(parser: _Parser, args) -> int:
 
 # -- media --------------------------------------------------------------------
 
-def _cmd_media(parser: _Parser, args) -> int:
+def _cmd_media(args) -> int:
     # Built for every material, so that no report records an unphysical condition.
     conditions = AirConditions(
         temperature_c=args.temperature,
@@ -501,7 +476,7 @@ def _cmd_media(parser: _Parser, args) -> int:
         relative_humidity=args.rh,
         wavelength_nm=args.wavelength,
     )
-    material = _MATERIAL_ALIASES.get(args.material, args.material)
+    material = _material(args.material)
     catalog = material_catalog()
     silica_beta = catalog["fused_silica"].beta
     if material == "air":
@@ -514,8 +489,6 @@ def _cmd_media(parser: _Parser, args) -> int:
             "length_equivalent_to_1cm_silica_m": silica_beta / beta / 100.0,
         }
     else:
-        if material not in catalog:
-            raise DomainError(f"unknown material {args.material!r}; catalog has {sorted(catalog)} plus 'air'")
         entry = catalog[material]
         payload = {
             "material": entry.label,
@@ -532,7 +505,7 @@ def _cmd_media(parser: _Parser, args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _cmd_verify(parser: _Parser, args) -> int:
+def _cmd_verify(args) -> int:
     from .oracle import QuadratureSpec
 
     # Checked before the report is opened, whichever suite uses them.
@@ -592,6 +565,8 @@ _UNSET_DEFAULTS = {"scan": {"n_points": 61},
 def _apply_preset(args) -> None:
     """Fill each flag left unset (None or []) from the chosen preset, then ``_UNSET_DEFAULTS``."""
     preset = _PRESETS.get(args.command, {}).get(getattr(args, "preset", None), {})
+    if getattr(args, "B", None) is not None:  # --B stands for the media: no preset paths
+        preset = {key: value for key, value in preset.items() if key not in ("path1", "path2")}
     for key, value in [*preset.items(), *_UNSET_DEFAULTS.get(args.command, {}).items()]:
         if getattr(args, key, None) in (None, [],):
             setattr(args, key, value)
@@ -607,6 +582,7 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"qtiming {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # each command's parser, which reports its usage errors
 
     width = sub.add_parser("width", help="widths and quantum/classical ratio for one configuration")
     _add_media_flags(width)
@@ -698,12 +674,35 @@ def _single_threaded_blas(argv) -> None:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
+def _usage_error(args, extras: list[str]) -> str | None:
+    """The first rule on which flags are given that ``args`` break, in argparse's words, or None."""
+    if extras:
+        return f"unrecognized arguments: {' '.join(extras)}"
+    missing = [flag for flag in _REQUIRED_FLAGS.get(args.command, ())
+               if getattr(args, flag[2:].replace("-", "_")) is None]
+    if missing:
+        return f"the following arguments are required: {', '.join(missing)}"
+    if hasattr(args, "B"):
+        if args.B is not None and (args.path1 or args.path2):
+            return "--B conflicts with --path1/--path2; give one or the other"
+        if args.B is None and not (args.path1 or args.path2):
+            return "media unspecified: give --B or --path1/--path2 explicitly"
+    # A count below 1 is a domain error, so it counts as no rows here.
+    rows = math.prod(max(getattr(args, name, 1), 0) for name in ("n_points", "x_points"))
+    if rows > _MAX_GRID_ROWS:
+        return f"a grid of {rows} rows exceeds the limit of {_MAX_GRID_ROWS} rows"
+    return None
+
+
 def _run(parser: _Parser, argv) -> int:
     try:
         try:
-            args = parser.parse_args(argv)
+            args, extras = parser.parse_known_args(argv)
             _apply_preset(args)
-            return args.func(parser, args)
+            problem = _usage_error(args, extras)
+            if problem is not None:
+                parser.commands[args.command].error(problem)
+            return args.func(args)
         finally:
             sys.stdout.flush()  # a reader that closed early shows here, not at exit
     except BrokenPipeError:

@@ -40,6 +40,7 @@ differ in the last bit.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -269,10 +270,11 @@ def classical_shot_noise(sigma_t, n_photons):
 def _coherent_scale(state: StateSpec, power: float) -> float:
     """|v|^power |u|^power (power 2N for probabilities, N for amplitudes); 1 for Fock states.
 
-    The direct product ``v**power * u**power`` whenever both factors fit in
-    float64, so tests can match it exactly; log space when a factor alone
-    overflows.  Raises :class:`DomainError` when the product itself does
-    not fit in float64.
+    The direct product ``v**power * u**power`` whenever both factors are
+    normal float64 numbers, so tests can match it exactly; log space when a
+    factor alone overflows or falls below ``sys.float_info.min``, where the
+    product may still fit (1e-3^150 * 10^150).  Raises :class:`DomainError`
+    when the product itself does not fit in float64.
     """
     if state.kind is not StateKind.ENTANGLED_COHERENT:
         return 1.0
@@ -280,8 +282,13 @@ def _coherent_scale(state: StateSpec, power: float) -> float:
     if v == 0.0 or u == 0.0:
         return 0.0
     try:
-        scale = v**power * u**power
+        v_factor, u_factor = v**power, u**power
+        direct = min(v_factor, u_factor) >= sys.float_info.min
     except OverflowError:
+        direct = False
+    if direct:
+        scale = v_factor * u_factor
+    else:
         try:
             scale = math.exp(power * (math.log(v) + math.log(u)))
         except OverflowError:

@@ -102,6 +102,15 @@ class TestWidth:
         assert code == 0
         assert math.isfinite(json.loads(capsys.readouterr().out)["amplitude_scale"])
 
+    def test_coherent_scale_with_an_underflowing_factor_is_taken_in_log_space(self, tmp_path,
+                                                                               capsys):
+        # 1e-3^150 underflows to 0 on its own; its product with 10^150 is 1e-300.
+        code = run(tmp_path, "width", "--state", "coherent", "--v", "1e-3", "--u", "10",
+                   "--n", "75", "--B", "0", "--sigma-phi", "3.7e11", "--json")
+        assert code == 0
+        scale = json.loads(capsys.readouterr().out)["amplitude_scale"]
+        assert math.isclose(scale, 1e-300, rel_tol=1e-12)
+
     def test_coherent_scale_overflow_is_domain_error(self, tmp_path, capsys):
         code = run(tmp_path, "width", "--state", "coherent", "--v", "1.2", "--u", "1.2",
                    "--n", "10000", "--B", "0", "--sigma-phi", "3.7e11")
@@ -146,11 +155,10 @@ class TestScan:
         assert manifest["parameters"]["sigma_phi_rad_per_s"] == 3.7e11
         assert manifest["parameters"]["path1"] == ["silica:400cm"]
 
-    def test_empty_range_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            run(tmp_path, "scan", "--sigma-phi", "3.7e11", "--B", "0",
-                "--n-min", "10", "--n-max", "1")
-        assert excinfo.value.code == 1
+    def test_empty_range_is_domain_error(self, tmp_path, capsys):
+        assert run(tmp_path, "scan", "--sigma-phi", "3.7e11", "--B", "0",
+                   "--n-min", "10", "--n-max", "1") == 2
+        assert capsys.readouterr().err.startswith("qtiming: error: need 0 < n-min <= n-max")
 
     def test_rerun_from_manifest_parameters_is_byte_identical(self, tmp_path):
         run(tmp_path, "scan", "--preset", "fig2")
@@ -207,29 +215,29 @@ class TestSurface:
 
 
 BAD_GRIDS = [
-    # (argv, exit code): usage errors exit 1, invalid media 2.
-    (("scan", "--preset", "fig2", "--n-points", "0"), 1),
-    (("scan", "--preset", "fig2", "--n-max", "inf"), 1),
-    (("scan", "--preset", "fig2", "--n-min", "nan"), 1),
-    (("scan", "--preset", "fig2", "--n-min", "1e4", "--n-max", "10"), 1),
-    (("surface", "--preset", "fig3", "--n-points", "0"), 1),
-    (("surface", "--preset", "fig3", "--x-points", "0"), 1),
-    (("surface", "--preset", "fig3", "--n-max", "inf"), 1),
-    (("surface", "--preset", "fig3", "--n-min", "nan"), 1),
-    (("surface", "--preset", "fig3", "--n-min", "100", "--n-max", "10"), 1),
-    (("surface", "--preset", "fig3", "--x-max", "inf"), 1),
-    (("surface", "--preset", "fig3", "--x-min", "nan"), 1),
-    (("surface", "--preset", "fig3", "--x-min", "50", "--x-max", "5"), 1),
-    (("surface", "--preset", "fig3", "--beta", "nan"), 2),
-    (("surface", "--preset", "fig3", "--beta", "inf"), 2),
+    # Grid bounds, point counts and the medium: each a domain error.
+    ("scan", "--preset", "fig2", "--n-points", "0"),
+    ("scan", "--preset", "fig2", "--n-max", "inf"),
+    ("scan", "--preset", "fig2", "--n-min", "nan"),
+    ("scan", "--preset", "fig2", "--n-min", "1e4", "--n-max", "10"),
+    ("surface", "--preset", "fig3", "--n-points", "0"),
+    ("surface", "--preset", "fig3", "--x-points", "0"),
+    ("surface", "--preset", "fig3", "--n-max", "inf"),
+    ("surface", "--preset", "fig3", "--n-min", "nan"),
+    ("surface", "--preset", "fig3", "--n-min", "100", "--n-max", "10"),
+    ("surface", "--preset", "fig3", "--x-max", "inf"),
+    ("surface", "--preset", "fig3", "--x-min", "nan"),
+    ("surface", "--preset", "fig3", "--x-min", "50", "--x-max", "5"),
+    ("surface", "--preset", "fig3", "--beta", "nan"),
+    ("surface", "--preset", "fig3", "--beta", "inf"),
 ]
 
 
-@pytest.mark.parametrize("argv, code", BAD_GRIDS,
-                         ids=[" ".join(argv[:1] + argv[3:]) for argv, _ in BAD_GRIDS])
-def test_bad_grid_exits_without_csv(tmp_path, capsys, argv, code):
-    assert exit_code(tmp_path, *argv) == code
-    assert "Traceback" not in capsys.readouterr().err
+@pytest.mark.parametrize("argv", BAD_GRIDS, ids=[" ".join(argv[:1] + argv[3:]) for argv in BAD_GRIDS])
+def test_bad_grid_exits_without_csv(tmp_path, capsys, argv):
+    assert exit_code(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("qtiming: error:")
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -266,8 +274,63 @@ def test_grid_row_limit_is_inclusive(tmp_path, monkeypatch, capsys):
 def test_json_flag_only_on_report_commands(tmp_path, capsys, argv):
     # scan, surface and verify print no report, so --json is unrecognized.
     assert exit_code(tmp_path, *argv, "--json") == 1
-    assert "unrecognized arguments: --json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --json" in err
+    assert err.startswith(f"usage: qtiming {argv[0]} ")
     assert not list(tmp_path.iterdir())
+
+
+# A command line for each command of cli._REQUIRED_FLAGS that gives every
+# required flag; each case of USAGE_ERRORS leaves out one flag at a time.
+COMPLETE_LINES = {
+    "width": ["width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "500"],
+    "scan": ["scan", "--sigma-phi", "3.7e11", "--B", "500", "--n-min", "1", "--n-max", "10"],
+    "surface": ["surface", "--sigma-phi", "3.7e11", "--beta", "250", "--n-min", "1",
+                "--n-max", "10", "--x-min", "0", "--x-max", "5"],
+    "transition": ["transition", "--sigma-phi", "3.7e11", "--B", "500"],
+}
+CONFLICT = "--B conflicts with --path1/--path2; give one or the other"
+
+
+def _without(argv, flag):
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2:]
+
+
+USAGE_ERRORS = {
+    **{f"{command} without {flag}": (_without(COMPLETE_LINES[command], flag),
+                                     f"the following arguments are required: {flag}")
+       for command, flags in cli._REQUIRED_FLAGS.items() for flag in flags},
+    "B with path1": ([*COMPLETE_LINES["width"], "--path1", "silica:1cm"], CONFLICT),
+    "preset paths with B and path2": (["transition", "--preset", "ntrans-1cm", "--B", "500",
+                                       "--path2", "air:1km"], CONFLICT),
+    "no media": (_without(COMPLETE_LINES["transition"], "--B"),
+                 "media unspecified: give --B or --path1/--path2 explicitly"),
+    "row cap": (["surface", "--preset", "fig3", "--n-points", "4096", "--x-points", "1025"],
+                f"a grid of 4198400 rows exceeds the limit of {1 << 22} rows"),
+    "unrecognized flag": (["scan", "--preset", "fig2", "--bogus"],
+                          "unrecognized arguments: --bogus"),
+}
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_usage_error_shows_the_commands_usage(tmp_path, capsys, name):
+    # Checked once, after the preset: exit 1, the command's own usage line,
+    # and nothing written.
+    argv, message = USAGE_ERRORS[name]
+    assert exit_code(tmp_path, *argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"usage: qtiming {argv[0]} ")
+    assert err.endswith(f"\nqtiming {argv[0]}: error: {message}\n")
+    assert out == "" and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("scan", "--preset", "fig2"),
+                                  ("transition", "--preset", "ntrans-1cm")], ids=lambda a: a[0])
+def test_b_replaces_the_presets_paths(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "--B", "500") == 0
+    parameters = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())["parameters"]
+    assert (parameters["B_fs2"], parameters["path1"], parameters["path2"]) == (500.0, [], [])
 
 
 def test_preset_csvs_match_recorded_digests(tmp_path):
@@ -481,6 +544,15 @@ class TestMedia:
     def test_unknown_material_is_domain_error(self, tmp_path):
         assert run(tmp_path, "media", "--material", "diamond") == 2
 
+    def test_unknown_material_in_a_path_has_the_same_message(self, tmp_path, capsys):
+        assert run(tmp_path, "media", "--material", "diamond") == 2
+        media = capsys.readouterr().err
+        assert run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "3",
+                   "--path1", "diamond:1cm") == 2
+        assert capsys.readouterr().err == media == (
+            "qtiming: error: unknown material 'diamond'; "
+            "catalog has ['fused_silica', 'vacuum'] plus 'air'\n")
+
     @pytest.mark.parametrize("temperature", ["nan", "inf", "-300"])
     def test_unphysical_temperature_exits_without_report(self, tmp_path, capsys, temperature):
         code = run(tmp_path, "media", "--material", "air", "--temperature", temperature)
@@ -512,6 +584,9 @@ BAD_INPUTS = [
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "-5"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "inf"),
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--path1", "air:1e308km"),
+    # A coherent state needs --v and --u; a Fock state takes neither.
+    ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--v", "1.2", "--state", "coherent"),
+    ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--u", "0.8"),
 ]
 
 
@@ -538,8 +613,8 @@ NEGATIVE_VALUES = [
     (("media", "--material", "air", "--temperature", "-inf"), 2),
     (("media", "--material", "air", "--pressure", "-1E3"), 2),
     (("media", "--material", "air", "--rh", "-.5e0"), 2),
-    # Grid bounds are usage errors, as in BAD_GRIDS.
-    (("scan", "--preset", "fig2", "--n-min", "-1e0"), 1),
+    # Grid bounds are domain errors too, as in BAD_GRIDS.
+    (("scan", "--preset", "fig2", "--n-min", "-1e0"), 2),
 ]
 
 
@@ -772,6 +847,8 @@ def test_any_command_line_exits_cleanly(argv):
         assert gc.get_freeze_count() == 0  # in-process main(argv) never freezes
         assert "Traceback" not in stderr.getvalue()
         assert "RuntimeWarning" not in stderr.getvalue()
+        if code == 1:
+            assert stderr.getvalue().startswith(f"usage: qtiming {argv[0]} "), stderr.getvalue()
         if code != 0:
             return
         outputs = sorted(Path(out_dir).iterdir())
@@ -901,7 +978,7 @@ def test_program_entry_starts_blas_single_threaded(tmp_path):
     (["width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500"], 0),
     (["width", "--sigma-phi", "1e308", "--n", "10", "--B", "500"], 2),
     (["verify", "--suite", "quadrature", "--max-points", "120"], 3),
-    (["scan", "--preset", "fig2", "--n-points", "0"], 1),     # parser.error's SystemExit
+    (["scan", "--n-min", "1", "--n-max", "10", "--B", "0"], 1),  # parser.error's SystemExit
     (["width", "--no-such-flag"], 1),                           # parse_args' SystemExit
     (["--version"], 0),
 ], ids=["returns-0", "returns-2", "returns-3", "usage-error", "bad-flag", "version"])

@@ -1,6 +1,7 @@
 """Tests for the closed-form Gaussian timing laws."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -438,12 +439,14 @@ class TestQuantumDistribution:
         gdd_values,
     )
     @example(200.0, 3.0, 3.0, 0.0)  # (3 * 3)^400 overflows float64
+    @example(200.0, 0.1, 3.0, 0.0)  # 0.1^400 underflows, the product ~1e-209 does not
     @settings(max_examples=60)
     def test_coherent_width_independent_of_magnitudes(self, n, v, u, gdd):
         spectrum = GaussianSpectrum.from_si(3.7e11)
         paths = pair(gdd, 0.0)
         state = StateSpec(StateKind.ENTANGLED_COHERENT, n, v_mag=v, u_mag=u)
-        expected = v ** (2.0 * n) * u ** (2.0 * n)
+        v_factor, u_factor = v ** (2.0 * n), u ** (2.0 * n)
+        expected = v_factor * u_factor
         if not math.isfinite(expected):
             with pytest.raises(DomainError, match="overflows"):
                 quantum_distribution(state, spectrum, paths)
@@ -454,7 +457,12 @@ class TestQuantumDistribution:
         other = quantum_distribution(state, spectrum, paths)
         assert other.sigma == base.sigma
         assert other.mean == base.mean
-        assert other.amplitude_scale == expected
+        if min(v_factor, u_factor) < sys.float_info.min:
+            # A factor underflows; the product is taken in log space.
+            log_space = math.exp(2.0 * n * (math.log(v) + math.log(u)))
+            assert math.isclose(other.amplitude_scale, log_space, rel_tol=1e-12)
+        else:
+            assert other.amplitude_scale == expected
 
     def test_coherent_scale_past_float64_range_falls_back_to_log_space(self, spectrum):
         # 1.2^20000 overflows on its own; the product 0.96^20000 underflows to 0.

@@ -58,6 +58,7 @@ from .media import (
     catalog_segment,
     material_catalog,
     reference_air_beta,
+    resolve_material,
 )
 from .spectral import GaussianSpectrum
 from .verify import SUITES
@@ -68,7 +69,6 @@ OUT_DIR_ENV = "QTIMING_OUT_DIR"
 
 _LENGTH_UNITS_CM = {"cm": 1.0, "m": 100.0, "km": 100_000.0}
 _SEGMENT_RE = re.compile(r"^([A-Za-z_][\w]*):([0-9.eE+\-]+)(cm|m|km)$")
-_MATERIAL_ALIASES = {"silica": "fused_silica"}
 _CSV_BLOCK_ROWS = 2048
 # Rows a scan or surface grid may have.  At its peak a grid holds about
 # seven float64 values per row (surface: N, x, the GDD, R, R_raw and the
@@ -294,14 +294,6 @@ def _write_csv(args, header: list[str], columns) -> None:
     print(f"wrote {path} ({n_rows} rows)")
 
 
-def _material(name: str) -> str:
-    """The material ``name`` stands for: ``air`` or a catalog key (``silica`` is ``fused_silica``)."""
-    material = _MATERIAL_ALIASES.get(name, name)
-    if material != "air" and material not in material_catalog():
-        raise DomainError(f"unknown material {name!r}; catalog has {sorted(material_catalog())} plus 'air'")
-    return material
-
-
 def _parse_segment(text: str) -> MediumSegment:
     match = _SEGMENT_RE.match(text)
     if match is None:
@@ -314,9 +306,6 @@ def _parse_segment(text: str) -> MediumSegment:
         length_cm = float(length_str) * _LENGTH_UNITS_CM[unit]
     except ValueError:
         raise DomainError(f"bad path segment {text!r}: {length_str!r} is not a number") from None
-    material = _material(material)
-    if material == "air":
-        return MediumSegment(label="air", alpha=0.0, beta=reference_air_beta(), length=length_cm)
     return catalog_segment(material, length_cm)
 
 
@@ -476,7 +465,7 @@ def _cmd_media(args) -> int:
         relative_humidity=args.rh,
         wavelength_nm=args.wavelength,
     )
-    material = _material(args.material)
+    material = resolve_material(args.material)
     catalog = material_catalog()
     silica_beta = catalog["fused_silica"].beta
     if material == "air":

@@ -108,9 +108,9 @@ class StateSpec:
         coherent = self.kind is StateKind.ENTANGLED_COHERENT
         has_mags = self.v_mag is not None and self.u_mag is not None
         if coherent and not has_mags:
-            raise DomainError("coherent states need v_mag and u_mag")
+            raise DomainError(f"state {self.kind.value!r} needs both coherent amplitudes, v and u")
         if not coherent and (self.v_mag is not None or self.u_mag is not None):
-            raise DomainError(f"{self.kind.name} takes no coherent amplitudes")
+            raise DomainError(f"state {self.kind.value!r} takes no coherent amplitudes v and u")
         if coherent and not (0 <= self.v_mag < math.inf and 0 <= self.u_mag < math.inf):
             raise DomainError("coherent amplitude magnitudes must be finite and >= 0")
 

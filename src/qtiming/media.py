@@ -31,7 +31,6 @@ both formulas.
 from __future__ import annotations
 
 import math
-import pkgutil
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
@@ -57,6 +56,7 @@ __all__ = [
     "reference_air_beta",
     "equivalent_air_length",
     "material_catalog",
+    "resolve_material",
     "catalog_segment",
 ]
 
@@ -125,9 +125,13 @@ def path_coefficients(path: Sequence[MediumSegment]) -> tuple[float, float]:
     Empty paths aggregate to (0, 0).  Sums are correctly rounded
     (``math.fsum``), so aggregation over a concatenation equals the sum of
     the aggregates whenever the partial sums are exactly representable.
+    A sum that leaves float64 raises :class:`DomainError`.
     """
-    delay = math.fsum(seg.alpha * seg.length for seg in path)
-    gdd = math.fsum(seg.beta * seg.length for seg in path)
+    try:
+        delay = math.fsum(seg.alpha * seg.length for seg in path)
+        gdd = math.fsum(seg.beta * seg.length for seg in path)
+    except (OverflowError, ValueError):  # finite terms summing past float64, or inf + -inf
+        raise DomainError("a path's sum of coefficient * length overflows float64") from None
     return delay, gdd
 
 
@@ -414,34 +418,35 @@ class CatalogEntry:
     note: str
 
 
-def _parse_catalog(text: str) -> dict[str, CatalogEntry]:
-    entries: dict[str, CatalogEntry] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split("|")]
-        if len(fields) != 4:
-            raise DomainError(f"materials catalog line {lineno}: expected 4 fields, got {len(fields)}")
-        label, alpha, beta, note = fields
-        entries[label] = CatalogEntry(label=label, alpha=float(alpha), beta=float(beta), note=note)
-    return entries
+# Engineering values near 800 nm, per cm of material.  alpha is catalogued as
+# 0 for solids: only differences of alpha*length between two paths enter any
+# observable here, so supply alpha explicitly whenever the distribution mean
+# matters.
+_CATALOG: Mapping[str, CatalogEntry] = MappingProxyType({entry.label: entry for entry in (
+    CatalogEntry("fused_silica", 0.0, 250.0, "round-number GDD of fused silica near 800 nm "
+                 "(2*beta ~ 500 fs^2/cm); alpha not catalogued"),
+    CatalogEntry("vacuum", 0.0, 0.0, "dispersionless reference medium"),
+)})
+_ALIASES = {"silica": "fused_silica"}
 
 
-@lru_cache(maxsize=1)
 def material_catalog() -> Mapping[str, CatalogEntry]:
-    """The built-in materials catalog, parsed once and immutable."""
-    # pkgutil, not importlib.resources, which imports tempfile, shutil and random.
-    text = pkgutil.get_data(__package__, "data/materials.dat").decode("utf-8")
-    return MappingProxyType(_parse_catalog(text))
+    """The built-in materials catalog, immutable."""
+    return _CATALOG
+
+
+def resolve_material(name: str) -> str:
+    """The material ``name`` stands for: ``"air"`` or a catalog key (``silica`` is ``fused_silica``)."""
+    material = _ALIASES.get(name, name)
+    if material != "air" and material not in _CATALOG:
+        raise DomainError(f"unknown material {name!r}; catalog has {sorted(_CATALOG)} plus 'air'")
+    return material
 
 
 def catalog_segment(material: str, length_cm: float) -> MediumSegment:
-    """A :class:`MediumSegment` of catalog material with the given length."""
-    catalog = material_catalog()
-    if material not in catalog:
-        raise DomainError(
-            f"unknown material {material!r}; catalog has {sorted(catalog)}"
-        )
-    entry = catalog[material]
+    """A :class:`MediumSegment` of any material :func:`resolve_material` takes; air is reference air."""
+    material = resolve_material(material)
+    if material == "air":
+        return MediumSegment(label="air", alpha=0.0, beta=reference_air_beta(), length=length_cm)
+    entry = _CATALOG[material]
     return MediumSegment(label=entry.label, alpha=entry.alpha, beta=entry.beta, length=length_cm)

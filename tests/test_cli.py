@@ -22,12 +22,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtiming
 from qtiming import cli, verify
 from qtiming.cli import main
+from qtiming.errors import DomainError
+from qtiming.media import catalog_segment
 
 SIGMA_PHI = 3.7e-4  # rad/fs, equals the CLI's 3.7e11 rad/s input
 
@@ -346,6 +348,33 @@ def test_preset_csvs_match_recorded_digests(tmp_path):
     }
 
 
+# SHA-256 of the reports of the benchmark's report jobs and of both catalog
+# materials; a refactor of the media or the closed forms must keep these bytes.
+REPORT_DIGESTS = {
+    "width-paths": (("width", "--sigma-phi", "3.7e11", "--n", "100",
+                     "--path1", "silica:1cm", "--path2", "silica:1cm"),
+                    "48ee9040632b7c32e9b8ff08ae685596edbe2ff5b4b81142667deb2674d0caba"),
+    "width-json": (("width", "--sigma-phi", "3.7e11", "--n", "7305", "--B", "500", "--json"),
+                   "5a528fb217c05cbc3429127f401900c926cc6681df6baa21df06088e58a0e4fb"),
+    "transition": (("transition", "--preset", "ntrans-1cm"),
+                   "affb5841e42ee7e341a8f53e0e2479e60b4b2629dbb77a369b9eb1a94b4b6684"),
+    "media-owens": (("media", "--material", "air", "--formula", "owens", "--rh", "0.2"),
+                    "925d66a706bf220581ecf2dcf08f497a8807e11c42603906c6cebed5aed05cb2"),
+    "media-silica": (("media", "--material", "silica"),
+                     "edc98bc94c87d4169c486799ed68cde80e764123287655e3e4d3f7237a8de3cd"),
+    "media-vacuum": (("media", "--material", "vacuum"),
+                     "756ba94ffa0d1de0e9141c982bdc62a6a64eb1d9cdd03b670d25bfbf914a2adc"),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_DIGESTS)
+def test_reports_match_recorded_digests(tmp_path, capsys, name):
+    argv, digest = REPORT_DIGESTS[name]
+    assert run(tmp_path, *argv) == 0
+    report = tmp_path / f"{argv[0]}_report.json"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 def test_grid_fine_csvs_match_recorded_digests(tmp_path):
     # The benchmark's seed-0 grid-fine jobs: 180,000 and 200,000 rows, so
     # unlike fig2 and fig3 they span many writer blocks.
@@ -549,7 +578,9 @@ class TestMedia:
         media = capsys.readouterr().err
         assert run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "3",
                    "--path1", "diamond:1cm") == 2
-        assert capsys.readouterr().err == media == (
+        with pytest.raises(DomainError) as library:
+            catalog_segment("diamond", 1.0)
+        assert capsys.readouterr().err == media == f"qtiming: error: {library.value}\n" == (
             "qtiming: error: unknown material 'diamond'; "
             "catalog has ['fused_silica', 'vacuum'] plus 'air'\n")
 
@@ -584,6 +615,9 @@ BAD_INPUTS = [
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "-5"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "inf"),
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--path1", "air:1e308km"),
+    # Two finite GDD terms whose sum leaves float64.
+    ("width", "--sigma-phi", "3.7e11", "--n", "3",
+     "--path1", "silica:7e305cm", "--path1", "silica:7e305cm"),
     # A coherent state needs --v and --u; a Fock state takes neither.
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--v", "1.2", "--state", "coherent"),
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--u", "0.8"),
@@ -595,6 +629,15 @@ def test_bad_input_is_domain_error(tmp_path, capsys, argv):
     assert exit_code(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("qtiming: error:")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--state", "coherent", "--v", "1.2"), "state 'coherent' needs both coherent amplitudes, v and u"),
+    (("--u", "0.8",), "state 'anti' takes no coherent amplitudes v and u"),
+], ids=["coherent-without-u", "anti-with-u"])
+def test_state_pairing_error_reads_in_the_clis_terms(tmp_path, capsys, flags, message):
+    assert run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", *flags) == 2
+    assert capsys.readouterr().err == f"qtiming: error: {message}\n"
 
 
 NEGATIVE_VALUES = [
@@ -771,7 +814,7 @@ SEGMENTS = st.one_of(
     st.sampled_from(["silica:0cm", "silica:-1cm", "silica:1e308km", "air:1e-308cm",
                      "silica:5e-324m", "silica:1.2.3cm", "air:1e-3.5km", "diamond:1cm", "silica",
                      ":1cm", "silica:1", "silica:nancm", "silica:infcm", "silica:1e400m",
-                     "air:-0km"]),
+                     "air:-0km", "silica:7e305cm"]),
 )
 GRID_POINTS = st.sampled_from(["-1", "0", "1", "2", "3", "40"])  # one writer block
 SIGMA_PHI_FLAG = _flag("--sigma-phi", _numbers("3.7e11", "1e9", "1e14"))
@@ -834,6 +877,9 @@ def _numbers_in(value):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=command_lines())
+# Two finite GDD terms whose sum leaves float64, a pair the draws seldom reach.
+@example(argv=["width", "--sigma-phi=3.7e11", "--n=3",
+               "--path1=silica:7e305cm", "--path1=silica:7e305cm"])
 def test_any_command_line_exits_cleanly(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as out_dir, warnings.catch_warnings():

@@ -31,6 +31,7 @@ from qtiming.media import (
     owens_refractivity,
     path_coefficients,
     reference_air_beta,
+    resolve_material,
 )
 
 # mpmath truths (Edlén/Owens transcriptions evaluated at 40 digits)
@@ -95,6 +96,20 @@ class TestPathCoefficients:
     def test_pathpair_aggregates_both_paths(self):
         paths = PathPair([silica(1.0), silica(2.0)], [silica(4.0)])
         assert paths.coefficients() == (0.0, 750.0, 0.0, 1000.0)
+
+    @pytest.mark.parametrize("path", [
+        # Finite terms whose sum leaves float64 (math.fsum: OverflowError).
+        [silica(7e305), silica(7e305)],
+        [MediumSegment("fast", alpha=1.5e308, beta=0.0, length=1.0)] * 2,
+        # Terms that overflow to +inf and -inf (math.fsum: ValueError).
+        [MediumSegment("plus", alpha=0.0, beta=1e300, length=1e10),
+         MediumSegment("minus", alpha=0.0, beta=-1e300, length=1e10)],
+    ], ids=["finite-gdd-terms", "finite-delay-terms", "opposite-infinite-terms"])
+    def test_sum_beyond_float64_is_domain_error(self, path):
+        with pytest.raises(DomainError, match="overflows float64"):
+            path_coefficients(path)
+        with pytest.raises(DomainError, match="overflows float64"):
+            PathPair(path, []).coefficients()
 
 
 class TestSegmentValidation:
@@ -335,8 +350,28 @@ class TestCatalog:
         assert entry.beta == 0.0
 
     def test_unknown_material(self):
-        with pytest.raises(DomainError):
-            catalog_segment("unobtainium", 1.0)
+        message = "unknown material 'unobtainium'; catalog has ['fused_silica', 'vacuum'] plus 'air'"
+        for call in (lambda: resolve_material("unobtainium"),
+                     lambda: catalog_segment("unobtainium", 1.0)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, material", [
+        ("air", "air"), ("silica", "fused_silica"), ("fused_silica", "fused_silica"),
+        ("vacuum", "vacuum"),
+    ])
+    def test_resolve_material(self, name, material):
+        assert resolve_material(name) == material
+
+    @pytest.mark.parametrize("length", [0.0, 1.0, 2400.0])
+    def test_air_segment_is_reference_air(self, length):
+        assert catalog_segment("air", length) == MediumSegment(
+            "air", 0.0, reference_air_beta(), length)
+
+    @pytest.mark.parametrize("length", [0.0, 1.0, 400.0])
+    def test_silica_is_fused_silica(self, length):
+        assert catalog_segment("silica", length) == catalog_segment("fused_silica", length)
 
     def test_catalog_is_immutable(self):
         with pytest.raises(TypeError):

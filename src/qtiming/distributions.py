@@ -129,8 +129,10 @@ class TimingDistribution:
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.mean):
+            raise DomainError(f"mean must be finite, got {self.mean}")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 def _float_if_scalar(value):

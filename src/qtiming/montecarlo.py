@@ -33,8 +33,14 @@ would: no variate is -0, so no row sum is.)
 from __future__ import annotations
 
 import functools
+import importlib
 import math
+import operator
+import os
 import queue
+import sys
+import threading
+import types
 from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -67,6 +73,12 @@ class SamplerConfig:
     n_photons: int = 1
 
     def __post_init__(self):
+        for name in ("seed", "n_samples", "n_photons"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
         if self.n_samples < 100:
@@ -118,10 +130,44 @@ _U_MAX = math.nextafter(1.0, 0.0)
 """The largest uniform :func:`_normals` feeds the inverse CDF, 1 - 2^-53."""
 
 
+_NDTRI_LOCK = threading.Lock()
+
+
+@functools.cache
+def _ndtri() -> np.ufunc:
+    """scipy's compiled ``ndtri`` ufunc, loaded without ``scipy.special``'s package init.
+
+    That init loads scipy's array-API layer, which clones numpy with
+    ``numpy.f2py`` and ``numpy.testing``: 0.23-0.29 s and +19 MiB of peak
+    memory after numpy, against 0.02-0.03 s and +5.5 MiB for the compiled
+    modules alone (scipy 1.17.1).  So unless the host has imported
+    ``scipy.special`` already, a bare package module stands in for it while
+    ``scipy.special._ufuncs`` and its compiled dependencies load, and is
+    removed again, also when the load fails.  A later ``import
+    scipy.special`` runs the real init, which reuses the loaded extension,
+    so its ``ndtri`` is this object.  Pool workers may make the first draw
+    together, and two loads at once would remove each other's stand-in, so
+    a load holds the lock.  A host thread that imports ``scipy.special``
+    during the load gets the stand-in, so a host that imports it from
+    another thread does so before it samples.
+    """
+    with _NDTRI_LOCK:
+        special = sys.modules.get("scipy.special")
+        if special is not None:
+            return special.ndtri
+        import scipy
+
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+        sys.modules["scipy.special"] = stub
+        try:
+            return importlib.import_module("scipy.special._ufuncs").ndtri
+        finally:
+            del sys.modules["scipy.special"]
+
+
 def _normals(gen: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """The next ``count`` standard normals of ``gen``'s stream, in ``out`` if given."""
-    from scipy.special import ndtri  # deferred: importing scipy costs every CLI start
-
     # random() is k * 2^-53 for the top 53 bits k of one raw draw, the same k
     # that integers(0, 2^53) returns.  Adding 2^-54 gives u = (k + 1/2) * 2^-53
     # for k < 2^52.  For k >= 2^52 the sum is a float64 tie that rounds to
@@ -131,7 +177,7 @@ def _normals(gen: np.random.Generator, count: int, out: np.ndarray | None = None
     values = gen.random(count, out=out)
     values += 2.0 ** -54
     np.minimum(values, _U_MAX, out=values)
-    return ndtri(values, out=values)
+    return _ndtri()(values, out=values)
 
 
 def _estimate(values: np.ndarray) -> WidthEstimate:
@@ -301,8 +347,8 @@ def sample_classical_scaling(sigma_t: float, seed: int, n_samples: int,
     drawn once, as far as the largest N needs, and each estimate has the
     bits of a call for its N alone.
     """
-    if not sigma_t > 0:
-        raise DomainError(f"sigma_t must be positive, got {sigma_t}")
+    if not 0 < sigma_t < math.inf:
+        raise DomainError(f"sigma_t must be positive and finite, got {sigma_t}")
     if not photon_numbers:
         raise DomainError("need at least one photon number")
     for n in photon_numbers:

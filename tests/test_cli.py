@@ -959,6 +959,80 @@ def test_import_leaves_numpy_scipy_and_samplers_unloaded(module):
     assert _probe(probe) == "[]"
 
 
+# What scipy.special's package init loads and the sampler's ndtri does not need.
+_SCIPY_SPECIAL_INIT = ("scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+
+
+def test_first_sample_loads_only_scipys_compiled_ufuncs():
+    # The child makes the process's first draw, so it loads ndtri itself;
+    # this process imports scipy.special the public way first.
+    import scipy.special  # noqa: F401
+
+    from qtiming.distributions import TimingDistribution, TimingVariable
+    from qtiming.montecarlo import SamplerConfig, sample_quantum
+
+    call = ("sample_quantum(TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, "
+            "mean=25.0, sigma=3.5), SamplerConfig(seed=42, n_samples=40_000))")
+    probe = "\n".join([
+        "import json, sys",
+        "from qtiming import montecarlo",
+        "from qtiming.distributions import TimingDistribution, TimingVariable",
+        "from qtiming.montecarlo import SamplerConfig, sample_quantum",
+        f"estimate = {call}",
+        "loaded = ['scipy.special._ufuncs' in sys.modules, 'scipy.special' in sys.modules,",
+        f"          [m for m in {_SCIPY_SPECIAL_INIT!r} if m in sys.modules]]",
+        "import scipy.special",
+        "loaded.append(scipy.special.ndtri is montecarlo._ndtri())",
+        "print(json.dumps([loaded, estimate.to_dict()]))",
+    ])
+    loaded, estimate = json.loads(_probe(probe))
+    assert loaded == [True, False, [], True]
+    expected = sample_quantum(
+        TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, mean=25.0, sigma=3.5),
+        SamplerConfig(seed=42, n_samples=40_000))
+    assert estimate == expected.to_dict()
+
+
+def test_concurrent_first_draws_load_ndtri_once():
+    # The sampler's pool threads can make the process's first draw together.
+    probe = "\n".join([
+        "import sys, threading",
+        "from qtiming import montecarlo",
+        "sys.setswitchinterval(1e-6)",
+        "start = threading.Barrier(4)",
+        "results, errors = [], []",
+        "def draw():",
+        "    start.wait()",
+        "    try:",
+        "        results.append(montecarlo._normals(montecarlo._generator(7, 3), 1000).tobytes())",
+        "    except Exception as exc:",
+        "        errors.append(repr(exc))",
+        "threads = [threading.Thread(target=draw) for _ in range(4)]",
+        "for thread in threads:",
+        "    thread.start()",
+        "for thread in threads:",
+        "    thread.join(timeout=60)",
+        "print([errors, any(t.is_alive() for t in threads), len(results), len(set(results)),",
+        "       'scipy.special' in sys.modules, 'scipy.special._ufuncs' in sys.modules])",
+    ])
+    assert _probe(probe) == "[[], False, 4, 1, False, True]"
+
+
+def test_failed_ndtri_load_leaves_no_stand_in():
+    probe = "\n".join([
+        "import importlib, sys",
+        "from qtiming import montecarlo",
+        "def fail(name):",
+        "    raise ImportError(name)",
+        "importlib.import_module = fail",
+        "try:",
+        "    montecarlo._ndtri()",
+        "except ImportError as exc:",
+        "    print([str(exc), 'scipy.special' in sys.modules])",
+    ])
+    assert _probe(probe) == "['scipy.special._ufuncs', False]"
+
+
 @pytest.mark.parametrize("argv", [
     ["width", "--sigma-phi", "3.7e11", "--n", "7305", "--B", "500", "--json"],
     ["width", "--sigma-phi", "3.7e11", "--n", "100",

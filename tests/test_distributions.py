@@ -571,3 +571,10 @@ class TestDensity:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(DomainError):
             TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, mean=0.0, sigma=0.0)
+
+    @pytest.mark.parametrize("mean, sigma", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan),
+    ])
+    def test_non_finite_parameters_rejected(self, mean, sigma):
+        with pytest.raises(DomainError):
+            TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, mean=mean, sigma=sigma)

@@ -31,6 +31,15 @@ class TestSamplerConfig:
         with pytest.raises(DomainError):
             SamplerConfig(seed=1, n_samples=100, n_photons=10_000_000)
 
+    @pytest.mark.parametrize("fields", [
+        {"seed": 1.5, "n_samples": 1000},
+        {"seed": 1, "n_samples": 1000.5},
+        {"seed": 1, "n_samples": 1000, "n_photons": 2.5},
+    ], ids=["seed", "n_samples", "n_photons"])
+    def test_non_integer_field_rejected(self, fields):
+        with pytest.raises(DomainError, match="must be an integer"):
+            SamplerConfig(**fields)
+
 
 class TestSampleQuantum:
     def test_same_seed_is_bit_identical(self):
@@ -308,6 +317,12 @@ def test_scaling_returns_one_estimate_per_entry():
 def test_scaling_rejects_bad_photon_numbers(numbers):
     with pytest.raises(DomainError):
         sample_classical_scaling(1.0, 1, 100, numbers)
+
+
+@pytest.mark.parametrize("sigma_t", [math.inf, -math.inf, math.nan])
+def test_scaling_rejects_non_finite_width(sigma_t):
+    with pytest.raises(DomainError):
+        sample_classical_scaling(sigma_t, 1, 1000, (1,))
 
 
 def test_passes_keep_whole_rows_within_a_chunk():

@@ -51,10 +51,12 @@ from .distributions import (
 from .errors import ConvergenceError, DomainError
 from .media import (
     AIR_FORMULAS,
+    CATALOG_WAVELENGTH_NM,
     AirConditions,
     MediumSegment,
     PathPair,
     air_dispersion_coefficient,
+    air_length_m,
     catalog_segment,
     material_catalog,
     reference_air_beta,
@@ -294,7 +296,7 @@ def _write_csv(args, header: list[str], columns) -> None:
     print(f"wrote {path} ({n_rows} rows)")
 
 
-def _parse_segment(text: str) -> MediumSegment:
+def _parse_segment(text: str, wavelength_nm: float) -> MediumSegment:
     match = _SEGMENT_RE.match(text)
     if match is None:
         raise DomainError(
@@ -306,15 +308,16 @@ def _parse_segment(text: str) -> MediumSegment:
         length_cm = float(length_str) * _LENGTH_UNITS_CM[unit]
     except ValueError:
         raise DomainError(f"bad path segment {text!r}: {length_str!r} is not a number") from None
-    return catalog_segment(material, length_cm)
+    return catalog_segment(material, length_cm, wavelength_nm)
 
 
 def _paths_from_args(args) -> tuple[PathPair, float]:
-    """Resolve media flags into a PathPair; returns (paths, gdd_sum fs^2)."""
+    """Resolve media flags at --wavelength into a PathPair; returns (paths, gdd_sum fs^2)."""
+    AirConditions(wavelength_nm=args.wavelength)  # its wavelength check, with or without paths
     if args.B is not None:
         return PathPair.symmetric(args.B), args.B
-    paths = PathPair([_parse_segment(s) for s in args.path1],
-                     [_parse_segment(s) for s in args.path2])
+    paths = PathPair([_parse_segment(s, args.wavelength) for s in args.path1],
+                     [_parse_segment(s, args.wavelength) for s in args.path2])
     _, gdd1, _, gdd2 = paths.coefficients()
     return paths, gdd1 + gdd2
 
@@ -345,9 +348,9 @@ def _add_media_flags(sub: _Parser) -> None:
     sub.add_argument("--sigma-phi", type=float, default=None,
                      help="spectral one-sigma width, rad/s")
     sub.add_argument("--wavelength", type=float, default=800.0,
-                     help="carrier wavelength, nm (default 800); validated and recorded in "
-                          "the manifest, but it changes no number: silica comes from the "
-                          "800 nm catalog and air: segments from reference air at 800 nm")
+                     help="carrier wavelength, nm (default 800), at which every medium's GDD "
+                          "is taken: air: segments are reference air there, and a catalog "
+                          "material other than vacuum holds at 800 nm only")
     sub.add_argument("--B", type=float, default=None,
                      help="total group-delay dispersion beta1*x1 + beta2*x2, fs^2 "
                           "(split evenly over the two paths); conflicts with --path*")
@@ -360,7 +363,7 @@ def _add_media_flags(sub: _Parser) -> None:
 # -- width --------------------------------------------------------------------
 
 def _cmd_width(args) -> int:
-    spectrum = GaussianSpectrum.from_si(args.sigma_phi, wavelength_nm=args.wavelength)
+    spectrum = GaussianSpectrum.from_si(args.sigma_phi)
     paths, gdd_sum = _paths_from_args(args)
     state = StateSpec(StateKind(args.state), args.n, v_mag=args.v, u_mag=args.u)
 
@@ -390,7 +393,7 @@ def _cmd_width(args) -> int:
 # -- scan ---------------------------------------------------------------------
 
 def _cmd_scan(args) -> int:
-    spectrum = GaussianSpectrum.from_si(args.sigma_phi, wavelength_nm=args.wavelength)
+    spectrum = GaussianSpectrum.from_si(args.sigma_phi)
     paths, gdd_sum = _paths_from_args(args)
     n = _photon_grid(args)
 
@@ -437,19 +440,15 @@ def _cmd_surface(args) -> int:
 # -- transition ---------------------------------------------------------------
 
 def _cmd_transition(args) -> int:
-    spectrum = GaussianSpectrum.from_si(args.sigma_phi, wavelength_nm=args.wavelength)
+    spectrum = GaussianSpectrum.from_si(args.sigma_phi)
     _, gdd_sum = _paths_from_args(args)
     n_t = transition_photon_number(spectrum.sigma_phi, gdd_sum)
 
-    silica_beta = material_catalog()["fused_silica"].beta
-    payload = {
-        "gdd_sum_fs2": gdd_sum,
-        "transition_photon_number": n_t,
-        "equivalent_silica_total_cm": abs(gdd_sum) / silica_beta,
-        "equivalent_air_total_m": abs(gdd_sum) / reference_air_beta() / 100.0,
-    }
-    if not math.isfinite(payload["equivalent_air_total_m"]):
-        raise DomainError(f"the air length equivalent to gdd_sum {gdd_sum} fs^2 overflows float64")
+    payload = {"gdd_sum_fs2": gdd_sum, "transition_photon_number": n_t}
+    if args.wavelength == CATALOG_WAVELENGTH_NM:  # where the catalog's silica holds
+        payload["equivalent_silica_total_cm"] = abs(gdd_sum) / material_catalog()["fused_silica"].beta
+    payload["equivalent_air_total_m"] = air_length_m(abs(gdd_sum),
+                                                     reference_air_beta(args.wavelength))
     _write_report(args, "transition_report.json", payload)
     _emit(args, payload)
     return 0
@@ -465,9 +464,8 @@ def _cmd_media(args) -> int:
         relative_humidity=args.rh,
         wavelength_nm=args.wavelength,
     )
-    material = resolve_material(args.material)
-    catalog = material_catalog()
-    silica_beta = catalog["fused_silica"].beta
+    material = resolve_material(args.material, args.wavelength)
+    silica_beta = material_catalog()["fused_silica"].beta
     if material == "air":
         refractivity = AIR_FORMULAS[args.formula](conditions)
         beta = air_dispersion_coefficient(conditions, formula=args.formula)
@@ -475,10 +473,11 @@ def _cmd_media(args) -> int:
             **_parameters(args),   # the manifest's parameters, in flag order
             "n_minus_1": refractivity,
             "beta_fs2_per_cm": beta,
-            "length_equivalent_to_1cm_silica_m": silica_beta / beta / 100.0,
         }
+        if args.wavelength == CATALOG_WAVELENGTH_NM:  # where the catalog's silica holds
+            payload["length_equivalent_to_1cm_silica_m"] = air_length_m(silica_beta, beta)
     else:
-        entry = catalog[material]
+        entry = material_catalog()[material]
         payload = {
             "material": entry.label,
             "alpha_fs_per_cm": entry.alpha,

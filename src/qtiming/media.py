@@ -25,7 +25,8 @@ The wavelength validity window is enforced as 350–1700 nm, a conservative
 envelope of the two formulas; outside it the functions raise rather than
 extrapolate.  Temperature has a window too, −20…+50 °C, the range the Buck
 fit states for itself; :func:`air_dispersion_coefficient` applies it to
-both formulas.
+both formulas.  The materials catalog holds its coefficients at 800 nm
+(``CATALOG_WAVELENGTH_NM``) only; air's come from the formulas at any carrier.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "beta_from_index",
     "reference_air_beta",
     "equivalent_air_length",
+    "air_length_m",
     "material_catalog",
     "resolve_material",
     "catalog_segment",
@@ -62,6 +64,7 @@ __all__ = [
 
 WAVELENGTH_RANGE_NM = (350.0, 1700.0)
 TEMPERATURE_RANGE_C = (-20.0, 50.0)
+CATALOG_WAVELENGTH_NM = 800.0  # the carrier (nm) at which the catalog holds its coefficients
 
 _TORR_PER_PA = 760.0 / 101325.0
 _MBAR_PER_PA = 1e-2
@@ -105,6 +108,8 @@ class PathPair:
     @classmethod
     def symmetric(cls, gdd_total: float) -> "PathPair":
         """A bare total GDD (fs^2), split evenly over two single-segment paths."""
+        if not math.isfinite(gdd_total):
+            raise DomainError(f"the total GDD B must be finite, got {gdd_total} fs^2")
         half = MediumSegment("aggregate", alpha=0.0, beta=gdd_total / 2.0, length=1.0)
         return cls([half], [half])
 
@@ -143,8 +148,8 @@ class AirConditions:
                     -20..+50 C, checked by :func:`air_dispersion_coefficient`)
     pressure_pa   : total pressure, Pa (> 0)
     relative_humidity : fraction in [0, 1]
-    wavelength_nm : vacuum wavelength, nm (validity window 350-1700 nm,
-                    checked at evaluation time)
+    wavelength_nm : vacuum wavelength, nm (finite and > 0; validity window
+                    350-1700 nm, checked at evaluation time)
     """
 
     temperature_c: float = 15.0
@@ -158,8 +163,7 @@ class AirConditions:
                 f"temperature must be finite and above absolute zero (-273.15 C), "
                 f"got {self.temperature_c} C"
             )
-        if not math.isfinite(self.wavelength_nm):
-            raise DomainError(f"wavelength must be finite, got {self.wavelength_nm} nm")
+        omega_from_wavelength_nm(self.wavelength_nm)  # raises unless finite and positive
         if not 0 < self.pressure_pa < math.inf:
             raise DomainError(f"pressure must be finite and positive, got {self.pressure_pa} Pa")
         if not 0.0 <= self.relative_humidity <= 1.0:
@@ -385,27 +389,26 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
     return beta
 
 
-@lru_cache(maxsize=1)
-def reference_air_beta() -> float:
-    """Owens dispersion coefficient of :data:`REFERENCE_AIR`, fs^2/cm (cached)."""
-    return air_dispersion_coefficient(REFERENCE_AIR, formula="owens")
+@lru_cache
+def reference_air_beta(wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
+    """Owens dispersion coefficient of :data:`REFERENCE_AIR` at ``wavelength_nm``, fs^2/cm."""
+    return air_dispersion_coefficient(replace(REFERENCE_AIR, wavelength_nm=wavelength_nm), "owens")
+
+
+def air_length_m(gdd: float, air_beta: float) -> float:
+    """Length (m) of air of coefficient ``air_beta`` (fs^2/cm) with the GDD ``gdd`` (fs^2)."""
+    length_m = gdd / air_beta / 100.0
+    if not math.isfinite(length_m):
+        raise DomainError(f"the air length equivalent to a GDD of {gdd} fs^2 overflows float64")
+    return length_m
 
 
 def equivalent_air_length(silica_length_cm: float) -> float:
-    """Length of reference air (m) with the same total dispersion as the
-    given length of fused silica (cm).
-
-    Uses the catalog silica coefficient and the Owens coefficient of
-    :data:`REFERENCE_AIR` (humid standard air at 800 nm).
-    """
+    """Length (m) of :data:`REFERENCE_AIR` at 800 nm, Owens coefficient, with the
+    GDD of ``silica_length_cm`` cm of the catalog's fused silica."""
     if not (math.isfinite(silica_length_cm) and silica_length_cm >= 0):
         raise DomainError(f"silica length must be finite and >= 0, got {silica_length_cm}")
-    beta_silica = material_catalog()["fused_silica"].beta
-    length_m = silica_length_cm * (beta_silica / reference_air_beta()) / 100.0
-    if not math.isfinite(length_m):
-        raise DomainError(f"the air length equivalent to {silica_length_cm} cm of silica "
-                          "overflows float64")
-    return length_m
+    return air_length_m(silica_length_cm * _CATALOG["fused_silica"].beta, reference_air_beta())
 
 
 # -- materials catalog -------------------------------------------------------
@@ -418,7 +421,7 @@ class CatalogEntry:
     note: str
 
 
-# Engineering values near 800 nm, per cm of material.  alpha is catalogued as
+# Engineering values at 800 nm, per cm of material.  alpha is catalogued as
 # 0 for solids: only differences of alpha*length between two paths enter any
 # observable here, so supply alpha explicitly whenever the distribution mean
 # matters.
@@ -435,18 +438,23 @@ def material_catalog() -> Mapping[str, CatalogEntry]:
     return _CATALOG
 
 
-def resolve_material(name: str) -> str:
-    """The material ``name`` stands for: ``"air"`` or a catalog key (``silica`` is ``fused_silica``)."""
+def resolve_material(name: str, wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> str:
+    """The material ``name`` stands for: ``"air"`` or a catalog key (``silica`` is ``fused_silica``),
+    which at a carrier ``wavelength_nm`` other than 800 nm must not disperse."""
     material = _ALIASES.get(name, name)
     if material != "air" and material not in _CATALOG:
         raise DomainError(f"unknown material {name!r}; catalog has {sorted(_CATALOG)} plus 'air'")
+    if material != "air" and _CATALOG[material].beta != 0 and wavelength_nm != CATALOG_WAVELENGTH_NM:
+        raise DomainError(f"the catalog holds {material} at 800 nm only, not at {wavelength_nm:g} nm")
     return material
 
 
-def catalog_segment(material: str, length_cm: float) -> MediumSegment:
-    """A :class:`MediumSegment` of any material :func:`resolve_material` takes; air is reference air."""
-    material = resolve_material(material)
+def catalog_segment(material: str, length_cm: float,
+                    wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> MediumSegment:
+    """A :class:`MediumSegment` of a :func:`resolve_material` name at the carrier
+    ``wavelength_nm``; air is :data:`REFERENCE_AIR` at that wavelength."""
+    material = resolve_material(material, wavelength_nm)
     if material == "air":
-        return MediumSegment(label="air", alpha=0.0, beta=reference_air_beta(), length=length_cm)
+        return MediumSegment("air", 0.0, reference_air_beta(wavelength_nm), length_cm)
     entry = _CATALOG[material]
     return MediumSegment(label=entry.label, alpha=entry.alpha, beta=entry.beta, length=length_cm)

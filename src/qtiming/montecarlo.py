@@ -133,6 +133,27 @@ _U_MAX = math.nextafter(1.0, 0.0)
 _NDTRI_LOCK = threading.Lock()
 
 
+class _SpecialStandIn(types.ModuleType):
+    """The bare ``scipy.special`` that :func:`_ndtri` puts in ``sys.modules`` while it loads.
+
+    The loading thread sees a plain package module.  Any other thread that
+    reads an attribute it lacks waits for the load to end, then gets the
+    attribute from the real ``scipy.special``, imported once the stand-in
+    has gone.
+    """
+
+    def __init__(self, loader: int):
+        super().__init__("scipy.special")
+        self._loader = loader
+
+    def __getattr__(self, name):
+        if threading.get_ident() == self._loader:
+            raise AttributeError(f"module 'scipy.special' has no attribute {name!r}")
+        with _NDTRI_LOCK:
+            special = importlib.import_module("scipy.special")
+        return getattr(special, name)
+
+
 @functools.cache
 def _ndtri() -> np.ufunc:
     """scipy's compiled ``ndtri`` ufunc, loaded without ``scipy.special``'s package init.
@@ -148,8 +169,8 @@ def _ndtri() -> np.ufunc:
     so its ``ndtri`` is this object.  Pool workers may make the first draw
     together, and two loads at once would remove each other's stand-in, so
     a load holds the lock.  A host thread that imports ``scipy.special``
-    during the load gets the stand-in, so a host that imports it from
-    another thread does so before it samples.
+    during the load gets the stand-in, which sends every attribute to the
+    real package once the load is done (:class:`_SpecialStandIn`).
     """
     with _NDTRI_LOCK:
         special = sys.modules.get("scipy.special")
@@ -157,13 +178,14 @@ def _ndtri() -> np.ufunc:
             return special.ndtri
         import scipy
 
-        stub = types.ModuleType("scipy.special")
+        stub = _SpecialStandIn(threading.get_ident())
         stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
         sys.modules["scipy.special"] = stub
         try:
             return importlib.import_module("scipy.special._ufuncs").ndtri
         finally:
             del sys.modules["scipy.special"]
+            stub._loader = None  # thread idents are reused: from now on every thread forwards
 
 
 def _normals(gen: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:

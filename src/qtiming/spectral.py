@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import omega_from_wavelength_nm, sigma_phi_from_rad_per_s
+from .constants import sigma_phi_from_rad_per_s
 from .errors import DomainError
 
 __all__ = ["GaussianSpectrum"]
@@ -15,7 +15,6 @@ __all__ = ["GaussianSpectrum"]
 class GaussianSpectrum:
     """Unnormalised Gaussian spectral amplitude about a carrier.
 
-    omega0    : centre frequency, rad/fs
     sigma_phi : one-sigma amplitude width, rad/fs
 
     The amplitude is exp(-detuning^2 / (2 sigma_phi^2)); no normalisation
@@ -29,7 +28,6 @@ class GaussianSpectrum:
     1e-62 to 1e92.
     """
 
-    omega0: float
     sigma_phi: float
 
     def __post_init__(self):
@@ -41,16 +39,11 @@ class GaussianSpectrum:
                 f"sigma_phi must be finite and positive with a finite, non-zero fourth "
                 f"power and reciprocal, got {self.sigma_phi} rad/fs"
             )
-        if not self.omega0 > 0:
-            raise DomainError(f"omega0 must be positive, got {self.omega0}")
 
     @classmethod
-    def from_si(cls, sigma_phi_rad_per_s: float, wavelength_nm: float = 800.0) -> "GaussianSpectrum":
-        """Build from a bandwidth in rad/s and a carrier wavelength in nm."""
-        return cls(
-            omega0=omega_from_wavelength_nm(wavelength_nm),
-            sigma_phi=sigma_phi_from_rad_per_s(sigma_phi_rad_per_s),
-        )
+    def from_si(cls, sigma_phi_rad_per_s: float) -> "GaussianSpectrum":
+        """Build from a bandwidth in rad/s."""
+        return cls(sigma_phi_from_rad_per_s(sigma_phi_rad_per_s))
 
     def intensity_width(self) -> float:
         """One-sigma width (fs) of the time-domain intensity envelope.

@@ -29,7 +29,7 @@ import qtiming
 from qtiming import cli, verify
 from qtiming.cli import main
 from qtiming.errors import DomainError
-from qtiming.media import catalog_segment
+from qtiming.media import air_length_m, catalog_segment, reference_air_beta
 
 SIGMA_PHI = 3.7e-4  # rad/fs, equals the CLI's 3.7e11 rad/s input
 
@@ -607,6 +607,54 @@ class TestMedia:
         assert not (tmp_path / "media_report.json").exists()
 
 
+class TestWavelength:
+    """--wavelength is the carrier at which every medium's GDD is taken."""
+
+    # Owens beta of reference air, fs^2/cm, to the digits quoted.
+    @pytest.mark.parametrize("wavelength, beta", [(633.0, 0.1386), (800.0, 0.1066),
+                                                  (1550.0, 0.0531)])
+    def test_air_path_is_reference_air_at_the_wavelength(self, tmp_path, capsys, wavelength,
+                                                         beta):
+        assert run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "100",
+                   "--path1", "air:1km", "--wavelength", str(wavelength), "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gdd_sum_fs2"] == 1e5 * reference_air_beta(wavelength)
+        assert payload["gdd_sum_fs2"] == pytest.approx(1e5 * beta, rel=1e-3)
+
+    def test_transition_away_from_800_nm_reports_air_only(self, tmp_path, capsys):
+        assert run(tmp_path, "transition", "--sigma-phi", "3.7e11", "--B", "500",
+                   "--wavelength", "1550", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "equivalent_silica_total_cm" not in payload
+        assert payload["equivalent_air_total_m"] == air_length_m(500.0, reference_air_beta(1550.0))
+        assert payload["equivalent_air_total_m"] > 2 * air_length_m(500.0, reference_air_beta())
+
+    @pytest.mark.parametrize("argv", [
+        ("width", "--sigma-phi", "3.7e11", "--n", "3", "--path1", "silica:1cm"),
+        ("scan", "--preset", "fig2"),
+        ("transition", "--preset", "ntrans-1cm"),
+        ("media", "--material", "silica"),
+    ], ids=lambda argv: argv[0])
+    def test_silica_away_from_800_nm_is_domain_error(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv, "--wavelength", "1550") == 2
+        assert capsys.readouterr().err == (
+            "qtiming: error: the catalog holds fused_silica at 800 nm only, not at 1550 nm\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_vacuum_holds_at_any_wavelength(self, tmp_path, capsys):
+        assert run(tmp_path, "media", "--material", "vacuum", "--wavelength", "1550", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["beta_fs2_per_cm"] == 0.0
+        assert run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "3",
+                   "--path1", "vacuum:1m", "--wavelength", "1550", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["gdd_sum_fs2"] == 0.0
+
+    def test_media_air_away_from_800_nm_has_no_silica_equivalent(self, tmp_path, capsys):
+        assert run(tmp_path, "media", "--material", "air", "--wavelength", "1550", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "length_equivalent_to_1cm_silica_m" not in payload
+        assert payload["beta_fs2_per_cm"] == pytest.approx(0.0531, rel=1e-2)
+
+
 BAD_INPUTS = [
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--path1", "silica:1.2.3cm"),
     ("scan", "--sigma-phi", "3.7e11", "--n-min", "1", "--n-max", "10",
@@ -614,6 +662,9 @@ BAD_INPUTS = [
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--wavelength", "-5"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "-5"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "inf"),
+    # media builds its air conditions for every material, so it checks the wavelength too.
+    ("media", "--material", "silica", "--wavelength", "-5"),
+    ("media", "--material", "vacuum", "--wavelength", "0"),
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--path1", "air:1e308km"),
     # Two finite GDD terms whose sum leaves float64.
     ("width", "--sigma-phi", "3.7e11", "--n", "3",
@@ -638,6 +689,13 @@ def test_bad_input_is_domain_error(tmp_path, capsys, argv):
 def test_state_pairing_error_reads_in_the_clis_terms(tmp_path, capsys, flags, message):
     assert run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", *flags) == 2
     assert capsys.readouterr().err == f"qtiming: error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_B_error_names_B(tmp_path, capsys, value):
+    assert run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "3", f"--B={value}") == 2
+    assert capsys.readouterr().err == (
+        f"qtiming: error: the total GDD B must be finite, got {float(value)} fs^2\n")
 
 
 NEGATIVE_VALUES = [
@@ -1018,6 +1076,39 @@ def test_concurrent_first_draws_load_ndtri_once():
     assert _probe(probe) == "[[], False, 4, 1, False, True]"
 
 
+def test_host_thread_importing_during_the_load_reads_the_real_package():
+    # A host thread takes scipy.special from sys.modules while another
+    # thread's first draw loads ndtri, so it holds the stand-in.
+    probe = "\n".join([
+        "import sys, threading",
+        "from qtiming import montecarlo",
+        "sys.setswitchinterval(1e-6)",
+        "polling = threading.Event()",
+        "seen, errors = [], []",
+        "def host():",
+        "    polling.set()",
+        "    while (special := sys.modules.get('scipy.special')) is None:",
+        "        pass",
+        "    try:",
+        "        seen.extend([type(special).__name__, float(special.erf(0.5)),",
+        "                     special.ndtri is montecarlo._ndtri()])",
+        "    except Exception as exc:",
+        "        errors.append(repr(exc))",
+        "def first_draw():",
+        "    polling.wait()",
+        "    montecarlo._normals(montecarlo._generator(7, 3), 1000)",
+        "threads = [threading.Thread(target=host), threading.Thread(target=first_draw)]",
+        "for thread in threads:",
+        "    thread.start()",
+        "for thread in threads:",
+        "    thread.join(timeout=60)",
+        "import scipy.special",
+        "print([errors, seen, any(t.is_alive() for t in threads),",
+        "       scipy.special.ndtri is montecarlo._ndtri()])",
+    ])
+    assert _probe(probe) == "[[], ['_SpecialStandIn', 0.5204998778130465, True], False, True]"
+
+
 def test_failed_ndtri_load_leaves_no_stand_in():
     probe = "\n".join([
         "import importlib, sys",
@@ -1303,9 +1394,11 @@ class TestVerify:
         assert (tmp_path / "verification_report.json").read_text() == "earlier report\n"
 
     def test_report_lines_printed(self, tmp_path, capsys):
-        run(tmp_path, "verify", "--suite", "montecarlo", "--seed", "1")
-        out = capsys.readouterr().out
-        assert "[pass]" in out
+        assert run(tmp_path, "verify", "--suite", "montecarlo", "--seed", "1") == 0
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [f"[pass] {case['name']}" for case in report["cases"]]
+        assert lines[-1].startswith("verification passed; report: ")
 
     @pytest.mark.parametrize("suite", ["quadrature", "montecarlo", "all"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -15,12 +15,14 @@ from qtiming.constants import C_CM_PER_FS, omega_from_wavelength_nm
 from qtiming.errors import CancellationError, DomainError
 from qtiming.media import (
     AIR_FORMULAS,
+    REFERENCE_AIR,
     TEMPERATURE_RANGE_C,
     AirConditions,
     MediumSegment,
     PathPair,
     air_dispersion_coefficient,
     air_index_function,
+    air_length_m,
     beta_from_index,
     catalog_segment,
     edlen_index_function,
@@ -128,6 +130,12 @@ class TestSegmentValidation:
         with pytest.raises(DomainError):
             MediumSegment("bad", alpha=0.0, beta=math.inf, length=1.0)
 
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf])
+    def test_non_finite_symmetric_total_is_named(self, total):
+        with pytest.raises(DomainError) as info:
+            PathPair.symmetric(total)
+        assert str(info.value) == f"the total GDD B must be finite, got {total} fs^2"
+
     def test_negative_beta_allowed(self):
         seg = MediumSegment("anomalous", alpha=0.0, beta=-250.0, length=1.0)
         assert seg.beta == -250.0
@@ -158,7 +166,7 @@ class TestAirConditions:
         with pytest.raises(DomainError, match="temperature"):
             AirConditions(temperature_c=temperature)
 
-    @pytest.mark.parametrize("wavelength", [math.nan, math.inf])
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf, -5.0, 0.0])
     def test_non_finite_wavelength_rejected(self, wavelength):
         with pytest.raises(DomainError, match="wavelength"):
             AirConditions(wavelength_nm=wavelength)
@@ -337,6 +345,19 @@ class TestEquivalentAirLength:
     def test_proportional_to_length(self):
         assert equivalent_air_length(2.0) == pytest.approx(2 * equivalent_air_length(1.0))
 
+    def test_is_the_air_length_of_the_silica_gdd(self):
+        assert equivalent_air_length(3.0) == air_length_m(750.0, reference_air_beta())
+
+    def test_air_length_divides_gdd_by_beta(self):
+        # The expression the transition and media reports have always used.
+        beta = reference_air_beta()
+        assert air_length_m(500.0, beta) == 500.0 / beta / 100.0
+
+    def test_air_length_overflow_rejected(self):
+        with pytest.raises(DomainError, match="^the air length equivalent to a GDD of 1e\\+308 fs"
+                                              "\\^2 overflows float64$"):
+            air_length_m(1e308, reference_air_beta())
+
 
 class TestCatalog:
     def test_silica_entry(self):
@@ -379,6 +400,33 @@ class TestCatalog:
 
     def test_reference_air_beta_is_owens_value(self):
         assert reference_air_beta() == pytest.approx(BETA_OWENS_RH20_800, rel=1e-4)
+
+    @pytest.mark.parametrize("wavelength", [633.0, 1064.0, 1550.0])
+    def test_reference_air_beta_at_a_wavelength(self, wavelength):
+        assert reference_air_beta(wavelength) == air_dispersion_coefficient(
+            AirConditions(15.0, 101325.0, 0.20, wavelength), "owens")
+
+    def test_reference_air_beta_defaults_to_800_nm(self):
+        assert reference_air_beta() == reference_air_beta(800.0) == air_dispersion_coefficient(
+            REFERENCE_AIR, "owens")
+
+    @pytest.mark.parametrize("wavelength", [633.0, 1550.0])
+    def test_air_segment_at_a_wavelength(self, wavelength):
+        assert catalog_segment("air", 2.0, wavelength) == MediumSegment(
+            "air", 0.0, reference_air_beta(wavelength), 2.0)
+
+    @pytest.mark.parametrize("name", ["silica", "fused_silica"])
+    @pytest.mark.parametrize("wavelength", [633.0, 1550.0, 1e5])
+    def test_dispersive_catalog_material_holds_at_800_nm_only(self, name, wavelength):
+        message = f"^the catalog holds fused_silica at 800 nm only, not at {wavelength:g} nm$"
+        for call in (lambda: resolve_material(name, wavelength),
+                     lambda: catalog_segment(name, 1.0, wavelength)):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    @pytest.mark.parametrize("wavelength", [350.0, 800.0, 1550.0, 1e5])
+    def test_vacuum_holds_at_every_wavelength(self, wavelength):
+        assert catalog_segment("vacuum", 3.0, wavelength) == catalog_segment("vacuum", 3.0)
 
 
 class TestAirFormulaTable:

@@ -16,12 +16,11 @@ SIGMA_G = 1911.0994086122903  # fs, = 1/(sqrt(2) * 3.7e-4), mpmath-checked
 
 @pytest.fixture
 def spectrum():
-    return GaussianSpectrum.from_si(3.7e11, wavelength_nm=800.0)
+    return GaussianSpectrum.from_si(3.7e11)
 
 
 def test_from_si_converts_units(spectrum):
     assert spectrum.sigma_phi == pytest.approx(SIGMA_PHI)
-    assert spectrum.omega0 == pytest.approx(2.354564459136067)
 
 
 def test_intensity_width_value(spectrum):
@@ -36,8 +35,8 @@ def test_time_bandwidth_reciprocity(spectrum):
 
 @given(st.floats(min_value=1e-6, max_value=1e-2))
 def test_doubling_bandwidth_halves_width(sigma_phi):
-    narrow = GaussianSpectrum(omega0=2.35, sigma_phi=sigma_phi)
-    wide = GaussianSpectrum(omega0=2.35, sigma_phi=2 * sigma_phi)
+    narrow = GaussianSpectrum(sigma_phi=sigma_phi)
+    wide = GaussianSpectrum(sigma_phi=2 * sigma_phi)
     assert wide.intensity_width() == pytest.approx(narrow.intensity_width() / 2, rel=1e-15)
 
 
@@ -64,18 +63,13 @@ def test_intensity_width_matches_quadrature_oracle(spectrum):
 @pytest.mark.parametrize("sigma_phi", [0.0, -1.0])
 def test_nonpositive_bandwidth_rejected(sigma_phi):
     with pytest.raises(DomainError):
-        GaussianSpectrum(omega0=2.35, sigma_phi=sigma_phi)
-
-
-def test_nonpositive_carrier_rejected():
-    with pytest.raises(DomainError):
-        GaussianSpectrum(omega0=0.0, sigma_phi=1e-4)
+        GaussianSpectrum(sigma_phi=sigma_phi)
 
 
 @pytest.mark.parametrize("sigma_phi", [math.inf, math.nan])
 def test_non_finite_bandwidth_rejected(sigma_phi):
     with pytest.raises(DomainError):
-        GaussianSpectrum(omega0=2.35, sigma_phi=sigma_phi)
+        GaussianSpectrum(sigma_phi=sigma_phi)
 
 
 @pytest.mark.parametrize("sigma_phi", [1e293, 1e78, 1e-78, 1e-323])
@@ -84,9 +78,9 @@ def test_bandwidth_outside_fourth_power_range_rejected(sigma_phi):
     # reciprocal; either leaving float64 used to end in an OverflowError
     # or a ZeroDivisionError downstream.
     with pytest.raises(DomainError, match="sigma_phi"):
-        GaussianSpectrum(omega0=2.35, sigma_phi=sigma_phi)
+        GaussianSpectrum(sigma_phi=sigma_phi)
 
 
 @pytest.mark.parametrize("sigma_phi", [1e76, 1e-77])
 def test_bandwidth_inside_fourth_power_range_accepted(sigma_phi):
-    assert GaussianSpectrum(omega0=2.35, sigma_phi=sigma_phi).sigma_phi == sigma_phi
+    assert GaussianSpectrum(sigma_phi=sigma_phi).sigma_phi == sigma_phi

@@ -52,7 +52,8 @@ from .spectral import GaussianSpectrum
 # commands, run without it.
 _LAZY = {
     **dict.fromkeys(
-        ("SamplerConfig", "WidthEstimate", "sample_classical", "sample_quantum"),
+        ("SamplerConfig", "WidthEstimate", "sample_classical", "sample_classical_scaling",
+         "sample_quantum"),
         "montecarlo"),
     **dict.fromkeys(
         ("QuadratureSpec", "VerificationReport", "amplitude_numeric",
@@ -109,6 +110,7 @@ __all__ = [
     "quantum_width",
     "reference_air_beta",
     "sample_classical",
+    "sample_classical_scaling",
     "sample_quantum",
     "sigma_phi_from_rad_per_s",
     "transition_photon_number",

@@ -42,9 +42,9 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .errors import DomainError
 from .media import PathPair
 from .spectral import GaussianSpectrum
@@ -85,7 +85,7 @@ class TimingVariable(Enum):
     GATED_POSITION_TIME_DIFFERENCE = "gated-difference"  # fixed gate times, positions resolved
 
 
-@dataclass(frozen=True)
+@record
 class StateSpec:
     """Which entangled state to analyse.
 
@@ -115,7 +115,7 @@ class StateSpec:
             raise DomainError("coherent amplitude magnitudes must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class TimingDistribution:
     """A Gaussian law for one collective timing observable.
 

@@ -32,11 +32,11 @@ both formulas.  The materials catalog holds its coefficients at 800 nm
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._record import record, replace
 from .constants import C_CM_PER_FS, omega_from_wavelength_nm, wavelength_nm_from_omega
 from .errors import CancellationError, DomainError
 
@@ -70,7 +70,7 @@ _TORR_PER_PA = 760.0 / 101325.0
 _MBAR_PER_PA = 1e-2
 
 
-@dataclass(frozen=True)
+@record
 class MediumSegment:
     """One dispersive element of a propagation path.
 
@@ -94,7 +94,7 @@ class MediumSegment:
                 f"segment {self.label!r}: length must be finite and >= 0, got {self.length}")
 
 
-@dataclass(frozen=True)
+@record
 class PathPair:
     """The two propagation paths from source to the two detectors."""
 
@@ -140,7 +140,7 @@ def path_coefficients(path: Sequence[MediumSegment]) -> tuple[float, float]:
     return delay, gdd
 
 
-@dataclass(frozen=True)
+@record
 class AirConditions:
     """Atmospheric state for the refractive-index formulas.
 
@@ -413,7 +413,7 @@ def equivalent_air_length(silica_length_cm: float) -> float:
 
 # -- materials catalog -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     label: str
     alpha: float   # fs/cm
@@ -441,6 +441,7 @@ def material_catalog() -> Mapping[str, CatalogEntry]:
 def resolve_material(name: str, wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> str:
     """The material ``name`` stands for: ``"air"`` or a catalog key (``silica`` is ``fused_silica``),
     which at a carrier ``wavelength_nm`` other than 800 nm must not disperse."""
+    omega_from_wavelength_nm(wavelength_nm)  # raises unless finite and positive
     material = _ALIASES.get(name, name)
     if material != "air" and material not in _CATALOG:
         raise DomainError(f"unknown material {name!r}; catalog has {sorted(_CATALOG)} plus 'air'")

@@ -44,11 +44,11 @@ import types
 from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._cpus import usable_cpus as _thread_count
+from ._record import record
 from .distributions import TimingDistribution
 from .errors import DomainError
 
@@ -66,7 +66,7 @@ _DRAW_BLOCK = 4_000_000  # cap on variates per (shard, block) substream
 _CHUNK_NORMALS = 1 << 17
 
 
-@dataclass(frozen=True)
+@record
 class SamplerConfig:
     seed: int
     n_samples: int
@@ -89,7 +89,7 @@ class SamplerConfig:
             )
 
 
-@dataclass(frozen=True)
+@record
 class WidthEstimate:
     """Sample width and its uncertainty.
 

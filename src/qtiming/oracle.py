@@ -52,10 +52,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .distributions import (StateKind, StateSpec, _coherent_scale, density_at,
                             quantum_distribution)
 from .errors import ConvergenceError, DomainError
@@ -81,7 +81,7 @@ _MOMENT_STEP = 1.0 / 64    # trapezoid step in u of the Plancherel moments
 _MOMENT_REACH = 28.0       # exp(-u^2) is 0.0 in float64 beyond it: farther nodes add nothing
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureSpec:
     """Controls for the trapezoid quadrature.
 
@@ -105,7 +105,7 @@ class QuadratureSpec:
             raise DomainError(f"max_points must be an integer >= 15, got {self.max_points!r}")
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """Closed-form vs numeric densities on a grid of observable values."""
 

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .constants import sigma_phi_from_rad_per_s
 from .errors import DomainError
 
 __all__ = ["GaussianSpectrum"]
 
 
-@dataclass(frozen=True)
+@record
 class GaussianSpectrum:
     """Unnormalised Gaussian spectral amplitude about a carrier.
 

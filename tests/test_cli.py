@@ -1006,15 +1006,31 @@ _UNLOADED = ("numpy", "scipy", "qtiming.oracle", "qtiming.montecarlo",
              "concurrent.futures", "multiprocessing")
 
 
+# dataclasses, and the inspect it imports, cost a cold start ~13 ms; the value
+# classes are frozen records that need neither.  numpy imports inspect itself.
+_RECORD_MODULES = ("dataclasses", "inspect")
+
+
 @pytest.mark.parametrize("module", ["qtiming", "qtiming.cli"])
 def test_import_leaves_numpy_scipy_and_samplers_unloaded(module):
-    # The CSV writer's tempfile and shutil load on first use too.  They are
-    # checked against what the interpreter loaded before the import, since a
-    # site hook may load them at start-up.
+    # The CSV writer's tempfile and shutil load on first use too.  They, and
+    # the modules records do without, are checked against what the
+    # interpreter loaded before the import, since a site hook may load them
+    # at start-up.
+    late = ("tempfile", "shutil", *_RECORD_MODULES)
     probe = (f"import sys; before = set(sys.modules); import {module}; "
              f"print([m for m in {_UNLOADED!r} if m in sys.modules] + "
-             f"[m for m in ('tempfile', 'shutil') if m in sys.modules and m not in before])")
+             f"[m for m in {late!r} if m in sys.modules and m not in before])")
     assert _probe(probe) == "[]"
+
+
+def test_every_public_name_resolves():
+    from qtiming import montecarlo
+
+    assert [name for name in qtiming.__all__ if not hasattr(qtiming, name)] == []
+    # The sampler that `verify` calls; sample_classical is its one-N wrapper.
+    assert "sample_classical_scaling" in qtiming.__all__
+    assert qtiming.sample_classical_scaling is montecarlo.sample_classical_scaling
 
 
 # What scipy.special's package init loads and the sampler's ndtri does not need.
@@ -1138,10 +1154,11 @@ def test_failed_ndtri_load_leaves_no_stand_in():
 def test_report_commands_never_load_numpy(tmp_path, argv):
     # Scalar closed forms go through math.  argparse's help formatter imports
     # shutil, so only tempfile is checked among the CSV writer's modules.
+    late = ("tempfile", *_RECORD_MODULES)
     probe = (f"import sys; before = set(sys.modules); from qtiming.cli import main; "
              f"code = main({[*argv, '--out-dir', str(tmp_path)]!r}); "
              f"print([code] + [m for m in {_UNLOADED!r} if m in sys.modules] + "
-             f"(['tempfile'] if 'tempfile' in sys.modules and 'tempfile' not in before else []))")
+             f"[m for m in {late!r} if m in sys.modules and m not in before])")
     assert _probe(probe) == "[0]"
 
 

@@ -428,6 +428,15 @@ class TestCatalog:
     def test_vacuum_holds_at_every_wavelength(self, wavelength):
         assert catalog_segment("vacuum", 3.0, wavelength) == catalog_segment("vacuum", 3.0)
 
+    @pytest.mark.parametrize("name", ["vacuum", "silica", "air"])
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf, -5.0, 0.0])
+    def test_bad_carrier_rejected_for_every_material(self, name, wavelength):
+        message = f"^wavelength must be finite and positive, got {wavelength} nm$"
+        for call in (lambda: resolve_material(name, wavelength),
+                     lambda: catalog_segment(name, 1.0, wavelength)):
+            with pytest.raises(DomainError, match=message):
+                call()
+
 
 class TestAirFormulaTable:
     def test_index_functions_read_the_table(self):

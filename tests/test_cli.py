@@ -364,6 +364,16 @@ REPORT_DIGESTS = {
                      "edc98bc94c87d4169c486799ed68cde80e764123287655e3e4d3f7237a8de3cd"),
     "media-vacuum": (("media", "--material", "vacuum"),
                      "756ba94ffa0d1de0e9141c982bdc62a6a64eb1d9cdd03b670d25bfbf914a2adc"),
+    # The air path away from its defaults: cold humid Owens air at 1064 nm,
+    # an air: segment, and a bare --B at 1550 nm.
+    "media-owens-1064": (("media", "--material", "air", "--formula", "owens", "--rh", "0.7",
+                          "--temperature", "-20", "--pressure", "95000", "--wavelength", "1064"),
+                         "18c62fb8d8e1f9d67275c7b952fb905ba9b6b28d7f5cfd9f2dd53744f18b42bf"),
+    "width-air": (("width", "--sigma-phi", "3.7e11", "--n", "100",
+                   "--path1", "air:1km", "--path2", "silica:1cm"),
+                  "22c186ef9c5e81e05155bbc1a04492d97cc8ba1d99542620db7262f36942f170"),
+    "transition-1550": (("transition", "--sigma-phi", "3.7e11", "--B", "500", "--wavelength", "1550"),
+                        "be3038cf427ffe3773e0daf180875afa7d4747ce4c1053f81bfc1b8ece324b19"),
 }
 
 

@@ -26,12 +26,8 @@ def record(cls):
     def frozen(self, name, *value):
         raise AttributeError(f"{cls.__name__} is frozen: cannot set or delete {name!r}")
     methods = dict(__init__=__init__, __repr__=__repr__, __eq__=__eq__, __setattr__=frozen,
-                   __delattr__=frozen, __hash__=lambda self: hash(fields(self)), _fields=names)
+                   __delattr__=frozen, __hash__=lambda self: hash(fields(self)))
     for attr in methods.keys() - cls.__dict__.keys():
         setattr(cls, attr, methods[attr])
     return cls
 
-
-def replace(obj, **changes):
-    """A copy of the record ``obj`` with ``changes``, validated again by its ``__init__``."""
-    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})

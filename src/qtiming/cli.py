@@ -38,7 +38,9 @@ from pathlib import Path
 
 from . import __version__
 from ._cpus import usable_cpus
+from .constants import omega_from_wavelength_nm
 from .distributions import (
+    MAX_PHOTON_NUMBER,
     StateKind,
     StateSpec,
     asymptotic_width,
@@ -313,7 +315,7 @@ def _parse_segment(text: str, wavelength_nm: float) -> MediumSegment:
 
 def _paths_from_args(args) -> tuple[PathPair, float]:
     """Resolve media flags at --wavelength into a PathPair; returns (paths, gdd_sum fs^2)."""
-    AirConditions(wavelength_nm=args.wavelength)  # its wavelength check, with or without paths
+    omega_from_wavelength_nm(args.wavelength)  # its check, with or without paths
     if args.B is not None:
         return PathPair.symmetric(args.B), args.B
     paths = PathPair([_parse_segment(s, args.wavelength) for s in args.path1],
@@ -326,8 +328,9 @@ def _photon_grid(args):
     """Log-spaced photon numbers from --n-min/--n-max/--n-points."""
     import numpy as np
 
-    if not 0 < args.n_min <= args.n_max < math.inf:
-        raise DomainError(f"need 0 < n-min <= n-max < inf, got {args.n_min} and {args.n_max}")
+    if not 1 <= args.n_min <= args.n_max <= MAX_PHOTON_NUMBER:
+        raise DomainError(f"need 1 <= n-min <= n-max <= {MAX_PHOTON_NUMBER:g}, "
+                          f"got {args.n_min} and {args.n_max}")
     if args.n_points < 1:
         raise DomainError(f"--n-points must be >= 1, got {args.n_points}")
     if args.n_points == 1:
@@ -462,13 +465,12 @@ def _cmd_media(args) -> int:
         temperature_c=args.temperature,
         pressure_pa=args.pressure,
         relative_humidity=args.rh,
-        wavelength_nm=args.wavelength,
     )
     material = resolve_material(args.material, args.wavelength)
     silica_beta = material_catalog()["fused_silica"].beta
     if material == "air":
-        refractivity = AIR_FORMULAS[args.formula](conditions)
-        beta = air_dispersion_coefficient(conditions, formula=args.formula)
+        refractivity = AIR_FORMULAS[args.formula](conditions, args.wavelength)
+        beta = air_dispersion_coefficient(conditions, args.formula, args.wavelength)
         payload = {
             **_parameters(args),   # the manifest's parameters, in flag order
             "n_minus_1": refractivity,
@@ -627,7 +629,9 @@ def build_parser() -> _Parser:
                        help="'air' or a catalog material (fused_silica, vacuum)")
     media.add_argument("--formula", choices=AIR_FORMULAS, default="edlen",
                        help="air-index formula (air only; default edlen)")
-    media.add_argument("--wavelength", type=float, default=800.0, help="nm (default 800)")
+    media.add_argument("--wavelength", type=float, default=800.0,
+                       help="carrier wavelength, nm (default 800), at which n - 1 and beta "
+                            "are taken")
     media.add_argument("--temperature", type=float, default=15.0, help="deg C (default 15)")
     media.add_argument("--pressure", type=float, default=101325.0, help="Pa (default 101325)")
     media.add_argument("--rh", type=float, default=0.0, help="relative humidity fraction (default 0)")

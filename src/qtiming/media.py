@@ -21,11 +21,11 @@ formulas:
 ``AIR_FORMULAS`` maps each formula's name to its refractivity function, and
 everything that selects a formula by name reads it.  All empirical
 coefficients below are transcribed from those publications.
-The wavelength validity window is enforced as 350–1700 nm, a conservative
-envelope of the two formulas; outside it the functions raise rather than
-extrapolate.  Temperature has a window too, −20…+50 °C, the range the Buck
-fit states for itself; :func:`air_dispersion_coefficient` applies it to
-both formulas.  The materials catalog holds its coefficients at 800 nm
+Each formula takes the atmosphere (:class:`AirConditions`) and the carrier
+wavelength, and starts with one check of both validity windows: 350–1700 nm,
+a conservative envelope of the two formulas, and −20…+50 °C, the range the
+Buck fit states for itself.  Outside either window the formulas raise rather
+than extrapolate.  The materials catalog holds its coefficients at 800 nm
 (``CATALOG_WAVELENGTH_NM``) only; air's come from the formulas at any carrier.
 """
 
@@ -36,7 +36,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._record import record, replace
+from ._record import record
 from .constants import C_CM_PER_FS, omega_from_wavelength_nm, wavelength_nm_from_omega
 from .errors import CancellationError, DomainError
 
@@ -142,20 +142,20 @@ def path_coefficients(path: Sequence[MediumSegment]) -> tuple[float, float]:
 
 @record
 class AirConditions:
-    """Atmospheric state for the refractive-index formulas.
+    """Atmospheric state for the refractive-index formulas; the carrier
+    wavelength is an argument of each formula, not part of the state.
 
-    temperature_c : air temperature, degrees Celsius (validity window
-                    -20..+50 C, checked by :func:`air_dispersion_coefficient`)
+    temperature_c : air temperature, degrees Celsius (finite, above absolute zero)
     pressure_pa   : total pressure, Pa (> 0)
     relative_humidity : fraction in [0, 1]
-    wavelength_nm : vacuum wavelength, nm (finite and > 0; validity window
-                    350-1700 nm, checked at evaluation time)
+
+    Each formula checks its validity windows, -20..+50 C and 350-1700 nm,
+    when it is evaluated.
     """
 
     temperature_c: float = 15.0
     pressure_pa: float = 101325.0
     relative_humidity: float = 0.0
-    wavelength_nm: float = 800.0
 
     def __post_init__(self):
         if not -273.15 < self.temperature_c < math.inf:
@@ -163,7 +163,6 @@ class AirConditions:
                 f"temperature must be finite and above absolute zero (-273.15 C), "
                 f"got {self.temperature_c} C"
             )
-        omega_from_wavelength_nm(self.wavelength_nm)  # raises unless finite and positive
         if not 0 < self.pressure_pa < math.inf:
             raise DomainError(f"pressure must be finite and positive, got {self.pressure_pa} Pa")
         if not 0.0 <= self.relative_humidity <= 1.0:
@@ -172,31 +171,34 @@ class AirConditions:
             )
 
 
-REFERENCE_AIR = AirConditions(
-    temperature_c=15.0, pressure_pa=101325.0, relative_humidity=0.20, wavelength_nm=800.0
-)
-"""Humid standard air at 800 nm: the reference state for air/silica equivalences."""
+REFERENCE_AIR = AirConditions(temperature_c=15.0, pressure_pa=101325.0, relative_humidity=0.20)
+"""Humid standard air: the reference state for air/silica equivalences."""
 
 
-def _check_wavelength(wavelength_nm: float) -> None:
-    lo, hi = WAVELENGTH_RANGE_NM
-    if not lo <= wavelength_nm <= hi:
-        raise DomainError(
-            f"wavelength {wavelength_nm:g} nm outside the validity window "
-            f"[{lo:g}, {hi:g}] nm of the empirical air-index formulas"
-        )
+def _check_windows(conditions: AirConditions, wavelength_nm: float) -> None:
+    """Raise unless the wavelength and the temperature lie in the formulas' validity windows."""
+    for quantity, value, (lo, hi), unit in (
+        ("wavelength", wavelength_nm, WAVELENGTH_RANGE_NM, "nm"),
+        ("temperature", conditions.temperature_c, TEMPERATURE_RANGE_C, "C"),
+    ):
+        if not lo <= value <= hi:
+            raise DomainError(
+                f"{quantity} {value:g} {unit} outside the validity window "
+                f"[{lo:g}, {hi:g}] {unit} of the empirical air-index formulas"
+            )
 
 
-def edlen_refractivity(conditions: AirConditions) -> float:
-    """Refractivity (n - 1) of dry air after Edlén (1966).
+def edlen_refractivity(conditions: AirConditions,
+                       wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
+    """Refractivity (n - 1) of dry air after Edlén (1966) at ``wavelength_nm``.
 
     Dispersion equation for standard air (15 C, 101325 Pa, 0.03% CO2)
     rescaled by the Edlén density factor for the given temperature and
     pressure.  Humidity is ignored: this is the dry-air formula; use
     :func:`owens_refractivity` when water vapour matters.
     """
-    _check_wavelength(conditions.wavelength_nm)
-    sig2 = (1000.0 / conditions.wavelength_nm) ** 2  # (1/lambda_um)^2
+    _check_windows(conditions, wavelength_nm)
+    sig2 = (1000.0 / wavelength_nm) ** 2  # (1/lambda_um)^2
     ns = (8342.13 + 2406030.0 / (130.0 - sig2) + 15997.0 / (38.9 - sig2)) * 1e-8
 
     t = conditions.temperature_c
@@ -206,35 +208,26 @@ def edlen_refractivity(conditions: AirConditions) -> float:
     return ns * density
 
 
-_BUCK_POLE_C = -257.14
-
-
 def _saturation_vapor_pressure_mbar(temperature_c: float) -> float:
     # Buck (1981), over water; accurate to ~0.1% between -20 C and +50 C.
-    # Above its pole the exponent stays below ~20, so exp cannot overflow.
     t = temperature_c
-    if not t > _BUCK_POLE_C:
-        raise DomainError(
-            f"temperature {t} C is at or below the pole ({_BUCK_POLE_C} C) of the Buck "
-            "saturation-vapour-pressure fit that the Owens formula uses"
-        )
     return 6.1121 * math.exp((18.678 - t / 234.5) * t / (257.14 + t))
 
 
-def owens_refractivity(conditions: AirConditions) -> float:
-    """Refractivity (n - 1) of moist air after Owens (1967).
+def owens_refractivity(conditions: AirConditions,
+                       wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
+    """Refractivity (n - 1) of moist air after Owens (1967) at ``wavelength_nm``.
 
     Separate dispersion terms for the dry-air component and for water
     vapour, each multiplied by its density factor; pressures in mbar,
     temperature in kelvin.  The water-vapour partial pressure comes from
     the relative humidity via the Buck saturation-pressure equation.
 
-    Raises :class:`DomainError` when the temperature is at or below the
-    Buck fit's pole (-257.14 C), and when a density term or the result is
-    not finite (e.g. ``temperature_c=1e200``, whose powers overflow).
+    Raises :class:`DomainError` when the result is not finite (e.g.
+    ``pressure_pa=1e308``, whose density factor overflows).
     """
-    _check_wavelength(conditions.wavelength_nm)
-    sig2 = (1000.0 / conditions.wavelength_nm) ** 2
+    _check_windows(conditions, wavelength_nm)
+    sig2 = (1000.0 / wavelength_nm) ** 2
 
     t_k = conditions.temperature_c + 273.15
     p_total = conditions.pressure_pa * _MBAR_PER_PA
@@ -243,16 +236,13 @@ def owens_refractivity(conditions: AirConditions) -> float:
         raise DomainError("water-vapour partial pressure exceeds total pressure")
     p_dry = p_total - p_water
 
-    try:
-        density_dry = (p_dry / t_k) * (
-            1.0 + p_dry * (57.90e-8 - 9.3250e-4 / t_k + 0.25844 / t_k**2)
-        )
-        density_water = (p_water / t_k) * (
-            1.0 + p_water * (1.0 + 3.7e-4 * p_water)
-            * (-2.37321e-3 + 2.23366 / t_k - 710.792 / t_k**2 + 7.75141e4 / t_k**3)
-        )
-    except OverflowError:
-        density_dry = density_water = math.inf
+    density_dry = (p_dry / t_k) * (
+        1.0 + p_dry * (57.90e-8 - 9.3250e-4 / t_k + 0.25844 / t_k**2)
+    )
+    density_water = (p_water / t_k) * (
+        1.0 + p_water * (1.0 + 3.7e-4 * p_water)
+        * (-2.37321e-3 + 2.23366 / t_k - 710.792 / t_k**2 + 7.75141e4 / t_k**3)
+    )
 
     dry_term = 2371.34 + 683939.7 / (130.0 - sig2) + 4547.3 / (38.9 - sig2)
     water_term = 6487.31 + 58.058 * sig2 - 0.71150 * sig2**2 + 0.08851 * sig2**3
@@ -266,11 +256,11 @@ def owens_refractivity(conditions: AirConditions) -> float:
     return refractivity
 
 
-AIR_FORMULAS: Mapping[str, Callable[[AirConditions], float]] = MappingProxyType({
+AIR_FORMULAS: Mapping[str, Callable[[AirConditions, float], float]] = MappingProxyType({
     "edlen": edlen_refractivity,
     "owens": owens_refractivity,
 })
-"""The air-index formulas by name: each maps conditions to the refractivity n - 1."""
+"""The air-index formulas by name: each maps conditions and a wavelength (nm) to n - 1."""
 
 
 def air_index_function(conditions: AirConditions, formula: str) -> Callable[[float], float]:
@@ -280,8 +270,7 @@ def air_index_function(conditions: AirConditions, formula: str) -> Callable[[flo
         raise DomainError(f"unknown air-index formula {formula!r}; known: {sorted(AIR_FORMULAS)}")
 
     def index(omega: float) -> float:
-        wl = wavelength_nm_from_omega(omega)
-        return 1.0 + refractivity(replace(conditions, wavelength_nm=wl))
+        return 1.0 + refractivity(conditions, wavelength_nm_from_omega(omega))
 
     return index
 
@@ -361,30 +350,23 @@ def beta_from_index(
     return second / (2.0 * C_CM_PER_FS)
 
 
-def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen") -> float:
-    """beta of air (fs^2/cm) at the conditions' wavelength.
+def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen",
+                               wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
+    """beta of air (fs^2/cm) at the carrier ``wavelength_nm``.
 
     ``formula`` is a key of :data:`AIR_FORMULAS`, ``"edlen"`` (dry) or ``"owens"`` (humid).
     Air disperses normally, so a result that is not finite and positive
     means the formula has left its range at these conditions (a near-vacuum
-    pressure whose index rounds to exactly 1, or a temperature whose
-    density factor overflows); that raises :class:`DomainError`.  So does a
-    temperature outside ``TEMPERATURE_RANGE_C``, checked after the result so
-    that a formula's own failure keeps its own message.
+    pressure whose index rounds to exactly 1, or a pressure whose density
+    factor overflows); that raises :class:`DomainError`.
     """
     beta = beta_from_index(air_index_function(conditions, formula),
-                           omega_from_wavelength_nm(conditions.wavelength_nm))
+                           omega_from_wavelength_nm(wavelength_nm))
     if not 0 < beta < math.inf:
         raise DomainError(
             f"{formula} air dispersion coefficient is {beta} fs^2/cm, not finite and positive, "
             f"at temperature {conditions.temperature_c} C, pressure {conditions.pressure_pa} Pa, "
             f"relative humidity {conditions.relative_humidity}"
-        )
-    lo, hi = TEMPERATURE_RANGE_C
-    if not lo <= conditions.temperature_c <= hi:
-        raise DomainError(
-            f"temperature {conditions.temperature_c:g} C outside the validity window "
-            f"[{lo:g}, {hi:g}] C of the empirical air-index formulas"
         )
     return beta
 
@@ -392,7 +374,7 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
 @lru_cache
 def reference_air_beta(wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
     """Owens dispersion coefficient of :data:`REFERENCE_AIR` at ``wavelength_nm``, fs^2/cm."""
-    return air_dispersion_coefficient(replace(REFERENCE_AIR, wavelength_nm=wavelength_nm), "owens")
+    return air_dispersion_coefficient(REFERENCE_AIR, "owens", wavelength_nm)
 
 
 def air_length_m(gdd: float, air_beta: float) -> float:

@@ -62,8 +62,8 @@ def test_01_transition_photon_number():
 
 
 def test_02_air_dispersion_coefficients():
-    edlen = air_dispersion_coefficient(AirConditions(15.0, 101325.0, 0.0, 800.0), "edlen")
-    owens = air_dispersion_coefficient(AirConditions(15.0, 101325.0, 0.20, 800.0), "owens")
+    edlen = air_dispersion_coefficient(AirConditions(15.0, 101325.0, 0.0), "edlen", 800.0)
+    owens = air_dispersion_coefficient(AirConditions(15.0, 101325.0, 0.20), "owens", 800.0)
     ok = abs(edlen / 0.106 - 1.0) < 0.05 and abs(owens / 0.103 - 1.0) < 0.05
     report(2, f"air dispersion: Edlen {edlen:.4f} (0.106 +/- 5%), "
               f"Owens 20% RH {owens:.4f} (0.103 +/- 5%) fs^2/cm", ok)

@@ -160,7 +160,14 @@ class TestScan:
     def test_empty_range_is_domain_error(self, tmp_path, capsys):
         assert run(tmp_path, "scan", "--sigma-phi", "3.7e11", "--B", "0",
                    "--n-min", "10", "--n-max", "1") == 2
-        assert capsys.readouterr().err.startswith("qtiming: error: need 0 < n-min <= n-max")
+        assert capsys.readouterr().err.startswith("qtiming: error: need 1 <= n-min <= n-max")
+
+    def test_photon_range_reaches_both_bounds(self, tmp_path):
+        # The range `width --n` accepts: 1 <= N <= MAX_PHOTON_NUMBER.
+        assert run(tmp_path, "scan", "--sigma-phi", "3.7e11", "--B", "500",
+                   "--n-min", "1", "--n-max", "1e12", "--n-points", "3") == 0
+        _, rows = read_csv(tmp_path / "scan.csv")
+        assert [row[0] for row in rows] == [1.0, 1e6, 1e12]
 
     def test_rerun_from_manifest_parameters_is_byte_identical(self, tmp_path):
         run(tmp_path, "scan", "--preset", "fig2")
@@ -222,11 +229,16 @@ BAD_GRIDS = [
     ("scan", "--preset", "fig2", "--n-max", "inf"),
     ("scan", "--preset", "fig2", "--n-min", "nan"),
     ("scan", "--preset", "fig2", "--n-min", "1e4", "--n-max", "10"),
+    ("scan", "--preset", "fig2", "--n-min", "1e-300", "--n-max", "1"),
+    ("scan", "--preset", "fig2", "--n-min", "0.5"),
+    ("scan", "--preset", "fig2", "--n-max", "1e15"),
     ("surface", "--preset", "fig3", "--n-points", "0"),
     ("surface", "--preset", "fig3", "--x-points", "0"),
     ("surface", "--preset", "fig3", "--n-max", "inf"),
     ("surface", "--preset", "fig3", "--n-min", "nan"),
     ("surface", "--preset", "fig3", "--n-min", "100", "--n-max", "10"),
+    ("surface", "--preset", "fig3", "--n-min", "0.5"),
+    ("surface", "--preset", "fig3", "--n-max", "1e13"),
     ("surface", "--preset", "fig3", "--x-max", "inf"),
     ("surface", "--preset", "fig3", "--x-min", "nan"),
     ("surface", "--preset", "fig3", "--x-min", "50", "--x-max", "5"),
@@ -672,7 +684,7 @@ BAD_INPUTS = [
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--wavelength", "-5"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "-5"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "10", "--wavelength", "inf"),
-    # media builds its air conditions for every material, so it checks the wavelength too.
+    # media resolves every material at the carrier, so it checks the wavelength too.
     ("media", "--material", "silica", "--wavelength", "-5"),
     ("media", "--material", "vacuum", "--wavelength", "0"),
     ("width", "--sigma-phi", "3.7e11", "--n", "3", "--path1", "air:1e308km"),

@@ -1,14 +1,11 @@
 """Value-record semantics of the eleven frozen classes: construction, equality,
-hashing, repr, immutability and ``replace``, as ``dataclass(frozen=True)`` gave them."""
-
-import math
+hashing, repr and immutability, as ``dataclass(frozen=True)`` gave them."""
 
 import pytest
 
-from qtiming._record import record, replace
+from qtiming._record import record
 from qtiming.distributions import StateKind, StateSpec, TimingDistribution, TimingVariable
-from qtiming.errors import DomainError
-from qtiming.media import REFERENCE_AIR, AirConditions, CatalogEntry, MediumSegment, PathPair
+from qtiming.media import AirConditions, CatalogEntry, MediumSegment, PathPair
 from qtiming.montecarlo import SamplerConfig, WidthEstimate
 from qtiming.oracle import QuadratureSpec, VerificationReport
 from qtiming.spectral import GaussianSpectrum
@@ -27,7 +24,7 @@ SAMPLES = [
     (MediumSegment, {"label": "vacuum", "alpha": 0.0, "beta": 0.0, "length": 1.0}, "air"),
     (PathPair, {"path1": (VACUUM,), "path2": (SILICA,)}, (SILICA,)),
     (AirConditions, {"temperature_c": 15.0, "pressure_pa": 101325.0,
-                     "relative_humidity": 0.2, "wavelength_nm": 800.0}, 20.0),
+                     "relative_humidity": 0.2}, 20.0),
     (CatalogEntry, {"label": "vacuum", "alpha": 0.0, "beta": 0.0, "note": "reference"}, "x"),
     (QuadratureSpec, {"half_width": 10.0, "max_points": 6_000_000, "rel_tol": 1e-10}, 12.0),
     (VerificationReport, {"grid": (0.0, 1.0), "closed_form": (0.5, 0.25),
@@ -42,8 +39,7 @@ IDS = [cls.__name__ for cls, _, _ in SAMPLES]
 DEFAULTS = {
     StateSpec: {"v_mag": None, "u_mag": None},
     TimingDistribution: {"amplitude_scale": 1.0},
-    AirConditions: {"temperature_c": 15.0, "pressure_pa": 101325.0,
-                    "relative_humidity": 0.0, "wavelength_nm": 800.0},
+    AirConditions: {"temperature_c": 15.0, "pressure_pa": 101325.0, "relative_humidity": 0.0},
     QuadratureSpec: {"half_width": 10.0, "max_points": 6_000_000, "rel_tol": 1e-10},
     SamplerConfig: {"n_photons": 1},
 }
@@ -126,20 +122,3 @@ def test_own_init_is_kept():
     with pytest.raises(TypeError):
         PathPair((VACUUM,))
 
-
-def test_replace_builds_a_new_record():
-    changed = replace(REFERENCE_AIR, wavelength_nm=633.0)
-    assert changed == AirConditions(15.0, 101325.0, 0.2, 633.0)
-    assert REFERENCE_AIR.wavelength_nm == 800.0
-    assert replace(PathPair([VACUUM], [VACUUM]), path2=[SILICA]) == PathPair([VACUUM], [SILICA])
-
-
-@pytest.mark.parametrize("wavelength", [-5, 0.0, math.nan, math.inf])
-def test_replace_validates_again(wavelength):
-    with pytest.raises(DomainError, match="wavelength must be finite and positive"):
-        replace(REFERENCE_AIR, wavelength_nm=wavelength)
-
-
-def test_replace_rejects_an_unknown_field():
-    with pytest.raises(TypeError):
-        replace(REFERENCE_AIR, colour="blue")

@@ -222,7 +222,8 @@ class TestRefractivity:
     @pytest.mark.parametrize("wavelength", [350.0, 450.0, 633.0, 800.0, 1064.0, 1700.0])
     def test_edlen_owens_dry_agreement(self, wavelength):
         cond = AirConditions(15.0, 101325.0, 0.0)
-        assert abs(edlen_refractivity(cond, wavelength) - owens_refractivity(cond, wavelength)) < 1e-7
+        edlen, owens = edlen_refractivity(cond, wavelength), owens_refractivity(cond, wavelength)
+        assert abs(edlen - owens) < 1e-7
 
     def test_water_vapour_lowers_refractivity(self):
         dry = owens_refractivity(AirConditions(15.0, 101325.0, 0.0))

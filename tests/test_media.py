@@ -230,6 +230,21 @@ class TestRefractivity:
         saturated = owens_refractivity(AirConditions(15.0, 101325.0, 1.0))
         assert saturated < dry
 
+    @pytest.mark.parametrize("temperature", [-257.14, -258.0, -273.0])
+    def test_owens_at_or_below_buck_pole_rejected(self, temperature):
+        # The temperature window stops these before the Buck vapour-pressure
+        # term, whose denominator vanishes at -257.14 C, is evaluated.
+        with pytest.raises(DomainError, match="^temperature .* outside the validity window"):
+            owens_refractivity(AirConditions(temperature, 101325.0, 0.5))
+
+    def test_owens_just_above_buck_pole_is_finite(self):
+        # Just above the pole the window still rejects; the first accepted
+        # temperature, the window's cold edge, gives a finite value.
+        with pytest.raises(DomainError, match="^temperature .* outside the validity window"):
+            owens_refractivity(AirConditions(-257.0, 101325.0, 0.5))
+        cold_edge = AirConditions(TEMPERATURE_RANGE_C[0], 101325.0, 0.5)
+        assert math.isfinite(owens_refractivity(cold_edge))
+
     @pytest.mark.parametrize("temperature, pressure", [(-20.0, 1e200), (50.0, 1e200),
                                                        (15.0, 1e308)])
     def test_owens_non_finite_terms_rejected(self, temperature, pressure):

@@ -6,114 +6,43 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .constants import (
-    omega_from_wavelength_nm,
-    sigma_phi_from_rad_per_s,
-    wavelength_nm_from_omega,
-)
-from .distributions import (
-    StateKind,
-    StateSpec,
-    TimingDistribution,
-    TimingVariable,
-    asymptotic_width,
-    classical_shot_noise,
-    classical_width,
-    density_at,
-    gated_detector_distribution,
-    quantum_classical_ratio,
-    quantum_distribution,
-    quantum_width,
-    transition_photon_number,
-)
-from .errors import CancellationError, ConvergenceError, DomainError
-from .media import (
-    AirConditions,
-    MediumSegment,
-    PathPair,
-    REFERENCE_AIR,
-    air_dispersion_coefficient,
-    beta_from_index,
-    catalog_segment,
-    edlen_refractivity,
-    equivalent_air_length,
-    material_catalog,
-    owens_refractivity,
-    path_coefficients,
-    reference_air_beta,
-)
-from .spectral import GaussianSpectrum
-
-# The sampler and the oracle load on first use (PEP 562), so that importing
-# the package, or the CLI for a command that neither samples nor verifies,
-# does not pay for them or for the thread pool module.  Nothing imported here
-# loads numpy either: the closed forms compute scalars with math and import
-# numpy only for arrays, so the package, and the width, transition and media
-# commands, run without it.
-_LAZY = {
-    **dict.fromkeys(
-        ("SamplerConfig", "WidthEstimate", "sample_classical", "sample_classical_scaling",
-         "sample_quantum"),
-        "montecarlo"),
-    **dict.fromkeys(
-        ("QuadratureSpec", "VerificationReport", "amplitude_numeric",
-         "numeric_central_moment", "numeric_moments", "verify_closed_form"),
-        "oracle"),
+# The package's modules and the names it exports from each.  Nothing loads
+# until a name is used (PEP 562): ``qtiming.quantum_width`` imports
+# ``qtiming.distributions``, and ``qtiming.media`` imports that module.  So
+# a bare ``import qtiming`` loads no submodule, and the CLI, which imports
+# its modules itself, loads neither the sampler nor the oracle (nor numpy)
+# for a command that does not run them.
+_EXPORTS = {
+    "constants": "omega_from_wavelength_nm sigma_phi_from_rad_per_s wavelength_nm_from_omega",
+    "distributions": """StateKind StateSpec TimingDistribution TimingVariable asymptotic_width
+        classical_shot_noise classical_width density_at gated_detector_distribution
+        quantum_classical_ratio quantum_distribution quantum_width transition_photon_number""",
+    "errors": "CancellationError ConvergenceError DomainError",
+    "media": """AirConditions MediumSegment PathPair REFERENCE_AIR air_dispersion_coefficient
+        beta_from_index catalog_segment edlen_refractivity equivalent_air_length
+        material_catalog owens_refractivity path_coefficients reference_air_beta""",
+    "spectral": "GaussianSpectrum",
+    "montecarlo": "SamplerConfig WidthEstimate sample_classical sample_classical_scaling "
+                  "sample_quantum",
+    "oracle": """QuadratureSpec VerificationReport amplitude_numeric numeric_central_moment
+        numeric_moments verify_closed_form""",
+    "verify": "",
+    "cli": "",
 }
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = ["__version__", *sorted(_HOME)]
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
+    # Importing a submodule binds its name here; an export is bound once read.
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     return value
 
-__all__ = [
-    "__version__",
-    "AirConditions",
-    "CancellationError",
-    "ConvergenceError",
-    "DomainError",
-    "GaussianSpectrum",
-    "MediumSegment",
-    "PathPair",
-    "QuadratureSpec",
-    "REFERENCE_AIR",
-    "SamplerConfig",
-    "StateKind",
-    "StateSpec",
-    "TimingDistribution",
-    "TimingVariable",
-    "VerificationReport",
-    "WidthEstimate",
-    "air_dispersion_coefficient",
-    "amplitude_numeric",
-    "asymptotic_width",
-    "beta_from_index",
-    "catalog_segment",
-    "classical_shot_noise",
-    "classical_width",
-    "density_at",
-    "edlen_refractivity",
-    "equivalent_air_length",
-    "gated_detector_distribution",
-    "material_catalog",
-    "numeric_central_moment",
-    "numeric_moments",
-    "omega_from_wavelength_nm",
-    "owens_refractivity",
-    "path_coefficients",
-    "quantum_classical_ratio",
-    "quantum_distribution",
-    "quantum_width",
-    "reference_air_beta",
-    "sample_classical",
-    "sample_classical_scaling",
-    "sample_quantum",
-    "sigma_phi_from_rad_per_s",
-    "transition_photon_number",
-    "verify_closed_form",
-    "wavelength_nm_from_omega",
-]
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -49,6 +49,7 @@ from .distributions import (
     quantum_distribution,
     quantum_width,
     transition_photon_number,
+    width_ratio,
 )
 from .errors import ConvergenceError, DomainError
 from .media import (
@@ -432,8 +433,7 @@ def _cmd_surface(args) -> int:
     # that is not finite.
     with np.errstate(over="ignore"):
         gdd_path = args.beta * x
-        ratio = (quantum_width(sigma_phi, n, 2.0 * gdd_path)
-                 / classical_shot_noise(classical_width(sigma_phi, gdd_path, gdd_path), n))
+    ratio = width_ratio(sigma_phi, n, gdd_path, gdd_path)
     clipped = np.maximum(ratio, 1.0) if args.clip == "unity" else ratio
 
     _write_csv(args, ["N", "x_cm", "R", "R_raw"], [a.ravel() for a in (n, x, clipped, ratio)])

@@ -16,6 +16,16 @@ import math
 
 from .errors import DomainError
 
+__all__ = [
+    "C_CM_PER_FS",
+    "C_NM_PER_FS",
+    "RAD_PER_S_TO_RAD_PER_FS",
+    "TWO_PI",
+    "omega_from_wavelength_nm",
+    "wavelength_nm_from_omega",
+    "sigma_phi_from_rad_per_s",
+]
+
 C_CM_PER_FS = 2.99792458e-5
 """Speed of light in vacuum, cm/fs."""
 

@@ -368,11 +368,19 @@ def quantum_classical_ratio(
     uncompensated dispersion has made it worse.
     """
     _, gdd1, _, gdd2 = paths.coefficients()
-    sigma_q = quantum_width(spectrum.sigma_phi, state.n_photons, gdd1 + gdd2)
-    sigma_c = classical_shot_noise(
-        classical_width(spectrum.sigma_phi, gdd1, gdd2), state.n_photons
-    )
-    return sigma_q / sigma_c
+    return width_ratio(spectrum.sigma_phi, state.n_photons, gdd1, gdd2)
+
+
+def width_ratio(sigma_phi: float, n_photons, gdd_path1, gdd_path2):
+    """:func:`quantum_classical_ratio` from the spectral width (rad/fs) and per-path GDDs (fs^2).
+
+    ``n_photons``, ``gdd_path1`` and ``gdd_path2`` may be arrays (broadcast
+    together), as ``surface`` passes them.
+    """
+    with _namespace(gdd_path1, gdd_path2) as (_, gdd1, gdd2):
+        sigma_q = quantum_width(sigma_phi, n_photons, gdd1 + gdd2)
+        sigma_c = classical_shot_noise(classical_width(sigma_phi, gdd1, gdd2), n_photons)
+        return sigma_q / sigma_c
 
 
 def density_at(dist: TimingDistribution, tau):

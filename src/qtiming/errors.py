@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "CancellationError", "ConvergenceError"]
+
 
 class DomainError(ValueError):
     """An input is outside the validated domain of a formula or model."""

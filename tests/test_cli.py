@@ -10,6 +10,7 @@ import csv
 import errno
 import gc
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -349,7 +350,11 @@ def test_b_replaces_the_presets_paths(tmp_path, capsys, argv):
 
 def test_preset_csvs_match_recorded_digests(tmp_path):
     # SHA-256 of the fig2 and fig3 CSVs as first released; a refactor of the
-    # closed forms or the writer must keep these bytes.
+    # closed forms or the writer must keep these bytes.  They were recorded
+    # with numpy's AVX-512 `power` behind np.logspace: with
+    # NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" the N grid
+    # moves by one ulp at five fig2 points (to libm's correctly rounded
+    # pow), and the digests read 5ebd07a0... and beaa64c7... instead.
     assert run(tmp_path, "scan", "--preset", "fig2") == 0
     assert run(tmp_path, "surface", "--preset", "fig3") == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -399,7 +404,9 @@ def test_reports_match_recorded_digests(tmp_path, capsys, name):
 
 def test_grid_fine_csvs_match_recorded_digests(tmp_path):
     # The benchmark's seed-0 grid-fine jobs: 180,000 and 200,000 rows, so
-    # unlike fig2 and fig3 they span many writer blocks.
+    # unlike fig2 and fig3 they span many writer blocks.  Like the preset
+    # digests, these hold for numpy's AVX-512 `power` behind np.logspace;
+    # without it they read e9b47fcb... and 24fd32ae... instead.
     assert run(tmp_path, "scan", "--sigma-phi", "3.7e11", "--path1", "silica:400cm",
                "--n-min", "1.0844421851525048", "--n-max", "1075795.4402940301",
                "--n-points", "180000") == 0
@@ -1050,9 +1057,25 @@ def test_every_public_name_resolves():
     from qtiming import montecarlo
 
     assert [name for name in qtiming.__all__ if not hasattr(qtiming, name)] == []
+    # Each export is its home module's own public object, not a copy.
+    for name, module in qtiming._HOME.items():
+        home = importlib.import_module(f"qtiming.{module}")
+        assert name in home.__all__, (module, name)
+        assert getattr(qtiming, name) is getattr(home, name), (module, name)
     # The sampler that `verify` calls; sample_classical is its one-N wrapper.
     assert "sample_classical_scaling" in qtiming.__all__
     assert qtiming.sample_classical_scaling is montecarlo.sample_classical_scaling
+
+
+def test_dir_lists_every_export_before_it_loads():
+    assert _probe("import qtiming; print(set(qtiming.__all__) <= set(dir(qtiming)))") == "True"
+
+
+def test_bare_import_loads_no_submodule_and_submodules_still_resolve():
+    probe = ("import sys, qtiming; "
+             "loaded = [m for m in sys.modules if m.startswith('qtiming.')]; "
+             "print([loaded, qtiming.media.__name__, qtiming.oracle.__name__])")
+    assert _probe(probe) == "[[], 'qtiming.media', 'qtiming.oracle']"
 
 
 # What scipy.special's package init loads and the sampler's ndtri does not need.

@@ -22,6 +22,7 @@ from qtiming.distributions import (
     quantum_distribution,
     quantum_width,
     transition_photon_number,
+    width_ratio,
 )
 from qtiming.errors import DomainError
 from qtiming.media import MediumSegment, PathPair, catalog_segment
@@ -548,6 +549,16 @@ class TestQuantumClassicalRatio:
         assert ratios[0] < 1.0 < ratios[-1]
         crossings = np.sum(np.diff(np.sign(ratios - 1.0)) != 0)
         assert crossings == 1
+
+    def test_array_ratio_matches_each_scalar_ratio_bit_for_bit(self, spectrum):
+        # The surface grid's one call, against the library's per-point ratio.
+        n = np.logspace(0, 6, 13)[:, None]
+        gdd1, gdd2 = np.array([0.0, 250.0, -3e4, 1e5]), np.array([0.0, 250.0, 3e4, 7.5e3])
+        ratios = width_ratio(spectrum.sigma_phi, n, gdd1, gdd2)
+        expected = [[quantum_classical_ratio(StateSpec(StateKind.ANTI_CORRELATED_FOCK, float(ni)),
+                                             spectrum, pair(g1, g2)) for g1, g2 in zip(gdd1, gdd2)]
+                    for ni in n[:, 0]]
+        assert ratios.tolist() == expected
 
 
 class TestDensity:

@@ -221,7 +221,8 @@ def asymptotic_width(sigma_phi: float, gdd_sum: float) -> float:
     """Large-N limit of :func:`quantum_width`: sqrt(2) sigma_phi |gdd_sum|, fs."""
     if not sigma_phi > 0:
         raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
-    return math.sqrt(2.0) * sigma_phi * abs(gdd_sum)
+    return _finite_or_raise(math.sqrt(2.0) * sigma_phi * abs(gdd_sum), "asymptotic width",
+                            sigma_phi, gdd_sum_fs2=gdd_sum)
 
 
 def transition_photon_number(sigma_phi: float, gdd_sum: float) -> float:

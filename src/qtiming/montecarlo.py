@@ -13,21 +13,22 @@ most ``_DRAW_BLOCK`` variates; every ``(shard, block)`` pair has its own
 substream (:func:`_stream_id`), whatever the photon number N.  At N
 photons a shard's block reads the first ``count * w`` variates of its
 substream as ``count`` rows of its width w, a prefix of what any larger N
-reads, so :func:`sample_classical_scaling` draws each substream once for
-all the widths it is read at, as far as the widest needs, in passes
-(:func:`_passes`).  Each pass over a substream is one task for a thread
-pool sized to the CPUs this process may use.  The task draws the
-substream from its start in chunks of about ``_CHUNK_NORMALS`` variates
-(1 MiB, inside a core's L2 cache), each a multiple of every width of the
-pass, into one of the draw buffers the call allocates once per thread,
-and sums each trial's row at each width.  Block 0's row sums go straight
+reads, so :func:`sample_classical_scaling` draws each substream once, as
+far as its widest width needs, and sums each trial's row at every width
+it is read at.  Each substream is one task for a thread pool sized to the
+CPUs this process may use.  The task draws the substream from its start
+in chunks of whole rows at the widest width, about ``_CHUNK_NORMALS``
+variates (1 MiB, inside a core's L2 cache), into one of the draw buffers
+the call allocates once per thread.  A narrower row that a chunk's end
+cuts keeps a copy of its head, and the next chunk completes it as one
+contiguous row (:func:`_block_row_sums`).  Block 0's row sums go straight
 into each N's trial sums, as their first terms; the sampler adds later
 blocks' row sums into them in block order.  Neither the thread count, the
 chunking nor the other photon numbers of a call changes a bit of the
-result: the row sum of one trial never spans two chunks, and every trial
-sees the same additions in the same order.  (Writing block 0's row sum
-gives the bits of adding it to zero, as a sampler that adds every block
-would: no variate is -0, so no row sum is.)
+result: every row is summed whole, by the same numpy reduction, and every
+trial sees the same additions in the same order.  (Writing block 0's row
+sum gives the bits of adding it to zero, as a sampler that adds every
+block would: no variate is -0, so no row sum is.)
 """
 
 from __future__ import annotations
@@ -254,32 +255,14 @@ def _in_order(pool: ThreadPoolExecutor, fn, tasks, window: int):
         yield key, future.result()
 
 
-def _passes(widths) -> list[tuple[int, ...]]:
-    """``widths`` grouped into passes over one substream, each widest first.
-
-    A pass draws the prefix its widest width needs once and sums its rows
-    at every width of the pass.  It draws in chunks of a multiple of
-    ``lcm(widths)`` variates, so a width joins a pass only while that stays
-    within ``_CHUNK_NORMALS``; a width on its own always forms one.
-    """
-    passes: list[list[int]] = []
-    for w in sorted(widths, reverse=True):
-        for group in passes:
-            if math.lcm(w, *group) <= _CHUNK_NORMALS:
-                group.append(w)
-                break
-        else:
-            passes.append([w])
-    return [tuple(group) for group in passes]
-
-
 def _classical_tasks(n_samples: int, photon_numbers):
-    """``(block, stream, trials, targets)`` for each task, in merge order.
+    """``(block, stream, trials, targets)`` for each substream, in merge order.
 
     The task draws block ``block``'s substream ``stream`` for the shard
     whose trials are the slice ``trials``.  ``targets`` lists, widest first,
-    ``(width, numbers)`` for each width of the pass: the row sums at
-    ``width`` belong to those trials of each photon number in ``numbers``.
+    ``(width, numbers)`` for each width the substream is read at: the row
+    sums at ``width`` belong to those trials of each photon number in
+    ``numbers``.
     """
     start = 0
     for shard, count in _shards(n_samples):
@@ -290,9 +273,7 @@ def _classical_tasks(n_samples: int, photon_numbers):
             for n in photon_numbers:
                 if n > done:
                     users.setdefault(min(width, n - done), []).append(n)
-            stream = _stream_id(1, shard, block)
-            for widths in _passes(users):
-                yield block, stream, trials, [(w, users[w]) for w in widths]
+            yield block, _stream_id(1, shard, block), trials, sorted(users.items(), reverse=True)
         start += count
 
 
@@ -303,24 +284,33 @@ def _block_row_sums(buffers: queue.SimpleQueue, seed: int, stream: int,
     ``outs`` lists ``(width, out)`` pairs, widest first, with outs of one
     size: ``out`` receives the sums of the first ``out.size`` rows at
     ``width``.  The call draws those rows at the widest width from the
-    start of the substream, in chunks of a multiple of every width, so that
-    no row spans two, into a buffer of at least ``max(_CHUNK_NORMALS,
-    lcm(widths))`` floats, held from ``buffers`` for the length of the call.
+    start of the substream, in chunks of whole rows at that width, into a
+    buffer of at least ``max(_CHUNK_NORMALS, widest)`` floats, held from
+    ``buffers`` for the length of the call.  A narrower row that a chunk's
+    end cuts keeps a copy of its head, and the next chunk completes it, so
+    every row is summed whole.
     """
-    count = outs[0][1].size
-    end = count * outs[0][0]
+    widest, count = outs[0][0], outs[0][1].size
+    end = count * widest
+    step = widest * max(1, _CHUNK_NORMALS // widest)
     gen = _generator(seed, stream)
-    step = math.lcm(*(w for w, _ in outs))
-    step *= max(1, _CHUNK_NORMALS // step)
+    heads: dict[int, np.ndarray] = {}
     buf = buffers.get()
     try:
         for a in range(0, end, step):
             b = min(a + step, end)
             chunk = _normals(gen, b - a, out=buf[:b - a])
             for w, out in outs:
-                i, j = a // w, min(b // w, count)
+                # Rows i to j - 1 lie whole in the chunk; a head means row i - 1 was cut.
+                i, j = -(-a // w), min(b // w, count)
+                head = heads.pop(w, None)
+                if head is not None:
+                    row = np.concatenate((head, chunk[:i * w - a]))
+                    row.reshape(1, w).sum(axis=1, out=out[i - 1:i])
                 if i < j:
-                    chunk[:(j - i) * w].reshape(j - i, w).sum(axis=1, out=out[i:j])
+                    chunk[i * w - a:j * w - a].reshape(j - i, w).sum(axis=1, out=out[i:j])
+                if j < count and j * w < b:
+                    heads[w] = chunk[j * w - a:].copy()
     finally:
         buffers.put(buf)
 
@@ -329,8 +319,10 @@ def _classical_sums(seed: int, n_samples: int, numbers: list[int]) -> dict[int, 
     """Each trial's sum of its N standard normals, for each distinct N in ``numbers``."""
     threads = _thread_count()
     # One draw buffer per thread, allocated here in one size and freed on
-    # return, before the estimates need memory: the workers allocate
-    # nothing, so the peak memory does not depend on how they interleave.
+    # return, before the estimates need memory.  Beyond it a worker copies
+    # at most one cut row per narrower width at each chunk edge (at most 100
+    # floats each on the suite's call), so the peak memory does not depend
+    # on how the workers interleave.
     buffers = queue.SimpleQueue()
     for _ in range(threads):
         buffers.put(np.empty(max(_CHUNK_NORMALS, *numbers)))

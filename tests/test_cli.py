@@ -114,6 +114,12 @@ class TestWidth:
         scale = json.loads(capsys.readouterr().out)["amplitude_scale"]
         assert math.isclose(scale, 1e-300, rel_tol=1e-12)
 
+    def test_zero_coherent_amplitude_gives_zero_scale(self, tmp_path, capsys):
+        code = run(tmp_path, "width", "--state", "coherent", "--v", "0", "--u", "1",
+                   "--n", "10", "--B", "500", "--sigma-phi", "3.7e11", "--json")
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["amplitude_scale"] == 0.0
+
     def test_coherent_scale_overflow_is_domain_error(self, tmp_path, capsys):
         code = run(tmp_path, "width", "--state", "coherent", "--v", "1.2", "--u", "1.2",
                    "--n", "10000", "--B", "0", "--sigma-phi", "3.7e11")
@@ -628,6 +634,8 @@ class TestMedia:
         ("--formula", "owens", "--rh", "0.5", "--temperature", "-258"),
         ("--formula", "owens", "--rh", "0.5", "--temperature", "1e308"),
         ("--temperature", "1e308"),
+        # Saturated water vapour at 50 C exceeds a total pressure of 1000 Pa.
+        ("--formula", "owens", "--rh", "1", "--temperature", "50", "--pressure", "1000"),
     ], ids=" ".join)
     def test_air_outside_formula_range_exits_without_report(self, tmp_path, capsys, flags):
         assert run(tmp_path, "media", "--material", "air", *flags) == 2

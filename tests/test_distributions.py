@@ -119,6 +119,12 @@ class TestAsymptoticWidth:
     def test_sign_invariance(self, gdd):
         assert asymptotic_width(SIGMA_PHI, gdd) == asymptotic_width(SIGMA_PHI, -gdd)
 
+    @pytest.mark.parametrize("args", [(1e300, 1e300), (math.inf, 1.0), (1.0, math.nan)],
+                             ids=["overflow", "inf-sigma_phi", "nan-gdd"])
+    def test_non_finite_result_is_domain_error(self, args):
+        with pytest.raises(DomainError, match="^asymptotic width overflows float64 at sigma_phi"):
+            asymptotic_width(*args)
+
 
 class TestTransitionPhotonNumber:
     def test_one_centimetre_of_silica_in_each_path(self):
@@ -304,6 +310,18 @@ class TestBandwidthOverflow:
             classical_width(1e-100, np.zeros(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("law,args", [
+    (quantum_width, (10.0, 500.0)),
+    (asymptotic_width, (500.0,)),
+    (transition_photon_number, (500.0,)),
+    (classical_width, (250.0, 250.0)),
+], ids=["quantum_width", "asymptotic_width", "transition_photon_number", "classical_width"])
+@pytest.mark.parametrize("sigma_phi", [0.0, -1.0, math.nan])
+def test_non_positive_sigma_phi_rejected(law, args, sigma_phi):
+    with pytest.raises(DomainError, match=f"^sigma_phi must be positive, got {sigma_phi}$"):
+        law(sigma_phi, *args)
+
+
 class TestPlancherelMoments:
     """The widths from moments of the raw integrand, with no closed form.
 
@@ -474,6 +492,11 @@ class TestQuantumDistribution:
         expected = math.exp(2000.0 * (math.log(3.0) + math.log(0.3)))
         scale = quantum_distribution(state, spectrum, pair(0.0, 0.0)).amplitude_scale
         assert scale == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("v,u", [(0.0, 1.0), (1.2, 0.0)])
+    def test_zero_coherent_amplitude_gives_zero_scale(self, spectrum, v, u):
+        state = StateSpec(StateKind.ENTANGLED_COHERENT, 10, v_mag=v, u_mag=u)
+        assert quantum_distribution(state, spectrum, pair(0.0, 500.0)).amplitude_scale == 0.0
 
     def test_coherent_scale_overflow_is_domain_error(self, spectrum):
         state = StateSpec(StateKind.ENTANGLED_COHERENT, 10_000, v_mag=1.2, u_mag=1.2)

@@ -245,6 +245,12 @@ class TestRefractivity:
         cold_edge = AirConditions(TEMPERATURE_RANGE_C[0], 101325.0, 0.5)
         assert math.isfinite(owens_refractivity(cold_edge))
 
+    def test_owens_vapour_pressure_above_total_pressure_rejected(self):
+        # Saturated air at 50 C holds ~123 mbar of water vapour; the total is 10 mbar.
+        with pytest.raises(DomainError,
+                           match="^water-vapour partial pressure exceeds total pressure$"):
+            owens_refractivity(AirConditions(50.0, 1000.0, 1.0))
+
     @pytest.mark.parametrize("temperature, pressure", [(-20.0, 1e200), (50.0, 1e200),
                                                        (15.0, 1e308)])
     def test_owens_non_finite_terms_rejected(self, temperature, pressure):
@@ -316,6 +322,14 @@ class TestBetaFromIndex:
         with pytest.raises(CancellationError) as excinfo:
             beta_from_index(edlen_index_function(cond), omega0, step=1e-6 * omega0)
         assert excinfo.value.suggested_step > 1e-6 * omega0
+
+    def test_fast_varying_index_raises_step_halving_diagnostic(self):
+        # The cosine's period, pi/1000 rad/fs, is comparable to the default
+        # step 2.35e-3 rad/fs, so halving the step changes the curvature.
+        omega0 = 2.35
+        with pytest.raises(CancellationError, match="not stable under step halving") as excinfo:
+            beta_from_index(lambda w: 1.0 + 1e-4 * math.cos(2000.0 * w), omega0)
+        assert excinfo.value.suggested_step == 1e-3 * omega0 / 4.0
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):

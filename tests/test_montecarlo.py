@@ -238,7 +238,9 @@ SCALING_SETS = {
     # Widths that divide neither each other nor 4; in the full shards, width
     # 122 serves two photon numbers.
     "coprime": (3, 7, 122, 1000),
-    # lcm(122, 100, 99) exceeds _CHUNK_NORMALS: block 0 takes two passes.
+    # Block 0 is read at widths 122, 100, 99 and 97 (354 in the last shard),
+    # so a chunk's end cuts rows of three widths at three places.  The id
+    # keeps the test names.
     "several-passes": (97, 99, 100, 1000),
 }
 
@@ -272,9 +274,8 @@ def test_scaling_under_frequent_thread_switches(monkeypatch, small_layout):
     assert got == expected
 
 
-@pytest.mark.parametrize("numbers,per_trial", [((1, 10, 100, 1000), 1000),
-                                                ((97, 99, 100, 1000), 1000 + 99)])
-def test_each_pass_draws_its_prefix_once(monkeypatch, small_layout, numbers, per_trial):
+@pytest.mark.parametrize("numbers", SCALING_SETS.values(), ids=SCALING_SETS)
+def test_each_substream_is_drawn_once(monkeypatch, small_layout, numbers):
     drawn = []
     normals = montecarlo._normals
 
@@ -284,10 +285,10 @@ def test_each_pass_draws_its_prefix_once(monkeypatch, small_layout, numbers, per
 
     monkeypatch.setattr(montecarlo, "_normals", counting)
     sample_classical_scaling(1.0, 5, small_layout, numbers)
-    assert sum(drawn) == small_layout * per_trial
+    assert sum(drawn) == small_layout * max(numbers)
 
 
-def test_each_pass_over_a_substream_is_one_task(monkeypatch, small_layout):
+def test_one_task_per_substream(monkeypatch, small_layout):
     calls = []
     block_row_sums = montecarlo._block_row_sums
 
@@ -298,13 +299,13 @@ def test_each_pass_over_a_substream_is_one_task(monkeypatch, small_layout):
     monkeypatch.setattr(montecarlo, "_block_row_sums", recording)
     sample_classical_scaling(1.0, 5, small_layout, SCALING_SETS["several-passes"])
     # 1000 photons take 9 blocks of width 122 in each full shard and 3 of
-    # width 354 in the last; block 0 takes two passes, every other block one.
-    streams = {montecarlo._stream_id(1, shard, block)
-               for shard, n_blocks in ((0, 9), (1, 9), (2, 3)) for block in range(n_blocks)}
-    firsts = [montecarlo._stream_id(1, shard, 0) for shard in range(3)]
-    assert sorted(stream for stream, _ in calls) == sorted([*streams, *firsts])
-    assert sorted(w for stream, w in calls if stream == firsts[0]) == [(99, 97), (122, 100)]
-    assert sorted(w for stream, w in calls if stream == firsts[2]) == [(99, 97), (354, 100)]
+    # width 354 in the last; each block, block 0 included, is one task.
+    streams = [montecarlo._stream_id(1, shard, block)
+               for shard, n_blocks in ((0, 9), (1, 9), (2, 3)) for block in range(n_blocks)]
+    assert sorted(stream for stream, _ in calls) == sorted(streams)
+    widths = dict(calls)
+    assert widths[montecarlo._stream_id(1, 0, 0)] == (122, 100, 99, 97)
+    assert widths[montecarlo._stream_id(1, 2, 0)] == (354, 100, 99, 97)
 
 
 def test_scaling_returns_one_estimate_per_entry():
@@ -323,16 +324,6 @@ def test_scaling_rejects_bad_photon_numbers(numbers):
 def test_scaling_rejects_non_finite_width(sigma_t):
     with pytest.raises(DomainError):
         sample_classical_scaling(sigma_t, 1, 1000, (1,))
-
-
-def test_passes_keep_whole_rows_within_a_chunk():
-    assert montecarlo._passes({1, 10, 100, 122}) == [(122, 100, 10, 1)]
-    assert montecarlo._passes({122, 100, 99, 97}) == [(122, 100), (99, 97)]
-    for widths in ([1_000_000, 3], [5, 7, 11, 13, 17, 19]):
-        passes = montecarlo._passes(widths)
-        assert sorted(w for group in passes for w in group) == sorted(widths)
-        assert all(len(group) == 1 or math.lcm(*group) <= montecarlo._CHUNK_NORMALS
-                   for group in passes)
 
 
 def test_quantum_exceeds_classical_beyond_transition():

@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import __version__
 from ._cpus import usable_cpus
-from .constants import omega_from_wavelength_nm
+from .constants import omega_from_wavelength_nm, sigma_phi_from_rad_per_s
 from .distributions import (
     MAX_PHOTON_NUMBER,
     StateKind,
@@ -397,11 +397,10 @@ def _cmd_width(args) -> int:
 # -- scan ---------------------------------------------------------------------
 
 def _cmd_scan(args) -> int:
-    spectrum = GaussianSpectrum.from_si(args.sigma_phi)
+    sigma_phi = sigma_phi_from_rad_per_s(args.sigma_phi)
     paths, gdd_sum = _paths_from_args(args)
     n = _photon_grid(args)
 
-    sigma_phi = spectrum.sigma_phi
     _, gdd1, _, gdd2 = paths.coefficients()
     sigma_t = classical_width(sigma_phi, gdd1, gdd2)
     columns = (n, sigma_phi * quantum_width(sigma_phi, n, gdd_sum),
@@ -423,13 +422,13 @@ def _cmd_surface(args) -> int:
         raise DomainError(f"--x-points must be >= 1, got {args.x_points}")
     if not math.isfinite(args.beta):
         raise DomainError(f"--beta must be finite, got {args.beta}")
-    sigma_phi = GaussianSpectrum.from_si(args.sigma_phi).sigma_phi
+    sigma_phi = sigma_phi_from_rad_per_s(args.sigma_phi)
 
     # N-major grid with x cm of the medium in each path: total GDD 2*beta*x,
     # classical per-path products beta*x each.
     n, x = np.meshgrid(n_values, np.linspace(args.x_min, args.x_max, args.x_points),
                        indexing="ij")
-    # A GDD that overflows is left to the closed forms, which reject a width
+    # A GDD that overflows is left to the closed forms, which reject a GDD
     # that is not finite.
     with np.errstate(over="ignore"):
         gdd_path = args.beta * x
@@ -443,9 +442,9 @@ def _cmd_surface(args) -> int:
 # -- transition ---------------------------------------------------------------
 
 def _cmd_transition(args) -> int:
-    spectrum = GaussianSpectrum.from_si(args.sigma_phi)
+    sigma_phi = sigma_phi_from_rad_per_s(args.sigma_phi)
     _, gdd_sum = _paths_from_args(args)
-    n_t = transition_photon_number(spectrum.sigma_phi, gdd_sum)
+    n_t = transition_photon_number(sigma_phi, gdd_sum)
 
     payload = {"gdd_sum_fs2": gdd_sum, "transition_photon_number": n_t}
     if args.wavelength == CATALOG_WAVELENGTH_NM:  # where the catalog's silica holds

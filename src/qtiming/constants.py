@@ -38,20 +38,38 @@ RAD_PER_S_TO_RAD_PER_FS = 1e-15
 TWO_PI = 6.283185307179586
 
 
+def _check_bandwidth(sigma_phi: float) -> None:
+    """DomainError unless ``sigma_phi`` (rad/fs), its fourth power and that power's reciprocal
+    are finite and positive: then every closed form can square the curvature 1/(2 sigma_phi^2).
+    In rad/s that range is roughly 1e-62 to 1e92."""
+    sigma_phi = float(sigma_phi)  # np.float64 would warn on overflow; a float gives inf
+    fourth = (sigma_phi * sigma_phi) * (sigma_phi * sigma_phi)
+    if not (0 < sigma_phi < math.inf and 0 < fourth < math.inf and 1.0 / fourth < math.inf):
+        raise DomainError(f"sigma_phi must be finite and positive with a finite, non-zero fourth "
+                          f"power and reciprocal, got {sigma_phi} rad/fs")
+
+
+def _two_pi_c_over(value: float, name: str, unit: str) -> float:
+    """2 pi c / ``value``: the angular frequency of a wavelength, or the wavelength of one."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value} {unit}")
+    if (converted := TWO_PI * C_NM_PER_FS / value) == math.inf:
+        raise DomainError(f"{name} {value} {unit} is too small: its conversion overflows float64")
+    return converted
+
+
 def omega_from_wavelength_nm(wavelength_nm: float) -> float:
     """Angular frequency (rad/fs) of light with the given vacuum wavelength."""
-    if not 0 < wavelength_nm < math.inf:
-        raise DomainError(f"wavelength must be finite and positive, got {wavelength_nm} nm")
-    return TWO_PI * C_NM_PER_FS / wavelength_nm
+    return _two_pi_c_over(wavelength_nm, "wavelength", "nm")
 
 
 def wavelength_nm_from_omega(omega: float) -> float:
     """Vacuum wavelength (nm) for an angular frequency in rad/fs."""
-    if not 0 < omega < math.inf:
-        raise DomainError(f"angular frequency must be finite and positive, got {omega} rad/fs")
-    return TWO_PI * C_NM_PER_FS / omega
+    return _two_pi_c_over(omega, "angular frequency", "rad/fs")
 
 
 def sigma_phi_from_rad_per_s(sigma_phi_rad_per_s: float) -> float:
-    """Convert a spectral width quoted in rad/s to internal rad/fs."""
-    return sigma_phi_rad_per_s * RAD_PER_S_TO_RAD_PER_FS
+    """A spectral width quoted in rad/s in internal rad/fs, under :func:`_check_bandwidth`."""
+    sigma_phi = sigma_phi_rad_per_s * RAD_PER_S_TO_RAD_PER_FS
+    _check_bandwidth(sigma_phi)
+    return sigma_phi

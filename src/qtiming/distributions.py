@@ -29,12 +29,16 @@ arrays.  Both routes apply only correctly rounded operations to the inputs
 (+, -, *, / and sqrt), and square an input as ``x * x``: never ``x ** 2``,
 which is libm's ``pow`` (not guaranteed correctly rounded) and raises
 OverflowError for a Python float.  So a scalar gives the same bits as a
-one-element array, and an overflow raises the same :class:`DomainError`
-text.  The squares of sigma_phi and of the curvature 1/(2 sigma_phi^2)
-keep ``**``, and the bits it has always given, through :func:`_squared`,
-which turns its OverflowError into that DomainError.  :func:`density_at`
+one-element array, and the same :class:`DomainError` text.  :func:`density_at`
 uses numpy even for a scalar, because ``np.exp`` and libm's ``exp`` may
 differ in the last bit.
+
+Every law applies one rule per quantity.  A bandwidth sigma_phi passes
+:func:`~qtiming.constants._check_bandwidth`, so sigma_phi**2 and the squared
+curvature 1/(2 sigma_phi^2) keep ``**`` (and its bits) and cannot overflow.
+A photon number N (a real: the width at N_t < 1 exists) and a pulse width
+sigma_t are finite and positive, and a GDD is finite (:func:`_check_finite`).
+A result that is then not finite has overflowed (:func:`_finite_or_raise`).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from contextlib import contextmanager
 from enum import Enum
 
 from ._record import record
+from .constants import _check_bandwidth
 from .errors import DomainError
 from .media import PathPair
 from .spectral import GaussianSpectrum
@@ -129,15 +134,8 @@ class TimingDistribution:
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise DomainError(f"mean must be finite, got {self.mean}")
-        if not 0 < self.sigma < math.inf:
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
-
-
-def _float_if_scalar(value):
-    # Closed forms take scalars or arrays: a scalar in gives a Python float out.
-    return value if getattr(value, "ndim", 0) else float(value)
+        _check_finite(mean=self.mean)
+        _check_finite(positive=True, sigma=self.sigma)
 
 
 @contextmanager
@@ -157,42 +155,38 @@ def _namespace(*inputs):
         yield (np, *(np.asarray(value, dtype=float) for value in inputs))
 
 
-def _finite_or_raise(result, law: str, sigma_phi: float, **inputs):
+def _check_finite(positive: bool = False, **inputs) -> None:
+    """DomainError, naming an array's first bad element, unless each input is finite (and > 0)."""
+    for name, value in inputs.items():
+        if isinstance(value, (int, float)):
+            if (0 < value < math.inf) if positive else math.isfinite(value):
+                continue
+        else:
+            import numpy as np
+
+            valid = (value > 0) & (value < math.inf) if positive else np.isfinite(value)
+            if valid.all():
+                continue
+            value = np.asarray(value)[~valid][0]  # an np.int64 too
+        raise DomainError(f"{name} = {value:g} is not finite{' and positive' if positive else ''}")
+
+
+def _finite_or_raise(result, law: str, sigma_phi: float | None, **inputs):
     """``result`` as a float or array, or DomainError naming the inputs where it overflows."""
     if isinstance(result, float):
         if math.isfinite(result):
             return float(result)
-        named = "".join(f", {name} = {value:g}" for name, value in inputs.items())
     else:
         import numpy as np
 
         finite = np.isfinite(result)
         if finite.all():
             return result
-        named = "".join(f", {name} = {np.broadcast_to(value, result.shape)[~finite][0]:g}"
-                        for name, value in inputs.items())
-    raise DomainError(f"{law} overflows float64 at sigma_phi = {sigma_phi:g} rad/fs{named}")
-
-
-def _squared(value: float, law: str, sigma_phi: float) -> float:
-    """``value**2`` for a sigma_phi-only factor, or DomainError where it overflows.
-
-    ``**`` keeps the bits these laws have always given (libm's ``pow``, which
-    ``x * x`` does not match everywhere).  On a Python float it raises
-    OverflowError, which becomes :func:`_finite_or_raise`'s error; an
-    ``np.float64`` is converted first, so it does the same, not warn.
-    """
-    try:
-        square = float(value)**2
-    except OverflowError:
-        square = math.inf
-    return _finite_or_raise(square, law, sigma_phi)
-
-
-def _check_photon_number(n) -> None:
-    """DomainError unless every photon number in ``n``, a float or an array, is positive."""
-    if not (n > 0 if isinstance(n, float) else (n > 0).all()):
-        raise DomainError("photon number must be positive: width undefined at N = 0")
+        inputs = {name: np.broadcast_to(value, result.shape)[~finite][0]
+                  for name, value in inputs.items()}
+    named = [f"sigma_phi = {sigma_phi:g} rad/fs"] if sigma_phi is not None else []
+    named += [f"{name} = {value:g}" for name, value in inputs.items()]
+    raise DomainError(f"{law} overflows float64 at {', '.join(named)}")
 
 
 def quantum_width(sigma_phi: float, n_photons, gdd_sum):
@@ -206,23 +200,22 @@ def quantum_width(sigma_phi: float, n_photons, gdd_sum):
     to machine precision, and reduces bit-exactly to intensity_width()/N
     when gdd_sum is zero.
     """
-    if not sigma_phi > 0:
-        raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
-    law = "quantum width"
+    _check_bandwidth(sigma_phi)
     packet_width = 1.0 / (math.sqrt(2.0) * sigma_phi)
     with _namespace(n_photons, gdd_sum) as (xp, n, gdd):
-        _check_photon_number(n)
-        dispersion_phase = 2.0 * _squared(sigma_phi, law, sigma_phi) * n * gdd
+        _check_finite(positive=True, N=n)
+        _check_finite(gdd_sum_fs2=gdd)
+        dispersion_phase = 2.0 * float(sigma_phi)**2 * n * gdd
         width = xp.sqrt(1.0 + dispersion_phase * dispersion_phase) * (packet_width / n)
-    return _finite_or_raise(width, law, sigma_phi, N=n, gdd_sum_fs2=gdd)
+    return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd)
 
 
 def asymptotic_width(sigma_phi: float, gdd_sum: float) -> float:
     """Large-N limit of :func:`quantum_width`: sqrt(2) sigma_phi |gdd_sum|, fs."""
-    if not sigma_phi > 0:
-        raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
-    return _finite_or_raise(math.sqrt(2.0) * sigma_phi * abs(gdd_sum), "asymptotic width",
-                            sigma_phi, gdd_sum_fs2=gdd_sum)
+    _check_bandwidth(sigma_phi)
+    _check_finite(gdd_sum_fs2=gdd_sum)
+    width = math.sqrt(2.0) * float(sigma_phi) * abs(float(gdd_sum))  # an np.float64 would warn
+    return _finite_or_raise(width, "asymptotic width", sigma_phi, gdd_sum_fs2=gdd_sum)
 
 
 def transition_photon_number(sigma_phi: float, gdd_sum: float) -> float:
@@ -232,15 +225,14 @@ def transition_photon_number(sigma_phi: float, gdd_sum: float) -> float:
     times the asymptote, and raising N further has diminishing returns.
     Returned as a real; callers may round.  Scalars only.
     """
-    if not sigma_phi > 0:
-        raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
+    _check_bandwidth(sigma_phi)
+    _check_finite(gdd_sum_fs2=gdd_sum)
     if gdd_sum == 0:
         raise DomainError("no transition: dispersion fully cancelled (gdd_sum = 0)")
-    law = "transition photon number"
-    denominator = 2.0 * _squared(sigma_phi, law, sigma_phi) * abs(float(gdd_sum))
+    denominator = 2.0 * float(sigma_phi)**2 * abs(float(gdd_sum))
     # A denominator that underflows to zero puts N_t beyond float64.
     n_t = 1.0 / denominator if denominator else math.inf
-    return _finite_or_raise(n_t, law, sigma_phi, gdd_sum_fs2=gdd_sum)
+    return _finite_or_raise(n_t, "transition photon number", sigma_phi, gdd_sum_fs2=gdd_sum)
 
 
 def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
@@ -250,24 +242,22 @@ def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
     arrays.  They enter as a sum of squares, so no sign arrangement can
     cancel the broadening classically.
     """
-    if not sigma_phi > 0:
-        raise DomainError(f"sigma_phi must be positive, got {sigma_phi}")
-    law = "classical width"
-    # Gaussian exponent coefficient, fs^2, beyond float64 where sigma_phi**2 underflows.
-    denominator = 2.0 * _squared(sigma_phi, law, sigma_phi)
-    curvature = _finite_or_raise(1.0 / denominator if denominator else math.inf, law, sigma_phi)
-    curvature_squared = _squared(curvature, law, sigma_phi)
+    _check_bandwidth(sigma_phi)
+    curvature = 1.0 / (2.0 * float(sigma_phi)**2)  # Gaussian exponent coefficient, fs^2
     with _namespace(gdd_path1, gdd_path2) as (xp, gdd1, gdd2):
-        variance = (2.0 * curvature_squared + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature
+        _check_finite(gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
+        variance = (2.0 * curvature**2 + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature
         width = xp.sqrt(variance)
-    return _finite_or_raise(width, law, sigma_phi, gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
+    return _finite_or_raise(width, "classical width", sigma_phi,
+                            gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
 
 
 def classical_shot_noise(sigma_t, n_photons):
     """Classical timing uncertainty after averaging N pulse pairs: sigma_t/sqrt(N)."""
     with _namespace(sigma_t, n_photons) as (xp, sigma, n):
-        _check_photon_number(n)
-        return _float_if_scalar(sigma / xp.sqrt(n))
+        _check_finite(positive=True, sigma_t_fs=sigma, N=n)
+        noise = sigma / xp.sqrt(n)
+    return _finite_or_raise(noise, "classical shot noise", None, sigma_t_fs=sigma, N=n)
 
 
 def _coherent_scale(state: StateSpec, power: float) -> float:
@@ -345,8 +335,8 @@ def gated_detector_distribution(
             "gated-detector analysis needs one homogeneous medium per path "
             f"(got {len(paths.path1)} and {len(paths.path2)} segments)"
         )
-    if mean_position1_cm < 0 or mean_position2_cm < 0:
-        raise DomainError("mean detection positions must be >= 0")
+    if not (0 <= mean_position1_cm < math.inf and 0 <= mean_position2_cm < math.inf):
+        raise DomainError("mean detection positions must be finite and >= 0")
     medium1 = paths.path1[0]
     medium2 = paths.path2[0]
     gdd_sum = medium1.beta * mean_position1_cm + medium2.beta * mean_position2_cm
@@ -393,4 +383,5 @@ def density_at(dist: TimingDistribution, tau):
     import numpy as np  # np.exp for scalars too: libm's exp may differ in the last bit
 
     z = (np.asarray(tau, dtype=float) - dist.mean) / dist.sigma
-    return _float_if_scalar(np.exp(-0.5 * z * z) / (dist.sigma * math.sqrt(2.0 * math.pi)))
+    density = np.exp(-0.5 * z * z) / (dist.sigma * math.sqrt(2.0 * math.pi))
+    return density if density.ndim else float(density)

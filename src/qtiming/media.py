@@ -378,7 +378,10 @@ def reference_air_beta(wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
 
 
 def air_length_m(gdd: float, air_beta: float) -> float:
-    """Length (m) of air of coefficient ``air_beta`` (fs^2/cm) with the GDD ``gdd`` (fs^2)."""
+    """Length (m) of air of coefficient ``air_beta`` (fs^2/cm, > 0) with the GDD ``gdd`` (fs^2)."""
+    if not (math.isfinite(gdd) and 0 < air_beta < math.inf):
+        raise DomainError(f"need a finite GDD and a finite, positive air beta, "
+                          f"got {gdd} fs^2 and {air_beta} fs^2/cm")
     length_m = gdd / air_beta / 100.0
     if not math.isfinite(length_m):
         raise DomainError(f"the air length equivalent to a GDD of {gdd} fs^2 overflows float64")
@@ -390,7 +393,10 @@ def equivalent_air_length(silica_length_cm: float) -> float:
     GDD of ``silica_length_cm`` cm of the catalog's fused silica."""
     if not (math.isfinite(silica_length_cm) and silica_length_cm >= 0):
         raise DomainError(f"silica length must be finite and >= 0, got {silica_length_cm}")
-    return air_length_m(silica_length_cm * _CATALOG["fused_silica"].beta, reference_air_beta())
+    gdd = silica_length_cm * _CATALOG["fused_silica"].beta
+    if gdd == math.inf:
+        raise DomainError(f"the GDD of {silica_length_cm} cm of silica overflows float64")
+    return air_length_m(gdd, reference_air_beta())
 
 
 # -- materials catalog -------------------------------------------------------

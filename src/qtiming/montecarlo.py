@@ -50,7 +50,7 @@ import numpy as np
 
 from ._cpus import usable_cpus as _thread_count
 from ._record import record
-from .distributions import TimingDistribution
+from .distributions import TimingDistribution, _check_finite
 from .errors import DomainError
 
 __all__ = [
@@ -361,8 +361,7 @@ def sample_classical_scaling(sigma_t: float, seed: int, n_samples: int,
     drawn once, as far as the largest N needs, and each estimate has the
     bits of a call for its N alone.
     """
-    if not 0 < sigma_t < math.inf:
-        raise DomainError(f"sigma_t must be positive and finite, got {sigma_t}")
+    _check_finite(positive=True, sigma_t_fs=sigma_t)
     if not photon_numbers:
         raise DomainError("need at least one photon number")
     for n in photon_numbers:

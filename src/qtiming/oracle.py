@@ -56,7 +56,7 @@ import numbers
 import numpy as np
 
 from ._record import record
-from .distributions import (StateKind, StateSpec, _coherent_scale, density_at,
+from .distributions import (StateKind, StateSpec, _check_finite, _coherent_scale, density_at,
                             quantum_distribution)
 from .errors import ConvergenceError, DomainError
 from .media import PathPair
@@ -151,8 +151,7 @@ def _trapezoid_integral(
             "the closed forms and the numeric moments remain available at this scale"
         )
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    if not np.isfinite(zs).all():
-        raise DomainError("observable values must be finite")
+    _check_finite(observable=zs)
     half, count, start = quad.half_width, zs.size, zs[0]
     size = 1 << (count - 1).bit_length()   # L at the first level: 1 for a single z
     coarsest = (half / 2.0 if count == 1
@@ -297,8 +296,7 @@ def verify_closed_form(
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise DomainError("verification grid must be non-empty")
-    if not np.isfinite(grid).all():
-        raise DomainError("observable values must be finite")
+    _check_finite(observable=grid)
     # Even to within a few ulps of its largest value, as np.linspace gives.
     steps = np.diff(grid)
     spacing = (grid[-1] - grid[0]) / max(grid.size - 1, 1)

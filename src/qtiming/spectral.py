@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .constants import sigma_phi_from_rad_per_s
-from .errors import DomainError
+from .constants import _check_bandwidth, sigma_phi_from_rad_per_s
 
 __all__ = ["GaussianSpectrum"]
 
@@ -21,24 +20,14 @@ class GaussianSpectrum:
     constant is carried since every probability density downstream is
     normalised at the final step.
 
-    ``sigma_phi`` must be finite and positive, and so must its fourth power
-    and that power's reciprocal: the closed forms square the curvature
-    1/(2 sigma_phi^2), and a bandwidth past that float64 range would
-    overflow or divide by zero there.  In rad/s that range is roughly
-    1e-62 to 1e92.
+    ``sigma_phi`` obeys the closed forms' bandwidth rule: finite and positive,
+    with a finite, non-zero fourth power and reciprocal.
     """
 
     sigma_phi: float
 
     def __post_init__(self):
-        square = self.sigma_phi * self.sigma_phi
-        fourth = square * square
-        if not (0 < self.sigma_phi < math.inf and 0 < fourth < math.inf
-                and 1.0 / fourth < math.inf):
-            raise DomainError(
-                f"sigma_phi must be finite and positive with a finite, non-zero fourth "
-                f"power and reciprocal, got {self.sigma_phi} rad/fs"
-            )
+        _check_bandwidth(self.sigma_phi)
 
     @classmethod
     def from_si(cls, sigma_phi_rad_per_s: float) -> "GaussianSpectrum":

@@ -1005,10 +1005,12 @@ def test_any_command_line_exits_cleanly(argv):
 
 NONFINITE_OUTPUTS = [
     # Each once exited 0 with a non-finite number in its report or manifest,
-    # or with a RuntimeWarning on stderr.
+    # or with a RuntimeWarning on stderr, or (the last) with a carrier
+    # frequency 2 pi c / 1e-320 nm of inf.
     ("media", "--material", "silica", "--temperature", "nan"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "1e308"),
     ("surface", "--preset", "fig3", "--x-max", "1e308"),
+    ("width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500", "--wavelength", "1e-320"),
 ]
 
 

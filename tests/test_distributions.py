@@ -24,11 +24,28 @@ from qtiming.distributions import (
     transition_photon_number,
     width_ratio,
 )
+from qtiming.constants import (
+    omega_from_wavelength_nm,
+    sigma_phi_from_rad_per_s,
+    wavelength_nm_from_omega,
+)
 from qtiming.errors import DomainError
-from qtiming.media import MediumSegment, PathPair, catalog_segment
+from qtiming.media import (
+    MediumSegment,
+    PathPair,
+    air_length_m,
+    catalog_segment,
+    equivalent_air_length,
+)
 from qtiming.spectral import GaussianSpectrum
 
 SIGMA_PHI = 3.7e-4  # rad/fs
+
+
+def bandwidth_error(sigma_phi):
+    """The text of the bandwidth rule's DomainError."""
+    return ("sigma_phi must be finite and positive with a finite, non-zero fourth power "
+            f"and reciprocal, got {float(sigma_phi)} rad/fs")
 
 
 @pytest.fixture
@@ -119,11 +136,17 @@ class TestAsymptoticWidth:
     def test_sign_invariance(self, gdd):
         assert asymptotic_width(SIGMA_PHI, gdd) == asymptotic_width(SIGMA_PHI, -gdd)
 
-    @pytest.mark.parametrize("args", [(1e300, 1e300), (math.inf, 1.0), (1.0, math.nan)],
-                             ids=["overflow", "inf-sigma_phi", "nan-gdd"])
-    def test_non_finite_result_is_domain_error(self, args):
-        with pytest.raises(DomainError, match="^asymptotic width overflows float64 at sigma_phi"):
-            asymptotic_width(*args)
+    @pytest.mark.parametrize("args,message", [
+        ((10.0, 1e308), "asymptotic width overflows float64 at sigma_phi = 10 rad/fs, "
+                        "gdd_sum_fs2 = 1e+308"),
+        ((math.inf, 1.0), bandwidth_error(math.inf)),
+        ((1.0, math.nan), "gdd_sum_fs2 = nan is not finite"),
+    ], ids=["overflow", "inf-sigma_phi", "nan-gdd"])
+    def test_non_finite_result_is_domain_error(self, args, message):
+        for kind in (float, np.float64):
+            with pytest.raises(DomainError) as error:
+                asymptotic_width(*map(kind, args))
+            assert str(error.value) == message
 
 
 class TestTransitionPhotonNumber:
@@ -184,6 +207,20 @@ class TestClassicalShotNoise:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             classical_shot_noise(1.0, 0)
+
+    @pytest.mark.parametrize("args,message", [
+        ((-1.0, 1.0), "sigma_t_fs = -1 is not finite and positive"),
+        ((math.nan, 1.0), "sigma_t_fs = nan is not finite and positive"),
+        ((math.inf, 1.0), "sigma_t_fs = inf is not finite and positive"),
+        ((1.0, math.inf), "N = inf is not finite and positive"),
+        ((1e300, 1e-320), "classical shot noise overflows float64 at sigma_t_fs = 1e+300, "
+                          "N = 9.99989e-321"),
+    ], ids=["negative-sigma_t", "nan-sigma_t", "inf-sigma_t", "inf-N", "overflow"])
+    def test_invalid_input_or_overflow_is_domain_error(self, args, message):
+        for route in (lambda x: x, np.float64, lambda x: np.array([1.0, x])):
+            with pytest.raises(DomainError) as error:
+                classical_shot_noise(*map(route, args))
+            assert str(error.value) == message
 
 
 class TestArrayInputs:
@@ -280,10 +317,27 @@ class TestArrayInputs:
             classical_shot_noise(1.0, n)
 
 
-class TestBandwidthOverflow:
-    """A sigma_phi whose square, or whose curvature's square, leaves float64.
+@pytest.mark.parametrize("law,args,message", [
+    (quantum_width, (1.0, math.nan), "gdd_sum_fs2 = nan is not finite"),
+    (quantum_width, (math.nan, 1.0), "N = nan is not finite and positive"),
+    (classical_width, (1.0, -math.inf), "gdd_path2_fs2 = -inf is not finite"),
+    (transition_photon_number, (math.nan,), "gdd_sum_fs2 = nan is not finite"),
+])
+def test_nan_input_is_named_not_finite(law, args, message):
+    # A NaN input once read as an overflow ("... overflows float64 at ...").
+    for route in (lambda x: x, np.float64, np.atleast_1d):
+        if law is transition_photon_number and route is np.atleast_1d:
+            continue  # scalars only
+        with pytest.raises(DomainError) as error:
+            law(1e-4, *map(route, args))
+        assert str(error.value) == message
 
-    Python's ``**`` raises OverflowError there; the laws raise DomainError.
+
+class TestBandwidthOverflow:
+    """A sigma_phi whose square, or whose curvature's square, would leave float64.
+
+    Python's ``**`` would raise OverflowError there; the bandwidth rule
+    rejects such a sigma_phi first, with the DomainError of GaussianSpectrum.
     """
 
     @pytest.mark.parametrize("law,args", [
@@ -298,16 +352,15 @@ class TestBandwidthOverflow:
     def test_domain_error_not_overflow_error(self, law, args, kind):
         with pytest.raises(DomainError) as error:
             law(kind(args[0]), *args[1:])
-        assert str(error.value) == (f"{law.__name__.replace('_', ' ')} overflows float64 "
-                                    f"at sigma_phi = {args[0]:g} rad/fs")
+        assert str(error.value) == bandwidth_error(args[0])
 
     def test_array_inputs_raise_the_same_text(self):
-        with pytest.raises(DomainError, match=r"^quantum width overflows float64 "
-                                              r"at sigma_phi = 1e\+160 rad/fs$"):
+        with pytest.raises(DomainError) as error:
             quantum_width(1e160, np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(DomainError, match=r"^classical width overflows float64 "
-                                              r"at sigma_phi = 1e-100 rad/fs$"):
+        assert str(error.value) == bandwidth_error(1e160)
+        with pytest.raises(DomainError) as error:
             classical_width(1e-100, np.zeros(2), np.zeros(2))
+        assert str(error.value) == bandwidth_error(1e-100)
 
 
 @pytest.mark.parametrize("law,args", [
@@ -318,8 +371,10 @@ class TestBandwidthOverflow:
 ], ids=["quantum_width", "asymptotic_width", "transition_photon_number", "classical_width"])
 @pytest.mark.parametrize("sigma_phi", [0.0, -1.0, math.nan])
 def test_non_positive_sigma_phi_rejected(law, args, sigma_phi):
-    with pytest.raises(DomainError, match=f"^sigma_phi must be positive, got {sigma_phi}$"):
-        law(sigma_phi, *args)
+    for kind in (float, np.float64):
+        with pytest.raises(DomainError) as error:
+            law(kind(sigma_phi), *args)
+        assert str(error.value) == bandwidth_error(sigma_phi)
 
 
 class TestPlancherelMoments:
@@ -544,6 +599,13 @@ class TestGatedDetectorDistribution:
         with pytest.raises(DomainError):
             gated_detector_distribution(state, spectrum, pair(1.0, 1.0), -1.0, 1.0)
 
+    @pytest.mark.parametrize("positions", [(math.nan, 1.0), (1.0, math.inf), (math.inf, math.nan)])
+    def test_non_finite_positions_rejected(self, spectrum, positions):
+        # Once accepted, and then blamed on the GDD they gave ("... gdd_sum_fs2 = nan").
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 4)
+        with pytest.raises(DomainError, match="^mean detection positions must be finite and >= 0$"):
+            gated_detector_distribution(state, spectrum, pair(1.0, 1.0), *positions)
+
 
 class TestQuantumClassicalRatio:
     def test_dispersion_free_value(self, spectrum):
@@ -612,3 +674,37 @@ class TestDensity:
     def test_non_finite_parameters_rejected(self, mean, sigma):
         with pytest.raises(DomainError):
             TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, mean=mean, sigma=sigma)
+
+
+SPECIAL_VALUES = (0.0, -0.0, -1.0, 1e-320, 1e-300, 1e300, math.inf, -math.inf, math.nan)
+# Each scalar public function, with an ordinary value for each numeric argument.
+SCALAR_FUNCTIONS = {f.__name__: (f, ordinary) for f, ordinary in [
+    (quantum_width, (SIGMA_PHI, 10.0, 500.0)),
+    (asymptotic_width, (SIGMA_PHI, 500.0)),
+    (transition_photon_number, (SIGMA_PHI, 500.0)),
+    (classical_width, (SIGMA_PHI, 250.0, -250.0)),
+    (classical_shot_noise, (3.0, 10.0)),
+    (width_ratio, (SIGMA_PHI, 10.0, 250.0, -250.0)),
+    (omega_from_wavelength_nm, (800.0,)),
+    (wavelength_nm_from_omega, (2.35,)),
+    (sigma_phi_from_rad_per_s, (3.7e11,)),
+    (air_length_m, (500.0, 0.1)),
+    (equivalent_air_length, (1.0,)),
+]}
+
+
+@pytest.mark.parametrize("name", SCALAR_FUNCTIONS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_special_values_give_a_finite_result_or_domain_error(name, data):
+    function, ordinary = SCALAR_FUNCTIONS[name]
+    args = [data.draw(st.sampled_from((*SPECIAL_VALUES, value)), label=f"arg{i}")
+            for i, value in enumerate(ordinary)]
+    try:
+        result = function(*args)
+    except DomainError:
+        return
+    assert isinstance(result, float) and math.isfinite(result)
+    # Every one of them but the air length (of a GDD of either sign) is a width, a
+    # photon number or a frequency.
+    assert result >= 0 or function is air_length_m

@@ -187,6 +187,15 @@ class TestAirConditions:
         with pytest.raises(DomainError, match="wavelength"):
             omega_from_wavelength_nm(wavelength)
 
+    @pytest.mark.parametrize("convert,quantity", [(omega_from_wavelength_nm, "wavelength 1e-320 nm"),
+                                                  (wavelength_nm_from_omega,
+                                                   "angular frequency 1e-320 rad/fs")])
+    def test_conversion_beyond_float64_is_domain_error(self, convert, quantity):
+        # 2 pi c / 1e-320 once returned inf.
+        with pytest.raises(DomainError) as error:
+            convert(1e-320)
+        assert str(error.value) == f"{quantity} is too small: its conversion overflows float64"
+
     @pytest.mark.parametrize("wavelength", [300.0, 1800.0])
     def test_out_of_band_wavelength_raises_at_evaluation(self, wavelength):
         cond = AirConditions()
@@ -387,6 +396,15 @@ class TestEquivalentAirLength:
         # The expression the transition and media reports have always used.
         beta = reference_air_beta()
         assert air_length_m(500.0, beta) == 500.0 / beta / 100.0
+
+    @pytest.mark.parametrize("gdd,air_beta", [(1.0, 0.0), (1.0, -0.1), (1.0, math.inf),
+                                              (1.0, math.nan), (math.nan, 0.1), (-math.inf, 0.1)])
+    def test_air_length_needs_a_finite_gdd_and_positive_beta(self, gdd, air_beta):
+        # A zero beta once raised ZeroDivisionError, and an infinite one gave 0 m.
+        with pytest.raises(DomainError) as error:
+            air_length_m(gdd, air_beta)
+        assert str(error.value) == ("need a finite GDD and a finite, positive air beta, "
+                                    f"got {gdd} fs^2 and {air_beta} fs^2/cm")
 
     def test_air_length_overflow_rejected(self):
         with pytest.raises(DomainError, match="^the air length equivalent to a GDD of 1e\\+308 fs"

@@ -38,7 +38,13 @@ Every law applies one rule per quantity.  A bandwidth sigma_phi passes
 curvature 1/(2 sigma_phi^2) keep ``**`` (and its bits) and cannot overflow.
 A photon number N (a real: the width at N_t < 1 exists) and a pulse width
 sigma_t are finite and positive, and a GDD is finite (:func:`_check_finite`).
-A result that is then not finite has overflowed (:func:`_finite_or_raise`).
+A result that is then not finite has overflowed, and one that is 0 where the
+law's exact value is positive has underflowed: both raise
+(:func:`_finite_or_raise`).  A square alone leaving float64 raises nothing:
+:func:`quantum_width` takes sqrt(1 + p^2) as |p| from |p| = 2^27 on, where the
+two agree to the bit, and :func:`classical_width` scales an overflowing
+variance's numerator by a power of two.  Wherever the plain forms are finite,
+the widths keep their bits.
 """
 
 from __future__ import annotations
@@ -69,6 +75,15 @@ __all__ = [
     "quantum_classical_ratio",
     "density_at",
 ]
+
+_EXACT_PHASE = 2.0**27
+"""From here on sqrt(1 + p*p) is |p| to the bit: 1 is under half an ulp of p*p, and the
+correctly rounded square root of p*p rounded is |p|."""
+
+_RESCALE = 2.0**-640
+"""2^-j for a j in [512, 765]: under the bandwidth rule, where the classical variance
+overflows, its numerator scaled by 2^-2j (exactly) gives a normal float64 variance,
+unless the width itself overflows."""
 
 MAX_PHOTON_NUMBER = 1e12
 """Widths are smooth in N and accepted up to here as integer-valued reals.
@@ -155,6 +170,13 @@ def _namespace(*inputs):
         yield (np, *(np.asarray(value, dtype=float) for value in inputs))
 
 
+def _select(xp, condition, value, fallback):
+    """``value`` where ``condition`` holds, else ``fallback``: math scalars or numpy arrays."""
+    if xp is math:
+        return value if condition else fallback
+    return xp.where(condition, value, fallback)
+
+
 def _check_finite(positive: bool = False, **inputs) -> None:
     """DomainError, naming an array's first bad element, unless each input is finite (and > 0)."""
     for name, value in inputs.items():
@@ -171,22 +193,29 @@ def _check_finite(positive: bool = False, **inputs) -> None:
         raise DomainError(f"{name} = {value:g} is not finite{' and positive' if positive else ''}")
 
 
-def _finite_or_raise(result, law: str, sigma_phi: float | None, **inputs):
-    """``result`` as a float or array, or DomainError naming the inputs where it overflows."""
+def _finite_or_raise(result, law: str, sigma_phi: float | None, positive=True, **inputs):
+    """``result`` as a float or array, or DomainError naming the inputs where it leaves float64.
+
+    A result that is not finite has overflowed; one that is 0 where the law's
+    exact value is positive (``positive``) has underflowed.
+    """
     if isinstance(result, float):
-        if math.isfinite(result):
+        if math.isfinite(result) and (result > 0 or not positive):
             return float(result)
+        overflowed = not math.isfinite(result)
     else:
         import numpy as np
 
-        finite = np.isfinite(result)
-        if finite.all():
+        valid = np.isfinite(result) & (result > 0) if positive else np.isfinite(result)
+        if valid.all():
             return result
-        inputs = {name: np.broadcast_to(value, result.shape)[~finite][0]
+        overflowed = not np.isfinite(result[~valid][0])
+        inputs = {name: np.broadcast_to(value, result.shape)[~valid][0]
                   for name, value in inputs.items()}
     named = [f"sigma_phi = {sigma_phi:g} rad/fs"] if sigma_phi is not None else []
     named += [f"{name} = {value:g}" for name, value in inputs.items()]
-    raise DomainError(f"{law} overflows float64 at {', '.join(named)}")
+    raise DomainError(f"{law} {'overflows' if overflowed else 'underflows'} float64 "
+                      f"at {', '.join(named)}")
 
 
 def quantum_width(sigma_phi: float, n_photons, gdd_sum):
@@ -205,8 +234,10 @@ def quantum_width(sigma_phi: float, n_photons, gdd_sum):
     with _namespace(n_photons, gdd_sum) as (xp, n, gdd):
         _check_finite(positive=True, N=n)
         _check_finite(gdd_sum_fs2=gdd)
-        dispersion_phase = 2.0 * float(sigma_phi)**2 * n * gdd
-        width = xp.sqrt(1.0 + dispersion_phase * dispersion_phase) * (packet_width / n)
+        phase = abs(2.0 * float(sigma_phi)**2 * n * gdd)  # |dispersion phase|
+        # |p| itself from 2^27 on: the same bits, and finite past p*p's overflow.
+        broadening = _select(xp, phase < _EXACT_PHASE, xp.sqrt(1.0 + phase * phase), phase)
+        width = broadening * (packet_width / n)
     return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd)
 
 
@@ -215,7 +246,8 @@ def asymptotic_width(sigma_phi: float, gdd_sum: float) -> float:
     _check_bandwidth(sigma_phi)
     _check_finite(gdd_sum_fs2=gdd_sum)
     width = math.sqrt(2.0) * float(sigma_phi) * abs(float(gdd_sum))  # an np.float64 would warn
-    return _finite_or_raise(width, "asymptotic width", sigma_phi, gdd_sum_fs2=gdd_sum)
+    return _finite_or_raise(width, "asymptotic width", sigma_phi, positive=gdd_sum != 0,
+                            gdd_sum_fs2=gdd_sum)
 
 
 def transition_photon_number(sigma_phi: float, gdd_sum: float) -> float:
@@ -248,6 +280,12 @@ def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
         _check_finite(gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
         variance = (2.0 * curvature**2 + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature
         width = xp.sqrt(variance)
+        overflowed = variance == math.inf
+        if overflowed if xp is math else overflowed.any():
+            # The numerator scaled by _RESCALE**2, exactly: a width that fits returns.
+            c, g1, g2 = curvature * _RESCALE, gdd1 * _RESCALE, gdd2 * _RESCALE
+            rescaled = xp.sqrt((2.0 * c**2 + (g1 * g1 + g2 * g2)) / curvature) / _RESCALE
+            width = _select(xp, overflowed, rescaled, width)
     return _finite_or_raise(width, "classical width", sigma_phi,
                             gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
 
@@ -371,7 +409,8 @@ def width_ratio(sigma_phi: float, n_photons, gdd_path1, gdd_path2):
     with _namespace(gdd_path1, gdd_path2) as (_, gdd1, gdd2):
         sigma_q = quantum_width(sigma_phi, n_photons, gdd1 + gdd2)
         sigma_c = classical_shot_noise(classical_width(sigma_phi, gdd1, gdd2), n_photons)
-        return sigma_q / sigma_c
+        return _finite_or_raise(sigma_q / sigma_c, "width ratio", sigma_phi, N=n_photons,
+                                gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
 
 
 def density_at(dist: TimingDistribution, tau):

@@ -349,7 +349,13 @@ def numeric_moments(
     paths: PathPair,
     quad: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
-    """Mean and width (fs) of the numeric density, by Plancherel moments."""
+    """Mean and width (fs) of the numeric density, by Plancherel moments.
+
+    It is the oracle of :func:`~qtiming.distributions.classical_width` too: a
+    one-photon state with one path's whole GDD in path 1 and an empty path 2
+    gives that pulse's width (b = gdd sigma_phi^2), and the classical width is
+    the root-sum-square of the two paths' pulse widths.
+    """
     mean, variance = _central_moment(state, spectrum, paths, 2, quad)
     return mean, math.sqrt(variance)
 

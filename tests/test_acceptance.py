@@ -27,7 +27,7 @@ from qtiming.media import (
     air_dispersion_coefficient,
     equivalent_air_length,
 )
-from qtiming.montecarlo import SamplerConfig, sample_classical, sample_quantum
+from qtiming.montecarlo import SamplerConfig, sample_classical_scaling, sample_quantum
 from qtiming.oracle import numeric_moments, verify_closed_form
 from qtiming.spectral import GaussianSpectrum
 
@@ -234,11 +234,9 @@ def test_10_state_family_parity():
 
 def test_11_monte_carlo():
     start = time.perf_counter()
-    widths = []
     numbers = (1, 10, 100, 1000)
-    for n in numbers:
-        cfg = SamplerConfig(seed=1111, n_samples=100_000, n_photons=n)
-        widths.append(sample_classical(1.0, cfg).sigma_hat)
+    widths = [estimate.sigma_hat
+              for estimate in sample_classical_scaling(1.0, 1111, 100_000, numbers)]
     slope = np.polyfit(np.log10(numbers), np.log10(widths), 1)[0]
     slope_ok = abs(slope + 0.5) < 0.02
 

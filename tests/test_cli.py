@@ -784,10 +784,10 @@ def test_extreme_bandwidth_exits_without_output(tmp_path, capsys, argv):
 
 
 OVERFLOWING_LAWS = [
-    ("width", "--sigma-phi", "1e91", "--n", "3", "--B", "500"),
-    ("scan", "--sigma-phi", "3.7e11", "--B", "1e300",
+    ("width", "--sigma-phi", "1e91", "--n", "3", "--B", "1e300"),
+    ("scan", "--sigma-phi", "1e91", "--B", "1e300",
      "--n-min", "1", "--n-max", "10", "--n-points", "3"),
-    ("width", "--sigma-phi", "3.7e11", "--n", "1e12", "--B", "1e300"),
+    ("width", "--sigma-phi", "1e91", "--n", "1e12", "--B", "1e300"),
     ("transition", "--sigma-phi", "3.7e11", "--B", "1e-320"),
 ]
 
@@ -805,6 +805,45 @@ def test_closed_form_overflow_exits_without_output(tmp_path, capsys, argv):
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert "overflows float64 at sigma_phi" in err
     assert not list(tmp_path.iterdir())
+
+
+UNDERFLOWING_LAWS = [
+    ("transition", "--sigma-phi", "1e85", "--B", "1e300"),
+    ("width", "--sigma-phi", "1e-40", "--n", "1e12", "--B", "1e-300"),
+]
+
+
+@pytest.mark.parametrize("argv", UNDERFLOWING_LAWS,
+                         ids=[" ".join(argv) for argv in UNDERFLOWING_LAWS])
+def test_closed_form_underflow_exits_without_output(tmp_path, capsys, argv):
+    # A positive law whose float result is 0 (N_t, the asymptotic width) once
+    # exited 0 and reported 0.0.
+    assert exit_code(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "underflows float64 at sigma_phi" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("width", "--sigma-phi", "1e91", "--n", "3", "--B", "500"),
+    ("width", "--sigma-phi", "3.7e11", "--n", "1e12", "--B", "1e150"),
+    ("width", "--sigma-phi", "3.7e11", "--n", "1e12", "--B", "1e300"),
+], ids=lambda argv: " ".join(argv[1:]))
+def test_width_whose_squares_overflow_is_reported(tmp_path, argv):
+    # The dispersion phase's square, or the classical variance, leaves float64;
+    # the widths, close to the asymptote sqrt(2) sigma_phi |B|, do not.
+    assert exit_code(tmp_path, *argv) == 0
+    report = json.loads((tmp_path / "width_report.json").read_text())
+    assert report["sigma_quantum_fs"] == pytest.approx(report["asymptotic_width_fs"], rel=1e-15)
+    assert math.isfinite(report["sigma_classical_shot_noise_fs"])
+
+
+def test_scan_whose_classical_variance_overflows_is_written(tmp_path):
+    argv = ("scan", "--sigma-phi", "3.7e11", "--B", "1e300",
+            "--n-min", "1", "--n-max", "10", "--n-points", "3")
+    assert exit_code(tmp_path, *argv) == 0
+    _, rows = read_csv(tmp_path / "scan.csv")
+    assert len(rows) == 3 and all(math.isfinite(value) for row in rows for value in row)
 
 
 UNWRITABLE_OUTPUTS = {

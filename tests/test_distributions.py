@@ -2,6 +2,8 @@
 
 import math
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from qtiming.media import (
     catalog_segment,
     equivalent_air_length,
 )
+from qtiming.oracle import numeric_moments
 from qtiming.spectral import GaussianSpectrum
 
 SIGMA_PHI = 3.7e-4  # rad/fs
@@ -134,7 +137,14 @@ class TestAsymptoticWidth:
 
     @given(gdd_values)
     def test_sign_invariance(self, gdd):
-        assert asymptotic_width(SIGMA_PHI, gdd) == asymptotic_width(SIGMA_PHI, -gdd)
+        try:
+            width = asymptotic_width(SIGMA_PHI, gdd)
+        except DomainError as error:  # a subnormal GDD whose width underflows, of either sign
+            assert "underflows" in str(error)
+            with pytest.raises(DomainError, match="underflows"):
+                asymptotic_width(SIGMA_PHI, -gdd)
+            return
+        assert width == asymptotic_width(SIGMA_PHI, -gdd)
 
     @pytest.mark.parametrize("args,message", [
         ((10.0, 1e308), "asymptotic width overflows float64 at sigma_phi = 10 rad/fs, "
@@ -257,23 +267,25 @@ class TestArrayInputs:
         assert type(classical_shot_noise(3.0, 4)) is float
 
     # A scalar computes with math, an array with numpy: the same overflow
-    # must raise the same text on both routes.
+    # must raise the same text on both routes.  Each width itself leaves
+    # float64; inputs is (sigma_phi, *array-capable inputs).
     @pytest.mark.parametrize("law,inputs,message", [
-        (quantum_width, (1e12, 1e300),
+        (quantum_width, (SIGMA_PHI, 1e-306, 0.0),
          "quantum width overflows float64 at sigma_phi = 0.00037 rad/fs, "
-         "N = 1e+12, gdd_sum_fs2 = 1e+300"),
-        (classical_width, (1e160, 0.0),
-         "classical width overflows float64 at sigma_phi = 0.00037 rad/fs, "
-         "gdd_path1_fs2 = 1e+160, gdd_path2_fs2 = 0"),
-        (classical_width, (1e160, 1e160),
-         "classical width overflows float64 at sigma_phi = 0.00037 rad/fs, "
-         "gdd_path1_fs2 = 1e+160, gdd_path2_fs2 = 1e+160"),
+         "N = 1e-306, gdd_sum_fs2 = 0"),
+        (classical_width, (1e76, 1e300, 0.0),
+         "classical width overflows float64 at sigma_phi = 1e+76 rad/fs, "
+         "gdd_path1_fs2 = 1e+300, gdd_path2_fs2 = 0"),
+        (classical_width, (1e76, 1e300, 1e300),
+         "classical width overflows float64 at sigma_phi = 1e+76 rad/fs, "
+         "gdd_path1_fs2 = 1e+300, gdd_path2_fs2 = 1e+300"),
     ])
     def test_scalar_and_array_overflow_raise_the_same_text(self, law, inputs, message):
+        sigma_phi, *inputs = inputs
         with pytest.raises(DomainError) as scalar:
-            law(SIGMA_PHI, *inputs)
+            law(sigma_phi, *inputs)
         with pytest.raises(DomainError) as array:
-            law(SIGMA_PHI, *(np.array([x]) for x in inputs))
+            law(sigma_phi, *(np.array([x]) for x in inputs))
         assert str(scalar.value) == str(array.value) == message
 
     @pytest.mark.parametrize("gdd,outcome", [
@@ -363,6 +375,83 @@ class TestBandwidthOverflow:
         assert str(error.value) == bandwidth_error(1e-100)
 
 
+class TestFloat64Edges:
+    """A law whose exact value is positive never returns 0.0, and a width that fits returns."""
+
+    @pytest.mark.parametrize("law,args,message", [
+        (classical_shot_noise, (1e-320, 1e300),
+         "classical shot noise underflows float64 at sigma_t_fs = 9.99989e-321, N = 1e+300"),
+        (transition_photon_number, (1e70, 1e300),
+         "transition photon number underflows float64 at sigma_phi = 1e+70 rad/fs, "
+         "gdd_sum_fs2 = 1e+300"),
+        (asymptotic_width, (1e-70, 1e-300),
+         "asymptotic width underflows float64 at sigma_phi = 1e-70 rad/fs, gdd_sum_fs2 = 1e-300"),
+        (width_ratio, (SIGMA_PHI, 1e300, 1e300, -1e300),
+         "width ratio underflows float64 at sigma_phi = 0.00037 rad/fs, N = 1e+300, "
+         "gdd_path1_fs2 = 1e+300, gdd_path2_fs2 = -1e+300"),
+    ], ids=["classical_shot_noise", "transition_photon_number", "asymptotic_width", "width_ratio"])
+    def test_positive_law_underflow_is_domain_error(self, law, args, message):
+        for kind in (float, np.float64):
+            with pytest.raises(DomainError) as error:
+                law(*map(kind, args))
+            assert str(error.value) == message
+
+    def test_array_underflow_names_the_element(self):
+        with pytest.raises(DomainError) as error:
+            classical_shot_noise(np.array([1.0, 1e-320]), np.array([1.0, 1e300]))
+        assert str(error.value) == ("classical shot noise underflows float64 at "
+                                    "sigma_t_fs = 9.99989e-321, N = 1e+300")
+
+    @pytest.mark.parametrize("route", [float, np.atleast_1d], ids=["scalar", "array"])
+    def test_widths_whose_squares_overflow_fit(self, route):
+        # sqrt(2) sigma_phi |D| to within the finite-N term: the dispersion phase's
+        # square, or the classical variance, leaves float64 but the width does not.
+        quantum = quantum_width(SIGMA_PHI, route(1e12), route(1e150))
+        assert quantum == pytest.approx(asymptotic_width(SIGMA_PHI, 1e150), rel=1e-15)
+        classical = classical_width(SIGMA_PHI, route(1e160), route(0.0))
+        assert classical == pytest.approx(asymptotic_width(SIGMA_PHI, 1e160), rel=1e-15)
+
+    def test_quantum_broadening_keeps_the_old_bits(self):
+        # From |p| = 2^26 up to where p*p overflows, the width has the bits of
+        # the plain sqrt(1 + p*p) form; beyond, that form is inf and the law is not.
+        rng = np.random.default_rng(2718)
+        edge = math.sqrt(sys.float_info.max)
+        size = 100_000
+        n = 10.0 ** rng.uniform(0.0, 6.0, size)
+        phase = np.concatenate([2.0 ** rng.uniform(26.0, math.log2(edge), size - 4),
+                                [2.0**27, np.nextafter(2.0**27, 0.0), edge,
+                                 np.nextafter(edge, 0.0)]])
+        gdd = rng.choice([-1.0, 1.0], size) * phase / (2.0 * SIGMA_PHI**2 * n)
+        p = 2.0 * SIGMA_PHI**2 * n * gdd  # the law's own phase
+        with np.errstate(over="ignore"):
+            old = np.sqrt(1.0 + p * p) * (1.0 / (math.sqrt(2.0) * SIGMA_PHI) / n)
+        finite = np.isfinite(old)
+        assert finite.sum() > size // 2 and np.abs(p[finite]).max() > 2.0**511
+        new = quantum_width(SIGMA_PHI, n, gdd)
+        assert np.isfinite(new).all()
+        assert np.array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
+        scalars = [quantum_width(SIGMA_PHI, a, g)
+                   for a, g in zip(n[:2000].tolist(), gdd[:2000].tolist())]
+        assert np.array_equal(np.array(scalars).view(np.uint64), new[:2000].view(np.uint64))
+
+    @pytest.mark.parametrize("sigma_phi,gdd1,gdd2", [
+        (SIGMA_PHI, 1e160, 0.0), (SIGMA_PHI, -1e308, 1e308), (SIGMA_PHI, 1e155, 3e154),
+        (1.0, 1e154, 0.0), (1e-77, 1e300, -1e200), (1e76, 1e160, 1e159), (1e70, 5e-324, 1e237),
+    ])
+    def test_rescaled_classical_width_is_within_four_ulps(self, sigma_phi, gdd1, gdd2):
+        curvature = 1.0 / (2.0 * sigma_phi**2)
+        assert (2.0 * curvature**2 + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature == math.inf
+        # Exact: sqrt(2c + (g1^2 + g2^2)/c) with c = 1/(2 sigma_phi^2), at 40 digits.
+        curvature = 1 / (2 * Fraction(sigma_phi) ** 2)
+        variance = 2 * curvature + (Fraction(gdd1) ** 2 + Fraction(gdd2) ** 2) / curvature
+        with localcontext() as context:
+            context.prec = 40
+            exact = float((Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt())
+        for route in (float, np.atleast_1d):
+            assert classical_width(sigma_phi, route(gdd1), route(gdd2)) == pytest.approx(
+                exact, rel=4 * sys.float_info.epsilon)
+
+
 @pytest.mark.parametrize("law,args", [
     (quantum_width, (10.0, 500.0)),
     (asymptotic_width, (500.0,)),
@@ -378,47 +467,32 @@ def test_non_positive_sigma_phi_rejected(law, args, sigma_phi):
 
 
 class TestPlancherelMoments:
-    """The widths from moments of the raw integrand, with no closed form.
+    """The widths from the oracle's Plancherel moments of the raw integrand, with no closed form.
 
-    The amplitude of a dimensionless time offset z is the integral of
-    g(u) e^{-izu} du, with g(u) = exp(-u^2/2 + i b u^2) and b the dispersion
-    phase.  By Plancherel, the k-th moment of |amplitude|^2 is
-    2 pi times the integral of conj(g) (i d/du)^k g, so
-    Var_z = int |g'|^2 / int |g|^2 - <z>^2, with <z> = int conj(g) i g' / int |g|^2.
-    |g| = exp(-u^2/2) does not oscillate at any b, so a plain trapezoid
-    converges; the square in the exponent is never completed.
-    Quantum: b = N D sigma_phi^2 and sigma = sigma_z / (N sigma_phi).
-    Classical: one pulse per path, each with N = 1 and b_k = gdd_k
-    sigma_phi^2; the difference's variance is the sum of the two.
+    Quantum: the anti-correlated state at (N, D), D split over the two paths.
+    Classical: one pulse per path, each a one-photon state with that path's
+    whole GDD in path 1 and an empty path 2, so b_k = gdd_k sigma_phi^2; the
+    difference's variance is the sum of the two.
     """
 
-    U = np.linspace(-10.0, 10.0, 4001)
+    SPECTRUM = GaussianSpectrum(SIGMA_PHI)
     # Total GDD of fig2 (400 cm of silica in one path), fs^2.
     FIG2_GDD = PathPair([catalog_segment("fused_silica", 400.0)], []).coefficients()[1]
 
     @classmethod
-    def variance(cls, b):
-        """Var_z at dispersion phase ``b``."""
-        u, step = cls.U, cls.U[1] - cls.U[0]
-
-        def trapezoid(f):
-            return step * (f.sum() - 0.5 * (f[0] + f[-1]))
-
-        envelope, chirp = np.exp(-0.5 * u * u), np.exp(1j * b * u * u)
-        g = envelope * chirp
-        g_prime = -u * envelope * chirp + envelope * (2j * b * u * chirp)  # product rule
-        norm = trapezoid(np.abs(g) ** 2)
-        mean = trapezoid(np.conj(g) * 1j * g_prime).real / norm
-        return trapezoid(np.abs(g_prime) ** 2) / norm - mean * mean
+    def quantum(cls, n, gdd_sum):
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, n)
+        return numeric_moments(state, cls.SPECTRUM, PathPair.symmetric(gdd_sum))[1]
 
     @classmethod
-    def quantum(cls, n, gdd_sum):
-        return math.sqrt(cls.variance(n * gdd_sum * SIGMA_PHI**2)) / (n * SIGMA_PHI)
+    def pulse_width(cls, gdd):
+        """Width of one pulse through ``gdd``: a one-photon state, with path 2 empty."""
+        path = PathPair([MediumSegment("pulse", alpha=0.0, beta=gdd, length=1.0)], [])
+        return numeric_moments(StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1), cls.SPECTRUM, path)[1]
 
     @classmethod
     def classical(cls, gdd1, gdd2):
-        return math.sqrt(cls.variance(gdd1 * SIGMA_PHI**2)
-                         + cls.variance(gdd2 * SIGMA_PHI**2)) / SIGMA_PHI
+        return math.hypot(cls.pulse_width(gdd1), cls.pulse_width(gdd2))
 
     def test_quantum_width_at_every_fig2_row(self):
         n_values = TestArrayInputs.FIG2_N
@@ -705,6 +779,12 @@ def test_special_values_give_a_finite_result_or_domain_error(name, data):
     except DomainError:
         return
     assert isinstance(result, float) and math.isfinite(result)
-    # Every one of them but the air length (of a GDD of either sign) is a width, a
-    # photon number or a frequency.
-    assert result >= 0 or function is air_length_m
+    # Every one of them but the air lengths is a width, a photon number or a
+    # frequency, positive but for the asymptote of a cancelled GDD: none returns
+    # a 0.0 that has underflowed.  An air length has its GDD's sign, or is 0.
+    if function is air_length_m:
+        return
+    if function is equivalent_air_length or (function is asymptotic_width and args[1] == 0):
+        assert result >= 0
+    else:
+        assert result > 0

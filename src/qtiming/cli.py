@@ -51,7 +51,7 @@ from .distributions import (
     transition_photon_number,
     width_ratio,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .media import (
     AIR_FORMULAS,
     CATALOG_WAVELENGTH_NM,
@@ -375,6 +375,7 @@ def _cmd_width(args) -> int:
     _, gdd1, _, gdd2 = paths.coefficients()
     sigma_t = classical_width(spectrum.sigma_phi, gdd1, gdd2)
     sigma_c = classical_shot_noise(sigma_t, state.n_photons)
+    ratio = width_ratio(spectrum.sigma_phi, state.n_photons, gdd1, gdd2)
 
     payload = {
         "state": state.kind.value,
@@ -385,7 +386,7 @@ def _cmd_width(args) -> int:
         "sigma_quantum_fs": dist.sigma,
         "sigma_classical_pulse_fs": sigma_t,
         "sigma_classical_shot_noise_fs": sigma_c,
-        "ratio_quantum_over_classical": dist.sigma / sigma_c,
+        "ratio_quantum_over_classical": ratio,
         "asymptotic_width_fs": asymptotic_width(spectrum.sigma_phi, gdd_sum),
         "amplitude_scale": dist.amplitude_scale,
     }
@@ -703,9 +704,6 @@ def _run(parser: _Parser, argv) -> int:
         return 1
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
-    except ConvergenceError as exc:
-        print(f"qtiming: convergence failure: {exc}", file=sys.stderr)
-        return 3
     except DomainError as exc:
         print(f"qtiming: error: {exc}", file=sys.stderr)
         return 2

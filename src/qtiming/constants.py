@@ -10,6 +10,11 @@ With these, group-delay coefficients are fs/cm, group-delay-dispersion
 coefficients fs^2/cm, and spectral widths of order 1e-4 rad/fs, so all
 working quantities stay near unity.  Public entry points that accept SI
 values (rad/s, nm) convert at the boundary.
+
+The module also holds the float64 validity rules every law applies: a
+bandwidth passes :func:`_check_bandwidth`, other inputs
+:func:`_check_finite`, and a result leaves through :func:`_finite_or_raise`,
+which names the inputs where it overflows or underflows.
 """
 
 import math
@@ -47,6 +52,47 @@ def _check_bandwidth(sigma_phi: float) -> None:
     if not (0 < sigma_phi < math.inf and 0 < fourth < math.inf and 1.0 / fourth < math.inf):
         raise DomainError(f"sigma_phi must be finite and positive with a finite, non-zero fourth "
                           f"power and reciprocal, got {sigma_phi} rad/fs")
+
+
+def _check_finite(positive: bool = False, **inputs) -> None:
+    """DomainError, naming an array's first bad element, unless each input is finite (and > 0)."""
+    for name, value in inputs.items():
+        if isinstance(value, (int, float)):
+            if (0 < value < math.inf) if positive else math.isfinite(value):
+                continue
+        else:
+            import numpy as np
+
+            valid = (value > 0) & (value < math.inf) if positive else np.isfinite(value)
+            if valid.all():
+                continue
+            value = np.asarray(value)[~valid][0]  # an np.int64 too
+        raise DomainError(f"{name} = {value:g} is not finite{' and positive' if positive else ''}")
+
+
+def _finite_or_raise(result, law: str, sigma_phi: float | None, positive=True, **inputs):
+    """``result`` as a float or array, or DomainError naming the inputs where it leaves float64.
+
+    A result that is not finite has overflowed; one that is 0 where the law's
+    exact value is positive (``positive``) has underflowed.
+    """
+    if isinstance(result, float):
+        if math.isfinite(result) and (result > 0 or not positive):
+            return float(result)
+        overflowed = not math.isfinite(result)
+    else:
+        import numpy as np
+
+        valid = np.isfinite(result) & (result > 0) if positive else np.isfinite(result)
+        if valid.all():
+            return result
+        overflowed = not np.isfinite(result[~valid][0])
+        inputs = {name: np.broadcast_to(value, result.shape)[~valid][0]
+                  for name, value in inputs.items()}
+    named = [f"sigma_phi = {sigma_phi:g} rad/fs"] if sigma_phi is not None else []
+    named += [f"{name} = {value:g}" for name, value in inputs.items()]
+    raise DomainError(f"{law} {'overflows' if overflowed else 'underflows'} float64 "
+                      f"at {', '.join(named)}")
 
 
 def _two_pi_c_over(value: float, name: str, unit: str) -> float:

@@ -33,18 +33,20 @@ one-element array, and the same :class:`DomainError` text.  :func:`density_at`
 uses numpy even for a scalar, because ``np.exp`` and libm's ``exp`` may
 differ in the last bit.
 
-Every law applies one rule per quantity.  A bandwidth sigma_phi passes
-:func:`~qtiming.constants._check_bandwidth`, so sigma_phi**2 and the squared
+Every law applies one rule per quantity, and the rules live in
+:mod:`qtiming.constants`, where the media laws read them too.  A bandwidth
+sigma_phi passes ``_check_bandwidth``, so sigma_phi**2 and the squared
 curvature 1/(2 sigma_phi^2) keep ``**`` (and its bits) and cannot overflow.
 A photon number N (a real: the width at N_t < 1 exists) and a pulse width
-sigma_t are finite and positive, and a GDD is finite (:func:`_check_finite`).
+sigma_t are finite and positive, and a GDD is finite (``_check_finite``).
 A result that is then not finite has overflowed, and one that is 0 where the
 law's exact value is positive has underflowed: both raise
-(:func:`_finite_or_raise`).  A square alone leaving float64 raises nothing:
-:func:`quantum_width` takes sqrt(1 + p^2) as |p| from |p| = 2^27 on, where the
-two agree to the bit, and :func:`classical_width` scales an overflowing
-variance's numerator by a power of two.  Wherever the plain forms are finite,
-the widths keep their bits.
+(``_finite_or_raise``).  A square alone leaving float64 raises nothing: where
+a width's plain form is inf, :func:`_rescued` recomputes it with its
+GDD terms scaled by the power of two :data:`_RESCALE`, exactly, and divides
+the scale back out.  Wherever the plain forms are finite, the widths keep
+their bits; where the square of the quantum phase p alone overflows, the
+quantum width has the bits of |p| g/N, the plain form's limit.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from contextlib import contextmanager
 from enum import Enum
 
 from ._record import record
-from .constants import _check_bandwidth
+from .constants import _check_bandwidth, _check_finite, _finite_or_raise
 from .errors import DomainError
 from .media import PathPair
 from .spectral import GaussianSpectrum
@@ -76,14 +78,10 @@ __all__ = [
     "density_at",
 ]
 
-_EXACT_PHASE = 2.0**27
-"""From here on sqrt(1 + p*p) is |p| to the bit: 1 is under half an ulp of p*p, and the
-correctly rounded square root of p*p rounded is |p|."""
-
 _RESCALE = 2.0**-640
 """2^-j for a j in [512, 765]: under the bandwidth rule, where the classical variance
 overflows, its numerator scaled by 2^-2j (exactly) gives a normal float64 variance,
-unless the width itself overflows."""
+unless the width itself overflows.  j is even, so the quantum width can split it in two."""
 
 MAX_PHOTON_NUMBER = 1e12
 """Widths are smooth in N and accepted up to here as integer-valued reals.
@@ -170,52 +168,20 @@ def _namespace(*inputs):
         yield (np, *(np.asarray(value, dtype=float) for value in inputs))
 
 
-def _select(xp, condition, value, fallback):
-    """``value`` where ``condition`` holds, else ``fallback``: math scalars or numpy arrays."""
-    if xp is math:
-        return value if condition else fallback
-    return xp.where(condition, value, fallback)
+def _rescued(xp, law):
+    """``law(1.0)``, and ``law(_RESCALE)`` wherever that is inf.
 
-
-def _check_finite(positive: bool = False, **inputs) -> None:
-    """DomainError, naming an array's first bad element, unless each input is finite (and > 0)."""
-    for name, value in inputs.items():
-        if isinstance(value, (int, float)):
-            if (0 < value < math.inf) if positive else math.isfinite(value):
-                continue
-        else:
-            import numpy as np
-
-            valid = (value > 0) & (value < math.inf) if positive else np.isfinite(value)
-            if valid.all():
-                continue
-            value = np.asarray(value)[~valid][0]  # an np.int64 too
-        raise DomainError(f"{name} = {value:g} is not finite{' and positive' if positive else ''}")
-
-
-def _finite_or_raise(result, law: str, sigma_phi: float | None, positive=True, **inputs):
-    """``result`` as a float or array, or DomainError naming the inputs where it leaves float64.
-
-    A result that is not finite has overflowed; one that is 0 where the law's
-    exact value is positive (``positive``) has underflowed.
+    ``law(scale)`` is a width law that multiplies its GDD terms by ``scale``
+    and divides the scale back out of the width.  A power of two scales
+    exactly, so at 1.0 it is the plain form, bit for bit, and at
+    :data:`_RESCALE` it returns the widths whose squares alone leave float64.
     """
-    if isinstance(result, float):
-        if math.isfinite(result) and (result > 0 or not positive):
-            return float(result)
-        overflowed = not math.isfinite(result)
-    else:
-        import numpy as np
-
-        valid = np.isfinite(result) & (result > 0) if positive else np.isfinite(result)
-        if valid.all():
-            return result
-        overflowed = not np.isfinite(result[~valid][0])
-        inputs = {name: np.broadcast_to(value, result.shape)[~valid][0]
-                  for name, value in inputs.items()}
-    named = [f"sigma_phi = {sigma_phi:g} rad/fs"] if sigma_phi is not None else []
-    named += [f"{name} = {value:g}" for name, value in inputs.items()]
-    raise DomainError(f"{law} {'overflows' if overflowed else 'underflows'} float64 "
-                      f"at {', '.join(named)}")
+    width = law(1.0)
+    overflowed = width == math.inf
+    if not (overflowed if xp is math else overflowed.any()):
+        return width
+    rescaled = law(_RESCALE)
+    return rescaled if xp is math else xp.where(overflowed, rescaled, width)
 
 
 def quantum_width(sigma_phi: float, n_photons, gdd_sum):
@@ -234,10 +200,16 @@ def quantum_width(sigma_phi: float, n_photons, gdd_sum):
     with _namespace(n_photons, gdd_sum) as (xp, n, gdd):
         _check_finite(positive=True, N=n)
         _check_finite(gdd_sum_fs2=gdd)
-        phase = abs(2.0 * float(sigma_phi)**2 * n * gdd)  # |dispersion phase|
-        # |p| itself from 2^27 on: the same bits, and finite past p*p's overflow.
-        broadening = _select(xp, phase < _EXACT_PHASE, xp.sqrt(1.0 + phase * phase), phase)
-        width = broadening * (packet_width / n)
+
+        def broadened(scale):
+            # Each factor of p takes sqrt(scale) and each factor of the width
+            # gives it back: no factor turns subnormal where p*p alone overflowed,
+            # and a width that fits returns while |p| * scale stays under 2^512.
+            half = math.sqrt(scale)
+            phase = abs(2.0 * float(sigma_phi)**2 * half * n * (gdd * half))  # |p| * scale
+            return xp.sqrt(scale * scale + phase * phase) / half * (packet_width / n / half)
+
+        width = _rescued(xp, broadened)
     return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd)
 
 
@@ -278,14 +250,12 @@ def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
     curvature = 1.0 / (2.0 * float(sigma_phi)**2)  # Gaussian exponent coefficient, fs^2
     with _namespace(gdd_path1, gdd_path2) as (xp, gdd1, gdd2):
         _check_finite(gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
-        variance = (2.0 * curvature**2 + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature
-        width = xp.sqrt(variance)
-        overflowed = variance == math.inf
-        if overflowed if xp is math else overflowed.any():
-            # The numerator scaled by _RESCALE**2, exactly: a width that fits returns.
-            c, g1, g2 = curvature * _RESCALE, gdd1 * _RESCALE, gdd2 * _RESCALE
-            rescaled = xp.sqrt((2.0 * c**2 + (g1 * g1 + g2 * g2)) / curvature) / _RESCALE
-            width = _select(xp, overflowed, rescaled, width)
+
+        def spread(scale):  # the variance's numerator scaled by scale**2
+            c, g1, g2 = curvature * scale, gdd1 * scale, gdd2 * scale
+            return xp.sqrt((2.0 * c**2 + (g1 * g1 + g2 * g2)) / curvature) / scale
+
+        width = _rescued(xp, spread)
     return _finite_or_raise(width, "classical width", sigma_phi,
                             gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
 

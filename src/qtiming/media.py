@@ -25,8 +25,11 @@ Each formula takes the atmosphere (:class:`AirConditions`) and the carrier
 wavelength, and starts with one check of both validity windows: 350–1700 nm,
 a conservative envelope of the two formulas, and −20…+50 °C, the range the
 Buck fit states for itself.  Outside either window the formulas raise rather
-than extrapolate.  The materials catalog holds its coefficients at 800 nm
-(``CATALOG_WAVELENGTH_NM``) only; air's come from the formulas at any carrier.
+than extrapolate.  Each law's result passes ``constants._finite_or_raise``,
+as the width laws' do: one that overflows, or is 0 where the law's exact
+value is not, raises :class:`DomainError` naming the inputs.  The materials
+catalog holds its coefficients at 800 nm (``CATALOG_WAVELENGTH_NM``) only;
+air's come from the formulas at any carrier.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import record
-from .constants import C_CM_PER_FS, omega_from_wavelength_nm, wavelength_nm_from_omega
+from .constants import (C_CM_PER_FS, _check_finite, _finite_or_raise, omega_from_wavelength_nm,
+                        wavelength_nm_from_omega)
 from .errors import CancellationError, DomainError
 
 __all__ = [
@@ -205,7 +209,7 @@ def edlen_refractivity(conditions: AirConditions,
     p_torr = conditions.pressure_pa * _TORR_PER_PA
     density = (p_torr * (1.0 + p_torr * (0.817 - 0.0133 * t) * 1e-6)
                / (720.775 * (1.0 + 0.0036610 * t)))
-    return ns * density
+    return _finite_or_raise(ns * density, "Edlen refractivity", None, **vars(conditions))
 
 
 def _saturation_vapor_pressure_mbar(temperature_c: float) -> float:
@@ -222,9 +226,6 @@ def owens_refractivity(conditions: AirConditions,
     vapour, each multiplied by its density factor; pressures in mbar,
     temperature in kelvin.  The water-vapour partial pressure comes from
     the relative humidity via the Buck saturation-pressure equation.
-
-    Raises :class:`DomainError` when the result is not finite (e.g.
-    ``pressure_pa=1e308``, whose density factor overflows).
     """
     _check_windows(conditions, wavelength_nm)
     sig2 = (1000.0 / wavelength_nm) ** 2
@@ -247,13 +248,7 @@ def owens_refractivity(conditions: AirConditions,
     dry_term = 2371.34 + 683939.7 / (130.0 - sig2) + 4547.3 / (38.9 - sig2)
     water_term = 6487.31 + 58.058 * sig2 - 0.71150 * sig2**2 + 0.08851 * sig2**3
     refractivity = (dry_term * density_dry + water_term * density_water) * 1e-8
-    if not math.isfinite(refractivity):
-        raise DomainError(
-            f"Owens refractivity is not finite at temperature {conditions.temperature_c} C, "
-            f"pressure {conditions.pressure_pa} Pa, relative humidity "
-            f"{conditions.relative_humidity}"
-        )
-    return refractivity
+    return _finite_or_raise(refractivity, "Owens refractivity", None, **vars(conditions))
 
 
 AIR_FORMULAS: Mapping[str, Callable[[AirConditions, float], float]] = MappingProxyType({
@@ -355,20 +350,13 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
     """beta of air (fs^2/cm) at the carrier ``wavelength_nm``.
 
     ``formula`` is a key of :data:`AIR_FORMULAS`, ``"edlen"`` (dry) or ``"owens"`` (humid).
-    Air disperses normally, so a result that is not finite and positive
-    means the formula has left its range at these conditions (a near-vacuum
-    pressure whose index rounds to exactly 1, or a pressure whose density
-    factor overflows); that raises :class:`DomainError`.
+    Air disperses normally, so beta is positive: at a near-vacuum pressure,
+    where the index rounds to exactly 1 and beta to 0, it underflows.
     """
     beta = beta_from_index(air_index_function(conditions, formula),
                            omega_from_wavelength_nm(wavelength_nm))
-    if not 0 < beta < math.inf:
-        raise DomainError(
-            f"{formula} air dispersion coefficient is {beta} fs^2/cm, not finite and positive, "
-            f"at temperature {conditions.temperature_c} C, pressure {conditions.pressure_pa} Pa, "
-            f"relative humidity {conditions.relative_humidity}"
-        )
-    return beta
+    return _finite_or_raise(beta, f"{formula} air dispersion coefficient", None,
+                            **vars(conditions))
 
 
 @lru_cache
@@ -378,14 +366,15 @@ def reference_air_beta(wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
 
 
 def air_length_m(gdd: float, air_beta: float) -> float:
-    """Length (m) of air of coefficient ``air_beta`` (fs^2/cm, > 0) with the GDD ``gdd`` (fs^2)."""
-    if not (math.isfinite(gdd) and 0 < air_beta < math.inf):
-        raise DomainError(f"need a finite GDD and a finite, positive air beta, "
-                          f"got {gdd} fs^2 and {air_beta} fs^2/cm")
-    length_m = gdd / air_beta / 100.0
-    if not math.isfinite(length_m):
-        raise DomainError(f"the air length equivalent to a GDD of {gdd} fs^2 overflows float64")
-    return length_m
+    """Length (m) of air of coefficient ``air_beta`` (fs^2/cm, > 0) with the GDD ``gdd`` (fs^2).
+
+    The length has the GDD's sign.
+    """
+    _check_finite(gdd_fs2=gdd)
+    _check_finite(positive=True, air_beta_fs2_per_cm=air_beta)
+    length_m = _finite_or_raise(abs(gdd) / air_beta / 100.0, "air length", None,
+                                positive=gdd != 0, gdd_fs2=gdd, air_beta_fs2_per_cm=air_beta)
+    return math.copysign(length_m, gdd)
 
 
 def equivalent_air_length(silica_length_cm: float) -> float:
@@ -393,9 +382,8 @@ def equivalent_air_length(silica_length_cm: float) -> float:
     GDD of ``silica_length_cm`` cm of the catalog's fused silica."""
     if not (math.isfinite(silica_length_cm) and silica_length_cm >= 0):
         raise DomainError(f"silica length must be finite and >= 0, got {silica_length_cm}")
-    gdd = silica_length_cm * _CATALOG["fused_silica"].beta
-    if gdd == math.inf:
-        raise DomainError(f"the GDD of {silica_length_cm} cm of silica overflows float64")
+    gdd = _finite_or_raise(silica_length_cm * _CATALOG["fused_silica"].beta, "silica GDD", None,
+                           positive=False, silica_length_cm=silica_length_cm)
     return air_length_m(gdd, reference_air_beta())
 
 

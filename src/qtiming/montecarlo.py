@@ -50,7 +50,8 @@ import numpy as np
 
 from ._cpus import usable_cpus as _thread_count
 from ._record import record
-from .distributions import TimingDistribution, _check_finite
+from .constants import _check_finite
+from .distributions import TimingDistribution
 from .errors import DomainError
 
 __all__ = [

@@ -56,8 +56,8 @@ import numbers
 import numpy as np
 
 from ._record import record
-from .distributions import (StateKind, StateSpec, _check_finite, _coherent_scale, density_at,
-                            quantum_distribution)
+from .constants import _check_finite
+from .distributions import StateKind, StateSpec, _coherent_scale, density_at, quantum_distribution
 from .errors import ConvergenceError, DomainError
 from .media import PathPair
 from .spectral import GaussianSpectrum

@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 import qtiming
 from qtiming import cli, verify
 from qtiming.cli import main
+from qtiming.constants import sigma_phi_from_rad_per_s
+from qtiming.distributions import asymptotic_width, quantum_width
 from qtiming.errors import DomainError
 from qtiming.media import air_length_m, catalog_segment, reference_air_beta
 
@@ -836,6 +838,28 @@ def test_width_whose_squares_overflow_is_reported(tmp_path, argv):
     report = json.loads((tmp_path / "width_report.json").read_text())
     assert report["sigma_quantum_fs"] == pytest.approx(report["asymptotic_width_fs"], rel=1e-15)
     assert math.isfinite(report["sigma_classical_shot_noise_fs"])
+
+
+def test_width_whose_dispersion_phase_overflows_is_reported(tmp_path):
+    # 2 sigma_phi^2 N B itself overflows, so the plain sqrt(1 + p^2) g/N form is
+    # inf; the command once exited 2, though the width fits.
+    assert exit_code(tmp_path, "width", "--sigma-phi", "1e91", "--n", "1e12", "--B", "1e150") == 0
+    width = json.loads((tmp_path / "width_report.json").read_text())["sigma_quantum_fs"]
+    asymptote = asymptotic_width(1e76, 1e150)
+    assert abs(width - asymptote) <= 2 * math.ulp(asymptote)
+    sigma_phi = sigma_phi_from_rad_per_s(1e91)
+    array = quantum_width(sigma_phi, np.array([1e12]), np.array([1e150]))
+    assert np.array_equal(np.array([width, quantum_width(sigma_phi, 1e12, 1e150)]).view(np.uint64),
+                          np.repeat(array, 2).view(np.uint64))
+
+
+def test_air_pressure_whose_refractivity_overflows_exits_without_output(tmp_path, capsys):
+    # Edlén's refractivity once came out inf here, and beta nan.
+    assert exit_code(tmp_path, "media", "--material", "air", "--pressure", "1e308") == 2
+    err = capsys.readouterr().err
+    assert err == ("qtiming: error: Edlen refractivity overflows float64 at temperature_c = 15, "
+                   "pressure_pa = 1e+308, relative_humidity = 0\n")
+    assert "nan" not in err and not list(tmp_path.iterdir())
 
 
 def test_scan_whose_classical_variance_overflows_is_written(tmp_path):

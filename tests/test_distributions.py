@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qtiming import constants, distributions, media, montecarlo, oracle
 from qtiming.distributions import (
     StateKind,
     StateSpec,
@@ -434,6 +435,25 @@ class TestFloat64Edges:
                    for a, g in zip(n[:2000].tolist(), gdd[:2000].tolist())]
         assert np.array_equal(np.array(scalars).view(np.uint64), new[:2000].view(np.uint64))
 
+    def test_rescued_quantum_width_has_the_bits_of_its_limit(self):
+        # Where p*p overflows and p does not, the width is |p| g/N to the bit, as it
+        # was before the rescue, tiny GDDs and huge N included, on both routes.
+        rng = np.random.default_rng(29)
+        checked = 0
+        draws = rng.uniform((-77.0, 0.0, 512.0), (76.0, 300.0, 1023.9), (3000, 3)).tolist()
+        for log_sigma, log_n, log2_phase in draws:  # Python floats: inf without a warning
+            sigma_phi, n = 10.0**log_sigma, 10.0**log_n
+            gdd = 2.0**log2_phase / (2.0 * sigma_phi**2 * n)
+            p = 2.0 * sigma_phi**2 * n * gdd
+            limit = abs(p) * (1.0 / (math.sqrt(2.0) * sigma_phi) / n)
+            if not (p * p == math.inf and 0 < limit < math.inf and 0 < abs(gdd) < math.inf):
+                continue
+            checked += 1
+            for route in (float, np.atleast_1d):
+                width = quantum_width(sigma_phi, route(n), route(gdd))
+                assert np.float64(width).tobytes() == np.float64(limit).tobytes()
+        assert checked > 1000
+
     @pytest.mark.parametrize("sigma_phi,gdd1,gdd2", [
         (SIGMA_PHI, 1e160, 0.0), (SIGMA_PHI, -1e308, 1e308), (SIGMA_PHI, 1e155, 3e154),
         (1.0, 1e154, 0.0), (1e-77, 1e300, -1e200), (1e76, 1e160, 1e159), (1e70, 5e-324, 1e237),
@@ -450,6 +470,15 @@ class TestFloat64Edges:
         for route in (float, np.atleast_1d):
             assert classical_width(sigma_phi, route(gdd1), route(gdd2)) == pytest.approx(
                 exact, rel=4 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("module", [distributions, media, montecarlo, oracle],
+                         ids=lambda module: module.__name__)
+def test_float64_rules_have_one_home(module):
+    # Every law applies the rules of qtiming.constants; a private copy would drift.
+    assert module._check_finite is constants._check_finite
+    rule = constants._finite_or_raise
+    assert getattr(module, "_finite_or_raise", rule) is rule
 
 
 @pytest.mark.parametrize("law,args", [
@@ -783,6 +812,7 @@ def test_special_values_give_a_finite_result_or_domain_error(name, data):
     # frequency, positive but for the asymptote of a cancelled GDD: none returns
     # a 0.0 that has underflowed.  An air length has its GDD's sign, or is 0.
     if function is air_length_m:
+        assert (result != 0) == (args[0] != 0)
         return
     if function is equivalent_air_length or (function is asymptotic_width and args[1] == 0):
         assert result >= 0

@@ -44,9 +44,11 @@ law's exact value is positive has underflowed: both raise
 (``_finite_or_raise``).  A square alone leaving float64 raises nothing: where
 a width's plain form is inf, :func:`_rescued` recomputes it with its
 GDD terms scaled by the power of two :data:`_RESCALE`, exactly, and divides
-the scale back out.  Wherever the plain forms are finite, the widths keep
-their bits; where the square of the quantum phase p alone overflows, the
-quantum width has the bits of |p| g/N, the plain form's limit.
+the scale back out; there the quantum root sqrt(_RESCALE^2 + (|p| _RESCALE)^2)
+is |p| _RESCALE itself, since _RESCALE^2 is 0.0, so it is never squared.
+Wherever the plain forms are finite, the widths keep their bits; where the
+square of the quantum phase p overflows, the quantum width has the bits of
+|p| g/N, the plain form's limit.
 """
 
 from __future__ import annotations
@@ -203,11 +205,13 @@ def quantum_width(sigma_phi: float, n_photons, gdd_sum):
 
         def broadened(scale):
             # Each factor of p takes sqrt(scale) and each factor of the width
-            # gives it back: no factor turns subnormal where p*p alone overflowed,
-            # and a width that fits returns while |p| * scale stays under 2^512.
+            # gives it back: no factor turns subnormal where p*p alone overflowed.
+            # At _RESCALE, scale * scale is exactly 0.0, so the root is |p| * scale
+            # itself, never squared.
             half = math.sqrt(scale)
             phase = abs(2.0 * float(sigma_phi)**2 * half * n * (gdd * half))  # |p| * scale
-            return xp.sqrt(scale * scale + phase * phase) / half * (packet_width / n / half)
+            root = xp.sqrt(1.0 + phase * phase) if scale == 1.0 else phase
+            return root / half * (packet_width / n / half)
 
         width = _rescued(xp, broadened)
     return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd)

@@ -18,9 +18,12 @@ formulas:
   factor", J. Appl. Meteor. 20, 1527 (1981) — saturation vapour pressure
   over water, to turn relative humidity into a partial pressure.
 
-``AIR_FORMULAS`` maps each formula's name to its refractivity function, and
-everything that selects a formula by name reads it.  All empirical
-coefficients below are transcribed from those publications.
+``AIR_FORMULAS`` maps each formula's name to its refractivity function.
+All empirical coefficients below are transcribed from those publications.
+Air's dispersion coefficient is exact: each formula evaluates its n - 1 and,
+from the same coefficients, the closed-form second derivative that
+:func:`air_dispersion_coefficient` turns into beta.  Nothing differences
+the built-in formulas: the finite-difference route is for a user's index model.
 Each formula takes the atmosphere (:class:`AirConditions`) and the carrier
 wavelength, and starts with one check of both validity windows: 350–1700 nm,
 a conservative envelope of the two formulas, and −20…+50 °C, the range the
@@ -35,13 +38,12 @@ air's come from the formulas at any carrier.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import record
-from .constants import (C_CM_PER_FS, _check_finite, _finite_or_raise, omega_from_wavelength_nm,
-                        wavelength_nm_from_omega)
+from .constants import (C_CM_PER_FS, C_NM_PER_FS, TWO_PI, _check_finite, _finite_or_raise,
+                        omega_from_wavelength_nm, wavelength_nm_from_omega)
 from .errors import CancellationError, DomainError
 
 __all__ = [
@@ -192,6 +194,31 @@ def _check_windows(conditions: AirConditions, wavelength_nm: float) -> None:
             )
 
 
+def _dry_air(c: float, b_far: float, b_near: float, sigma: float) -> tuple[float, float]:
+    """The dry-air term c + b_far/(130 - sigma^2) + b_near/(38.9 - sigma^2) of both formulas,
+    whose poles they share, and the sigma-curvature of sigma times it.
+
+    Each pole's sigma * b/(a - sigma^2) curves by 2 b sigma (3a + sigma^2)/(a - sigma^2)^3.
+    """
+    far, near = 130.0 - sigma**2, 38.9 - sigma**2
+    return c + b_far / far + b_near / near, 2.0 * sigma * (
+        b_far * (3.0 * 130.0 + sigma**2) / far**3 + b_near * (3.0 * 38.9 + sigma**2) / near**3)
+
+
+def _edlen(conditions: AirConditions, wavelength_nm: float) -> tuple[float, float]:
+    """Edlén's n - 1 and its curvature d^2[sigma (n - 1)]/dsigma^2, unchecked (see
+    :func:`edlen_refractivity`)."""
+    _check_windows(conditions, wavelength_nm)
+    sigma = 1000.0 / wavelength_nm  # 1/lambda_um
+    dry_term, d2_dry = _dry_air(8342.13, 2406030.0, 15997.0, sigma)
+
+    t = conditions.temperature_c
+    p_torr = conditions.pressure_pa * _TORR_PER_PA
+    density = (p_torr * (1.0 + p_torr * (0.817 - 0.0133 * t) * 1e-6)
+               / (720.775 * (1.0 + 0.0036610 * t)))
+    return dry_term * 1e-8 * density, d2_dry * 1e-8 * density
+
+
 def edlen_refractivity(conditions: AirConditions,
                        wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
     """Refractivity (n - 1) of dry air after Edlén (1966) at ``wavelength_nm``.
@@ -201,15 +228,8 @@ def edlen_refractivity(conditions: AirConditions,
     pressure.  Humidity is ignored: this is the dry-air formula; use
     :func:`owens_refractivity` when water vapour matters.
     """
-    _check_windows(conditions, wavelength_nm)
-    sig2 = (1000.0 / wavelength_nm) ** 2  # (1/lambda_um)^2
-    ns = (8342.13 + 2406030.0 / (130.0 - sig2) + 15997.0 / (38.9 - sig2)) * 1e-8
-
-    t = conditions.temperature_c
-    p_torr = conditions.pressure_pa * _TORR_PER_PA
-    density = (p_torr * (1.0 + p_torr * (0.817 - 0.0133 * t) * 1e-6)
-               / (720.775 * (1.0 + 0.0036610 * t)))
-    return _finite_or_raise(ns * density, "Edlen refractivity", None, **vars(conditions))
+    return _finite_or_raise(_edlen(conditions, wavelength_nm)[0], "Edlen refractivity", None,
+                            **vars(conditions))
 
 
 def _saturation_vapor_pressure_mbar(temperature_c: float) -> float:
@@ -218,17 +238,12 @@ def _saturation_vapor_pressure_mbar(temperature_c: float) -> float:
     return 6.1121 * math.exp((18.678 - t / 234.5) * t / (257.14 + t))
 
 
-def owens_refractivity(conditions: AirConditions,
-                       wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
-    """Refractivity (n - 1) of moist air after Owens (1967) at ``wavelength_nm``.
-
-    Separate dispersion terms for the dry-air component and for water
-    vapour, each multiplied by its density factor; pressures in mbar,
-    temperature in kelvin.  The water-vapour partial pressure comes from
-    the relative humidity via the Buck saturation-pressure equation.
-    """
+def _owens(conditions: AirConditions, wavelength_nm: float) -> tuple[float, float]:
+    """Owens's n - 1 and its curvature d^2[sigma (n - 1)]/dsigma^2, unchecked (see
+    :func:`owens_refractivity`)."""
     _check_windows(conditions, wavelength_nm)
-    sig2 = (1000.0 / wavelength_nm) ** 2
+    sigma = 1000.0 / wavelength_nm
+    sig2 = sigma**2
 
     t_k = conditions.temperature_c + 273.15
     p_total = conditions.pressure_pa * _MBAR_PER_PA
@@ -245,10 +260,25 @@ def owens_refractivity(conditions: AirConditions,
         * (-2.37321e-3 + 2.23366 / t_k - 710.792 / t_k**2 + 7.75141e4 / t_k**3)
     )
 
-    dry_term = 2371.34 + 683939.7 / (130.0 - sig2) + 4547.3 / (38.9 - sig2)
+    dry_term, d2_dry = _dry_air(2371.34, 683939.7, 4547.3, sigma)
     water_term = 6487.31 + 58.058 * sig2 - 0.71150 * sig2**2 + 0.08851 * sig2**3
-    refractivity = (dry_term * density_dry + water_term * density_water) * 1e-8
-    return _finite_or_raise(refractivity, "Owens refractivity", None, **vars(conditions))
+    # each c_k sigma^(2k+1) of sigma * water_term curves by (2k+1)(2k) c_k sigma^(2k-1)
+    d2_water = (6.0 * 58.058 - 20.0 * 0.71150 * sig2 + 42.0 * 0.08851 * sig2**2) * sigma
+    return ((dry_term * density_dry + water_term * density_water) * 1e-8,
+            (d2_dry * density_dry + d2_water * density_water) * 1e-8)
+
+
+def owens_refractivity(conditions: AirConditions,
+                       wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
+    """Refractivity (n - 1) of moist air after Owens (1967) at ``wavelength_nm``.
+
+    Separate dispersion terms for the dry-air component and for water
+    vapour, each multiplied by its density factor; pressures in mbar,
+    temperature in kelvin.  The water-vapour partial pressure comes from
+    the relative humidity via the Buck saturation-pressure equation.
+    """
+    return _finite_or_raise(_owens(conditions, wavelength_nm)[0], "Owens refractivity", None,
+                            **vars(conditions))
 
 
 AIR_FORMULAS: Mapping[str, Callable[[AirConditions, float], float]] = MappingProxyType({
@@ -257,12 +287,20 @@ AIR_FORMULAS: Mapping[str, Callable[[AirConditions, float], float]] = MappingPro
 })
 """The air-index formulas by name: each maps conditions and a wavelength (nm) to n - 1."""
 
+_AIR_LAWS = MappingProxyType({"edlen": _edlen, "owens": _owens})
+"""Each :data:`AIR_FORMULAS` entry's n - 1 with its curvature, unchecked."""
+
+
+def _formula(table: Mapping, formula: str):
+    """``table[formula]`` for a name of :data:`AIR_FORMULAS`; DomainError for any other."""
+    if formula not in table:
+        raise DomainError(f"unknown air-index formula {formula!r}; known: {sorted(AIR_FORMULAS)}")
+    return table[formula]
+
 
 def air_index_function(conditions: AirConditions, formula: str) -> Callable[[float], float]:
     """n(omega) for air under the :data:`AIR_FORMULAS` entry ``formula``; omega in rad/fs."""
-    refractivity = AIR_FORMULAS.get(formula)
-    if refractivity is None:
-        raise DomainError(f"unknown air-index formula {formula!r}; known: {sorted(AIR_FORMULAS)}")
+    refractivity = _formula(AIR_FORMULAS, formula)
 
     def index(omega: float) -> float:
         return 1.0 + refractivity(conditions, wavelength_nm_from_omega(omega))
@@ -285,7 +323,7 @@ def beta_from_index(
     omega0: float,
     step: float | None = None,
 ) -> float:
-    """Group-delay-dispersion coefficient from a refractive-index model.
+    """Group-delay-dispersion coefficient from a user's refractive-index model.
 
     beta = (1/2c) * d^2[omega * n(omega)]/domega^2, evaluated at ``omega0``
     (rad/fs) and returned in fs^2/cm.  The second derivative comes from
@@ -297,7 +335,8 @@ def beta_from_index(
     the second difference of a quantity of size ~1e-4 into roundoff; when
     the estimated noise floor or the h vs h/2 disagreement exceeds 1e-3 of
     the result, a :class:`CancellationError` with a suggested step is
-    raised instead of returning digits that are not there.
+    raised instead of returning digits that are not there.  The built-in air
+    formulas need no difference: :func:`air_dispersion_coefficient` is exact.
     """
     if omega0 <= 0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
@@ -350,16 +389,19 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
     """beta of air (fs^2/cm) at the carrier ``wavelength_nm``.
 
     ``formula`` is a key of :data:`AIR_FORMULAS`, ``"edlen"`` (dry) or ``"owens"`` (humid).
-    Air disperses normally, so beta is positive: at a near-vacuum pressure,
-    where the index rounds to exactly 1 and beta to 0, it underflows.
+    beta = (1/2c) d^2[omega (n - 1)]/domega^2 is exact, in closed form from the
+    formula's own coefficients: with sigma = 1/lambda_um and omega = a sigma,
+    a = 2 pi c / 1000 nm, it is the sigma-curvature of sigma (n - 1) over 2 c a.
+    Air disperses normally, so beta is positive.
     """
-    beta = beta_from_index(air_index_function(conditions, formula),
-                           omega_from_wavelength_nm(wavelength_nm))
-    return _finite_or_raise(beta, f"{formula} air dispersion coefficient", None,
-                            **vars(conditions))
+    law = _formula(_AIR_LAWS, formula)
+    omega_from_wavelength_nm(wavelength_nm)  # raises unless finite and positive
+    _, curvature = law(conditions, wavelength_nm)
+    # 2 c a, a = 2 pi c / 1000 nm: in this order the float is the nearest to its exact value
+    beta = curvature / (2.0 * C_CM_PER_FS * TWO_PI * C_NM_PER_FS / 1000.0)
+    return _finite_or_raise(beta, f"{formula} air dispersion coefficient", None, **vars(conditions))
 
 
-@lru_cache
 def reference_air_beta(wavelength_nm: float = CATALOG_WAVELENGTH_NM) -> float:
     """Owens dispersion coefficient of :data:`REFERENCE_AIR` at ``wavelength_nm``, fs^2/cm."""
     return air_dispersion_coefficient(REFERENCE_AIR, "owens", wavelength_nm)

@@ -382,9 +382,9 @@ REPORT_DIGESTS = {
     "width-json": (("width", "--sigma-phi", "3.7e11", "--n", "7305", "--B", "500", "--json"),
                    "5a528fb217c05cbc3429127f401900c926cc6681df6baa21df06088e58a0e4fb"),
     "transition": (("transition", "--preset", "ntrans-1cm"),
-                   "affb5841e42ee7e341a8f53e0e2479e60b4b2629dbb77a369b9eb1a94b4b6684"),
+                   "ba4cf577a2ae6a660bda89227bfdfcba7ad775e0655bee37ced2b0ef7bafc8b3"),
     "media-owens": (("media", "--material", "air", "--formula", "owens", "--rh", "0.2"),
-                    "925d66a706bf220581ecf2dcf08f497a8807e11c42603906c6cebed5aed05cb2"),
+                    "798014622563f12f272a9e34907f6e106d7eb7ba4c8124846f6281b1b61eff2c"),
     "media-silica": (("media", "--material", "silica"),
                      "edc98bc94c87d4169c486799ed68cde80e764123287655e3e4d3f7237a8de3cd"),
     "media-vacuum": (("media", "--material", "vacuum"),
@@ -393,12 +393,12 @@ REPORT_DIGESTS = {
     # an air: segment, and a bare --B at 1550 nm.
     "media-owens-1064": (("media", "--material", "air", "--formula", "owens", "--rh", "0.7",
                           "--temperature", "-20", "--pressure", "95000", "--wavelength", "1064"),
-                         "18c62fb8d8e1f9d67275c7b952fb905ba9b6b28d7f5cfd9f2dd53744f18b42bf"),
+                         "f75dd97f48cc90f22d7729151593210af4499edef2f51d66c888454a2941bea2"),
     "width-air": (("width", "--sigma-phi", "3.7e11", "--n", "100",
                    "--path1", "air:1km", "--path2", "silica:1cm"),
-                  "22c186ef9c5e81e05155bbc1a04492d97cc8ba1d99542620db7262f36942f170"),
+                  "954c1e126f220e5cffcc6503f75c1882e1be2d651c81e978f6faa6ab37be6d06"),
     "transition-1550": (("transition", "--sigma-phi", "3.7e11", "--B", "500", "--wavelength", "1550"),
-                        "be3038cf427ffe3773e0daf180875afa7d4747ce4c1053f81bfc1b8ece324b19"),
+                        "ca9b4761cd1836d027762d70758b6d952ea4303c16d60eb7193e18ae8bda5586"),
 }
 
 
@@ -851,6 +851,45 @@ def test_width_whose_dispersion_phase_overflows_is_reported(tmp_path):
     array = quantum_width(sigma_phi, np.array([1e12]), np.array([1e150]))
     assert np.array_equal(np.array([width, quantum_width(sigma_phi, 1e12, 1e150)]).view(np.uint64),
                           np.repeat(array, 2).view(np.uint64))
+
+
+def test_width_whose_scaled_dispersion_phase_overflows_once_squared_is_reported(tmp_path):
+    # Even |p| * 2^-640 passes 2^512 here, so the rescue once squared it to inf
+    # and the command exited 2; the rescue now takes that root unsquared.
+    assert exit_code(tmp_path, "width", "--sigma-phi", "1e78", "--n", "1e12", "--B", "1e230") == 0
+    width = json.loads((tmp_path / "width_report.json").read_text())["sigma_quantum_fs"]
+    assert width == 1.4142135623730948e+293
+    asymptote = asymptotic_width(1e63, 1e230)
+    assert abs(width - asymptote) <= 3 * math.ulp(asymptote)
+    sigma_phi = sigma_phi_from_rad_per_s(1e78)
+    array = quantum_width(sigma_phi, np.array([1e12]), np.array([1e230]))
+    assert np.array_equal(np.array([width, quantum_width(sigma_phi, 1e12, 1e230)]).view(np.uint64),
+                          np.repeat(array, 2).view(np.uint64))
+
+
+# Each once exited 2: the finite difference that took air's beta reached past
+# the window's edges, 350 and 1700 nm, or its roundoff guard fired inside it.
+EXACT_AIR_COMMANDS = [
+    *[("media", "--material", "air", *flags, "--formula", formula)
+      for flags in (("--wavelength", "350"), ("--wavelength", "1618"),
+                    ("--wavelength", "1550", "--temperature", "50", "--pressure", "95000"),
+                    ("--pressure", "1"),
+                    ("--wavelength", "350", "--temperature", "-20"),
+                    ("--wavelength", "350", "--temperature", "50"),
+                    ("--wavelength", "1700", "--temperature", "-20"),
+                    ("--wavelength", "1700", "--temperature", "50"))
+      for formula in ("edlen", "owens")],
+    ("media", "--material", "air", "--wavelength", "1618", "--formula", "owens", "--rh", "0.2"),
+    ("transition", "--sigma-phi", "3.7e11", "--B", "500", "--wavelength", "1618"),
+]
+
+
+@pytest.mark.parametrize("argv", EXACT_AIR_COMMANDS, ids=" ".join)
+def test_air_dispersion_holds_across_the_validity_window(tmp_path, argv):
+    assert exit_code(tmp_path, *argv) == 0
+    report = json.loads((tmp_path / f"{argv[0]}_report.json").read_text())
+    value = report["beta_fs2_per_cm" if argv[0] == "media" else "equivalent_air_total_m"]
+    assert 0 < value < math.inf
 
 
 def test_air_pressure_whose_refractivity_overflows_exits_without_output(tmp_path, capsys):

@@ -6,14 +6,20 @@ high-order derivative for the dispersion coefficient.
 """
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtiming import media
+from qtiming.cli import main
 from qtiming.constants import C_CM_PER_FS, omega_from_wavelength_nm, wavelength_nm_from_omega
 from qtiming.errors import CancellationError, DomainError
 from qtiming.media import (
+    _MBAR_PER_PA,
+    _TORR_PER_PA,
     AIR_FORMULAS,
     REFERENCE_AIR,
     TEMPERATURE_RANGE_C,
@@ -35,6 +41,7 @@ from qtiming.media import (
     path_coefficients,
     reference_air_beta,
     resolve_material,
+    _saturation_vapor_pressure_mbar,
 )
 
 # mpmath truths (Edlén/Owens transcriptions evaluated at 40 digits)
@@ -284,19 +291,30 @@ class TestRefractivity:
 class TestAirDispersionRange:
     @pytest.mark.parametrize("formula", ["edlen", "owens"])
     def test_vacuum_like_pressure_rejected(self, formula):
-        # The index rounds to exactly 1, so beta comes out as 0.0.
+        # The exact beta, ~1e-6 fs^2/cm per Pa, rounds to 0.0 here.
+        pressure = 1e-320
         with pytest.raises(DomainError) as error:
-            air_dispersion_coefficient(AirConditions(pressure_pa=1e-308), formula)
+            air_dispersion_coefficient(AirConditions(pressure_pa=pressure), formula)
         assert str(error.value) == (f"{formula} air dispersion coefficient underflows float64 "
-                                    "at temperature_c = 15, pressure_pa = 1e-308, "
+                                    f"at temperature_c = 15, pressure_pa = {pressure:g}, "
                                     "relative_humidity = 0")
 
+    @pytest.mark.parametrize("formula", ["edlen", "owens"])
+    def test_near_vacuum_beta_is_positive(self, formula):
+        # A finite difference of an index that rounds to exactly 1 once gave 0.0
+        # here; the exact beta is ~1.05e-314 fs^2/cm, a subnormal in proportion
+        # to the pressure.
+        beta = air_dispersion_coefficient(AirConditions(pressure_pa=1e-308), formula)
+        one_pascal = air_dispersion_coefficient(AirConditions(pressure_pa=1.0), formula)
+        assert 0 < beta == pytest.approx(one_pascal * 1e-308, rel=1e-6)
+
     def test_non_finite_edlen_beta_rejected(self):
-        # Edlén's density factor overflows: the refractivity raises before any difference.
+        # Edlén's density factor overflows, and with it the exact beta.
         with pytest.raises(DomainError) as error:
             air_dispersion_coefficient(AirConditions(pressure_pa=1e308), "edlen")
-        assert str(error.value) == ("Edlen refractivity overflows float64 at temperature_c = 15, "
-                                    "pressure_pa = 1e+308, relative_humidity = 0")
+        assert str(error.value) == ("edlen air dispersion coefficient overflows float64 at "
+                                    "temperature_c = 15, pressure_pa = 1e+308, "
+                                    "relative_humidity = 0")
 
     @pytest.mark.parametrize("formula, temperature", [
         ("edlen", -273.0), ("owens", -257.0), ("edlen", -20.001), ("owens", 50.001),
@@ -312,6 +330,94 @@ class TestAirDispersionRange:
     def test_temperature_window_edges_accepted(self, formula, temperature):
         beta = air_dispersion_coefficient(AirConditions(temperature, 101325.0, 0.2), formula)
         assert 0 < beta < math.inf
+
+
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+_TWO_C_A = 2 * Fraction("2.99792458e-5") * (2 * _PI * Fraction("299.792458") / 1000)
+"""2c a in exact arithmetic: c in cm/fs, and a = 2 pi c / 1000 nm maps sigma (1/um) to omega."""
+
+
+def _exact_pole(b: str, a: str, sigma: Fraction) -> Fraction:
+    """d^2/dsigma^2 of sigma * b/(a - sigma^2), exactly, from the published decimals."""
+    b, a = Fraction(b), Fraction(a)
+    return 2 * b * sigma * (3 * a + sigma * sigma) / (a - sigma * sigma) ** 3
+
+
+def exact_beta(formula: str, conditions: AirConditions, wavelength_nm: float) -> Fraction:
+    """beta = 1e-8 * density * G''(sigma) / (2 c a) of a formula in exact arithmetic, where
+    n - 1 = 1e-8 * density * G(sigma) / sigma, at the float sigma = 1000/lambda.  Each density
+    factor is the float the formula computes, by the formula's own float64 expression."""
+    sigma = Fraction(1000.0 / wavelength_nm)
+    t = conditions.temperature_c
+    if formula == "edlen":
+        p_torr = conditions.pressure_pa * _TORR_PER_PA
+        density = (p_torr * (1.0 + p_torr * (0.817 - 0.0133 * t) * 1e-6)
+                   / (720.775 * (1.0 + 0.0036610 * t)))
+        curvature = Fraction(density) * (_exact_pole("2406030", "130", sigma)
+                                         + _exact_pole("15997", "38.9", sigma))
+    else:
+        t_k = t + 273.15
+        p_water = conditions.relative_humidity * _saturation_vapor_pressure_mbar(t)
+        p_dry = conditions.pressure_pa * _MBAR_PER_PA - p_water
+        density_dry = (p_dry / t_k) * (
+            1.0 + p_dry * (57.90e-8 - 9.3250e-4 / t_k + 0.25844 / t_k**2))
+        density_water = (p_water / t_k) * (
+            1.0 + p_water * (1.0 + 3.7e-4 * p_water)
+            * (-2.37321e-3 + 2.23366 / t_k - 710.792 / t_k**2 + 7.75141e4 / t_k**3))
+        water = (6 * Fraction("58.058") * sigma - 20 * Fraction("0.71150") * sigma**3
+                 + 42 * Fraction("0.08851") * sigma**5)
+        curvature = (Fraction(density_dry) * (_exact_pole("683939.7", "130", sigma)
+                                              + _exact_pole("4547.3", "38.9", sigma))
+                     + Fraction(density_water) * water)
+    return curvature * Fraction("1e-8") / _TWO_C_A
+
+
+class TestExactAirDispersion:
+    """beta of the built-in formulas is their exact second derivative, in closed form."""
+
+    @pytest.mark.parametrize("formula", AIR_FORMULAS)
+    @pytest.mark.parametrize("temperature", [-20.0, 15.0, 50.0])
+    def test_within_four_ulps_of_the_exact_derivative(self, formula, temperature):
+        # 4 ulps of relative precision, 4 * 2^-52: a 40-digit derivative put the
+        # finite difference this replaced off by 1.1e-5 at 800 nm and 2.7e-4 at 1550 nm.
+        for conditions in (AirConditions(temperature, 101325.0, 0.2),
+                           AirConditions(temperature, 1.0, 0.0)):
+            for wavelength in (350.0, 800.0, 1064.0, 1550.0, 1700.0):
+                beta = air_dispersion_coefficient(conditions, formula, wavelength)
+                exact = exact_beta(formula, conditions, wavelength)
+                assert abs(Fraction(beta) - exact) <= 4 * sys.float_info.epsilon * exact, (
+                    conditions, wavelength)
+
+    @pytest.mark.parametrize("formula", AIR_FORMULAS)
+    def test_agrees_with_finite_differences_at_800_nm(self, formula):
+        # An independent route: beta_from_index at a step where it is accurate.
+        omega0 = omega_from_wavelength_nm(800.0)
+        difference = beta_from_index(air_index_function(REFERENCE_AIR, formula), omega0,
+                                     step=3e-3 * omega0)
+        assert air_dispersion_coefficient(REFERENCE_AIR, formula) == pytest.approx(
+            difference, rel=1e-5)
+
+    def test_matches_the_frozen_truths_to_the_digits_quoted(self):
+        beta = air_dispersion_coefficient(AirConditions(15.0, 101325.0, 0.0), "edlen")
+        assert beta == pytest.approx(BETA_EDLEN_800, rel=5e-10)
+        assert reference_air_beta() == pytest.approx(BETA_OWENS_RH20_800, rel=5e-10)
+
+    def test_no_program_path_differences_the_index(self, monkeypatch, tmp_path, capsys):
+        # beta_from_index stays for user index models; the air laws and every
+        # command that reads them take the closed form.
+        def refuse(*args, **kwargs):
+            raise AssertionError("beta_from_index called")
+
+        monkeypatch.setattr(media, "beta_from_index", refuse)
+        for formula in AIR_FORMULAS:
+            assert air_dispersion_coefficient(REFERENCE_AIR, formula) > 0
+        assert reference_air_beta(1064.0) > 0
+        assert catalog_segment("air", 1.0).beta > 0
+        for argv in (["media", "--material", "air"],
+                     ["media", "--material", "air", "--formula", "owens", "--rh", "0.2"],
+                     ["transition", "--sigma-phi", "3.7e11", "--B", "500"],
+                     ["width", "--sigma-phi", "3.7e11", "--n", "100", "--path1", "air:1km"]):
+            assert main([*argv, "--out-dir", str(tmp_path)]) == 0
 
 
 class TestBetaFromIndex:

@@ -48,7 +48,8 @@ the scale back out; there the quantum root sqrt(_RESCALE^2 + (|p| _RESCALE)^2)
 is |p| _RESCALE itself, since _RESCALE^2 is 0.0, so it is never squared.
 Wherever the plain forms are finite, the widths keep their bits; where the
 square of the quantum phase p overflows, the quantum width has the bits of
-|p| g/N, the plain form's limit.
+|p| g/N, the plain form's limit, wherever g/N is normal, and keeps g/N's
+digits where it is subnormal.
 """
 
 from __future__ import annotations
@@ -205,13 +206,13 @@ def quantum_width(sigma_phi: float, n_photons, gdd_sum):
 
         def broadened(scale):
             # Each factor of p takes sqrt(scale) and each factor of the width
-            # gives it back: no factor turns subnormal where p*p alone overflowed.
-            # At _RESCALE, scale * scale is exactly 0.0, so the root is |p| * scale
-            # itself, never squared.
+            # gives it back, g before N: no factor turns subnormal where p*p
+            # alone overflowed, not even g/N.  At _RESCALE, scale * scale is
+            # exactly 0.0, so the root is |p| * scale itself, never squared.
             half = math.sqrt(scale)
             phase = abs(2.0 * float(sigma_phi)**2 * half * n * (gdd * half))  # |p| * scale
             root = xp.sqrt(1.0 + phase * phase) if scale == 1.0 else phase
-            return root / half * (packet_width / n / half)
+            return root / half * (packet_width / half / n)
 
         width = _rescued(xp, broadened)
     return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd)

@@ -20,7 +20,7 @@ formulas:
 
 ``AIR_FORMULAS`` maps each formula's name to its refractivity function.
 All empirical coefficients below are transcribed from those publications.
-Air's dispersion coefficient is exact: each formula evaluates its n - 1 and,
+Air's dispersion coefficient is exact: each formula evaluates its n - 1 or,
 from the same coefficients, the closed-form second derivative that
 :func:`air_dispersion_coefficient` turns into beta.  Nothing differences
 the built-in formulas: the finite-difference route is for a user's index model.
@@ -194,29 +194,29 @@ def _check_windows(conditions: AirConditions, wavelength_nm: float) -> None:
             )
 
 
-def _dry_air(c: float, b_far: float, b_near: float, sigma: float) -> tuple[float, float]:
+def _dry_air(c: float, b_far: float, b_near: float, sigma: float, curved: bool) -> float:
     """The dry-air term c + b_far/(130 - sigma^2) + b_near/(38.9 - sigma^2) of both formulas,
-    whose poles they share, and the sigma-curvature of sigma times it.
+    whose poles they share, or, if ``curved``, the sigma-curvature of sigma times it.
 
     Each pole's sigma * b/(a - sigma^2) curves by 2 b sigma (3a + sigma^2)/(a - sigma^2)^3.
     """
     far, near = 130.0 - sigma**2, 38.9 - sigma**2
-    return c + b_far / far + b_near / near, 2.0 * sigma * (
-        b_far * (3.0 * 130.0 + sigma**2) / far**3 + b_near * (3.0 * 38.9 + sigma**2) / near**3)
+    if curved:
+        return 2.0 * sigma * (b_far * (3.0 * 130.0 + sigma**2) / far**3
+                              + b_near * (3.0 * 38.9 + sigma**2) / near**3)
+    return c + b_far / far + b_near / near
 
 
-def _edlen(conditions: AirConditions, wavelength_nm: float) -> tuple[float, float]:
-    """Edlén's n - 1 and its curvature d^2[sigma (n - 1)]/dsigma^2, unchecked (see
-    :func:`edlen_refractivity`)."""
+def _edlen(conditions: AirConditions, wavelength_nm: float, curved: bool = False) -> float:
+    """Edlén's n - 1, or, if ``curved``, its curvature d^2[sigma (n - 1)]/dsigma^2;
+    unchecked (see :func:`edlen_refractivity`)."""
     _check_windows(conditions, wavelength_nm)
     sigma = 1000.0 / wavelength_nm  # 1/lambda_um
-    dry_term, d2_dry = _dry_air(8342.13, 2406030.0, 15997.0, sigma)
-
     t = conditions.temperature_c
     p_torr = conditions.pressure_pa * _TORR_PER_PA
     density = (p_torr * (1.0 + p_torr * (0.817 - 0.0133 * t) * 1e-6)
                / (720.775 * (1.0 + 0.0036610 * t)))
-    return dry_term * 1e-8 * density, d2_dry * 1e-8 * density
+    return _dry_air(8342.13, 2406030.0, 15997.0, sigma, curved) * 1e-8 * density
 
 
 def edlen_refractivity(conditions: AirConditions,
@@ -228,7 +228,7 @@ def edlen_refractivity(conditions: AirConditions,
     pressure.  Humidity is ignored: this is the dry-air formula; use
     :func:`owens_refractivity` when water vapour matters.
     """
-    return _finite_or_raise(_edlen(conditions, wavelength_nm)[0], "Edlen refractivity", None,
+    return _finite_or_raise(_edlen(conditions, wavelength_nm), "Edlen refractivity", None,
                             **vars(conditions))
 
 
@@ -238,9 +238,9 @@ def _saturation_vapor_pressure_mbar(temperature_c: float) -> float:
     return 6.1121 * math.exp((18.678 - t / 234.5) * t / (257.14 + t))
 
 
-def _owens(conditions: AirConditions, wavelength_nm: float) -> tuple[float, float]:
-    """Owens's n - 1 and its curvature d^2[sigma (n - 1)]/dsigma^2, unchecked (see
-    :func:`owens_refractivity`)."""
+def _owens(conditions: AirConditions, wavelength_nm: float, curved: bool = False) -> float:
+    """Owens's n - 1, or, if ``curved``, its curvature d^2[sigma (n - 1)]/dsigma^2;
+    unchecked (see :func:`owens_refractivity`)."""
     _check_windows(conditions, wavelength_nm)
     sigma = 1000.0 / wavelength_nm
     sig2 = sigma**2
@@ -260,12 +260,11 @@ def _owens(conditions: AirConditions, wavelength_nm: float) -> tuple[float, floa
         * (-2.37321e-3 + 2.23366 / t_k - 710.792 / t_k**2 + 7.75141e4 / t_k**3)
     )
 
-    dry_term, d2_dry = _dry_air(2371.34, 683939.7, 4547.3, sigma)
-    water_term = 6487.31 + 58.058 * sig2 - 0.71150 * sig2**2 + 0.08851 * sig2**3
     # each c_k sigma^(2k+1) of sigma * water_term curves by (2k+1)(2k) c_k sigma^(2k-1)
-    d2_water = (6.0 * 58.058 - 20.0 * 0.71150 * sig2 + 42.0 * 0.08851 * sig2**2) * sigma
-    return ((dry_term * density_dry + water_term * density_water) * 1e-8,
-            (d2_dry * density_dry + d2_water * density_water) * 1e-8)
+    water_term = ((6.0 * 58.058 - 20.0 * 0.71150 * sig2 + 42.0 * 0.08851 * sig2**2) * sigma
+                  if curved else 6487.31 + 58.058 * sig2 - 0.71150 * sig2**2 + 0.08851 * sig2**3)
+    dry_term = _dry_air(2371.34, 683939.7, 4547.3, sigma, curved)
+    return (dry_term * density_dry + water_term * density_water) * 1e-8
 
 
 def owens_refractivity(conditions: AirConditions,
@@ -277,7 +276,7 @@ def owens_refractivity(conditions: AirConditions,
     temperature in kelvin.  The water-vapour partial pressure comes from
     the relative humidity via the Buck saturation-pressure equation.
     """
-    return _finite_or_raise(_owens(conditions, wavelength_nm)[0], "Owens refractivity", None,
+    return _finite_or_raise(_owens(conditions, wavelength_nm), "Owens refractivity", None,
                             **vars(conditions))
 
 
@@ -287,20 +286,20 @@ AIR_FORMULAS: Mapping[str, Callable[[AirConditions, float], float]] = MappingPro
 })
 """The air-index formulas by name: each maps conditions and a wavelength (nm) to n - 1."""
 
-_AIR_LAWS = MappingProxyType({"edlen": _edlen, "owens": _owens})
-"""Each :data:`AIR_FORMULAS` entry's n - 1 with its curvature, unchecked."""
+_LAWS = MappingProxyType({edlen_refractivity: _edlen, owens_refractivity: _owens})
+"""The unchecked law behind each :data:`AIR_FORMULAS` value, which also gives its curvature."""
 
 
-def _formula(table: Mapping, formula: str):
-    """``table[formula]`` for a name of :data:`AIR_FORMULAS`; DomainError for any other."""
-    if formula not in table:
+def _formula(formula: str) -> Callable[[AirConditions, float], float]:
+    """``AIR_FORMULAS[formula]``; DomainError for a name not in it."""
+    if formula not in AIR_FORMULAS:
         raise DomainError(f"unknown air-index formula {formula!r}; known: {sorted(AIR_FORMULAS)}")
-    return table[formula]
+    return AIR_FORMULAS[formula]
 
 
 def air_index_function(conditions: AirConditions, formula: str) -> Callable[[float], float]:
     """n(omega) for air under the :data:`AIR_FORMULAS` entry ``formula``; omega in rad/fs."""
-    refractivity = _formula(AIR_FORMULAS, formula)
+    refractivity = _formula(formula)
 
     def index(omega: float) -> float:
         return 1.0 + refractivity(conditions, wavelength_nm_from_omega(omega))
@@ -394,9 +393,9 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
     a = 2 pi c / 1000 nm, it is the sigma-curvature of sigma (n - 1) over 2 c a.
     Air disperses normally, so beta is positive.
     """
-    law = _formula(_AIR_LAWS, formula)
+    law = _LAWS[_formula(formula)]
     omega_from_wavelength_nm(wavelength_nm)  # raises unless finite and positive
-    _, curvature = law(conditions, wavelength_nm)
+    curvature = law(conditions, wavelength_nm, curved=True)
     # 2 c a, a = 2 pi c / 1000 nm: in this order the float is the nearest to its exact value
     beta = curvature / (2.0 * C_CM_PER_FS * TWO_PI * C_NM_PER_FS / 1000.0)
     return _finite_or_raise(beta, f"{formula} air dispersion coefficient", None, **vars(conditions))

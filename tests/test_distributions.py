@@ -471,6 +471,29 @@ class TestFloat64Edges:
             assert classical_width(sigma_phi, route(gdd1), route(gdd2)) == pytest.approx(
                 exact, rel=4 * sys.float_info.epsilon)
 
+    @pytest.mark.parametrize("sigma_phi,n,gdd", [
+        (7.581734523184429e+74, 2.0851827966479865e+246, -3.9636097517534676e-150),
+        (1.3714974818664277e+61, 1.7806080815474026e+261, -788405584693.2864),
+        (7.061621976613615e+30, 7.881761223206485e+289, -7.356171937721178e-89),
+    ])
+    def test_rescued_quantum_width_with_subnormal_packet_share_is_within_four_ulps(
+            self, sigma_phi, n, gdd):
+        # g/N = 1/(sqrt(2) sigma_phi N) is subnormal here; the rescue divides g by the
+        # scale before N, so g/N keeps its digits (dividing by N first lost up to 2.4 %).
+        assert 0 < 1.0 / (math.sqrt(2.0) * sigma_phi) / n < sys.float_info.min
+        phase = 2.0 * sigma_phi**2 * n * gdd
+        assert phase * phase == math.inf  # the plain form is inf: the rescue returns
+        # Exact: sqrt((1 + p^2) / (2 sigma_phi^2 N^2)), p = 2 sigma_phi^2 N gdd, at 40 digits.
+        s, big_n = Fraction(sigma_phi), Fraction(n)
+        phase = 2 * s**2 * big_n * Fraction(gdd)
+        variance = (1 + phase**2) / (2 * s**2 * big_n**2)
+        with localcontext() as context:
+            context.prec = 40
+            exact = float((Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt())
+        for route in (float, np.atleast_1d):
+            assert quantum_width(sigma_phi, route(n), route(gdd)) == pytest.approx(
+                exact, rel=4 * sys.float_info.epsilon)
+
 
 @pytest.mark.parametrize("module", [distributions, media, montecarlo, oracle],
                          ids=lambda module: module.__name__)

@@ -37,19 +37,14 @@ Every law applies one rule per quantity, and the rules live in
 :mod:`qtiming.constants`, where the media laws read them too.  A bandwidth
 sigma_phi passes ``_check_bandwidth``, so sigma_phi**2 and the squared
 curvature 1/(2 sigma_phi^2) keep ``**`` (and its bits) and cannot overflow.
-A photon number N (a real: the width at N_t < 1 exists) and a pulse width
-sigma_t are finite and positive, and a GDD is finite (``_check_finite``).
-A result that is then not finite has overflowed, and one that is 0 where the
-law's exact value is positive has underflowed: both raise
-(``_finite_or_raise``).  A square alone leaving float64 raises nothing: where
-a width's plain form is inf, :func:`_rescued` recomputes it with its
-GDD terms scaled by the power of two :data:`_RESCALE`, exactly, and divides
-the scale back out; there the quantum root sqrt(_RESCALE^2 + (|p| _RESCALE)^2)
-is |p| _RESCALE itself, since _RESCALE^2 is 0.0, so it is never squared.
-Wherever the plain forms are finite, the widths keep their bits; where the
-square of the quantum phase p overflows, the quantum width has the bits of
-|p| g/N, the plain form's limit, wherever g/N is normal, and keeps g/N's
-digits where it is subnormal.
+A photon number N is a real in (0, :data:`MAX_PHOTON_NUMBER`] (the width at
+N_t < 1 exists), a pulse width sigma_t is finite and positive, and a GDD is
+finite (``_check_finite``).  Within that domain each width law has one
+evaluation path, its plain form.  A quantity that leaves float64 raises
+(``_finite_or_raise``) and is named: the quantum dispersion phase's square
+(|2 sigma_phi^2 N D| above about 2^512), the classical variance (or its
+numerator), or a result that overflows, or is 0 where the law's exact value
+is positive.
 """
 
 from __future__ import annotations
@@ -81,13 +76,9 @@ __all__ = [
     "density_at",
 ]
 
-_RESCALE = 2.0**-640
-"""2^-j for a j in [512, 765]: under the bandwidth rule, where the classical variance
-overflows, its numerator scaled by 2^-2j (exactly) gives a normal float64 variance,
-unless the width itself overflows.  j is even, so the quantum width can split it in two."""
-
 MAX_PHOTON_NUMBER = 1e12
-"""Widths are smooth in N and accepted up to here as integer-valued reals.
+"""The largest photon number N that the width laws, StateSpec and the CLI accept.
+Widths are smooth in N, so the laws take any real N in (0, MAX_PHOTON_NUMBER].
 Modules that instantiate per-photon computation (sampling, quadrature)
 impose their own, much smaller caps."""
 
@@ -171,20 +162,13 @@ def _namespace(*inputs):
         yield (np, *(np.asarray(value, dtype=float) for value in inputs))
 
 
-def _rescued(xp, law):
-    """``law(1.0)``, and ``law(_RESCALE)`` wherever that is inf.
-
-    ``law(scale)`` is a width law that multiplies its GDD terms by ``scale``
-    and divides the scale back out of the width.  A power of two scales
-    exactly, so at 1.0 it is the plain form, bit for bit, and at
-    :data:`_RESCALE` it returns the widths whose squares alone leave float64.
-    """
-    width = law(1.0)
-    overflowed = width == math.inf
-    if not (overflowed if xp is math else overflowed.any()):
-        return width
-    rescaled = law(_RESCALE)
-    return rescaled if xp is math else xp.where(overflowed, rescaled, width)
+def _check_photon_number(n) -> None:
+    """DomainError, naming an array's first bad element, unless 0 < N <= MAX_PHOTON_NUMBER."""
+    _check_finite(positive=True, N=n)
+    above = n > MAX_PHOTON_NUMBER
+    if above if isinstance(n, float) else above.any():
+        first = n if isinstance(n, float) else n[above][0]
+        raise DomainError(f"N = {first:g} is above the supported bound {MAX_PHOTON_NUMBER:g}")
 
 
 def quantum_width(sigma_phi: float, n_photons, gdd_sum):
@@ -201,20 +185,12 @@ def quantum_width(sigma_phi: float, n_photons, gdd_sum):
     _check_bandwidth(sigma_phi)
     packet_width = 1.0 / (math.sqrt(2.0) * sigma_phi)
     with _namespace(n_photons, gdd_sum) as (xp, n, gdd):
-        _check_finite(positive=True, N=n)
+        _check_photon_number(n)
         _check_finite(gdd_sum_fs2=gdd)
-
-        def broadened(scale):
-            # Each factor of p takes sqrt(scale) and each factor of the width
-            # gives it back, g before N: no factor turns subnormal where p*p
-            # alone overflowed, not even g/N.  At _RESCALE, scale * scale is
-            # exactly 0.0, so the root is |p| * scale itself, never squared.
-            half = math.sqrt(scale)
-            phase = abs(2.0 * float(sigma_phi)**2 * half * n * (gdd * half))  # |p| * scale
-            root = xp.sqrt(1.0 + phase * phase) if scale == 1.0 else phase
-            return root / half * (packet_width / half / n)
-
-        width = _rescued(xp, broadened)
+        phase = 2.0 * float(sigma_phi)**2 * n * gdd
+        phase_squared = _finite_or_raise(phase * phase, "quantum dispersion phase squared",
+                                         sigma_phi, positive=False, N=n, gdd_sum_fs2=gdd)
+        width = xp.sqrt(1.0 + phase_squared) * (packet_width / n)
     return _finite_or_raise(width, "quantum width", sigma_phi, N=n, gdd_sum_fs2=gdd)
 
 
@@ -255,20 +231,17 @@ def classical_width(sigma_phi: float, gdd_path1, gdd_path2):
     curvature = 1.0 / (2.0 * float(sigma_phi)**2)  # Gaussian exponent coefficient, fs^2
     with _namespace(gdd_path1, gdd_path2) as (xp, gdd1, gdd2):
         _check_finite(gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
-
-        def spread(scale):  # the variance's numerator scaled by scale**2
-            c, g1, g2 = curvature * scale, gdd1 * scale, gdd2 * scale
-            return xp.sqrt((2.0 * c**2 + (g1 * g1 + g2 * g2)) / curvature) / scale
-
-        width = _rescued(xp, spread)
-    return _finite_or_raise(width, "classical width", sigma_phi,
+        # The width is inf exactly where the variance, or its numerator, leaves float64.
+        width = xp.sqrt((2.0 * curvature**2 + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature)
+    return _finite_or_raise(width, "classical variance", sigma_phi,
                             gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
 
 
 def classical_shot_noise(sigma_t, n_photons):
     """Classical timing uncertainty after averaging N pulse pairs: sigma_t/sqrt(N)."""
     with _namespace(sigma_t, n_photons) as (xp, sigma, n):
-        _check_finite(positive=True, sigma_t_fs=sigma, N=n)
+        _check_finite(positive=True, sigma_t_fs=sigma)
+        _check_photon_number(n)
         noise = sigma / xp.sqrt(n)
     return _finite_or_raise(noise, "classical shot noise", None, sigma_t_fs=sigma, N=n)
 

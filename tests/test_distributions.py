@@ -1,6 +1,7 @@
 """Tests for the closed-form Gaussian timing laws."""
 
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -275,10 +276,10 @@ class TestArrayInputs:
          "quantum width overflows float64 at sigma_phi = 0.00037 rad/fs, "
          "N = 1e-306, gdd_sum_fs2 = 0"),
         (classical_width, (1e76, 1e300, 0.0),
-         "classical width overflows float64 at sigma_phi = 1e+76 rad/fs, "
+         "classical variance overflows float64 at sigma_phi = 1e+76 rad/fs, "
          "gdd_path1_fs2 = 1e+300, gdd_path2_fs2 = 0"),
         (classical_width, (1e76, 1e300, 1e300),
-         "classical width overflows float64 at sigma_phi = 1e+76 rad/fs, "
+         "classical variance overflows float64 at sigma_phi = 1e+76 rad/fs, "
          "gdd_path1_fs2 = 1e+300, gdd_path2_fs2 = 1e+300"),
     ])
     def test_scalar_and_array_overflow_raise_the_same_text(self, law, inputs, message):
@@ -321,12 +322,13 @@ class TestArrayInputs:
         same(classical_shot_noise(kind(3), kind(7)),
              classical_shot_noise(np.array([3.0]), np.array([7.0])))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
-    def test_array_with_nonpositive_photon_number_rejected(self, bad):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 2e12])
+    def test_array_with_photon_number_outside_the_domain_rejected(self, bad):
         n = np.array([1.0, 10.0, bad])
-        with pytest.raises(DomainError):
+        named = re.escape(f"N = {bad:g} is ")
+        with pytest.raises(DomainError, match=named):
             quantum_width(SIGMA_PHI, n, 500.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=named):
             classical_shot_noise(1.0, n)
 
 
@@ -377,20 +379,17 @@ class TestBandwidthOverflow:
 
 
 class TestFloat64Edges:
-    """A law whose exact value is positive never returns 0.0, and a width that fits returns."""
+    """A law whose exact value is positive never returns 0.0, and one that leaves float64 raises."""
 
     @pytest.mark.parametrize("law,args,message", [
-        (classical_shot_noise, (1e-320, 1e300),
-         "classical shot noise underflows float64 at sigma_t_fs = 9.99989e-321, N = 1e+300"),
+        (classical_shot_noise, (5e-324, 4.0),
+         "classical shot noise underflows float64 at sigma_t_fs = 4.94066e-324, N = 4"),
         (transition_photon_number, (1e70, 1e300),
          "transition photon number underflows float64 at sigma_phi = 1e+70 rad/fs, "
          "gdd_sum_fs2 = 1e+300"),
         (asymptotic_width, (1e-70, 1e-300),
          "asymptotic width underflows float64 at sigma_phi = 1e-70 rad/fs, gdd_sum_fs2 = 1e-300"),
-        (width_ratio, (SIGMA_PHI, 1e300, 1e300, -1e300),
-         "width ratio underflows float64 at sigma_phi = 0.00037 rad/fs, N = 1e+300, "
-         "gdd_path1_fs2 = 1e+300, gdd_path2_fs2 = -1e+300"),
-    ], ids=["classical_shot_noise", "transition_photon_number", "asymptotic_width", "width_ratio"])
+    ], ids=["classical_shot_noise", "transition_photon_number", "asymptotic_width"])
     def test_positive_law_underflow_is_domain_error(self, law, args, message):
         for kind in (float, np.float64):
             with pytest.raises(DomainError) as error:
@@ -399,22 +398,27 @@ class TestFloat64Edges:
 
     def test_array_underflow_names_the_element(self):
         with pytest.raises(DomainError) as error:
-            classical_shot_noise(np.array([1.0, 1e-320]), np.array([1.0, 1e300]))
+            classical_shot_noise(np.array([1.0, 5e-324]), np.array([1.0, 4.0]))
         assert str(error.value) == ("classical shot noise underflows float64 at "
-                                    "sigma_t_fs = 9.99989e-321, N = 1e+300")
+                                    "sigma_t_fs = 4.94066e-324, N = 4")
 
     @pytest.mark.parametrize("route", [float, np.atleast_1d], ids=["scalar", "array"])
-    def test_widths_whose_squares_overflow_fit(self, route):
-        # sqrt(2) sigma_phi |D| to within the finite-N term: the dispersion phase's
-        # square, or the classical variance, leaves float64 but the width does not.
-        quantum = quantum_width(SIGMA_PHI, route(1e12), route(1e150))
-        assert quantum == pytest.approx(asymptotic_width(SIGMA_PHI, 1e150), rel=1e-15)
-        classical = classical_width(SIGMA_PHI, route(1e160), route(0.0))
-        assert classical == pytest.approx(asymptotic_width(SIGMA_PHI, 1e160), rel=1e-15)
+    def test_widths_whose_squares_overflow_are_refused(self, route):
+        # The dispersion phase's square, or the classical variance, leaves float64:
+        # the laws name that quantity rather than return a width near sqrt(2) sigma_phi |D|.
+        with pytest.raises(DomainError) as error:
+            quantum_width(SIGMA_PHI, route(1e12), route(1e150))
+        assert str(error.value) == ("quantum dispersion phase squared overflows float64 at "
+                                    "sigma_phi = 0.00037 rad/fs, N = 1e+12, gdd_sum_fs2 = 1e+150")
+        with pytest.raises(DomainError) as error:
+            classical_width(SIGMA_PHI, route(1e160), route(0.0))
+        assert str(error.value) == ("classical variance overflows float64 at sigma_phi = "
+                                    "0.00037 rad/fs, gdd_path1_fs2 = 1e+160, gdd_path2_fs2 = 0")
 
-    def test_quantum_broadening_keeps_the_old_bits(self):
-        # From |p| = 2^26 up to where p*p overflows, the width has the bits of
-        # the plain sqrt(1 + p*p) form; beyond, that form is inf and the law is not.
+    def test_quantum_broadening_keeps_its_bits_up_to_the_refusal(self):
+        # From |p| = 2^26 up to where p*p overflows, the width has the bits of the
+        # plain sqrt(1 + p*p) form; an array with a phase beyond is refused, and
+        # the refusal names its first such element.
         rng = np.random.default_rng(2718)
         edge = math.sqrt(sys.float_info.max)
         size = 100_000
@@ -425,19 +429,24 @@ class TestFloat64Edges:
         gdd = rng.choice([-1.0, 1.0], size) * phase / (2.0 * SIGMA_PHI**2 * n)
         p = 2.0 * SIGMA_PHI**2 * n * gdd  # the law's own phase
         with np.errstate(over="ignore"):
-            old = np.sqrt(1.0 + p * p) * (1.0 / (math.sqrt(2.0) * SIGMA_PHI) / n)
-        finite = np.isfinite(old)
+            plain = np.sqrt(1.0 + p * p) * (1.0 / (math.sqrt(2.0) * SIGMA_PHI) / n)
+        finite = np.isfinite(plain)
         assert finite.sum() > size // 2 and np.abs(p[finite]).max() > 2.0**511
-        new = quantum_width(SIGMA_PHI, n, gdd)
-        assert np.isfinite(new).all()
-        assert np.array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
+        new = quantum_width(SIGMA_PHI, n[finite], gdd[finite])
+        assert np.array_equal(new.view(np.uint64), plain[finite].view(np.uint64))
         scalars = [quantum_width(SIGMA_PHI, a, g)
-                   for a, g in zip(n[:2000].tolist(), gdd[:2000].tolist())]
+                   for a, g in zip(n[finite][:2000].tolist(), gdd[finite][:2000].tolist())]
         assert np.array_equal(np.array(scalars).view(np.uint64), new[:2000].view(np.uint64))
+        first = np.flatnonzero(~finite)[0]
+        with pytest.raises(DomainError) as error:
+            quantum_width(SIGMA_PHI, n, gdd)
+        assert str(error.value) == (f"quantum dispersion phase squared overflows float64 at "
+                                    f"sigma_phi = 0.00037 rad/fs, N = {n[first]:g}, "
+                                    f"gdd_sum_fs2 = {gdd[first]:g}")
 
-    def test_rescued_quantum_width_has_the_bits_of_its_limit(self):
-        # Where p*p overflows and p does not, the width is |p| g/N to the bit, as it
-        # was before the rescue, tiny GDDs and huge N included, on both routes.
+    def test_quantum_phase_whose_square_overflows_is_refused(self):
+        # Where p*p overflows, the width is refused on both routes, tiny GDDs
+        # included: by the N rule above MAX_PHOTON_NUMBER, by the phase's square below.
         rng = np.random.default_rng(29)
         checked = 0
         draws = rng.uniform((-77.0, 0.0, 512.0), (76.0, 300.0, 1023.9), (3000, 3)).tolist()
@@ -445,54 +454,77 @@ class TestFloat64Edges:
             sigma_phi, n = 10.0**log_sigma, 10.0**log_n
             gdd = 2.0**log2_phase / (2.0 * sigma_phi**2 * n)
             p = 2.0 * sigma_phi**2 * n * gdd
-            limit = abs(p) * (1.0 / (math.sqrt(2.0) * sigma_phi) / n)
-            if not (p * p == math.inf and 0 < limit < math.inf and 0 < abs(gdd) < math.inf):
+            if not (p * p == math.inf and 0 < abs(gdd) < math.inf):
                 continue
             checked += 1
+            named = ("quantum dispersion phase squared overflows" if n <= 1e12
+                     else f"N = {n:g} is above the supported bound 1e+12")
             for route in (float, np.atleast_1d):
-                width = quantum_width(sigma_phi, route(n), route(gdd))
-                assert np.float64(width).tobytes() == np.float64(limit).tobytes()
+                with pytest.raises(DomainError) as error:
+                    quantum_width(sigma_phi, route(n), route(gdd))
+                assert str(error.value).startswith(named)
         assert checked > 1000
 
-    @pytest.mark.parametrize("sigma_phi,gdd1,gdd2", [
-        (SIGMA_PHI, 1e160, 0.0), (SIGMA_PHI, -1e308, 1e308), (SIGMA_PHI, 1e155, 3e154),
-        (1.0, 1e154, 0.0), (1e-77, 1e300, -1e200), (1e76, 1e160, 1e159), (1e70, 5e-324, 1e237),
-    ])
-    def test_rescaled_classical_width_is_within_four_ulps(self, sigma_phi, gdd1, gdd2):
-        curvature = 1.0 / (2.0 * sigma_phi**2)
-        assert (2.0 * curvature**2 + (gdd1 * gdd1 + gdd2 * gdd2)) / curvature == math.inf
-        # Exact: sqrt(2c + (g1^2 + g2^2)/c) with c = 1/(2 sigma_phi^2), at 40 digits.
-        curvature = 1 / (2 * Fraction(sigma_phi) ** 2)
-        variance = 2 * curvature + (Fraction(gdd1) ** 2 + Fraction(gdd2) ** 2) / curvature
-        with localcontext() as context:
-            context.prec = 40
-            exact = float((Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt())
-        for route in (float, np.atleast_1d):
-            assert classical_width(sigma_phi, route(gdd1), route(gdd2)) == pytest.approx(
-                exact, rel=4 * sys.float_info.epsilon)
 
-    @pytest.mark.parametrize("sigma_phi,n,gdd", [
-        (7.581734523184429e+74, 2.0851827966479865e+246, -3.9636097517534676e-150),
-        (1.3714974818664277e+61, 1.7806080815474026e+261, -788405584693.2864),
-        (7.061621976613615e+30, 7.881761223206485e+289, -7.356171937721178e-89),
-    ])
-    def test_rescued_quantum_width_with_subnormal_packet_share_is_within_four_ulps(
-            self, sigma_phi, n, gdd):
-        # g/N = 1/(sqrt(2) sigma_phi N) is subnormal here; the rescue divides g by the
-        # scale before N, so g/N keeps its digits (dividing by N first lost up to 2.4 %).
-        assert 0 < 1.0 / (math.sqrt(2.0) * sigma_phi) / n < sys.float_info.min
-        phase = 2.0 * sigma_phi**2 * n * gdd
-        assert phase * phase == math.inf  # the plain form is inf: the rescue returns
-        # Exact: sqrt((1 + p^2) / (2 sigma_phi^2 N^2)), p = 2 sigma_phi^2 N gdd, at 40 digits.
-        s, big_n = Fraction(sigma_phi), Fraction(n)
-        phase = 2 * s**2 * big_n * Fraction(gdd)
-        variance = (1 + phase**2) / (2 * s**2 * big_n**2)
-        with localcontext() as context:
-            context.prec = 40
-            exact = float((Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt())
+def exact_width(variance: Fraction) -> float:
+    """The square root of an exact variance, to 60 digits, rounded to float64."""
+    with localcontext() as context:
+        context.prec = 60
+        return float((Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt())
+
+
+def log_uniform(low, high, signed=False):
+    """Floats whose magnitude is log-uniform on [low, high], of either sign if ``signed``."""
+    magnitudes = st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+    if not signed:
+        return magnitudes
+    return st.tuples(st.sampled_from((1.0, -1.0)), magnitudes).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(sigma_phi=log_uniform(1e-77, 1e76), n=log_uniform(0.1, 1e12),
+       gdd1=log_uniform(1e-320, 1e308, signed=True), gdd2=log_uniform(1e-320, 1e308, signed=True))
+# Classical variances, or their numerators, beyond float64.
+@example(SIGMA_PHI, 1.0, 1e160, 0.0)
+@example(SIGMA_PHI, 1.0, -1e308, 1e308)
+@example(SIGMA_PHI, 1.0, 1e155, 3e154)
+@example(1.0, 1.0, 1e154, 0.0)
+@example(1e-77, 1.0, 1e300, -1e200)
+@example(1e76, 1.0, 1e160, 1e159)
+@example(1e70, 1.0, 5e-324, 1e237)
+# N beyond MAX_PHOTON_NUMBER, where g/N is subnormal.
+@example(7.581734523184429e+74, 2.0851827966479865e+246, -3.9636097517534676e-150, 0.0)
+@example(1.3714974818664277e+61, 1.7806080815474026e+261, -788405584693.2864, 0.0)
+@example(7.061621976613615e+30, 7.881761223206485e+289, -7.356171937721178e-89, 0.0)
+def test_widths_are_exact_or_refused(sigma_phi, n, gdd1, gdd2):
+    # Each width is within 4 x 2^-52 of the root of its exact rational variance, on
+    # both routes, or is refused because a quantity it forms leaves float64: the
+    # dispersion phase's square p^2, or the classical variance or its numerator
+    # 2c^2 + D1^2 + D2^2 (c = 1/(2 sigma_phi^2)), which is c times the variance.
+    s, big_n, d1, d2 = map(Fraction, (sigma_phi, n, gdd1, gdd2))
+    phase = 2 * s**2 * big_n * d1
+    curvature = 1 / (2 * s**2)
+    cases = [
+        (quantum_width, (n, gdd1), phase**2, (1 + phase**2) / (2 * s**2 * big_n**2),
+         "quantum dispersion phase squared"),
+        (classical_width, (gdd1, gdd2), 2 * curvature**2 + d1**2 + d2**2,
+         2 * curvature + (d1**2 + d2**2) / curvature, "classical variance"),
+    ]
+    edge = Fraction(sys.float_info.max) / 2
+    for law, inputs, squares, variance, quantity in cases:
         for route in (float, np.atleast_1d):
-            assert quantum_width(sigma_phi, route(n), route(gdd)) == pytest.approx(
-                exact, rel=4 * sys.float_info.epsilon)
+            try:
+                width = law(sigma_phi, *map(route, inputs))
+            except DomainError as error:
+                if law is quantum_width and n > 1e12:
+                    assert str(error).startswith(f"N = {n:g} is above")
+                else:
+                    assert str(error).startswith(f"{quantity} overflows float64")
+                    assert max(squares, variance) > edge
+                continue
+            exact = exact_width(variance)
+            width = float(np.atleast_1d(width)[0])
+            assert abs(width - exact) <= 4 * sys.float_info.epsilon * exact
 
 
 @pytest.mark.parametrize("module", [distributions, media, montecarlo, oracle],
@@ -802,7 +834,8 @@ class TestDensity:
             TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, mean=mean, sigma=sigma)
 
 
-SPECIAL_VALUES = (0.0, -0.0, -1.0, 1e-320, 1e-300, 1e300, math.inf, -math.inf, math.nan)
+SPECIAL_VALUES = (0.0, -0.0, -1.0, 1e-320, 1e-300, 1e300, math.nextafter(1e12, math.inf),
+                  math.inf, -math.inf, math.nan)
 # Each scalar public function, with an ordinary value for each numeric argument.
 SCALAR_FUNCTIONS = {f.__name__: (f, ordinary) for f, ordinary in [
     (quantum_width, (SIGMA_PHI, 10.0, 500.0)),

@@ -465,6 +465,37 @@ class TestFloat64Edges:
                 assert str(error.value).startswith(named)
         assert checked > 1000
 
+    @pytest.mark.parametrize("sigma_phi,gdd1,gdd2", [
+        (SIGMA_PHI, 1e160, 0.0), (SIGMA_PHI, -1e308, 1e308), (SIGMA_PHI, 1e155, 3e154),
+        (1.0, 1e154, 0.0), (1e-77, 1e300, -1e200), (1e76, 1e160, 1e159), (1e70, 5e-324, 1e237),
+    ])
+    def test_classical_width_beyond_float64_is_refused(self, sigma_phi, gdd1, gdd2):
+        # Once rescued widths: the exact variance, or its numerator 2c^2 + D1^2 + D2^2
+        # (c = 1/(2 sigma_phi^2)), leaves float64, and both routes name the variance.
+        curvature = 1 / (2 * Fraction(sigma_phi) ** 2)
+        numerator = 2 * curvature**2 + Fraction(gdd1) ** 2 + Fraction(gdd2) ** 2
+        assert max(numerator, numerator / curvature) > sys.float_info.max
+        for route in (float, np.atleast_1d):
+            with pytest.raises(DomainError) as error:
+                classical_width(sigma_phi, route(gdd1), route(gdd2))
+            assert str(error.value) == (
+                f"classical variance overflows float64 at sigma_phi = {sigma_phi:g} rad/fs, "
+                f"gdd_path1_fs2 = {gdd1:g}, gdd_path2_fs2 = {gdd2:g}")
+
+    @pytest.mark.parametrize("sigma_phi,n,gdd", [
+        (7.581734523184429e+74, 2.0851827966479865e+246, -3.9636097517534676e-150),
+        (1.3714974818664277e+61, 1.7806080815474026e+261, -788405584693.2864),
+        (7.061621976613615e+30, 7.881761223206485e+289, -7.356171937721178e-89),
+    ])
+    def test_quantum_width_with_subnormal_packet_share_is_refused(self, sigma_phi, n, gdd):
+        # Once rescued widths: g/N = 1/(sqrt(2) sigma_phi N) is subnormal, which takes
+        # an N far above MAX_PHOTON_NUMBER, so the N rule refuses them on both routes.
+        assert 0 < 1.0 / (math.sqrt(2.0) * sigma_phi) / n < sys.float_info.min
+        for route in (float, np.atleast_1d):
+            with pytest.raises(DomainError) as error:
+                quantum_width(sigma_phi, route(n), route(gdd))
+            assert str(error.value) == f"N = {n:g} is above the supported bound 1e+12"
+
 
 def exact_width(variance: Fraction) -> float:
     """The square root of an exact variance, to 60 digits, rounded to float64."""
@@ -484,18 +515,6 @@ def log_uniform(low, high, signed=False):
 @settings(max_examples=400, deadline=None)
 @given(sigma_phi=log_uniform(1e-77, 1e76), n=log_uniform(0.1, 1e12),
        gdd1=log_uniform(1e-320, 1e308, signed=True), gdd2=log_uniform(1e-320, 1e308, signed=True))
-# Classical variances, or their numerators, beyond float64.
-@example(SIGMA_PHI, 1.0, 1e160, 0.0)
-@example(SIGMA_PHI, 1.0, -1e308, 1e308)
-@example(SIGMA_PHI, 1.0, 1e155, 3e154)
-@example(1.0, 1.0, 1e154, 0.0)
-@example(1e-77, 1.0, 1e300, -1e200)
-@example(1e76, 1.0, 1e160, 1e159)
-@example(1e70, 1.0, 5e-324, 1e237)
-# N beyond MAX_PHOTON_NUMBER, where g/N is subnormal.
-@example(7.581734523184429e+74, 2.0851827966479865e+246, -3.9636097517534676e-150, 0.0)
-@example(1.3714974818664277e+61, 1.7806080815474026e+261, -788405584693.2864, 0.0)
-@example(7.061621976613615e+30, 7.881761223206485e+289, -7.356171937721178e-89, 0.0)
 def test_widths_are_exact_or_refused(sigma_phi, n, gdd1, gdd2):
     # Each width is within 4 x 2^-52 of the root of its exact rational variance, on
     # both routes, or is refused because a quantity it forms leaves float64: the
@@ -516,11 +535,8 @@ def test_widths_are_exact_or_refused(sigma_phi, n, gdd1, gdd2):
             try:
                 width = law(sigma_phi, *map(route, inputs))
             except DomainError as error:
-                if law is quantum_width and n > 1e12:
-                    assert str(error).startswith(f"N = {n:g} is above")
-                else:
-                    assert str(error).startswith(f"{quantity} overflows float64")
-                    assert max(squares, variance) > edge
+                assert str(error).startswith(f"{quantity} overflows float64")
+                assert max(squares, variance) > edge
                 continue
             exact = exact_width(variance)
             width = float(np.atleast_1d(width)[0])

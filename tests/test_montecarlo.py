@@ -209,6 +209,26 @@ class TestClassicalStream:
             assert estimate == sample_classical(1.0, cfg)
 
 
+class TestQuantumStream:
+    """The quantum stream is pinned bit for bit, whatever runs the shards."""
+
+    # Two shards, the second partial.
+    DIST = dist(mean=25.0, sigma=3.5)
+    CFG = SamplerConfig(seed=42, n_samples=40_000)
+    RECORDED = {
+        "sigma_hat_fs": 3.480790911641156,
+        "standard_error_fs": 0.012306608121132812,
+        "n_samples": 40_000,
+        "mean_hat_fs": 25.004476129050094,
+        "mean_standard_error_fs": 0.01740395455820578,
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_estimate_matches_recorded_stream(self, monkeypatch, threads):
+        monkeypatch.setattr(montecarlo, "_thread_count", lambda: threads)
+        assert sample_quantum(self.DIST, self.CFG).to_dict() == self.RECORDED
+
+
 def reference_classical(seed, n_samples, n_photons):
     """The classical estimate from one whole substream at a time, serially."""
     sums = np.zeros(n_samples)

@@ -413,7 +413,7 @@ def air_length_m(gdd: float, air_beta: float) -> float:
     """
     _check_finite(gdd_fs2=gdd)
     _check_finite(positive=True, air_beta_fs2_per_cm=air_beta)
-    length_m = _finite_or_raise(abs(gdd) / air_beta / 100.0, "air length", None,
+    length_m = _finite_or_raise(abs(gdd) / 100.0 / air_beta, "air length", None,
                                 positive=gdd != 0, gdd_fs2=gdd, air_beta_fs2_per_cm=air_beta)
     return math.copysign(length_m, gdd)
 

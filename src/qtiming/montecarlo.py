@@ -8,7 +8,10 @@ deliberate: the stream is reproducible across platforms and thread
 counts, with no rejection-loop nondeterminism.  Trials are consumed in fixed-size shards of
 ``SHARD_TRIALS`` trials.
 
-The classical sampler splits each shard's photons into column blocks of at
+Both samplers run through one task engine (:func:`_sums`), which sums each
+trial's N normals from one stream domain: domain 0 for the quantum sampler,
+whose trial is a single normal (N = 1), and domain 1 for the classical
+sampler.  The engine splits each shard's photons into column blocks of at
 most ``_DRAW_BLOCK`` variates; every ``(shard, block)`` pair has its own
 substream (:func:`_stream_id`), whatever the photon number N.  At N
 photons a shard's block reads the first ``count * w`` variates of its
@@ -22,7 +25,7 @@ variates (1 MiB, inside a core's L2 cache), into one of the draw buffers
 the call allocates once per thread.  A narrower row that a chunk's end
 cuts keeps a copy of its head, and the next chunk completes it as one
 contiguous row (:func:`_block_row_sums`).  Block 0's row sums go straight
-into each N's trial sums, as their first terms; the sampler adds later
+into each N's trial sums, as their first terms; the engine adds later
 blocks' row sums into them in block order.  Neither the thread count, the
 chunking nor the other photon numbers of a call changes a bit of the
 result: every row is summed whole, by the same numpy reduction, and every
@@ -216,27 +219,16 @@ def _estimate(values: np.ndarray) -> WidthEstimate:
     )
 
 
-def _shards(n_samples: int):
-    start = 0
-    shard = 0
-    while start < n_samples:
-        yield shard, min(SHARD_TRIALS, n_samples - start)
-        start += SHARD_TRIALS
-        shard += 1
-
-
 def sample_quantum(dist: TimingDistribution, cfg: SamplerConfig) -> WidthEstimate:
     """Sample the collective observable directly from its Gaussian law.
 
     The law already describes the mean-time statistic, which is the object
-    of every width claim, so no per-photon events are simulated here.
+    of every width claim, so no per-photon events are simulated here.  Each
+    trial is one normal of domain 0: the one-photon row sum of the engine.
     """
-    values = np.empty(cfg.n_samples)
-    start = 0
-    for shard, count in _shards(cfg.n_samples):
-        normals = _normals(_generator(cfg.seed, _stream_id(0, shard)), count)
-        values[start:start + count] = dist.mean + dist.sigma * normals
-        start += count
+    values = _sums(cfg.seed, 0, cfg.n_samples, [1])[1]
+    values *= dist.sigma
+    values += dist.mean
     return _estimate(values)
 
 
@@ -256,8 +248,8 @@ def _in_order(pool: ThreadPoolExecutor, fn, tasks, window: int):
         yield key, future.result()
 
 
-def _classical_tasks(n_samples: int, photon_numbers):
-    """``(block, stream, trials, targets)`` for each substream, in merge order.
+def _tasks(domain: int, n_samples: int, photon_numbers):
+    """``(block, stream, trials, targets)`` for each substream of ``domain``, in merge order.
 
     The task draws block ``block``'s substream ``stream`` for the shard
     whose trials are the slice ``trials``.  ``targets`` lists, widest first,
@@ -265,17 +257,16 @@ def _classical_tasks(n_samples: int, photon_numbers):
     sums at ``width`` belong to those trials of each photon number in
     ``numbers``.
     """
-    start = 0
-    for shard, count in _shards(n_samples):
-        trials = slice(start, start + count)
-        width = max(1, _DRAW_BLOCK // count)
+    for shard, start in enumerate(range(0, n_samples, SHARD_TRIALS)):
+        trials = slice(start, min(start + SHARD_TRIALS, n_samples))
+        width = max(1, _DRAW_BLOCK // (trials.stop - start))
         for block, done in enumerate(range(0, max(photon_numbers), width)):
             users: dict[int, list[int]] = {}
             for n in photon_numbers:
                 if n > done:
                     users.setdefault(min(width, n - done), []).append(n)
-            yield block, _stream_id(1, shard, block), trials, sorted(users.items(), reverse=True)
-        start += count
+            stream = _stream_id(domain, shard, block)
+            yield block, stream, trials, sorted(users.items(), reverse=True)
 
 
 def _block_row_sums(buffers: queue.SimpleQueue, seed: int, stream: int,
@@ -316,8 +307,8 @@ def _block_row_sums(buffers: queue.SimpleQueue, seed: int, stream: int,
         buffers.put(buf)
 
 
-def _classical_sums(seed: int, n_samples: int, numbers: list[int]) -> dict[int, np.ndarray]:
-    """Each trial's sum of its N standard normals, for each distinct N in ``numbers``."""
+def _sums(seed: int, domain: int, n_samples: int, numbers: list[int]) -> dict[int, np.ndarray]:
+    """Each trial's sum of its N normals from ``domain``, for each distinct N in ``numbers``."""
     threads = _thread_count()
     # One draw buffer per thread, allocated here in one size and freed on
     # return, before the estimates need memory.  Beyond it a worker copies
@@ -330,7 +321,7 @@ def _classical_sums(seed: int, n_samples: int, numbers: list[int]) -> dict[int, 
     sums = {n: np.empty(n_samples) for n in numbers}
 
     def tasks():
-        for block, stream, trials, targets in _classical_tasks(n_samples, numbers):
+        for block, stream, trials, targets in _tasks(domain, n_samples, numbers):
             # Block 0 is each trial's first term, so its row sums are drawn
             # straight into the sums; later blocks' row sums are added.
             outs = [(w, sums[users[0]][trials] if block == 0
@@ -368,7 +359,7 @@ def sample_classical_scaling(sigma_t: float, seed: int, n_samples: int,
     for n in photon_numbers:
         SamplerConfig(seed=seed, n_samples=n_samples, n_photons=n)
     estimates = {}
-    for n, values in _classical_sums(seed, n_samples, list(dict.fromkeys(photon_numbers))).items():
+    for n, values in _sums(seed, 1, n_samples, list(dict.fromkeys(photon_numbers))).items():
         values *= sigma_t
         values /= n
         estimates[n] = _estimate(values)

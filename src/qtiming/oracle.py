@@ -6,10 +6,11 @@ detuning/sigma_phi it reads
 
     I(b, z) = integral over [-H, H] of exp(-u^2/2 + i(b u^2 - z u)) du
 
-with b = N * gdd_sum * sigma_phi^2 (dimensionless dispersion phase) and
-z = N * sigma_phi * (tau - mean offset).  This module sums the raw
-integrand *before* any completing-the-square step, so it can confirm or
-refute the closed forms independently.
+with b = N * gdd_sum * sigma_phi^2 (dimensionless dispersion phase),
+z = N * sigma_phi * (tau - mean offset) and the fixed window H = 10
+(``_HALF_WIDTH``; the envelope beyond it is below 2e-22).  This module
+sums the raw integrand *before* any completing-the-square step, so it can
+confirm or refute the closed forms independently.
 
 Rule: the integrand is entire and damped like exp(-u^2/2), so the uniform
 trapezoid rule on the nodes u_k = k h, |u_k| <= H, converges geometrically
@@ -24,10 +25,11 @@ before (h against h/2).  The phase advances by |2bu - z| per unit u, so the
 largest local frequency is 2|b|H + max |z|.  A level counts as converged
 only once its step resolves that frequency, with 2 pi / h at least 1.5
 times it (two coarser, aliased sums can agree with each other and still be
-wrong), and once its change is within the tolerance at every grid point.
-When the budget runs out first, :class:`ConvergenceError` carries the
+wrong), and once its change is within the fixed tolerance ``_REL_TOL`` =
+1e-10 at every grid point.  :class:`QuadratureSpec` holds the one knob, the
+point budget; when it runs out first, :class:`ConvergenceError` carries the
 smallest estimate the ladder reached.  A value depends only on (b, z0, dz,
-grid size, quadrature spec).
+grid size, point budget).
 
 Moments of |I(b, z)|^2 over z, the normaliser M_0 included, come from
 Plancherel's theorem instead: integral (z - m)^k |I|^2 dz is 2 pi times an
@@ -75,6 +77,8 @@ __all__ = [
 PHASE_ENVELOPE_RAD = 2.0e4
 """Largest dispersion phase |N * gdd_sum * sigma_phi^2| (rad) of an amplitude."""
 
+_HALF_WIDTH = 10.0         # H, in units of sigma_phi: exp(-u^2/2) < 2e-22 beyond it
+_REL_TOL = 1e-10           # target error relative to the amplitude scale
 _RESOLVE_SAFETY = 1.5      # least ratio of 2 pi / h to the largest local frequency
 _ENVELOPE_MASS = math.sqrt(2.0 * math.pi)  # integral of exp(-u^2/2): the absolute mass
 _MOMENT_STEP = 1.0 / 64    # trapezoid step in u of the Plancherel moments
@@ -83,24 +87,15 @@ _MOMENT_REACH = 28.0       # exp(-u^2) is 0.0 in float64 beyond it: farther node
 
 @record
 class QuadratureSpec:
-    """Controls for the trapezoid quadrature.
+    """The trapezoid quadrature's budget.
 
-    half_width : integration window in units of sigma_phi (finite, >= 6;
-                 the envelope beyond 6 sigma contributes < 2e-8 of the mass)
     max_points : budget of integrand evaluations, and of FFT length, per
-                 lattice (an integer)
-    rel_tol    : target error relative to the amplitude scale (>= 1e-12)
+                 lattice (an integer >= 15)
     """
 
-    half_width: float = 10.0
     max_points: int = 6_000_000
-    rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (math.isfinite(self.half_width) and self.half_width >= 6):
-            raise DomainError(f"half_width must be finite and >= 6, got {self.half_width}")
-        if not self.rel_tol >= 1e-12:
-            raise DomainError(f"rel_tol must be >= 1e-12, got {self.rel_tol}")
         if not isinstance(self.max_points, numbers.Integral) or self.max_points < 15:
             raise DomainError(f"max_points must be an integer >= 15, got {self.max_points!r}")
 
@@ -152,7 +147,7 @@ def _trapezoid_integral(
         )
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     _check_finite(observable=zs)
-    half, count, start = quad.half_width, zs.size, zs[0]
+    half, count, start = _HALF_WIDTH, zs.size, zs[0]
     size = 1 << (count - 1).bit_length()   # L at the first level: 1 for a single z
     coarsest = (half / 2.0 if count == 1
                 else 2.0 * math.pi * (count - 1) / ((zs[-1] - start) * size))
@@ -187,7 +182,7 @@ def _trapezoid_integral(
             achieved = min(achieved, float(errors.max()))
             # Tail-safe scale: when cancellation makes |I| tiny, hold the target
             # to a fixed fraction of the absolute mass instead.
-            target = quad.rel_tol * np.maximum(np.abs(current), 1e-3 * _ENVELOPE_MASS)
+            target = _REL_TOL * np.maximum(np.abs(current), 1e-3 * _ENVELOPE_MASS)
             if level >= resolved and (errors <= target).all():
                 return current, errors, points
         values = current
@@ -203,7 +198,7 @@ def _trapezoid_integral(
     )
 
 
-def _plancherel_moments(b: float, order: int, quad: QuadratureSpec) -> tuple[float, np.ndarray]:
+def _plancherel_moments(b: float, order: int) -> tuple[float, np.ndarray]:
     """(<z>, central moments 0..order of |I(b, z)|^2 over z), by Plancherel.
 
     I(b, .) is the Fourier transform of g(u) = exp(-u^2/2 + i b u^2) on
@@ -213,7 +208,7 @@ def _plancherel_moments(b: float, order: int, quad: QuadratureSpec) -> tuple[flo
     exp(-u^2) = |g|^2 does not oscillate at any b, so a plain trapezoid on
     a fixed node set converges, and the cost does not grow with |b|.
     """
-    reach = int(min(quad.half_width, _MOMENT_REACH) / _MOMENT_STEP)
+    reach = int(min(_HALF_WIDTH, _MOMENT_REACH) / _MOMENT_STEP)
     u = _MOMENT_STEP * np.arange(-reach, reach + 1)
     term = np.exp(-u * u)
     term[[0, -1]] *= 0.5
@@ -311,7 +306,7 @@ def verify_closed_form(
     b, mean = _case_geometry(state, spectrum, paths)
     scale = state.n_photons * spectrum.sigma_phi
     values, _, points = _trapezoid_integral(b, scale * (grid - mean), quad)
-    _, moments = _plancherel_moments(b, 0, quad)
+    _, moments = _plancherel_moments(b, 0)
     numeric = scale * np.abs(values) ** 2 / moments[0]
 
     peak = density_at(dist, dist.mean)
@@ -334,12 +329,11 @@ def _central_moment(
     spectrum: GaussianSpectrum,
     paths: PathPair,
     order: int,
-    quad: QuadratureSpec | None,
 ) -> tuple[float, float]:
     """(mean, central moment of the given order) of the numeric density, in fs."""
     b, offset = _case_geometry(state, spectrum, paths)
     scale = state.n_photons * spectrum.sigma_phi
-    centre, moments = _plancherel_moments(b, order, quad or QuadratureSpec())
+    centre, moments = _plancherel_moments(b, order)
     return offset + centre / scale, float(moments[order] / moments[0]) / scale**order
 
 
@@ -347,7 +341,6 @@ def numeric_moments(
     state: StateSpec,
     spectrum: GaussianSpectrum,
     paths: PathPair,
-    quad: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
     """Mean and width (fs) of the numeric density, by Plancherel moments.
 
@@ -356,7 +349,7 @@ def numeric_moments(
     gives that pulse's width (b = gdd sigma_phi^2), and the classical width is
     the root-sum-square of the two paths' pulse widths.
     """
-    mean, variance = _central_moment(state, spectrum, paths, 2, quad)
+    mean, variance = _central_moment(state, spectrum, paths, 2)
     return mean, math.sqrt(variance)
 
 
@@ -365,9 +358,8 @@ def numeric_central_moment(
     spectrum: GaussianSpectrum,
     paths: PathPair,
     order: int,
-    quad: QuadratureSpec | None = None,
 ) -> float:
     """Central moment of the numeric density of the given order."""
     if not isinstance(order, numbers.Integral) or order < 0:
         raise DomainError(f"order must be a non-negative integer, got {order!r}")
-    return _central_moment(state, spectrum, paths, order, quad)[1]
+    return _central_moment(state, spectrum, paths, order)[1]

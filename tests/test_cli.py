@@ -396,7 +396,7 @@ REPORT_DIGESTS = {
                    "--path1", "air:1km", "--path2", "silica:1cm"),
                   "954c1e126f220e5cffcc6503f75c1882e1be2d651c81e978f6faa6ab37be6d06"),
     "transition-1550": (("transition", "--sigma-phi", "3.7e11", "--B", "500", "--wavelength", "1550"),
-                        "ca9b4761cd1836d027762d70758b6d952ea4303c16d60eb7193e18ae8bda5586"),
+                        "c179331f37daa40e607e4cf661043ddd339c9e5e26e89b612a49053fdd59d8bf"),
 }
 
 
@@ -858,6 +858,16 @@ def test_air_dispersion_holds_across_the_validity_window(tmp_path, argv):
     assert 0 < value < math.inf
 
 
+@pytest.mark.parametrize("formula", ["edlen", "owens"])
+def test_air_near_vacuum_reports_its_length(tmp_path, formula):
+    # beta is 1.05e-306 fs^2/cm; the length once overflowed on the way, as
+    # |gdd| / beta before its division by 100.
+    argv = ("media", "--material", "air", "--formula", formula, "--pressure", "1e-300")
+    assert exit_code(tmp_path, *argv) == 0
+    report = json.loads((tmp_path / "media_report.json").read_text())
+    assert 0 < report["length_equivalent_to_1cm_silica_m"] < math.inf
+
+
 def test_air_pressure_whose_refractivity_overflows_exits_without_output(tmp_path, capsys):
     # Edlén's refractivity once came out inf here, and beta nan.
     assert exit_code(tmp_path, "media", "--material", "air", "--pressure", "1e308") == 2
@@ -1066,9 +1076,10 @@ def test_any_command_line_exits_cleanly(argv):
 NONFINITE_OUTPUTS = [
     # Each once exited 0 with a non-finite number in its report or manifest,
     # or with a RuntimeWarning on stderr, or (the last) with a carrier
-    # frequency 2 pi c / 1e-320 nm of inf.
+    # frequency 2 pi c / 1e-320 nm of inf.  The air entry's length, 2.4e314 m
+    # for 1 cm of silica, lies beyond float64.
     ("media", "--material", "silica", "--temperature", "nan"),
-    ("transition", "--sigma-phi", "3.7e11", "--B", "1e308"),
+    ("media", "--material", "air", "--pressure", "1e-308"),
     ("surface", "--preset", "fig3", "--x-max", "1e308"),
     ("width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500", "--wavelength", "1e-320"),
 ]

@@ -543,6 +543,84 @@ def test_widths_are_exact_or_refused(sigma_phi, n, gdd1, gdd2):
             assert abs(width - exact) <= 4 * sys.float_info.epsilon * exact
 
 
+def derived_law_errors(sigma_phi, n, gdd1, gdd2, sigma_t) -> dict[str, float]:
+    """Each derived law's largest error over its routes, against its exact value.
+
+    The error is in units of 2^-52 of the exact value, or of 2^-1074 where that
+    lies below the normal range.  A law may instead refuse, but only if the
+    quantity its refusal names has an exact value beyond float64 / 2 (it
+    overflows) or below the normal range (it underflows).
+    """
+    s, big_n, d1, d2, st = map(Fraction, (sigma_phi, n, gdd1, gdd2, sigma_t))
+    curvature = 1 / (2 * s**2)
+    classical = 2 * curvature + (d1**2 + d2**2) / curvature
+    with localcontext() as context:
+        context.prec = 60
+
+        def value(exact: Fraction) -> Decimal:
+            return Decimal(exact.numerator) / Decimal(exact.denominator)
+
+        shot_noise = value(st**2 / big_n).sqrt()
+        ratio = value((1 + (2 * s**2 * big_n * (d1 + d2))**2) / (classical * big_n / curvature))
+        both, scalar = (float, np.atleast_1d), (float,)
+        cases = [
+            # (law, its scalar arguments, the rest, their routes, exact value, refusals)
+            (classical_shot_noise, (), (sigma_t, n), both, shot_noise, {}),
+            (asymptotic_width, (sigma_phi,), (gdd1,), scalar, value(2 * s**2 * d1**2).sqrt(), {}),
+            (transition_photon_number, (sigma_phi,), (gdd1,), scalar,
+             value(curvature / abs(d1)), {}),
+            (width_ratio, (sigma_phi,), (n, gdd1, gdd2), both, ratio.sqrt(), {
+                "quantum dispersion phase squared": value((2 * s**2 * big_n * (d1 + d2))**2),
+                "gdd_sum_fs2 = ": value(abs(d1 + d2)),
+                "classical variance": value(max(2 * curvature**2 + d1**2 + d2**2, classical)),
+                "classical shot noise": value(classical / big_n).sqrt(),
+            }),
+        ]
+        errors = {}
+        for law, fixed, args, routes, exact, refusals in cases:
+            refusals = refusals or {law.__name__.replace("_", " "): exact}
+            errors[law.__name__] = 0.0
+            for route in routes:
+                try:
+                    got = float(np.atleast_1d(law(*fixed, *map(route, args)))[0])
+                except DomainError as error:
+                    named = [value for name, value in refusals.items()
+                             if str(error).startswith(name)]
+                    assert named, str(error)
+                    if "underflows" in str(error):
+                        assert named[0] < Decimal(sys.float_info.min)
+                    else:
+                        assert named[0] > Decimal(sys.float_info.max) / 2
+                    continue
+                scale = max(exact, Decimal(sys.float_info.min)) * Decimal(sys.float_info.epsilon)
+                errors[law.__name__] = max(errors[law.__name__],
+                                           float(abs(Decimal(got) - exact) / scale))
+    return errors
+
+
+# Each law's bound in units of 2^-52: the largest error that 500,000 draws of
+# this sweep's domain gave (both routes where the law takes arrays), rounded up
+# to a half unit.  Largest errors: shot noise 0.96, asymptotic width 1.25,
+# transition photon number 2.17 (2.38 over 100,000 draws whose 2 sigma_phi^2 |D|
+# is subnormal), width ratio 3.12.
+DERIVED_LAW_BOUNDS = {
+    "classical_shot_noise": 1.0,
+    "asymptotic_width": 1.5,
+    "transition_photon_number": 2.5,
+    "width_ratio": 3.5,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(sigma_phi=log_uniform(1e-77, 1e76), n=log_uniform(0.1, 1e12),
+       gdd1=log_uniform(1e-320, 1e308, signed=True), gdd2=log_uniform(1e-320, 1e308, signed=True),
+       sigma_t=log_uniform(1e-320, 1e308))
+def test_derived_laws_are_exact_or_refused(sigma_phi, n, gdd1, gdd2, sigma_t):
+    errors = derived_law_errors(sigma_phi, n, gdd1, gdd2, sigma_t)
+    for law, bound in DERIVED_LAW_BOUNDS.items():
+        assert errors[law] <= bound, law
+
+
 @pytest.mark.parametrize("module", [distributions, media, montecarlo, oracle],
                          ids=lambda module: module.__name__)
 def test_float64_rules_have_one_home(module):

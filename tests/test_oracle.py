@@ -70,12 +70,13 @@ class TestQuadratureEngine:
         assert excinfo.value.achieved > 0
         assert excinfo.value.points_used <= 600
 
-    def test_doubling_budget_never_increases_error_estimate(self):
+    def test_doubling_budget_never_increases_error_estimate(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_REL_TOL", 1e-12)
         achieved = []
         for max_points in (600, 1200, 2400, 4800):
             try:
                 _, errors, _ = _trapezoid_integral(
-                    800.0, np.array([0.0]), QuadratureSpec(max_points=max_points, rel_tol=1e-12)
+                    800.0, np.array([0.0]), QuadratureSpec(max_points=max_points)
                 )
                 achieved.append(errors[0])
             except ConvergenceError as exc:
@@ -109,10 +110,9 @@ class TestTrapezoidVectorisation:
     def test_every_grid_point_meets_the_tolerance(self, b):
         # On [0, 10] the far end settles a level after z = 0: there the
         # sum's period 2 pi / h still folds in the peak.
-        quad = QuadratureSpec()
-        values, errors, _ = _trapezoid_integral(b, np.linspace(0.0, 10.0, 11), quad)
+        values, errors, _ = _trapezoid_integral(b, np.linspace(0.0, 10.0, 11), QuadratureSpec())
         floor = 1e-3 * math.sqrt(2.0 * math.pi)
-        assert np.all(errors <= quad.rel_tol * np.maximum(np.abs(values), floor))
+        assert np.all(errors <= oracle._REL_TOL * np.maximum(np.abs(values), floor))
 
     def test_lattice_beyond_budget_raises(self):
         # h dz L = 2 pi: a grid this fine needs L ~ 1e9 once h resolves the
@@ -122,14 +122,18 @@ class TestTrapezoidVectorisation:
             _trapezoid_integral(0.0, np.linspace(0.0, 1e-6, 5), quad)
         assert excinfo.value.points_used <= quad.max_points
 
-    @pytest.mark.parametrize("b,quad", [
-        (800.0, QuadratureSpec(max_points=600, rel_tol=0.1)),
+    # The ids keep the names these cases had when the tolerance was a field
+    # of the quadrature spec.
+    @pytest.mark.parametrize("b,rel_tol", [
+        (800.0, 0.1),
         # b (h/2)^2 = 6 pi at h = 0.3125: the sums at h and h/2 both see
         # exp(i b u^2) = 1 and agree to rounding, on the b = 0 value.
-        (24.0 * math.pi / 0.3125**2, QuadratureSpec(max_points=600)),
-    ])
+        (24.0 * math.pi / 0.3125**2, oracle._REL_TOL),
+    ], ids=["800.0-quad0", "772.0778105462275-quad1"])
     def test_unresolved_budget_raises_rather_than_accept_aliased_sums(
-            self, b, quad, monkeypatch):
+            self, b, rel_tol, monkeypatch):
+        monkeypatch.setattr(oracle, "_REL_TOL", rel_tol)
+        quad = QuadratureSpec(max_points=600)
         with pytest.raises(ConvergenceError, match="resolving its phase") as excinfo:
             _trapezoid_integral(b, np.array([0.0]), quad)
         assert excinfo.value.points_used <= quad.max_points
@@ -141,22 +145,9 @@ class TestTrapezoidVectorisation:
 
 
 class TestQuadratureSpecValidation:
-    def test_half_width_floor(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(half_width=4.0)
-
-    def test_rel_tol_floor(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=1e-13)
-
     def test_max_points_floor(self):
         with pytest.raises(DomainError):
             QuadratureSpec(max_points=10)
-
-    @pytest.mark.parametrize("half_width", [math.inf, math.nan])
-    def test_half_width_must_be_finite(self, half_width):
-        with pytest.raises(DomainError, match="finite"):
-            QuadratureSpec(half_width=half_width)
 
     @pytest.mark.parametrize("max_points", [1e6, 600.5, "600"])
     def test_max_points_must_be_an_integer(self, max_points):
@@ -410,26 +401,26 @@ class TestNumericMoments:
 class TestPlancherelMoments:
     @pytest.mark.parametrize("b", [0.0, 1.37, -137.0, 1.37e4, 2e4])
     def test_variance_is_exact(self, b):
-        mean, moments = _plancherel_moments(b, 2, QuadratureSpec())
+        mean, moments = _plancherel_moments(b, 2)
         variance = (1.0 + 4.0 * b * b) / 2.0
         assert moments[0] == pytest.approx(2.0 * math.pi**1.5, rel=1e-15)
         assert moments[2] / moments[0] == pytest.approx(variance, rel=1e-15)
         assert abs(mean) <= 1e-15 * math.sqrt(variance)
 
     @pytest.mark.parametrize("half_width", [6.0, 1e4, 1e12])
-    def test_any_window_gives_the_same_moments(self, half_width):
+    def test_any_window_gives_the_same_moments(self, half_width, monkeypatch):
         # The weight exp(-u^2) is resolved on every window; beyond u = 6 it
         # holds about 1e-16 of the mass.
-        _, moments = _plancherel_moments(137.0, 2, QuadratureSpec(half_width=half_width))
+        monkeypatch.setattr(oracle, "_HALF_WIDTH", half_width)
+        _, moments = _plancherel_moments(137.0, 2)
         assert moments[0] == pytest.approx(2.0 * math.pi**1.5, rel=1e-14)
         assert moments[2] / moments[0] == pytest.approx((1.0 + 4.0 * 137.0**2) / 2.0, rel=1e-14)
 
     @pytest.mark.parametrize("b", [0.0, 137.0, 1.37e4])
     def test_doubling_nodes_leaves_moments_unchanged(self, b, monkeypatch):
-        quad = QuadratureSpec()
-        mean, moments = _plancherel_moments(b, 4, quad)
+        mean, moments = _plancherel_moments(b, 4)
         monkeypatch.setattr(oracle, "_MOMENT_STEP", oracle._MOMENT_STEP / 2.0)
-        doubled_mean, doubled = _plancherel_moments(b, 4, quad)
+        doubled_mean, doubled = _plancherel_moments(b, 4)
         # Each moment against its natural scale, M_0 sigma_z^k.
         sigma_z = math.sqrt(moments[2] / moments[0])
         assert abs(doubled_mean - mean) <= 1e-14 * sigma_z

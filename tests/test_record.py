@@ -26,7 +26,7 @@ SAMPLES = [
     (AirConditions, {"temperature_c": 15.0, "pressure_pa": 101325.0,
                      "relative_humidity": 0.2}, 20.0),
     (CatalogEntry, {"label": "vacuum", "alpha": 0.0, "beta": 0.0, "note": "reference"}, "x"),
-    (QuadratureSpec, {"half_width": 10.0, "max_points": 6_000_000, "rel_tol": 1e-10}, 12.0),
+    (QuadratureSpec, {"max_points": 6_000_000}, 600),
     (VerificationReport, {"grid": (0.0, 1.0), "closed_form": (0.5, 0.25),
                           "numeric": (0.5, 0.25), "max_rel_err": 0.0, "points_used": 15}, (2.0,)),
     (SamplerConfig, {"seed": 42, "n_samples": 100, "n_photons": 1}, 7),
@@ -40,7 +40,7 @@ DEFAULTS = {
     StateSpec: {"v_mag": None, "u_mag": None},
     TimingDistribution: {"amplitude_scale": 1.0},
     AirConditions: {"temperature_c": 15.0, "pressure_pa": 101325.0, "relative_humidity": 0.0},
-    QuadratureSpec: {"half_width": 10.0, "max_points": 6_000_000, "rel_tol": 1e-10},
+    QuadratureSpec: {"max_points": 6_000_000},
     SamplerConfig: {"n_photons": 1},
 }
 

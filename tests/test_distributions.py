@@ -554,6 +554,7 @@ def derived_law_errors(sigma_phi, n, gdd1, gdd2, sigma_t) -> dict[str, float]:
     s, big_n, d1, d2, st = map(Fraction, (sigma_phi, n, gdd1, gdd2, sigma_t))
     curvature = 1 / (2 * s**2)
     classical = 2 * curvature + (d1**2 + d2**2) / curvature
+    phase = 2 * s**2 * big_n * (d1 + d2)
     with localcontext() as context:
         context.prec = 60
 
@@ -561,7 +562,7 @@ def derived_law_errors(sigma_phi, n, gdd1, gdd2, sigma_t) -> dict[str, float]:
             return Decimal(exact.numerator) / Decimal(exact.denominator)
 
         shot_noise = value(st**2 / big_n).sqrt()
-        ratio = value((1 + (2 * s**2 * big_n * (d1 + d2))**2) / (classical * big_n / curvature))
+        ratio = value((1 + phase**2) / (classical * big_n / curvature))
         both, scalar = (float, np.atleast_1d), (float,)
         cases = [
             # (law, its scalar arguments, the rest, their routes, exact value, refusals)
@@ -570,7 +571,7 @@ def derived_law_errors(sigma_phi, n, gdd1, gdd2, sigma_t) -> dict[str, float]:
             (transition_photon_number, (sigma_phi,), (gdd1,), scalar,
              value(curvature / abs(d1)), {}),
             (width_ratio, (sigma_phi,), (n, gdd1, gdd2), both, ratio.sqrt(), {
-                "quantum dispersion phase squared": value((2 * s**2 * big_n * (d1 + d2))**2),
+                "quantum dispersion phase squared": value(phase**2),
                 "gdd_sum_fs2 = ": value(abs(d1 + d2)),
                 "classical variance": value(max(2 * curvature**2 + d1**2 + d2**2, classical)),
                 "classical shot noise": value(classical / big_n).sqrt(),
@@ -584,7 +585,7 @@ def derived_law_errors(sigma_phi, n, gdd1, gdd2, sigma_t) -> dict[str, float]:
                 try:
                     got = float(np.atleast_1d(law(*fixed, *map(route, args)))[0])
                 except DomainError as error:
-                    named = [value for name, value in refusals.items()
+                    named = [quantity for name, quantity in refusals.items()
                              if str(error).startswith(name)]
                     assert named, str(error)
                     if "underflows" in str(error):

@@ -24,8 +24,8 @@ _EXPORTS = {
     "spectral": "GaussianSpectrum",
     "montecarlo": "SamplerConfig WidthEstimate sample_classical sample_classical_scaling "
                   "sample_quantum",
-    "oracle": """QuadratureSpec VerificationReport amplitude_numeric numeric_central_moment
-        numeric_moments verify_closed_form""",
+    "oracle": """VerificationReport amplitude_numeric numeric_central_moment numeric_moments
+        verify_closed_form""",
     "verify": "",
     "cli": "",
 }

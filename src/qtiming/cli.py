@@ -496,17 +496,14 @@ def _cmd_media(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    from .oracle import QuadratureSpec
-
-    # Checked before the report is opened, whichever suite uses them.
+    # Checked before the report is opened, whichever suite uses it.
     if not 0 <= args.seed < 2**64:
         raise DomainError(f"--seed must be in [0, 2^64), got {args.seed}")
-    quad = QuadratureSpec() if args.max_points is None else QuadratureSpec(max_points=args.max_points)
     # Opened first, so that an unwritable report costs no suite run; a
     # suite that raises leaves no report behind.
     with _output(args, args.out) as (report_path, fh):
         names = list(SUITES) if args.suite == "all" else [args.suite]
-        cases = [case for name in names for case in SUITES[name](quad, args.seed)]
+        cases = [case for name in names for case in SUITES[name](args.seed)]
         passed = all(case["passed"] for case in cases)
         _dump_json(fh, {
             "schema": REPORT_SCHEMA,
@@ -619,8 +616,6 @@ def build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="run the numerical verification suites")
     verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--max-points", type=int, default=None,
-                        help="override the quadrature evaluation budget")
     verify.add_argument("--out", default="verification_report.json")
     verify.set_defaults(func=_cmd_verify)
 

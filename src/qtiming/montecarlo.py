@@ -225,7 +225,11 @@ def sample_quantum(dist: TimingDistribution, cfg: SamplerConfig) -> WidthEstimat
     The law already describes the mean-time statistic, which is the object
     of every width claim, so no per-photon events are simulated here.  Each
     trial is one normal of domain 0: the one-photon row sum of the engine.
+    So ``cfg.n_photons`` must be 1; ``dist`` carries the photon number.
     """
+    if cfg.n_photons != 1:
+        raise DomainError(f"sample_quantum draws one normal per trial: n_photons must be 1, "
+                          f"got {cfg.n_photons}; the photon number enters through dist")
     values = _sums(cfg.seed, 0, cfg.n_samples, [1])[1]
     values *= dist.sigma
     values += dist.mean

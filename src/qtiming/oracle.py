@@ -26,10 +26,11 @@ largest local frequency is 2|b|H + max |z|.  A level counts as converged
 only once its step resolves that frequency, with 2 pi / h at least 1.5
 times it (two coarser, aliased sums can agree with each other and still be
 wrong), and once its change is within the fixed tolerance ``_REL_TOL`` =
-1e-10 at every grid point.  :class:`QuadratureSpec` holds the one knob, the
-point budget; when it runs out first, :class:`ConvergenceError` carries the
-smallest estimate the ladder reached.  A value depends only on (b, z0, dz,
-grid size, point budget).
+1e-10 at every grid point.  The point budget ``_MAX_POINTS`` = 6e6 bounds
+each lattice's integrand evaluations and FFT length; when it runs out first,
+:class:`ConvergenceError` carries the smallest estimate the ladder reached.
+A value depends only on (b, z0, dz, grid size): the budget decides whether a
+value is returned, never which.
 
 Moments of |I(b, z)|^2 over z, the normaliser M_0 included, come from
 Plancherel's theorem instead: integral (z - m)^k |I|^2 dz is 2 pi times an
@@ -65,7 +66,6 @@ from .media import PathPair
 from .spectral import GaussianSpectrum
 
 __all__ = [
-    "QuadratureSpec",
     "VerificationReport",
     "amplitude_numeric",
     "verify_closed_form",
@@ -79,25 +79,10 @@ PHASE_ENVELOPE_RAD = 2.0e4
 
 _HALF_WIDTH = 10.0         # H, in units of sigma_phi: exp(-u^2/2) < 2e-22 beyond it
 _REL_TOL = 1e-10           # target error relative to the amplitude scale
+_MAX_POINTS = 6_000_000    # integrand evaluations, and FFT length, per lattice
 _RESOLVE_SAFETY = 1.5      # least ratio of 2 pi / h to the largest local frequency
 _ENVELOPE_MASS = math.sqrt(2.0 * math.pi)  # integral of exp(-u^2/2): the absolute mass
 _MOMENT_STEP = 1.0 / 64    # trapezoid step in u of the Plancherel moments
-_MOMENT_REACH = 28.0       # exp(-u^2) is 0.0 in float64 beyond it: farther nodes add nothing
-
-
-@record
-class QuadratureSpec:
-    """The trapezoid quadrature's budget.
-
-    max_points : budget of integrand evaluations, and of FFT length, per
-                 lattice (an integer >= 15)
-    """
-
-    max_points: int = 6_000_000
-
-    def __post_init__(self):
-        if not isinstance(self.max_points, numbers.Integral) or self.max_points < 15:
-            raise DomainError(f"max_points must be an integer >= 15, got {self.max_points!r}")
 
 
 @record
@@ -128,9 +113,7 @@ def _fold(values: np.ndarray, first: int, size: int) -> np.ndarray:
     return np.roll(sums, first)
 
 
-def _trapezoid_integral(
-    b: float, zs: np.ndarray, quad: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _trapezoid_integral(b: float, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Trapezoid values of I(b, z) on the evenly spaced ``zs``: (values, errors, points).
 
     One nested lattice ladder serves the whole grid (see the module
@@ -165,7 +148,7 @@ def _trapezoid_integral(
         step = coarsest / 2**level
         reach = int(half / step)     # nodes k = -reach .. reach
         lattice = size << level
-        if max(2 * reach + 1, lattice) > quad.max_points:
+        if max(2 * reach + 1, lattice) > _MAX_POINTS:
             break
         points = 2 * reach + 1
         if level == 0:
@@ -189,9 +172,9 @@ def _trapezoid_integral(
 
     needed = 2 * int(half / (coarsest / 2**resolved)) + 1
     unresolved = (f"; resolving its phase takes {needed} points"
-                  if needed > quad.max_points else "")
+                  if needed > _MAX_POINTS else "")
     raise ConvergenceError(
-        f"quadrature budget of {quad.max_points} points exhausted at z = "
+        f"quadrature budget of {_MAX_POINTS} points exhausted at z = "
         f"{zs[np.argmax(errors)]:.6g} (error estimate {achieved:.3e}{unresolved})",
         achieved=achieved,
         points_used=points,
@@ -208,7 +191,7 @@ def _plancherel_moments(b: float, order: int) -> tuple[float, np.ndarray]:
     exp(-u^2) = |g|^2 does not oscillate at any b, so a plain trapezoid on
     a fixed node set converges, and the cost does not grow with |b|.
     """
-    reach = int(min(_HALF_WIDTH, _MOMENT_REACH) / _MOMENT_STEP)
+    reach = int(_HALF_WIDTH / _MOMENT_STEP)
     u = _MOMENT_STEP * np.arange(-reach, reach + 1)
     term = np.exp(-u * u)
     term[[0, -1]] *= 0.5
@@ -254,7 +237,6 @@ def amplitude_numeric(
     spectrum: GaussianSpectrum,
     paths: PathPair,
     tau: float,
-    quad: QuadratureSpec | None = None,
 ) -> complex:
     """Detection amplitude at observable value ``tau`` (fs), by quadrature.
 
@@ -265,8 +247,7 @@ def amplitude_numeric(
     """
     b, mean = _case_geometry(state, spectrum, paths)
     sigma_phi = spectrum.sigma_phi
-    values, _, _ = _trapezoid_integral(
-        b, np.array([state.n_photons * sigma_phi * (tau - mean)]), quad or QuadratureSpec())
+    values, _, _ = _trapezoid_integral(b, np.array([state.n_photons * sigma_phi * (tau - mean)]))
     return _coherent_scale(state, state.n_photons) * (sigma_phi * complex(values[0]))
 
 
@@ -275,7 +256,6 @@ def verify_closed_form(
     spectrum: GaussianSpectrum,
     paths: PathPair,
     grid,
-    quad: QuadratureSpec | None = None,
 ) -> VerificationReport:
     """Compare the normalised numeric density against the closed form.
 
@@ -298,14 +278,13 @@ def verify_closed_form(
     if not (np.all(steps > 0)
             and np.all(np.abs(steps - spacing) <= 8.0 * np.spacing(np.abs(grid).max()))):
         raise DomainError("verification grid must be ascending and evenly spaced")
-    quad = quad or QuadratureSpec()
 
     dist = quantum_distribution(state, spectrum, paths)
     closed = np.asarray(density_at(dist, grid))
 
     b, mean = _case_geometry(state, spectrum, paths)
     scale = state.n_photons * spectrum.sigma_phi
-    values, _, points = _trapezoid_integral(b, scale * (grid - mean), quad)
+    values, _, points = _trapezoid_integral(b, scale * (grid - mean))
     _, moments = _plancherel_moments(b, 0)
     numeric = scale * np.abs(values) ** 2 / moments[0]
 

@@ -1,6 +1,6 @@
 """The numerical verification suites that ``qtiming verify`` runs.
 
-``SUITES`` maps each suite's name to a function ``(quad, seed)`` that
+``SUITES`` maps each suite's name to a function ``(seed)`` that
 returns the suite's cases, each a dict with at least ``name`` and
 ``passed``; ``verify --suite all`` runs them in table order.  numpy, the
 oracle and the sampler load inside the suites, so importing this module
@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING
 
 from .distributions import StateKind, StateSpec, TimingDistribution, TimingVariable, quantum_width
 from .errors import ConvergenceError
 from .media import PathPair
 from .spectral import GaussianSpectrum
 
-if TYPE_CHECKING:
-    from .oracle import QuadratureSpec
 
-
-def _quadrature_suite(quad: QuadratureSpec, seed: int) -> list[dict]:
+def _quadrature_suite(seed: int) -> list[dict]:
     """Oracle densities against the closed form for each state family, N and GDD."""
     import numpy as np
 
@@ -38,7 +34,7 @@ def _quadrature_suite(quad: QuadratureSpec, seed: int) -> list[dict]:
         grid = np.linspace(-5.0 * sigma, 5.0 * sigma, 41)
         case = {"name": f"{kind.value}/N={n}/gdd={gdd_total:g}", "tolerance": tolerance}
         try:
-            report = verify_closed_form(state, spectrum, PathPair.symmetric(gdd_total), grid, quad)
+            report = verify_closed_form(state, spectrum, PathPair.symmetric(gdd_total), grid)
             case["max_rel_err"] = report.max_rel_err
             case["points_used"] = report.points_used
             case["passed"] = report.max_rel_err < tolerance
@@ -52,7 +48,7 @@ def _quadrature_suite(quad: QuadratureSpec, seed: int) -> list[dict]:
     return cases
 
 
-def _montecarlo_suite(quad: QuadratureSpec, seed: int) -> list[dict]:
+def _montecarlo_suite(seed: int) -> list[dict]:
     """The samplers' 1/sqrt(N) slope, consistency with their input and determinism."""
     import numpy as np
 

@@ -5,6 +5,7 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,11 +513,15 @@ def log_uniform(low, high, signed=False):
     return st.tuples(st.sampled_from((1.0, -1.0)), magnitudes).map(lambda t: t[0] * t[1])
 
 
+# The width laws' bound in units of 2^-52: the worst of 20,000 draws was 2.67.
+WIDTH_BOUND = 4
+
+
 @settings(max_examples=400, deadline=None)
 @given(sigma_phi=log_uniform(1e-77, 1e76), n=log_uniform(0.1, 1e12),
        gdd1=log_uniform(1e-320, 1e308, signed=True), gdd2=log_uniform(1e-320, 1e308, signed=True))
 def test_widths_are_exact_or_refused(sigma_phi, n, gdd1, gdd2):
-    # Each width is within 4 x 2^-52 of the root of its exact rational variance, on
+    # Each width is within WIDTH_BOUND x 2^-52 of the root of its exact rational variance, on
     # both routes, or is refused because a quantity it forms leaves float64: the
     # dispersion phase's square p^2, or the classical variance or its numerator
     # 2c^2 + D1^2 + D2^2 (c = 1/(2 sigma_phi^2)), which is c times the variance.
@@ -540,7 +545,7 @@ def test_widths_are_exact_or_refused(sigma_phi, n, gdd1, gdd2):
                 continue
             exact = exact_width(variance)
             width = float(np.atleast_1d(width)[0])
-            assert abs(width - exact) <= 4 * sys.float_info.epsilon * exact
+            assert abs(width - exact) <= WIDTH_BOUND * sys.float_info.epsilon * exact
 
 
 def derived_law_errors(sigma_phi, n, gdd1, gdd2, sigma_t) -> dict[str, float]:
@@ -620,6 +625,48 @@ def test_derived_laws_are_exact_or_refused(sigma_phi, n, gdd1, gdd2, sigma_t):
     errors = derived_law_errors(sigma_phi, n, gdd1, gdd2, sigma_t)
     for law, bound in DERIVED_LAW_BOUNDS.items():
         assert errors[law] <= bound, law
+
+
+# 2 pi to 67 digits, beyond the 60 the sweep's context keeps: the density's normaliser.
+TWO_PI = Decimal("6.283185307179586476925286766559005768394338798750211641949889184615")
+# density_at's bound in units of 2^-52 is DENSITY_BOUND[0] + DENSITY_BOUND[1] z^2, with
+# z = (tau - mean) / sigma.  np.exp turns an error d in its argument z^2 / 2 into a
+# relative error d, and the float64 z^2 / 2 carries up to 5 roundings of 2^-53 (the
+# difference, the division, the square), so up to 1.25 z^2 x 2^-52; the constant
+# covers exp's own rounding and the normaliser's.  Over 250,000 draws of this sweep's
+# domain the worst error was 0.87 of the bound, and 1.49 x 2^-52 near z = 0.
+DENSITY_BOUND = (2.0, 1.25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sigma=log_uniform(1e-3, 1e6),
+       mean=st.one_of(st.just(0.0), log_uniform(1e-3, 1e7, signed=True)),
+       zs=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=16))
+def test_density_is_within_its_bound(sigma, mean, zs):
+    dist = TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, mean=mean, sigma=sigma)
+    taus = [mean + z * sigma for z in zs]
+    on_array = density_at(dist, np.array(taus)).tolist()
+    with localcontext() as context:
+        context.prec = 60
+        for tau, got_array in zip(taus, on_array):
+            z = (Fraction(tau) - Fraction(mean)) / Fraction(sigma)
+            z = Decimal(z.numerator) / Decimal(z.denominator)
+            exact = (-z * z / 2).exp() / (Decimal(sigma) * TWO_PI.sqrt())
+            bound = Decimal(DENSITY_BOUND[0]) + Decimal(DENSITY_BOUND[1]) * z * z
+            for got in (density_at(dist, tau), got_array):
+                assert abs(Decimal(got) - exact) <= bound * Decimal(sys.float_info.epsilon) * exact
+
+
+def test_readme_exactness_table_matches_the_sweeps():
+    # README's contract table states the bounds these sweeps check, and
+    # TestExactAirDispersion's 4 x 2^-52 for air's beta.
+    bounds = {"quantum_width": f"{WIDTH_BOUND:g}", "classical_width": f"{WIDTH_BOUND:g}",
+              **{law: f"{bound:g}" for law, bound in DERIVED_LAW_BOUNDS.items()},
+              "density_at": "{:g} + {:g} z²".format(*DENSITY_BOUND),
+              "air_dispersion_coefficient": "4"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", readme, flags=re.MULTILINE)
+    assert {law: bound for law, bound in rows if law in bounds} == bounds
 
 
 @pytest.mark.parametrize("module", [distributions, media, montecarlo, oracle],

@@ -71,6 +71,13 @@ class TestSampleQuantum:
                 hits += 1
         assert hits >= 99
 
+    @pytest.mark.parametrize("n_photons", [2, 1000])
+    def test_photon_number_other_than_one_rejected(self, n_photons):
+        # dist already describes the N-photon observable; a trial is one normal.
+        cfg = SamplerConfig(seed=1, n_samples=1000, n_photons=n_photons)
+        with pytest.raises(DomainError, match=f"n_photons must be 1, got {n_photons}"):
+            sample_quantum(dist(), cfg)
+
 
 class TestSampleClassical:
     def test_single_photon_recovers_pulse_width(self):

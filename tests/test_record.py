@@ -1,4 +1,4 @@
-"""Value-record semantics of the eleven frozen classes: construction, equality,
+"""Value-record semantics of the ten frozen classes: construction, equality,
 hashing, repr and immutability, as ``dataclass(frozen=True)`` gave them."""
 
 import pytest
@@ -7,7 +7,7 @@ from qtiming._record import record
 from qtiming.distributions import StateKind, StateSpec, TimingDistribution, TimingVariable
 from qtiming.media import AirConditions, CatalogEntry, MediumSegment, PathPair
 from qtiming.montecarlo import SamplerConfig, WidthEstimate
-from qtiming.oracle import QuadratureSpec, VerificationReport
+from qtiming.oracle import VerificationReport
 from qtiming.spectral import GaussianSpectrum
 
 VACUUM = MediumSegment("vacuum", 0.0, 0.0, 1.0)
@@ -26,7 +26,6 @@ SAMPLES = [
     (AirConditions, {"temperature_c": 15.0, "pressure_pa": 101325.0,
                      "relative_humidity": 0.2}, 20.0),
     (CatalogEntry, {"label": "vacuum", "alpha": 0.0, "beta": 0.0, "note": "reference"}, "x"),
-    (QuadratureSpec, {"max_points": 6_000_000}, 600),
     (VerificationReport, {"grid": (0.0, 1.0), "closed_form": (0.5, 0.25),
                           "numeric": (0.5, 0.25), "max_rel_err": 0.0, "points_used": 15}, (2.0,)),
     (SamplerConfig, {"seed": 42, "n_samples": 100, "n_photons": 1}, 7),
@@ -40,7 +39,6 @@ DEFAULTS = {
     StateSpec: {"v_mag": None, "u_mag": None},
     TimingDistribution: {"amplitude_scale": 1.0},
     AirConditions: {"temperature_c": 15.0, "pressure_pa": 101325.0, "relative_humidity": 0.0},
-    QuadratureSpec: {"max_points": 6_000_000},
     SamplerConfig: {"n_photons": 1},
 }
 

@@ -11,6 +11,7 @@ import errno
 import gc
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -1491,6 +1492,23 @@ class TestVerify:
         assert failed
         for case in failed:
             assert type(case["points_used"]) is int and case["points_used"] <= 120
+
+    def test_quadrature_suite_keeps_its_cases_at_the_least_budget(self, monkeypatch):
+        # The least budget that returns every case gives the same cases; one
+        # point less fails exactly the cases that used all of it.
+        cases = verify.SUITES["quadrature"](0)
+        assert all(case["passed"] for case in cases)
+        least = max(case["points_used"] for case in cases)
+        monkeypatch.setattr(oracle, "_MAX_POINTS", least)
+        assert verify.SUITES["quadrature"](0) == cases
+        monkeypatch.setattr(oracle, "_MAX_POINTS", least - 1)
+        short = verify.SUITES["quadrature"](0)
+        assert [case["name"] for case in short if not case["passed"]] == [
+            case["name"] for case in cases if case["points_used"] == least]
+
+    @pytest.mark.parametrize("name", verify.SUITES)
+    def test_each_suite_takes_only_a_seed(self, name):
+        assert list(inspect.signature(verify.SUITES[name]).parameters) == ["seed"]
 
     def test_suite_choices_are_the_table(self):
         suite = next(action for action in _subcommands()["verify"]._actions

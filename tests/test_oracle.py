@@ -4,6 +4,7 @@ The trapezoid engine is checked first against textbook integrals, then
 against the closed-form laws it exists to validate.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -103,6 +104,15 @@ class TestQuadratureEngine:
         monkeypatch.setattr(oracle, "_MAX_POINTS", points - 1)
         with pytest.raises(ConvergenceError):
             _trapezoid_integral(137.0, zs)
+
+    @pytest.mark.parametrize("function, parameters", [
+        (_trapezoid_integral, ["b", "zs"]),
+        (amplitude_numeric, ["state", "spectrum", "paths", "tau"]),
+        (verify_closed_form, ["state", "spectrum", "paths", "grid"]),
+    ], ids=["trapezoid_integral", "amplitude_numeric", "verify_closed_form"])
+    def test_entry_points_take_no_budget(self, function, parameters):
+        # The budget is the module's constant, not an argument of any call.
+        assert list(inspect.signature(function).parameters) == parameters
 
 
 class TestTrapezoidVectorisation:

@@ -176,11 +176,21 @@ def _write_manifest(args, output: Path) -> None:
     })
 
 
-def _write_report(args, filename: str, payload: dict) -> Path:
-    """Write ``payload`` as the JSON report ``filename``, then its manifest."""
-    path = _write_json(args, filename, payload)
+def _report(args, payload: dict) -> int:
+    """Write ``payload`` as ``<command>_report.json`` and its manifest, then print it.
+
+    The print is the report's JSON with ``--json``, else one aligned
+    ``key  value`` line per entry.  Returns the exit code, 0.
+    """
+    path = _write_json(args, f"{args.command}_report.json", payload)
     _write_manifest(args, path)
-    return path
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        width = max(len(k) for k in payload)
+        for key, value in payload.items():
+            print(f"{key:<{width}}  {value}")
+    return 0
 
 
 def _format_block(column_slices) -> str:
@@ -220,7 +230,9 @@ def _fork_share(columns, rows: range):
     """Format ``rows`` in a forked child into an anonymous temporary file.
 
     Returns ``(pid, file)``.  The child never returns: it exits with status
-    0 once the file holds its rows, 1 after printing any exception.
+    0 once the file holds its rows; 1 + errno, printing nothing, after an
+    OSError with an errno, which :func:`_write_csv` raises as its own; and
+    1 after printing any other exception.
     """
     import tempfile
 
@@ -236,11 +248,15 @@ def _fork_share(columns, rows: range):
             _write_share(tmp, columns, rows)
             tmp.flush()
             status = 0
-        except BaseException:
-            import traceback
+        except BaseException as exc:
+            # An exit status holds 0-255; 1 + errno keeps 1 for every other failure.
+            if isinstance(exc, OSError) and 0 < (exc.errno or 0) < 255:
+                status += exc.errno
+            else:
+                import traceback
 
-            traceback.print_exc()
-            sys.stderr.flush()
+                traceback.print_exc()
+                sys.stderr.flush()
         finally:
             os._exit(status)
     return pid, tmp
@@ -262,10 +278,12 @@ def _write_csv(args, header: list[str], columns) -> None:
     This process writes the header and the first share straight into the
     CSV, then waits for the children in share order and appends each one's
     file, so the bytes are those of one serial pass.  The CSV is opened
-    first, so an unwritable path forks and removes nothing; if a child
-    fails, the partial CSV is removed and no manifest is written.  Only one
-    block's strings are alive at a time in each process, so memory does not
-    grow with the grid.
+    first, so an unwritable path forks and removes nothing.  A child's
+    OSError is raised here for its share, so it ends like a failed write of
+    this process's own; if a child fails any other way, a RuntimeError names
+    its rows.  Either way the partial CSV is removed and no manifest is
+    written.  Only one block's strings are alive at a time in each process,
+    so memory does not grow with the grid.
     """
     import shutil
 
@@ -285,6 +303,8 @@ def _write_csv(args, header: list[str], columns) -> None:
                 rows, pid, tmp = children.pop(0)
                 with tmp:
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if status > 1:  # the child's OSError, a write error like this process's
+                        raise OSError(status - 1, os.strerror(status - 1))
                     if status != 0:
                         raise RuntimeError(
                             f"CSV formatter for rows {rows.start}-{rows.stop - 1} "
@@ -339,15 +359,6 @@ def _photon_grid(args):
     return np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points)
 
 
-def _emit(args, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        width = max(len(k) for k in payload)
-        for key, value in payload.items():
-            print(f"{key:<{width}}  {value}")
-
-
 def _add_media_flags(sub: _Parser) -> None:
     sub.add_argument("--sigma-phi", type=float, default=None,
                      help="spectral one-sigma width, rad/s")
@@ -390,9 +401,7 @@ def _cmd_width(args) -> int:
         "asymptotic_width_fs": asymptotic_width(spectrum.sigma_phi, gdd_sum),
         "amplitude_scale": dist.amplitude_scale,
     }
-    _write_report(args, "width_report.json", payload)
-    _emit(args, payload)
-    return 0
+    return _report(args, payload)
 
 
 # -- scan ---------------------------------------------------------------------
@@ -452,9 +461,7 @@ def _cmd_transition(args) -> int:
         payload["equivalent_silica_total_cm"] = abs(gdd_sum) / material_catalog()["fused_silica"].beta
     payload["equivalent_air_total_m"] = air_length_m(abs(gdd_sum),
                                                      reference_air_beta(args.wavelength))
-    _write_report(args, "transition_report.json", payload)
-    _emit(args, payload)
-    return 0
+    return _report(args, payload)
 
 
 # -- media --------------------------------------------------------------------
@@ -488,9 +495,7 @@ def _cmd_media(args) -> int:
         }
         if entry.beta != 0:
             payload["length_equivalent_to_1cm_silica_cm"] = silica_beta / entry.beta
-    _write_report(args, "media_report.json", payload)
-    _emit(args, payload)
-    return 0
+    return _report(args, payload)
 
 
 # -- verify -------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "C_CM_PER_FS",
     "C_NM_PER_FS",
     "RAD_PER_S_TO_RAD_PER_FS",
-    "TWO_PI",
     "omega_from_wavelength_nm",
     "wavelength_nm_from_omega",
     "sigma_phi_from_rad_per_s",
@@ -39,8 +38,6 @@ C_NM_PER_FS = 299.792458
 
 RAD_PER_S_TO_RAD_PER_FS = 1e-15
 """Angular-frequency conversion factor (1 s = 1e15 fs)."""
-
-TWO_PI = 6.283185307179586
 
 
 def _check_bandwidth(sigma_phi: float) -> None:
@@ -99,7 +96,7 @@ def _two_pi_c_over(value: float, name: str, unit: str) -> float:
     """2 pi c / ``value``: the angular frequency of a wavelength, or the wavelength of one."""
     if not 0 < value < math.inf:
         raise DomainError(f"{name} must be finite and positive, got {value} {unit}")
-    if (converted := TWO_PI * C_NM_PER_FS / value) == math.inf:
+    if (converted := math.tau * C_NM_PER_FS / value) == math.inf:
         raise DomainError(f"{name} {value} {unit} is too small: its conversion overflows float64")
     return converted
 

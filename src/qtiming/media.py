@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import record
-from .constants import (C_CM_PER_FS, C_NM_PER_FS, TWO_PI, _check_finite, _finite_or_raise,
+from .constants import (C_CM_PER_FS, C_NM_PER_FS, _check_finite, _finite_or_raise,
                         omega_from_wavelength_nm, wavelength_nm_from_omega)
 from .errors import CancellationError, DomainError
 
@@ -397,7 +397,7 @@ def air_dispersion_coefficient(conditions: AirConditions, formula: str = "edlen"
     omega_from_wavelength_nm(wavelength_nm)  # raises unless finite and positive
     curvature = law(conditions, wavelength_nm, curved=True)
     # 2 c a, a = 2 pi c / 1000 nm: in this order the float is the nearest to its exact value
-    beta = curvature / (2.0 * C_CM_PER_FS * TWO_PI * C_NM_PER_FS / 1000.0)
+    beta = curvature / (2.0 * C_CM_PER_FS * math.tau * C_NM_PER_FS / 1000.0)
     return _finite_or_raise(beta, f"{formula} air dispersion coefficient", None, **vars(conditions))
 
 

@@ -95,15 +95,6 @@ class VerificationReport:
     max_rel_err: float
     points_used: int
 
-    def to_dict(self) -> dict:
-        return {
-            "grid_fs": list(self.grid),
-            "closed_form_per_fs": list(self.closed_form),
-            "numeric_per_fs": list(self.numeric),
-            "max_rel_err": self.max_rel_err,
-            "points_used": self.points_used,
-        }
-
 
 def _fold(values: np.ndarray, first: int, size: int) -> np.ndarray:
     """Sums of ``values``, the terms of indices first, first + 1, ..., by index mod ``size``."""

@@ -376,40 +376,51 @@ def test_preset_csvs_match_recorded_digests(tmp_path):
 
 
 # SHA-256 of the reports of the benchmark's report jobs and of both catalog
-# materials; a refactor of the media or the closed forms must keep these bytes.
+# materials, then of what each run prints; a refactor of the media, the
+# closed forms or the report output must keep these bytes.
 REPORT_DIGESTS = {
     "width-paths": (("width", "--sigma-phi", "3.7e11", "--n", "100",
                      "--path1", "silica:1cm", "--path2", "silica:1cm"),
-                    "48ee9040632b7c32e9b8ff08ae685596edbe2ff5b4b81142667deb2674d0caba"),
+                    "48ee9040632b7c32e9b8ff08ae685596edbe2ff5b4b81142667deb2674d0caba",
+                    "587ff350287afe1b2776ec4a4a1877ebeb35c48eac1d396a210c3542fdd683d8"),
     "width-json": (("width", "--sigma-phi", "3.7e11", "--n", "7305", "--B", "500", "--json"),
+                   "5a528fb217c05cbc3429127f401900c926cc6681df6baa21df06088e58a0e4fb",
                    "5a528fb217c05cbc3429127f401900c926cc6681df6baa21df06088e58a0e4fb"),
     "transition": (("transition", "--preset", "ntrans-1cm"),
-                   "ba4cf577a2ae6a660bda89227bfdfcba7ad775e0655bee37ced2b0ef7bafc8b3"),
+                   "ba4cf577a2ae6a660bda89227bfdfcba7ad775e0655bee37ced2b0ef7bafc8b3",
+                   "0939bc85ef4dd08f90875d03c6ef25aa407417c61a241608df2545a9f64b8fe6"),
     "media-owens": (("media", "--material", "air", "--formula", "owens", "--rh", "0.2"),
-                    "798014622563f12f272a9e34907f6e106d7eb7ba4c8124846f6281b1b61eff2c"),
+                    "798014622563f12f272a9e34907f6e106d7eb7ba4c8124846f6281b1b61eff2c",
+                    "e4a43a876a9814ea1767703b6dccfed86d4c4b37b09e7b94f74f4f79d64ebe59"),
     "media-silica": (("media", "--material", "silica"),
-                     "edc98bc94c87d4169c486799ed68cde80e764123287655e3e4d3f7237a8de3cd"),
+                     "edc98bc94c87d4169c486799ed68cde80e764123287655e3e4d3f7237a8de3cd",
+                     "1a1dc5e3c2f89768007faaf6d8f2655b7d66b0d70d2a9a26153f747bc6e83917"),
     "media-vacuum": (("media", "--material", "vacuum"),
-                     "756ba94ffa0d1de0e9141c982bdc62a6a64eb1d9cdd03b670d25bfbf914a2adc"),
+                     "756ba94ffa0d1de0e9141c982bdc62a6a64eb1d9cdd03b670d25bfbf914a2adc",
+                     "a773e9699c667f340b7e0f176c0f14e37ed0a1373b0891abac3d678bab11612a"),
     # The air path away from its defaults: cold humid Owens air at 1064 nm,
     # an air: segment, and a bare --B at 1550 nm.
     "media-owens-1064": (("media", "--material", "air", "--formula", "owens", "--rh", "0.7",
                           "--temperature", "-20", "--pressure", "95000", "--wavelength", "1064"),
-                         "f75dd97f48cc90f22d7729151593210af4499edef2f51d66c888454a2941bea2"),
+                         "f75dd97f48cc90f22d7729151593210af4499edef2f51d66c888454a2941bea2",
+                         "3bae3dc7842492f4df3c2294c81c502958078245ee14caeec48d5e0c277d73a8"),
     "width-air": (("width", "--sigma-phi", "3.7e11", "--n", "100",
                    "--path1", "air:1km", "--path2", "silica:1cm"),
-                  "954c1e126f220e5cffcc6503f75c1882e1be2d651c81e978f6faa6ab37be6d06"),
+                  "954c1e126f220e5cffcc6503f75c1882e1be2d651c81e978f6faa6ab37be6d06",
+                  "1a8674619986da590f7ded110eb6084a3f1cb0333d2d567256cfbaba727d8878"),
     "transition-1550": (("transition", "--sigma-phi", "3.7e11", "--B", "500", "--wavelength", "1550"),
-                        "c179331f37daa40e607e4cf661043ddd339c9e5e26e89b612a49053fdd59d8bf"),
+                        "c179331f37daa40e607e4cf661043ddd339c9e5e26e89b612a49053fdd59d8bf",
+                        "873c54bdf9a19e7e4deacf2599582890447d3ec10e2c3e958da453449340a457"),
 }
 
 
 @pytest.mark.parametrize("name", REPORT_DIGESTS)
 def test_reports_match_recorded_digests(tmp_path, capsys, name):
-    argv, digest = REPORT_DIGESTS[name]
+    argv, report_digest, stdout_digest = REPORT_DIGESTS[name]
     assert run(tmp_path, *argv) == 0
     report = tmp_path / f"{argv[0]}_report.json"
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
 
 
 def test_grid_fine_csvs_match_recorded_digests(tmp_path):
@@ -539,6 +550,87 @@ def test_csv_writer_child_failure_keeps_a_symlinked_csv(tmp_path):
     assert "exited with status 1" in result.stderr
     assert (tmp_path / "scan.csv").is_symlink()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv", "target.csv"]
+
+
+# The CLI with the CSV writer's rows split over two processes, whatever the
+# machine's CPU count.
+TWO_WRITERS = """
+import sys
+from qtiming import cli
+cli.usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+# The share that holds the last row hits a full disk.  With 40 rows in 8-row
+# blocks over 3 CPUs that share is a forked child's; with 8 rows, one block,
+# it is the only process's.
+FULL_DISK_AT_THE_END = """
+import errno, os, sys
+from qtiming import cli
+write_share = cli._write_share
+def full_at_the_end(fh, columns, rows):
+    if rows.stop == len(columns[0]):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    write_share(fh, columns, rows)
+cli._write_share = full_at_the_end
+cli._CSV_BLOCK_ROWS = 8
+cli.usable_cpus = lambda: 3
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _failed_write(out_dir, script, argv, **kwargs) -> str:
+    """The stderr of a CLI run, through ``script``, that must end in a write error.
+
+    The run exits 1 with no traceback and leaves ``out_dir`` as it found
+    it: holding only ``earlier.txt``.
+    """
+    (out_dir / "earlier.txt").write_text("kept\n")
+    result = subprocess.run([sys.executable, "-c", script, *argv, "--out-dir", str(out_dir)],
+                            env=_child_env(), capture_output=True, text=True, timeout=120,
+                            **kwargs)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert [p.name for p in out_dir.iterdir()] == ["earlier.txt"]
+    assert (out_dir / "earlier.txt").read_text() == "kept\n"
+    return result.stderr
+
+
+def _one_write_error(stderr: str, path: Path, code: int) -> None:
+    """``stderr`` is the top-level usage and one ``cannot write`` line for ``path``."""
+    assert stderr.startswith("usage: qtiming ")
+    assert stderr.endswith(f"qtiming: error: cannot write {path}: {os.strerror(code)}\n")
+    assert stderr.count("error:") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV writer forks only where os.fork exists")
+def test_csv_writer_child_write_error_reads_like_the_parents(tmp_path):
+    # Under a 4 KiB file-size limit, a fig2 scan of 2,000 rows (one writer
+    # block, one process) and one of 3,000 rows (two blocks, the second
+    # formatted by a forked child) end in the same error.
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+    scan = ["scan", "--preset", "fig2", "--n-points"]
+    control = _failed_write(tmp_path, TWO_WRITERS, [*scan, "2000"], preexec_fn=limit_file_size)
+    _one_write_error(control, tmp_path / "scan.csv", errno.EFBIG)
+    forked = _failed_write(tmp_path, TWO_WRITERS, [*scan, "3000"], preexec_fn=limit_file_size)
+    assert forked == control
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV writer forks only where os.fork exists")
+def test_csv_writer_child_only_write_error_reads_like_the_parents(tmp_path):
+    # A full disk that only a child meets, as a full TMPDIR gives, ends like
+    # the same error met by the one process of a one-block CSV.
+    scan = ["scan", "--sigma-phi", "3.7e11", "--B", "500", "--n-min", "1", "--n-max", "100",
+            "--n-points"]
+    control = _failed_write(tmp_path, FULL_DISK_AT_THE_END, [*scan, "8"])
+    _one_write_error(control, tmp_path / "scan.csv", errno.ENOSPC)
+    forked = _failed_write(tmp_path, FULL_DISK_AT_THE_END, [*scan, "40"])
+    assert forked == control
 
 
 def test_csv_writer_without_fork_formats_in_one_process(tmp_path, monkeypatch):

@@ -305,16 +305,13 @@ class TestVerifyClosedForm:
         monkeypatch.setattr(oracle, "_trapezoid_integral", scaled)
         assert verify_closed_form(state, spectrum, paths, grid).max_rel_err > 1e-6
 
-    def test_report_serialises(self, spectrum):
+    def test_report_holds_each_grid_point(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 2)
-        report = verify_closed_form(
-            state, spectrum, pair(0.0, 0.0), self.grid_for(spectrum, 2, 0.0, points=5)
-        )
-        payload = report.to_dict()
-        assert set(payload) == {
-            "grid_fs", "closed_form_per_fs", "numeric_per_fs", "max_rel_err", "points_used",
-        }
-        assert len(payload["grid_fs"]) == 5
+        grid = self.grid_for(spectrum, 2, 0.0, points=5)
+        report = verify_closed_form(state, spectrum, pair(0.0, 0.0), grid)
+        assert report.grid == list(grid)
+        assert len(report.closed_form) == len(report.numeric) == 5
+        assert report.points_used > 0
 
 
 class TestStateFamilies:

@@ -229,10 +229,10 @@ def _write_share(fh, columns, rows: range) -> None:
 def _fork_share(columns, rows: range):
     """Format ``rows`` in a forked child into an anonymous temporary file.
 
-    Returns ``(pid, file)``.  The child never returns: it exits with status
-    0 once the file holds its rows; 1 + errno, printing nothing, after an
-    OSError with an errno, which :func:`_write_csv` raises as its own; and
-    1 after printing any other exception.
+    Returns ``(pid, file)``.  The child never returns and prints nothing: it
+    exits with status 0 once the file holds its rows, and with status 1 if
+    anything fails, which :func:`_write_csv` meets by formatting the share
+    itself.
     """
     import tempfile
 
@@ -248,15 +248,6 @@ def _fork_share(columns, rows: range):
             _write_share(tmp, columns, rows)
             tmp.flush()
             status = 0
-        except BaseException as exc:
-            # An exit status holds 0-255; 1 + errno keeps 1 for every other failure.
-            if isinstance(exc, OSError) and 0 < (exc.errno or 0) < 255:
-                status += exc.errno
-            else:
-                import traceback
-
-                traceback.print_exc()
-                sys.stderr.flush()
         finally:
             os._exit(status)
     return pid, tmp
@@ -277,13 +268,15 @@ def _write_csv(args, header: list[str], columns) -> None:
     its share into an anonymous temporary file opened before the fork.
     This process writes the header and the first share straight into the
     CSV, then waits for the children in share order and appends each one's
-    file, so the bytes are those of one serial pass.  The CSV is opened
-    first, so an unwritable path forks and removes nothing.  A child's
-    OSError is raised here for its share, so it ends like a failed write of
-    this process's own; if a child fails any other way, a RuntimeError names
-    its rows.  Either way the partial CSV is removed and no manifest is
-    written.  Only one block's strings are alive at a time in each process,
-    so memory does not grow with the grid.
+    file, so the bytes are those of one serial pass.  The children are only
+    a speed-up: when one exits with any status but 0 (a full ``TMPDIR``, a
+    signal), this process formats its share straight into the CSV in its
+    place, so a failed child costs time, not the run, and every write error
+    is the CSV's own, reported by :func:`_output`.  The CSV is opened first,
+    so an unwritable path forks and removes nothing.  If a write fails, the
+    children still formatting are killed and reaped, the partial CSV is
+    removed and no manifest is written.  Only one block's strings are alive
+    at a time in each process, so memory does not grow with the grid.
     """
     import shutil
 
@@ -300,21 +293,24 @@ def _write_csv(args, header: list[str], columns) -> None:
             fh.write((",".join(header) + "\r\n").encode())
             _write_share(fh, columns, first)
             while children:
-                rows, pid, tmp = children.pop(0)
+                # Dropped only once reaped, so an interrupted wait still kills it.
+                rows, pid, tmp = children[0]
+                status = os.waitpid(pid, 0)[1]
+                children.pop(0)
                 with tmp:
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    if status > 1:  # the child's OSError, a write error like this process's
-                        raise OSError(status - 1, os.strerror(status - 1))
-                    if status != 0:
-                        raise RuntimeError(
-                            f"CSV formatter for rows {rows.start}-{rows.stop - 1} "
-                            f"(pid {pid}) exited with status {status}")
-                    tmp.seek(0)
-                    shutil.copyfileobj(tmp, fh)
+                    if status == 0:
+                        tmp.seek(0)
+                        shutil.copyfileobj(tmp, fh)
+                    else:
+                        _write_share(fh, columns, rows)
         finally:
-            for _, pid, tmp in children:
-                tmp.close()
-                os.waitpid(pid, 0)
+            if children:
+                import signal
+
+                for _, pid, tmp in children:
+                    tmp.close()
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
     _write_manifest(args, path)
     print(f"wrote {path} ({n_rows} rows)")
 

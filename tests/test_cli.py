@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -505,51 +506,67 @@ def test_csv_writer_bytes_across_shares(tmp_path, monkeypatch, capsys, shares, r
     assert capsys.readouterr().err == ""
 
 
-FAILING_CHILD = """
-import os, sys
+# The CLI with the CSV writer in 8-row blocks over 3 processes, so that a
+# 40-row scan forks two formatter children, and with a failure patched in.
+THREE_WRITERS = """
+import errno, os, signal, sys
 from qtiming import cli
 parent = os.getpid()
 format_block = cli._format_block
-def failing_in_child(column_slices):
-    if os.getpid() != parent:
-        raise ZeroDivisionError("formatter failed in the child")
-    return format_block(column_slices)
-cli._format_block = failing_in_child
+write_share = cli._write_share
+{}
 cli._CSV_BLOCK_ROWS = 8
 cli.usable_cpus = lambda: 3
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+# Ways a formatter child can fail, none of which the parent meets.
+CHILD_FAILURES = {
+    "raises": """
+def failing_in_child(column_slices):
+    if os.getpid() != parent:
+        raise ZeroDivisionError("formatter failed in the child")
+    return format_block(column_slices)
+cli._format_block = failing_in_child
+""",
+    "is killed": """
+def killed_in_child(column_slices):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return format_block(column_slices)
+cli._format_block = killed_in_child
+""",
+    # A full TMPDIR: only a child's anonymous temporary file, whose name is
+    # its descriptor, not a path, hits it.
+    "full TMPDIR": """
+def full_temporary_disk(fh, columns, rows):
+    if not isinstance(fh.name, str):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    write_share(fh, columns, rows)
+cli._write_share = full_temporary_disk
+""",
+}
 
-def test_csv_writer_child_failure_leaves_no_csv_and_no_manifest(tmp_path):
-    (tmp_path / "earlier.txt").write_text("kept\n")
-    src = str(Path(qtiming.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+SMALL_SCAN = ["scan", "--sigma-phi", "3.7e11", "--B", "500", "--n-min", "1", "--n-max", "100",
+              "--n-points"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV writer forks only where os.fork exists")
+@pytest.mark.parametrize("failure", CHILD_FAILURES)
+def test_csv_writer_child_failure_costs_time_not_the_run(tmp_path, monkeypatch, failure):
+    # The parent formats the share of a child that failed in any way, so the
+    # run ends as a serial pass would.
     result = subprocess.run(
-        [sys.executable, "-c", FAILING_CHILD, "scan", "--sigma-phi", "3.7e11", "--B", "500",
-         "--n-min", "1", "--n-max", "100", "--n-points", "40", "--out-dir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode != 0
-    assert "formatter failed in the child" in result.stderr
-    assert "exited with status 1" in result.stderr
-    assert "wrote" not in result.stdout  # no child returned into main
-    assert [p.name for p in tmp_path.iterdir()] == ["earlier.txt"]
-
-
-def test_csv_writer_child_failure_keeps_a_symlinked_csv(tmp_path):
-    # The partial CSV is removed only while --out names the regular file
-    # the writer opened, not a symlink to it.
-    (tmp_path / "target.csv").write_text("kept\n")
-    (tmp_path / "scan.csv").symlink_to(tmp_path / "target.csv")
-    result = subprocess.run(
-        [sys.executable, "-c", FAILING_CHILD, "scan", "--sigma-phi", "3.7e11", "--B", "500",
-         "--n-min", "1", "--n-max", "100", "--n-points", "40", "--out-dir", str(tmp_path)],
+        [sys.executable, "-c", THREE_WRITERS.format(CHILD_FAILURES[failure]), *SMALL_SCAN, "40",
+         "--out-dir", str(tmp_path)],
         env=_child_env(), capture_output=True, text=True, timeout=60)
-    assert result.returncode != 0
-    assert "exited with status 1" in result.stderr
-    assert (tmp_path / "scan.csv").is_symlink()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv", "target.csv"]
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"wrote {tmp_path / 'scan.csv'} (40 rows)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv", "scan_manifest.json"]
+    tables = []
+    monkeypatch.setattr(cli, "_write_csv", lambda args, *table: tables.append(table))
+    assert run(tmp_path, *SMALL_SCAN, "40") == 0
+    assert (tmp_path / "scan.csv").read_bytes() == reference_csv(*tables[0])
 
 
 # The CLI with the CSV writer's rows split over two processes, whatever the
@@ -562,7 +579,8 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 # The share that holds the last row hits a full disk.  With 40 rows in 8-row
-# blocks over 3 CPUs that share is a forked child's; with 8 rows, one block,
+# blocks over 3 CPUs that share is a forked child's, and then the parent's,
+# which formats the share of a failed child itself; with 8 rows, one block,
 # it is the only process's.
 FULL_DISK_AT_THE_END = """
 import errno, os, sys
@@ -623,14 +641,74 @@ def test_csv_writer_child_write_error_reads_like_the_parents(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV writer forks only where os.fork exists")
 def test_csv_writer_child_only_write_error_reads_like_the_parents(tmp_path):
-    # A full disk that only a child meets, as a full TMPDIR gives, ends like
-    # the same error met by the one process of a one-block CSV.
+    # A full disk that a child's share meets, and so the parent formatting
+    # that share after it, ends like the same error met by the one process
+    # of a one-block CSV.
     scan = ["scan", "--sigma-phi", "3.7e11", "--B", "500", "--n-min", "1", "--n-max", "100",
             "--n-points"]
     control = _failed_write(tmp_path, FULL_DISK_AT_THE_END, [*scan, "8"])
     _one_write_error(control, tmp_path / "scan.csv", errno.ENOSPC)
     forked = _failed_write(tmp_path, FULL_DISK_AT_THE_END, [*scan, "40"])
     assert forked == control
+
+
+def test_csv_writer_failed_write_keeps_a_symlinked_csv(tmp_path):
+    # The partial CSV is removed only while --out names the regular file
+    # the writer opened, not a symlink to it.
+    (tmp_path / "target.csv").write_text("kept\n")
+    (tmp_path / "scan.csv").symlink_to(tmp_path / "target.csv")
+    result = subprocess.run(
+        [sys.executable, "-c", FULL_DISK_AT_THE_END, *SMALL_SCAN, "8", "--out-dir", str(tmp_path)],
+        env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    _one_write_error(result.stderr, tmp_path / "scan.csv", errno.ENOSPC)
+    assert (tmp_path / "scan.csv").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv", "target.csv"]
+
+
+# Both children name a file after their pid in the directory given as the
+# first argument, then sleep in their share; the parent's own write fails
+# once both have.
+SLEEPING_CHILDREN = """
+import time
+from pathlib import Path
+pids = Path(sys.argv.pop(1))
+def sleeping_in_child(column_slices):
+    if os.getpid() != parent:
+        (pids / str(os.getpid())).touch()
+        time.sleep(600)
+    return format_block(column_slices)
+def full_disk_in_parent(fh, columns, rows):
+    if isinstance(fh.name, str):
+        while len(list(pids.iterdir())) < 2:
+            time.sleep(0.01)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    write_share(fh, columns, rows)
+cli._format_block = sleeping_in_child
+cli._write_share = full_disk_in_parent
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV writer forks only where os.fork exists")
+def test_csv_writer_failed_write_stops_its_children(tmp_path):
+    # A failed write ends the run at once: the children still formatting
+    # are killed and reaped, not waited for.
+    pid_dir, out_dir = tmp_path / "pids", tmp_path / "out"
+    pid_dir.mkdir()
+    out_dir.mkdir()
+    try:
+        stderr = _failed_write(out_dir, THREE_WRITERS.format(SLEEPING_CHILDREN),
+                               [str(pid_dir), *SMALL_SCAN, "40"])
+        _one_write_error(stderr, out_dir / "scan.csv", errno.ENOSPC)
+        pids = [int(p.name) for p in pid_dir.iterdir()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        for p in pid_dir.iterdir():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(int(p.name), signal.SIGKILL)
 
 
 def test_csv_writer_without_fork_formats_in_one_process(tmp_path, monkeypatch):

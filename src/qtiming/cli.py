@@ -648,10 +648,9 @@ def build_parser() -> _Parser:
 def _single_threaded_blas(argv) -> None:
     """Start OpenBLAS with one thread when ``main`` runs as the program.
 
-    qtiming's BLAS work is one 4x2 least-squares fit, yet each OpenBLAS
-    copy that numpy and scipy load starts worker threads that busy-wait on
-    a CPU.  OpenBLAS reads its
-    thread count once, as it loads, so this must run before numpy does.  It
+    qtiming makes no BLAS call, yet the OpenBLAS that numpy loads starts
+    worker threads that busy-wait on a CPU.  OpenBLAS reads its thread
+    count once, as it loads, so this must run before numpy does.  It
     acts only for the program (``argv`` None: arguments from ``sys.argv``),
     only before numpy has loaded, and only if none of
     ``_BLAS_THREAD_VARIABLES`` is set.  A library import, or ``main(argv)``

@@ -1,11 +1,19 @@
 """Stochastic verification of the width laws.
 
 Streams are Philox4x64-10 counter-based generators keyed by
-``(seed, substream)``, with normal variates produced by the inverse-CDF
-transform of 53-bit uniforms in (0, 1), about (k + 1/2) * 2^-53 (see
-:func:`_normals`).  Both choices are
-deliberate: the stream is reproducible across platforms and thread
-counts, with no rejection-loop nondeterminism.  Trials are consumed in fixed-size shards of
+``(seed, substream)``, and a stream's normal variates are numpy's
+``Generator.standard_normal`` on it: the ziggurat method, which rejects
+and redraws a small share of its raw draws.  So where a normal sits in the
+raw stream depends on the draws before it, and a substream cannot be cut
+at a known counter.  It never is: one task draws each substream whole,
+from its start and in order (see below), and the ziggurat keeps no state
+between calls but the bit generator's, so a substream's normals have the
+same bits whatever thread draws them and however its draw is chunked.
+numpy promises these bits per numpy version only (NEP 19 lets
+``Generator``'s distribution algorithms change between versions), and the
+ziggurat's rare tail and wedge draws call the C library's ``log1p`` and
+``exp``, so an estimate is reproducible for the numpy version and C
+library that produced it.  Trials are consumed in fixed-size shards of
 ``SHARD_TRIALS`` trials.
 
 Both samplers run through one task engine (:func:`_sums`), which sums each
@@ -31,20 +39,15 @@ chunking nor the other photon numbers of a call changes a bit of the
 result: every row is summed whole, by the same numpy reduction, and every
 trial sees the same additions in the same order.  (Writing block 0's row
 sum gives the bits of adding it to zero, as a sampler that adds every
-block would: no variate is -0, so no row sum is.)
+block would, up to the sign of a zero row sum, which no estimate sees.)
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 import operator
-import os
 import queue
-import sys
-import threading
-import types
 from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -131,80 +134,9 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-_U_MAX = math.nextafter(1.0, 0.0)
-"""The largest uniform :func:`_normals` feeds the inverse CDF, 1 - 2^-53."""
-
-
-_NDTRI_LOCK = threading.Lock()
-
-
-class _SpecialStandIn(types.ModuleType):
-    """The bare ``scipy.special`` that :func:`_ndtri` puts in ``sys.modules`` while it loads.
-
-    The loading thread sees a plain package module.  Any other thread that
-    reads an attribute it lacks waits for the load to end, then gets the
-    attribute from the real ``scipy.special``, imported once the stand-in
-    has gone.
-    """
-
-    def __init__(self, loader: int):
-        super().__init__("scipy.special")
-        self._loader = loader
-
-    def __getattr__(self, name):
-        if threading.get_ident() == self._loader:
-            raise AttributeError(f"module 'scipy.special' has no attribute {name!r}")
-        with _NDTRI_LOCK:
-            special = importlib.import_module("scipy.special")
-        return getattr(special, name)
-
-
-@functools.cache
-def _ndtri() -> np.ufunc:
-    """scipy's compiled ``ndtri`` ufunc, loaded without ``scipy.special``'s package init.
-
-    That init loads scipy's array-API layer, which clones numpy with
-    ``numpy.f2py`` and ``numpy.testing``: 0.23-0.29 s and +19 MiB of peak
-    memory after numpy, against 0.02-0.03 s and +5.5 MiB for the compiled
-    modules alone (scipy 1.17.1).  So unless the host has imported
-    ``scipy.special`` already, a bare package module stands in for it while
-    ``scipy.special._ufuncs`` and its compiled dependencies load, and is
-    removed again, also when the load fails.  A later ``import
-    scipy.special`` runs the real init, which reuses the loaded extension,
-    so its ``ndtri`` is this object.  Pool workers may make the first draw
-    together, and two loads at once would remove each other's stand-in, so
-    a load holds the lock.  A host thread that imports ``scipy.special``
-    during the load gets the stand-in, which sends every attribute to the
-    real package once the load is done (:class:`_SpecialStandIn`).
-    """
-    with _NDTRI_LOCK:
-        special = sys.modules.get("scipy.special")
-        if special is not None:
-            return special.ndtri
-        import scipy
-
-        stub = _SpecialStandIn(threading.get_ident())
-        stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
-        sys.modules["scipy.special"] = stub
-        try:
-            return importlib.import_module("scipy.special._ufuncs").ndtri
-        finally:
-            del sys.modules["scipy.special"]
-            stub._loader = None  # thread idents are reused: from now on every thread forwards
-
-
 def _normals(gen: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """The next ``count`` standard normals of ``gen``'s stream, in ``out`` if given."""
-    # random() is k * 2^-53 for the top 53 bits k of one raw draw, the same k
-    # that integers(0, 2^53) returns.  Adding 2^-54 gives u = (k + 1/2) * 2^-53
-    # for k < 2^52.  For k >= 2^52 the sum is a float64 tie that rounds to
-    # even: u = k * 2^-53 for even k, (k + 1) * 2^-53 for odd k, so k = 2^52
-    # gives 0.5 (a normal of 0.0) and k = 2^53 - 1 gives 1.0, whose normal is
-    # inf.  The clamp moves that one u to 1 - 2^-53 and keeps every u in (0, 1).
-    values = gen.random(count, out=out)
-    values += 2.0 ** -54
-    np.minimum(values, _U_MAX, out=values)
-    return _ndtri()(values, out=values)
+    return gen.standard_normal(count, out=out)
 
 
 def _estimate(values: np.ndarray) -> WidthEstimate:

@@ -7,6 +7,7 @@ are parsed back and checked, including manifest round-trips.
 import argparse
 import contextlib
 import csv
+import decimal
 import errno
 import gc
 import hashlib
@@ -1284,8 +1285,8 @@ def _probe(code: str, **env: str) -> str:
     return result.stdout.strip().splitlines()[-1]
 
 
-# numpy serves the array paths, scipy only the samplers' normal transform,
-# and the oracle, the sampler and the pool modules only `verify`.
+# numpy serves the array paths, and the oracle, the sampler and the pool
+# modules only `verify`; no command loads scipy.
 _UNLOADED = ("numpy", "scipy", "qtiming.oracle", "qtiming.montecarlo",
              "concurrent.futures", "multiprocessing")
 
@@ -1333,111 +1334,16 @@ def test_bare_import_loads_no_submodule_and_submodules_still_resolve():
     assert _probe(probe) == "[[], 'qtiming.media', 'qtiming.oracle']"
 
 
-# What scipy.special's package init loads and the sampler's ndtri does not need.
-_SCIPY_SPECIAL_INIT = ("scipy._lib._array_api", "numpy.f2py", "numpy.testing")
-
-
-def test_first_sample_loads_only_scipys_compiled_ufuncs():
-    # The child makes the process's first draw, so it loads ndtri itself;
-    # this process imports scipy.special the public way first.
-    import scipy.special  # noqa: F401
-
-    from qtiming.distributions import TimingDistribution, TimingVariable
-    from qtiming.montecarlo import SamplerConfig, sample_quantum
-
-    call = ("sample_quantum(TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, "
-            "mean=25.0, sigma=3.5), SamplerConfig(seed=42, n_samples=40_000))")
+def test_verify_suites_load_no_scipy():
+    # The samplers draw their normals with numpy alone.
     probe = "\n".join([
-        "import json, sys",
-        "from qtiming import montecarlo",
-        "from qtiming.distributions import TimingDistribution, TimingVariable",
-        "from qtiming.montecarlo import SamplerConfig, sample_quantum",
-        f"estimate = {call}",
-        "loaded = ['scipy.special._ufuncs' in sys.modules, 'scipy.special' in sys.modules,",
-        f"          [m for m in {_SCIPY_SPECIAL_INIT!r} if m in sys.modules]]",
-        "import scipy.special",
-        "loaded.append(scipy.special.ndtri is montecarlo._ndtri())",
-        "print(json.dumps([loaded, estimate.to_dict()]))",
+        "import sys, tempfile",
+        "from qtiming import cli",
+        "with tempfile.TemporaryDirectory() as out:",
+        "    code = cli.main(['verify', '--suite', 'all', '--out-dir', out])",
+        "print([code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))])",
     ])
-    loaded, estimate = json.loads(_probe(probe))
-    assert loaded == [True, False, [], True]
-    expected = sample_quantum(
-        TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, mean=25.0, sigma=3.5),
-        SamplerConfig(seed=42, n_samples=40_000))
-    assert estimate == expected.to_dict()
-
-
-def test_concurrent_first_draws_load_ndtri_once():
-    # The sampler's pool threads can make the process's first draw together.
-    probe = "\n".join([
-        "import sys, threading",
-        "from qtiming import montecarlo",
-        "sys.setswitchinterval(1e-6)",
-        "start = threading.Barrier(4)",
-        "results, errors = [], []",
-        "def draw():",
-        "    start.wait()",
-        "    try:",
-        "        results.append(montecarlo._normals(montecarlo._generator(7, 3), 1000).tobytes())",
-        "    except Exception as exc:",
-        "        errors.append(repr(exc))",
-        "threads = [threading.Thread(target=draw) for _ in range(4)]",
-        "for thread in threads:",
-        "    thread.start()",
-        "for thread in threads:",
-        "    thread.join(timeout=60)",
-        "print([errors, any(t.is_alive() for t in threads), len(results), len(set(results)),",
-        "       'scipy.special' in sys.modules, 'scipy.special._ufuncs' in sys.modules])",
-    ])
-    assert _probe(probe) == "[[], False, 4, 1, False, True]"
-
-
-def test_host_thread_importing_during_the_load_reads_the_real_package():
-    # A host thread takes scipy.special from sys.modules while another
-    # thread's first draw loads ndtri, so it holds the stand-in.
-    probe = "\n".join([
-        "import sys, threading",
-        "from qtiming import montecarlo",
-        "sys.setswitchinterval(1e-6)",
-        "polling = threading.Event()",
-        "seen, errors = [], []",
-        "def host():",
-        "    polling.set()",
-        "    while (special := sys.modules.get('scipy.special')) is None:",
-        "        pass",
-        "    try:",
-        "        seen.extend([type(special).__name__, float(special.erf(0.5)),",
-        "                     special.ndtri is montecarlo._ndtri()])",
-        "    except Exception as exc:",
-        "        errors.append(repr(exc))",
-        "def first_draw():",
-        "    polling.wait()",
-        "    montecarlo._normals(montecarlo._generator(7, 3), 1000)",
-        "threads = [threading.Thread(target=host), threading.Thread(target=first_draw)]",
-        "for thread in threads:",
-        "    thread.start()",
-        "for thread in threads:",
-        "    thread.join(timeout=60)",
-        "import scipy.special",
-        "print([errors, seen, any(t.is_alive() for t in threads),",
-        "       scipy.special.ndtri is montecarlo._ndtri()])",
-    ])
-    assert _probe(probe) == "[[], ['_SpecialStandIn', 0.5204998778130465, True], False, True]"
-
-
-def test_failed_ndtri_load_leaves_no_stand_in():
-    probe = "\n".join([
-        "import importlib, sys",
-        "from qtiming import montecarlo",
-        "def fail(name):",
-        "    raise ImportError(name)",
-        "importlib.import_module = fail",
-        "try:",
-        "    montecarlo._ndtri()",
-        "except ImportError as exc:",
-        "    print([str(exc), 'scipy.special' in sys.modules])",
-    ])
-    assert _probe(probe) == "['scipy.special._ufuncs', False]"
+    assert _probe(probe) == "[0, []]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1638,6 +1544,21 @@ def test_closed_output_exits_1_without_traceback(tmp_path, argv, report, unbuffe
     assert (tmp_path / f"{argv[0]}_manifest.json").is_file()
 
 
+def _montecarlo_report_42(out: Path, **setting: str) -> bytes:
+    """The report bytes of a child ``verify --suite montecarlo --seed 42`` under ``setting``."""
+    env = {k: v for k, v in _child_env().items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    subprocess.run([sys.executable, "-m", "qtiming", "verify", "--suite", "montecarlo",
+                    "--seed", "42", "--out-dir", str(out)],
+                   env={**env, **setting}, capture_output=True, check=True, timeout=120)
+    return (out / "verification_report.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def montecarlo_report_42(tmp_path_factory):
+    return _montecarlo_report_42(tmp_path_factory.mktemp("default"))
+
+
 class TestVerify:
     def test_montecarlo_suite_passes_and_is_deterministic(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "--suite", "montecarlo", "--seed", "42") == 0
@@ -1646,6 +1567,74 @@ class TestVerify:
         second = json.loads((tmp_path / "verification_report.json").read_text())
         assert first["cases"] == second["cases"]
         assert first["passed"] is True
+
+    @pytest.mark.parametrize("seed,slope", [
+        (7, -0.4995564014853877), (42, -0.5002797632283944), (2718, -0.49985001017677194),
+    ])
+    def test_slope_is_the_exact_fit_rounded_once(self, monkeypatch, seed, slope):
+        from qtiming import montecarlo
+
+        widths = []
+        scaling = montecarlo.sample_classical_scaling
+
+        def recording(*args):
+            estimates = scaling(*args)
+            widths.extend(estimate.sigma_hat for estimate in estimates)
+            return estimates
+
+        monkeypatch.setattr(montecarlo, "sample_classical_scaling", recording)
+        case = verify._montecarlo_suite(seed)[0]
+        # log10 N is 0, 1, 2 and 3 for N = 1, 10, 100 and 1000, so the
+        # least-squares slope is (-3 y0 - y1 + y2 + 3 y3) / 10.
+        with decimal.localcontext() as context:
+            context.prec = 60
+            y = [decimal.Decimal(width).log10() for width in widths]
+            exact = (-3 * y[0] - y[1] + y[2] + 3 * y[3]) / 10
+        assert case["name"] == "classical-averaging-slope"
+        assert case["slope"] == float(exact) == slope
+
+    @pytest.mark.parametrize("setting", [
+        # The slope used to come from LAPACK on the OpenBLAS kernel the CPU
+        # selects; this kernel moved it by an ulp at seed 42.
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        # numpy's SIMD loops without AVX-512, where the CPU has it.
+        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+    ], ids=["openblas-haswell", "numpy-without-avx512"])
+    def test_montecarlo_report_does_not_depend_on_the_cpu_path(
+            self, tmp_path, montecarlo_report_42, setting):
+        assert _montecarlo_report_42(tmp_path, **setting) == montecarlo_report_42
+
+    @pytest.mark.parametrize("defect", ["width", "mean", "nondeterministic"])
+    def test_quantum_cases_fail_a_defective_sampler(self, monkeypatch, defect):
+        from qtiming import montecarlo
+        from qtiming.distributions import TimingDistribution
+
+        sample_quantum = montecarlo.sample_quantum
+        calls = []
+
+        def defective(dist, cfg):
+            calls.append(cfg)
+            # 1 % of the width and 0.05 fs of the mean are each ~7.5 SE at
+            # the case's 280,000 trials.
+            mean, sigma = dist.mean, dist.sigma
+            if defect == "width":
+                sigma *= 1.01
+            elif defect == "mean":
+                mean += 0.05
+            else:
+                mean += 1e-9 * len(calls)
+            return sample_quantum(TimingDistribution(dist.variable, mean=mean, sigma=sigma), cfg)
+
+        monkeypatch.setattr(montecarlo, "sample_quantum", defective)
+        monkeypatch.setattr(montecarlo, "sample_classical_scaling",
+                            lambda *args: [montecarlo.WidthEstimate(10 ** -(k / 2), 0.0, 100, 0.0, 0.0)
+                                           for k in range(4)])
+        cases = {case["name"]: case for case in verify._montecarlo_suite(7)}
+        failed = {"width": "quantum-sampler-consistency", "mean": "quantum-sampler-consistency",
+                  "nondeterministic": "determinism-per-seed"}[defect]
+        assert [name for name, case in cases.items() if not case["passed"]] == [failed]
+        consistency = cases["quantum-sampler-consistency"]
+        assert (consistency["tolerance_se"], consistency["estimate"]["n_samples"]) == (5.0, 280_000)
 
     def test_tiny_budget_surfaces_convergence_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_POINTS", 120)

@@ -1,20 +1,22 @@
 """Stochastic verification of the width laws.
 
-Streams are Philox4x64-10 counter-based generators keyed by
-``(seed, substream)``, and a stream's normal variates are numpy's
-``Generator.standard_normal`` on it: the ziggurat method, which rejects
-and redraws a small share of its raw draws.  So where a normal sits in the
-raw stream depends on the draws before it, and a substream cannot be cut
-at a known counter.  It never is: one task draws each substream whole,
-from its start and in order (see below), and the ziggurat keeps no state
-between calls but the bit generator's, so a substream's normals have the
-same bits whatever thread draws them and however its draw is chunked.
-numpy promises these bits per numpy version only (NEP 19 lets
-``Generator``'s distribution algorithms change between versions), and the
-ziggurat's rare tail and wedge draws call the C library's ``log1p`` and
-``exp``, so an estimate is reproducible for the numpy version and C
-library that produced it.  Trials are consumed in fixed-size shards of
-``SHARD_TRIALS`` trials.
+Each ``(seed, substream)`` stream is SFC64 seeded by
+``SeedSequence(seed, spawn_key=(substream,))``.  SeedSequence splits both
+integers into 32-bit words and pads the seed's to four before the
+substream's follow, so distinct keys give it distinct word lists to hash.
+A stream's normal variates are numpy's ``Generator.standard_normal`` on
+it: the ziggurat method, which rejects and redraws a small share of its
+raw draws.  So where a normal sits in the raw stream depends on the draws
+before it, and a substream cannot be cut at a known position.  It never
+is: one task draws each substream whole, from its start and in order (see
+below), and the ziggurat keeps no state between calls but the bit
+generator's, so a substream's normals have the same bits whatever thread
+draws them and however its draw is chunked.  numpy promises these bits
+per numpy version only (NEP 19 lets ``Generator``'s distribution
+algorithms change between versions), and the ziggurat's rare tail and
+wedge draws call the C library's ``log1p`` and ``exp``, so an estimate is
+reproducible for the numpy version and C library that produced it.
+Trials are consumed in fixed-size shards of ``SHARD_TRIALS`` trials.
 
 Both samplers run through one task engine (:func:`_sums`), which sums each
 trial's N normals from one stream domain: domain 0 for the quantum sampler,
@@ -131,7 +133,7 @@ def _stream_id(domain: int, shard: int, block: int = 0) -> int:
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
     """The generator of the (seed, stream) substream, at its start."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
 def _normals(gen: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -57,7 +57,7 @@ from enum import Enum
 from ._record import record
 from .constants import _check_bandwidth, _check_finite, _finite_or_raise
 from .errors import DomainError
-from .media import PathPair
+from .media import MediumSegment, PathPair
 from .spectral import GaussianSpectrum
 
 __all__ = [
@@ -94,7 +94,10 @@ class TimingVariable(Enum):
 
     MEAN_TIME_DIFFERENCE = "difference"   # mean arrival time, detector 1 minus 2
     MEAN_TIME_SUM = "sum"                 # sum of the two mean arrival times
-    GATED_POSITION_TIME_DIFFERENCE = "gated-difference"  # fixed gate times, positions resolved
+    # Fixed gate times, positions resolved: the same observables at the mean
+    # detection positions, the sum for correlated states.
+    GATED_POSITION_TIME_DIFFERENCE = "gated-difference"
+    GATED_POSITION_TIME_SUM = "gated-sum"
 
 
 @record
@@ -309,12 +312,15 @@ def gated_detector_distribution(
     """Gaussian law for thick, position-resolving detectors gated in time.
 
     With both detectors gated on at fixed times for an interval much
-    shorter than 1/(N omega0) (a documented assumption, not checked
-    numerically), the detected mean *positions* take over the role of the
-    path lengths: each path must consist of a single homogeneous medium,
-    whose per-cm coefficients are evaluated at the mean detection positions
-    ``mean_position1_cm`` / ``mean_position2_cm`` instead of the segment
-    lengths.  The width formula is unchanged.
+    shorter than 1/(N omega0) (an assumption that no numerical check here
+    tests), the detected mean *positions* take over the role of the path
+    lengths: each path must consist of a single homogeneous medium, and
+    the law is the time-domain law, :func:`quantum_distribution`, with each
+    medium's length set to its mean detection position
+    ``mean_position1_cm`` / ``mean_position2_cm``.  So anti-correlated and coherent states localise
+    the gated difference, with mean alpha1*x1 - alpha2*x2, and correlated
+    states the gated sum, with mean alpha1*x1 + alpha2*x2; the width is the
+    time-domain law's at beta1*x1 + beta2*x2.
     """
     if len(paths.path1) != 1 or len(paths.path2) != 1:
         raise DomainError(
@@ -323,17 +329,14 @@ def gated_detector_distribution(
         )
     if not (0 <= mean_position1_cm < math.inf and 0 <= mean_position2_cm < math.inf):
         raise DomainError("mean detection positions must be finite and >= 0")
-    medium1 = paths.path1[0]
-    medium2 = paths.path2[0]
-    gdd_sum = medium1.beta * mean_position1_cm + medium2.beta * mean_position2_cm
-    sigma = quantum_width(spectrum.sigma_phi, state.n_photons, gdd_sum)
-    mean = medium1.alpha * mean_position1_cm - medium2.alpha * mean_position2_cm
-    return TimingDistribution(
-        variable=TimingVariable.GATED_POSITION_TIME_DIFFERENCE,
-        mean=mean,
-        sigma=sigma,
-        amplitude_scale=_coherent_scale(state, 2.0 * state.n_photons),
+    (medium1,), (medium2,) = paths.path1, paths.path2
+    at_positions = PathPair(
+        [MediumSegment(medium1.label, medium1.alpha, medium1.beta, mean_position1_cm)],
+        [MediumSegment(medium2.label, medium2.alpha, medium2.beta, mean_position2_cm)],
     )
+    dist = quantum_distribution(state, spectrum, at_positions)
+    return TimingDistribution(TimingVariable(f"gated-{dist.variable.value}"), dist.mean,
+                              dist.sigma, dist.amplitude_scale)
 
 
 def quantum_classical_ratio(

@@ -71,8 +71,10 @@ SHARD_TRIALS = 1 << 15
 MAX_PHOTONS_PER_TRIAL = 1_000_000
 _DRAW_BLOCK = 4_000_000  # cap on variates per (shard, block) substream
 # Variates drawn at once within a task: 1 MiB, inside a core's L2 cache.
-# Each chunk takes the GIL four times; at 2^15, on a 2-vCPU Xeon, the two
-# workers slept about twice as long waiting for it, at the same CPU time.
+# A chunk is one standard_normal(out=) call and one row sum per width.  In
+# the suite's classical call on a 2-vCPU Xeon, each of the two workers slept
+# a median 10.8 ms of its ~0.6 s at 2^15 and 9.4 ms at 2^17 (its schedstat,
+# 5 alternating runs each): the chunk size barely changes the GIL waits.
 _CHUNK_NORMALS = 1 << 17
 
 

@@ -906,6 +906,29 @@ class TestGatedDetectorDistribution:
         with pytest.raises(DomainError, match="^mean detection positions must be finite and >= 0$"):
             gated_detector_distribution(state, spectrum, pair(1.0, 1.0), *positions)
 
+    @pytest.mark.parametrize("state_args", [(StateKind.ANTI_CORRELATED_FOCK,),
+                                            (StateKind.CORRELATED_FOCK,),
+                                            (StateKind.ENTANGLED_COHERENT, 1.2, 0.8)])
+    @pytest.mark.parametrize("n", [1, 4, 100])
+    @pytest.mark.parametrize("betas", [(3.61e4, -2.5e3), (-1.2e3, 4.4e4)])
+    def test_law_matches_the_oracle_at_the_detection_positions(self, spectrum, state_args, n,
+                                                               betas):
+        # Unequal alphas and positions separate the sum (242,000 fs) from the difference
+        # (-46,000 fs); the correlated state's observable is the sum.
+        kind, *magnitudes = state_args
+        state = StateSpec(kind, n, *magnitudes)
+        (alpha1, beta1, x1), (alpha2, beta2, x2) = (4.9e4, betas[0], 2.0), (4.8e4, betas[1], 3.0)
+        paths = PathPair([MediumSegment("m1", alpha1, beta1, 1.0)],
+                         [MediumSegment("m2", alpha2, beta2, 1.0)])
+        dist = gated_detector_distribution(state, spectrum, paths, x1, x2)
+        mean, sigma = numeric_moments(state, spectrum, PathPair(
+            [MediumSegment("m1", alpha1, beta1, x1)], [MediumSegment("m2", alpha2, beta2, x2)]))
+        correlated = kind is StateKind.CORRELATED_FOCK
+        assert dist.variable is (TimingVariable.GATED_POSITION_TIME_SUM if correlated
+                                 else TimingVariable.GATED_POSITION_TIME_DIFFERENCE)
+        assert dist.mean == pytest.approx(mean, rel=1e-12, abs=1e-12 * sigma)
+        assert dist.sigma == pytest.approx(sigma, rel=1e-12)
+
 
 class TestQuantumClassicalRatio:
     def test_dispersion_free_value(self, spectrum):

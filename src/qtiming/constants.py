@@ -88,8 +88,8 @@ def _finite_or_raise(result, law: str, sigma_phi: float | None, positive=True, *
                   for name, value in inputs.items()}
     named = [f"sigma_phi = {sigma_phi:g} rad/fs"] if sigma_phi is not None else []
     named += [f"{name} = {value:g}" for name, value in inputs.items()]
-    raise DomainError(f"{law} {'overflows' if overflowed else 'underflows'} float64 "
-                      f"at {', '.join(named)}")
+    where = f" at {', '.join(named)}" if named else ""
+    raise DomainError(f"{law} {'overflows' if overflowed else 'underflows'} float64{where}")
 
 
 def _two_pi_c_over(value: float, name: str, unit: str) -> float:

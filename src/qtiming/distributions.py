@@ -84,9 +84,21 @@ impose their own, much smaller caps."""
 
 
 class StateKind(Enum):
+    """An entangled state family, defined by the sign s of arm 2's detuning.
+
+    Arm 1 carries its N photons at omega0 + nu and arm 2 at omega0 + s nu
+    (``_ARM2_SIGN``): s = -1 for the anti-correlated and coherent states,
+    +1 for the correlated one.  So the collective observable is t1 + s t2,
+    its mean sum_k s_k alpha_k x_k and its GDD sum_k s_k^2 beta_k x_k.
+    """
+
     ANTI_CORRELATED_FOCK = "anti"
     CORRELATED_FOCK = "corr"
     ENTANGLED_COHERENT = "coherent"
+
+
+_ARM2_SIGN = {StateKind.ANTI_CORRELATED_FOCK: -1.0, StateKind.CORRELATED_FOCK: 1.0,
+              StateKind.ENTANGLED_COHERENT: -1.0}
 
 
 class TimingVariable(Enum):
@@ -285,20 +297,18 @@ def quantum_distribution(
 ) -> TimingDistribution:
     """Gaussian law of the collective observable for a state and media pair.
 
-    Anti-correlated and coherent states localise the *difference* of the
-    two mean detection times, with mean delay1 - delay2; correlated states
-    localise the *sum*, with mean delay1 + delay2.  The width is the same
-    for all three families.  Means follow the path1-minus-path2 convention
-    for difference variables.
+    The state's arm sign s (see :class:`StateKind`) decides the observable,
+    t1 + s t2: the *sum* of the two mean detection times for correlated
+    states (s = +1), their *difference*, path 1 minus path 2, for
+    anti-correlated and coherent states (s = -1).  Its mean is
+    delay1 + s delay2, and its width is the same for all three families,
+    at the GDD gdd1 + s^2 gdd2 = gdd1 + gdd2.
     """
     delay1, gdd1, delay2, gdd2 = paths.coefficients()
+    sign = _ARM2_SIGN[state.kind]
     sigma = quantum_width(spectrum.sigma_phi, state.n_photons, gdd1 + gdd2)
-
-    if state.kind is StateKind.CORRELATED_FOCK:
-        variable, mean = TimingVariable.MEAN_TIME_SUM, delay1 + delay2
-    else:
-        variable, mean = TimingVariable.MEAN_TIME_DIFFERENCE, delay1 - delay2
-    return TimingDistribution(variable=variable, mean=mean, sigma=sigma,
+    variable = TimingVariable.MEAN_TIME_SUM if sign > 0 else TimingVariable.MEAN_TIME_DIFFERENCE
+    return TimingDistribution(variable=variable, mean=delay1 + sign * delay2, sigma=sigma,
                               amplitude_scale=_coherent_scale(state, 2.0 * state.n_photons))
 
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from ._cpus import usable_cpus as _thread_count
 from ._record import record
-from .constants import _check_finite
+from .constants import _check_finite, _finite_or_raise
 from .distributions import TimingDistribution
 from .errors import DomainError
 
@@ -144,13 +144,16 @@ def _normals(gen: np.random.Generator, count: int, out: np.ndarray | None = None
 
 
 def _estimate(values: np.ndarray) -> WidthEstimate:
+    """The width and mean of ``values``; DomainError where either leaves float64."""
     n = values.size
-    sigma_hat = float(np.std(values, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_hat = _finite_or_raise(float(np.std(values, ddof=1)), "sample width", None)
+        mean_hat = _finite_or_raise(float(np.mean(values)), "sample mean", None, positive=False)
     return WidthEstimate(
         sigma_hat=sigma_hat,
         standard_error=sigma_hat / math.sqrt(2.0 * (n - 1)),
         n_samples=n,
-        mean_hat=float(np.mean(values)),
+        mean_hat=mean_hat,
         mean_standard_error=sigma_hat / math.sqrt(n),
     )
 
@@ -167,8 +170,9 @@ def sample_quantum(dist: TimingDistribution, cfg: SamplerConfig) -> WidthEstimat
         raise DomainError(f"sample_quantum draws one normal per trial: n_photons must be 1, "
                           f"got {cfg.n_photons}; the photon number enters through dist")
     values = _sums(cfg.seed, 0, cfg.n_samples, [1])[1]
-    values *= dist.sigma
-    values += dist.mean
+    with np.errstate(over="ignore", invalid="ignore"):  # _estimate names what overflows
+        values *= dist.sigma
+        values += dist.mean
     return _estimate(values)
 
 
@@ -300,8 +304,9 @@ def sample_classical_scaling(sigma_t: float, seed: int, n_samples: int,
         SamplerConfig(seed=seed, n_samples=n_samples, n_photons=n)
     estimates = {}
     for n, values in _sums(seed, 1, n_samples, list(dict.fromkeys(photon_numbers))).items():
-        values *= sigma_t
-        values /= n
+        with np.errstate(over="ignore", invalid="ignore"):  # _estimate names what overflows
+            values *= sigma_t
+            values /= n
         estimates[n] = _estimate(values)
     return [estimates[n] for n in photon_numbers]
 

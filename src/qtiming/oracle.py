@@ -6,11 +6,17 @@ detuning/sigma_phi it reads
 
     I(b, z) = integral over [-H, H] of exp(-u^2/2 + i(b u^2 - z u)) du
 
-with b = N * gdd_sum * sigma_phi^2 (dimensionless dispersion phase),
-z = N * sigma_phi * (tau - mean offset) and the fixed window H = 10
-(``_HALF_WIDTH``; the envelope beyond it is below 2e-22).  This module
-sums the raw integrand *before* any completing-the-square step, so it can
-confirm or refute the closed forms independently.
+with b the dimensionless dispersion phase, z = N * sigma_phi * (tau -
+mean) and the fixed window H = 10 (``_HALF_WIDTH``; the envelope beyond it
+is below 2e-22).  Each case follows from the state's arm signs alone (see
+:class:`~qtiming.distributions.StateKind`): arm k carries its N photons at
+omega0 + s_k nu, with s_1 = +1 and s_2 = -1 for anti-correlated and
+coherent states, +1 for correlated ones.  So the observable tau is
+t1 + s_2 t2, its mean is sum_k s_k alpha_k x_k, and b = N sigma_phi^2
+sum_k s_k^2 beta_k x_k; the oracle never takes the closed form's choice of
+observable, mean or GDD.  This module sums the raw integrand *before* any
+completing-the-square step, so it can confirm or refute the closed forms
+independently.
 
 Rule: the integrand is entire and damped like exp(-u^2/2), so the uniform
 trapezoid rule on the nodes u_k = k h, |u_k| <= H, converges geometrically
@@ -60,7 +66,7 @@ import numpy as np
 
 from ._record import record
 from .constants import _check_finite
-from .distributions import StateKind, StateSpec, _coherent_scale, density_at, quantum_distribution
+from .distributions import _ARM2_SIGN, StateSpec, _coherent_scale, density_at, quantum_distribution
 from .errors import ConvergenceError, DomainError
 from .media import PathPair
 from .spectral import GaussianSpectrum
@@ -211,16 +217,21 @@ def _plancherel_moments(b: float, order: int) -> tuple[float, np.ndarray]:
 
 def _case_geometry(
     state: StateSpec, spectrum: GaussianSpectrum, paths: PathPair
-) -> tuple[float, float]:
-    """(b, mean) of one case, computed once and shared by every tau.
+) -> tuple[float, float, float]:
+    """(b, mean, scale) of one case, computed once and shared by every tau.
 
-    ``mean`` is the oracle's own choice of the linear offset (delay sum for
-    correlated states, difference otherwise), not the closed form's.
+    Derived from the state's arm signs alone: arm k carries its N photons
+    at omega0 + s_k nu, with s_1 = +1 and s_2 the state's sign, so the
+    phase N sum_k k_k(omega0 + s_k nu) x_k, expanded to second order in
+    nu, has the linear coefficient N (delay1 + s delay2) and the quadratic
+    one N (gdd1 + s^2 gdd2) / 2.  Hence b = N (gdd1 + s^2 gdd2) sigma_phi^2,
+    the mean of the observable t1 + s t2 is delay1 + s delay2, and an
+    observable value tau sits at z = scale (tau - mean), scale = N sigma_phi.
     """
     delay1, gdd1, delay2, gdd2 = paths.coefficients()
-    b = state.n_photons * (gdd1 + gdd2) * spectrum.sigma_phi**2
-    mean = delay1 + delay2 if state.kind is StateKind.CORRELATED_FOCK else delay1 - delay2
-    return b, mean
+    sign = _ARM2_SIGN[state.kind]
+    b = state.n_photons * (gdd1 + sign * sign * gdd2) * spectrum.sigma_phi**2
+    return b, delay1 + sign * delay2, state.n_photons * spectrum.sigma_phi
 
 
 def amplitude_numeric(
@@ -231,15 +242,16 @@ def amplitude_numeric(
 ) -> complex:
     """Detection amplitude at observable value ``tau`` (fs), by quadrature.
 
-    For anti-correlated and coherent states ``tau`` is the difference of
-    mean detection times; for correlated states it is their sum.  The
+    ``tau`` is a value of the observable t1 + s t2 of the state's arm sign
+    s: the difference of the mean detection times for anti-correlated and
+    coherent states (s = -1), their sum for correlated ones (s = +1).  The
+    integral's dispersion phase is b = N (gdd1 + s^2 gdd2) sigma_phi^2.  The
     1/N! prefactor is dropped; the coherent magnitude factor |v|^N |u|^N
     is included.
     """
-    b, mean = _case_geometry(state, spectrum, paths)
-    sigma_phi = spectrum.sigma_phi
-    values, _, _ = _trapezoid_integral(b, np.array([state.n_photons * sigma_phi * (tau - mean)]))
-    return _coherent_scale(state, state.n_photons) * (sigma_phi * complex(values[0]))
+    b, mean, scale = _case_geometry(state, spectrum, paths)
+    values, _, _ = _trapezoid_integral(b, np.array([scale * (tau - mean)]))
+    return _coherent_scale(state, state.n_photons) * (spectrum.sigma_phi * complex(values[0]))
 
 
 def verify_closed_form(
@@ -273,8 +285,7 @@ def verify_closed_form(
     dist = quantum_distribution(state, spectrum, paths)
     closed = np.asarray(density_at(dist, grid))
 
-    b, mean = _case_geometry(state, spectrum, paths)
-    scale = state.n_photons * spectrum.sigma_phi
+    b, mean, scale = _case_geometry(state, spectrum, paths)
     values, _, points = _trapezoid_integral(b, scale * (grid - mean))
     _, moments = _plancherel_moments(b, 0)
     numeric = scale * np.abs(values) ** 2 / moments[0]
@@ -301,8 +312,7 @@ def _central_moment(
     order: int,
 ) -> tuple[float, float]:
     """(mean, central moment of the given order) of the numeric density, in fs."""
-    b, offset = _case_geometry(state, spectrum, paths)
-    scale = state.n_photons * spectrum.sigma_phi
+    b, offset, scale = _case_geometry(state, spectrum, paths)
     centre, moments = _plancherel_moments(b, order)
     return offset + centre / scale, float(moments[order] / moments[0]) / scale**order
 
@@ -329,7 +339,7 @@ def numeric_central_moment(
     paths: PathPair,
     order: int,
 ) -> float:
-    """Central moment of the numeric density of the given order."""
-    if not isinstance(order, numbers.Integral) or order < 0:
+    """Central moment of the numeric density of the given order, a non-negative int (not a bool)."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
         raise DomainError(f"order must be a non-negative integer, got {order!r}")
     return _central_moment(state, spectrum, paths, order)[1]

@@ -71,6 +71,17 @@ class TestSampleQuantum:
                 hits += 1
         assert hits >= 99
 
+    @pytest.mark.parametrize("sigma,mean,match", [
+        (1e308, 0.0, "sample width overflows"),
+        (1e300, 1e308, "sample width overflows"),
+        (1e-320, 0.0, "sample width underflows"),
+    ], ids=["width-overflow", "mean-overflow", "width-underflow"])
+    def test_estimate_beyond_float64_is_domain_error(self, sigma, mean, match):
+        # Each would warn (an error under the suite's filters), or give an
+        # infinite or zero estimate, without the samplers' own check.
+        with pytest.raises(DomainError, match=match):
+            sample_quantum(dist(mean=mean, sigma=sigma), SamplerConfig(seed=1, n_samples=1000))
+
     @pytest.mark.parametrize("n_photons", [2, 1000])
     def test_photon_number_other_than_one_rejected(self, n_photons):
         # dist already describes the N-photon observable; a trial is one normal.
@@ -332,6 +343,15 @@ def test_scaling_rejects_bad_photon_numbers(numbers):
 def test_scaling_rejects_non_finite_width(sigma_t):
     with pytest.raises(DomainError):
         sample_classical_scaling(sigma_t, 1, 1000, (1,))
+
+
+@pytest.mark.parametrize("sigma_t,match", [
+    (1e308, "sample width overflows"),
+    (1e-320, "sample width underflows"),
+], ids=["overflow", "underflow"])
+def test_scaling_estimate_beyond_float64_is_domain_error(sigma_t, match):
+    with pytest.raises(DomainError, match=match):
+        sample_classical_scaling(sigma_t, 1, 1000, (1, 10))
 
 
 def test_quantum_exceeds_classical_beyond_transition():

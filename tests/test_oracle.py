@@ -10,7 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from qtiming.distributions import StateKind, StateSpec, quantum_distribution, quantum_width
+from qtiming.distributions import (
+    StateKind,
+    StateSpec,
+    TimingDistribution,
+    TimingVariable,
+    quantum_distribution,
+    quantum_width,
+)
 from qtiming.errors import ConvergenceError, DomainError
 from qtiming.media import MediumSegment, PathPair, catalog_segment
 from qtiming import oracle
@@ -339,6 +346,65 @@ class TestStateFamilies:
         assert self.verify(state, spectrum) == self.verify(state, spectrum)
 
 
+def width_from_gdd_difference(state, spectrum, paths):
+    """The closed form with the arms' GDDs combined as gdd1 - gdd2."""
+    dist = quantum_distribution(state, spectrum, paths)
+    _, gdd1, _, gdd2 = paths.coefficients()
+    sigma = quantum_width(spectrum.sigma_phi, state.n_photons, gdd1 - gdd2)
+    return TimingDistribution(dist.variable, dist.mean, sigma, dist.amplitude_scale)
+
+
+def swapped_means(state, spectrum, paths):
+    """The closed form with the sum's and the difference's means swapped."""
+    dist = quantum_distribution(state, spectrum, paths)
+    delay1, _, delay2, _ = paths.coefficients()
+    summed = dist.variable is TimingVariable.MEAN_TIME_SUM
+    mean = delay1 - delay2 if summed else delay1 + delay2
+    return TimingDistribution(dist.variable, mean, dist.sigma, dist.amplitude_scale)
+
+
+class TestAsymmetricArms:
+    """Unequal delays and GDDs of opposite sign in the two arms.
+
+    Path 1 is 1 cm of alpha = 40 fs/cm, beta = +6e4 fs^2/cm, path 2 is 1 cm
+    of alpha = 15 fs/cm, beta = -2e4 fs^2/cm.  Only the arm-sign rule
+    (observable t1 + s t2, GDD gdd1 + s^2 gdd2) passes: a closed form that
+    combines the GDDs as gdd1 - gdd2, or swaps the sum's and the
+    difference's means, fails every case.
+    """
+
+    TOLERANCE = 1e-6
+    PATHS = pair(6e4, -2e4, delay1=40.0, delay2=15.0)
+    STATES = [StateSpec(kind, n, *((1.2, 0.8) if kind is StateKind.ENTANGLED_COHERENT else ()))
+              for kind in StateKind for n in (1, 10, 100)]
+    IDS = [f"{state.kind.value}-N{state.n_photons}" for state in STATES]
+
+    def misfits(self, state, spectrum):
+        """Relative misfits of ``oracle.quantum_distribution`` against the oracle.
+
+        The density's largest relative error on a 41-point grid of mean +-
+        5 sigma, and the numeric mean's and width's distances from the
+        closed form's, in units of its sigma.
+        """
+        dist = oracle.quantum_distribution(state, spectrum, self.PATHS)
+        grid = np.linspace(dist.mean - 5.0 * dist.sigma, dist.mean + 5.0 * dist.sigma, 41)
+        report = verify_closed_form(state, spectrum, self.PATHS, grid)
+        mean, sigma = numeric_moments(state, spectrum, self.PATHS)
+        return report.max_rel_err, abs(mean - dist.mean) / dist.sigma, abs(sigma / dist.sigma - 1.0)
+
+    @pytest.mark.parametrize("state", STATES, ids=IDS)
+    def test_closed_form_passes(self, spectrum, state):
+        assert max(self.misfits(state, spectrum)) < self.TOLERANCE
+
+    @pytest.mark.parametrize("mutant", [width_from_gdd_difference, swapped_means])
+    @pytest.mark.parametrize("state", STATES, ids=IDS)
+    def test_mutated_arm_rule_fails(self, spectrum, state, mutant, monkeypatch):
+        monkeypatch.setattr(oracle, "quantum_distribution", mutant)
+        density, mean, width = self.misfits(state, spectrum)
+        assert density > self.TOLERANCE
+        assert max(mean, width) > self.TOLERANCE
+
+
 class TestNumericMoments:
     def test_width_without_dispersion(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 5)
@@ -366,7 +432,7 @@ class TestNumericMoments:
         _, sigma = numeric_moments(state, spectrum, paths)
         assert abs(third) < 1e-8 * sigma**3
 
-    @pytest.mark.parametrize("order", [-1, 2.5, 2.0, "2"])
+    @pytest.mark.parametrize("order", [-1, 2.5, 2.0, "2", True, False])
     def test_invalid_order_rejected(self, spectrum, order):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 5)
         with pytest.raises(DomainError, match="order"):

@@ -337,11 +337,9 @@ def beta_from_index(
     raised instead of returning digits that are not there.  The built-in air
     formulas need no difference: :func:`air_dispersion_coefficient` is exact.
     """
-    if omega0 <= 0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
+    _check_finite(positive=True, omega0=omega0)
     h = 1e-3 * omega0 if step is None else float(step)
-    if h <= 0:
-        raise DomainError(f"step must be positive, got {h}")
+    _check_finite(positive=True, step=h)
 
     # Differencing n against its carrier value preserves the curvature of
     # omega*n (the dropped term is linear in omega) while making constant

@@ -31,12 +31,15 @@ far as its widest width needs, and sums each trial's row at every width
 it is read at.  Each substream is one task for a thread pool sized to the
 CPUs this process may use.  The task draws the substream from its start
 in chunks of whole rows at the widest width, about ``_CHUNK_NORMALS``
-variates (1 MiB, inside a core's L2 cache), into one of the draw buffers
-the call allocates once per thread.  A narrower row that a chunk's end
-cuts keeps a copy of its head, and the next chunk completes it as one
-contiguous row (:func:`_block_row_sums`).  Block 0's row sums go straight
-into each N's trial sums, as their first terms; the engine adds later
-blocks' row sums into them in block order.  Neither the thread count, the
+variates (1 MiB, inside a core's L2 cache), into its worker's one draw
+buffer, which the worker allocates on its first task and which is freed
+with the pool.  A narrower row that a chunk's end cuts keeps a copy of
+its head, and the next chunk completes it as one contiguous row
+(:func:`_block_row_sums`).  Block 0's row sums go straight into each N's
+trial sums, as their first terms.  One loop submits the tasks in order
+and, once ``2 * threads`` are in flight, merges the oldest, then drains
+the rest: it adds later blocks' row sums into the trial sums in
+submission order, which is block order.  Neither the thread count, the
 chunking nor the other photon numbers of a call changes a bit of the
 result: every row is summed whole, by the same numpy reduction, and every
 trial sees the same additions in the same order.  (Writing block 0's row
@@ -46,10 +49,10 @@ block would, up to the sign of a zero row sum, which no estimate sees.)
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import operator
-import queue
+import threading
 from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -144,11 +147,22 @@ def _normals(gen: np.random.Generator, count: int, out: np.ndarray | None = None
 
 
 def _estimate(values: np.ndarray) -> WidthEstimate:
-    """The width and mean of ``values``; DomainError where either leaves float64."""
+    """The width and mean of ``values``; DomainError where either leaves float64.
+
+    ``np.std`` and ``np.mean`` sum before they divide, so finite values near
+    the top of float64 can overflow them.  Only there are both taken again,
+    on the values scaled by an exact power of two, and scaled back.
+    """
     n = values.size
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma_hat = _finite_or_raise(float(np.std(values, ddof=1)), "sample width", None)
-        mean_hat = _finite_or_raise(float(np.mean(values)), "sample mean", None, positive=False)
+        sigma_hat, mean_hat = np.std(values, ddof=1), np.mean(values)
+        if not np.isfinite([sigma_hat, mean_hat]).all() and np.isfinite(values).all():
+            exponent = math.frexp(np.abs(values).max())[1]
+            scaled = np.ldexp(values, -exponent)
+            sigma_hat = np.ldexp(np.std(scaled, ddof=1), exponent)
+            mean_hat = np.ldexp(np.mean(scaled), exponent)
+        sigma_hat = _finite_or_raise(float(sigma_hat), "sample width", None)
+        mean_hat = _finite_or_raise(float(mean_hat), "sample mean", None, positive=False)
     return WidthEstimate(
         sigma_hat=sigma_hat,
         standard_error=sigma_hat / math.sqrt(2.0 * (n - 1)),
@@ -176,22 +190,6 @@ def sample_quantum(dist: TimingDistribution, cfg: SamplerConfig) -> WidthEstimat
     return _estimate(values)
 
 
-def _in_order(pool: ThreadPoolExecutor, fn, tasks, window: int):
-    """Yield ``(key, fn(*args))`` for each ``(key, args)`` of ``tasks``, in task order.
-
-    At most ``window`` tasks are in flight, and none is held longer.
-    """
-    pending = deque()
-    for key, args in tasks:
-        pending.append((key, pool.submit(fn, *args)))
-        if len(pending) >= window:
-            key, future = pending.popleft()
-            yield key, future.result()
-    while pending:
-        key, future = pending.popleft()
-        yield key, future.result()
-
-
 def _tasks(domain: int, n_samples: int, photon_numbers):
     """``(block, stream, trials, targets)`` for each substream of ``domain``, in merge order.
 
@@ -213,75 +211,80 @@ def _tasks(domain: int, n_samples: int, photon_numbers):
             yield block, stream, trials, sorted(users.items(), reverse=True)
 
 
-def _block_row_sums(buffers: queue.SimpleQueue, seed: int, stream: int,
+def _block_row_sums(buf: np.ndarray, seed: int, stream: int,
                     outs: list[tuple[int, np.ndarray]]) -> None:
     """Row sums of substream ``stream`` at several widths, from one draw.
 
     ``outs`` lists ``(width, out)`` pairs, widest first, with outs of one
     size: ``out`` receives the sums of the first ``out.size`` rows at
     ``width``.  The call draws those rows at the widest width from the
-    start of the substream, in chunks of whole rows at that width, into a
-    buffer of at least ``max(_CHUNK_NORMALS, widest)`` floats, held from
-    ``buffers`` for the length of the call.  A narrower row that a chunk's
-    end cuts keeps a copy of its head, and the next chunk completes it, so
-    every row is summed whole.
+    start of the substream, in chunks of whole rows at that width, into
+    ``buf``, of at least ``max(_CHUNK_NORMALS, widest)`` floats.  A
+    narrower row that a chunk's end cuts keeps a copy of its head, and the
+    next chunk completes it, so every row is summed whole.
     """
     widest, count = outs[0][0], outs[0][1].size
     end = count * widest
     step = widest * max(1, _CHUNK_NORMALS // widest)
     gen = _generator(seed, stream)
     heads: dict[int, np.ndarray] = {}
-    buf = buffers.get()
-    try:
-        for a in range(0, end, step):
-            b = min(a + step, end)
-            chunk = _normals(gen, b - a, out=buf[:b - a])
-            for w, out in outs:
-                # Rows i to j - 1 lie whole in the chunk; a head means row i - 1 was cut.
-                i, j = -(-a // w), min(b // w, count)
-                head = heads.pop(w, None)
-                if head is not None:
-                    row = np.concatenate((head, chunk[:i * w - a]))
-                    row.reshape(1, w).sum(axis=1, out=out[i - 1:i])
-                if i < j:
-                    chunk[i * w - a:j * w - a].reshape(j - i, w).sum(axis=1, out=out[i:j])
-                if j < count and j * w < b:
-                    heads[w] = chunk[j * w - a:].copy()
-    finally:
-        buffers.put(buf)
+    for a in range(0, end, step):
+        b = min(a + step, end)
+        chunk = _normals(gen, b - a, out=buf[:b - a])
+        for w, out in outs:
+            # Rows i to j - 1 lie whole in the chunk; a head means row i - 1 was cut.
+            i, j = -(-a // w), min(b // w, count)
+            head = heads.pop(w, None)
+            if head is not None:
+                row = np.concatenate((head, chunk[:i * w - a]))
+                row.reshape(1, w).sum(axis=1, out=out[i - 1:i])
+            if i < j:
+                chunk[i * w - a:j * w - a].reshape(j - i, w).sum(axis=1, out=out[i:j])
+            if j < count and j * w < b:
+                heads[w] = chunk[j * w - a:].copy()
 
 
 def _sums(seed: int, domain: int, n_samples: int, numbers: list[int]) -> dict[int, np.ndarray]:
     """Each trial's sum of its N normals from ``domain``, for each distinct N in ``numbers``."""
     threads = _thread_count()
-    # One draw buffer per thread, allocated here in one size and freed on
-    # return, before the estimates need memory.  Beyond it a worker copies
-    # at most one cut row per narrower width at each chunk edge (at most 100
-    # floats each on the suite's call), so the peak memory does not depend
-    # on how the workers interleave.
-    buffers = queue.SimpleQueue()
-    for _ in range(threads):
-        buffers.put(np.empty(max(_CHUNK_NORMALS, *numbers)))
+    size = max(_CHUNK_NORMALS, *numbers)
+    # Each worker's one draw buffer, allocated in one size on its first task
+    # and freed with the pool, before the estimates need memory.  Beyond it
+    # a worker copies at most one cut row per narrower width at each chunk
+    # edge (at most 100 floats each on the suite's call), so the peak memory
+    # does not depend on how the workers interleave.
+    local = threading.local()
+
+    def draw(stream: int, outs: list[tuple[int, np.ndarray]]) -> None:
+        if not hasattr(local, "buf"):
+            local.buf = np.empty(size)
+        _block_row_sums(local.buf, seed, stream, outs)
+
     sums = {n: np.empty(n_samples) for n in numbers}
-
-    def tasks():
-        for block, stream, trials, targets in _tasks(domain, n_samples, numbers):
-            # Block 0 is each trial's first term, so its row sums are drawn
-            # straight into the sums; later blocks' row sums are added.
-            outs = [(w, sums[users[0]][trials] if block == 0
-                     else np.empty(trials.stop - trials.start)) for w, users in targets]
-            yield (block, trials, targets, outs), (stream, outs)
-
-    draw = functools.partial(_block_row_sums, buffers, seed)
+    pending = deque()
+    # One loop submits each task and, once 2 * threads are in flight, merges
+    # the oldest; after the last task (None) it merges until none is left.
+    # So later blocks' row sums are added in block order, and at most
+    # 2 * threads tasks' outs are held at once.
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for (block, trials, targets, outs), _ in _in_order(pool, draw, tasks(), 2 * threads):
-            for (_, users), (_, out) in zip(targets, outs):
-                if block == 0:
-                    for n in users[1:]:
-                        sums[n][trials] = out
-                else:
-                    for n in users:
-                        sums[n][trials] += out
+        for task in itertools.chain(_tasks(domain, n_samples, numbers), [None]):
+            if task is not None:
+                block, stream, trials, targets = task
+                # Block 0 is each trial's first term, so its row sums are drawn
+                # straight into the sums; later blocks' row sums are added.
+                outs = [(w, sums[users[0]][trials] if block == 0
+                         else np.empty(trials.stop - trials.start)) for w, users in targets]
+                pending.append((block, trials, targets, outs, pool.submit(draw, stream, outs)))
+            while pending and (task is None or len(pending) >= 2 * threads):
+                block, trials, targets, outs, future = pending.popleft()
+                future.result()
+                for (_, users), (_, out) in zip(targets, outs):
+                    if block == 0:
+                        for n in users[1:]:
+                            sums[n][trials] = out
+                    else:
+                        for n in users:
+                            sums[n][trials] += out
     return sums
 
 

@@ -65,7 +65,7 @@ import numbers
 import numpy as np
 
 from ._record import record
-from .constants import _check_finite
+from .constants import _check_finite, _finite_or_raise
 from .distributions import _ARM2_SIGN, StateSpec, _coherent_scale, density_at, quantum_distribution
 from .errors import ConvergenceError, DomainError
 from .media import PathPair
@@ -310,11 +310,16 @@ def _central_moment(
     spectrum: GaussianSpectrum,
     paths: PathPair,
     order: int,
-) -> tuple[float, float]:
-    """(mean, central moment of the given order) of the numeric density, in fs."""
+) -> tuple[float, np.float64, float]:
+    """(mean in fs, central moment of the given order in z, scale), z = scale (tau - mean).
+
+    The moment stays in z, where the callers take it to fs each in its own
+    way, and passes no check here: a value that left float64 is theirs to name.
+    """
     b, offset, scale = _case_geometry(state, spectrum, paths)
-    centre, moments = _plancherel_moments(b, order)
-    return offset + centre / scale, float(moments[order] / moments[0]) / scale**order
+    with np.errstate(all="ignore"):
+        centre, moments = _plancherel_moments(b, order)
+        return offset + centre / scale, moments[order] / moments[0], scale
 
 
 def numeric_moments(
@@ -329,8 +334,11 @@ def numeric_moments(
     gives that pulse's width (b = gdd sigma_phi^2), and the classical width is
     the root-sum-square of the two paths' pulse widths.
     """
-    mean, variance = _central_moment(state, spectrum, paths, 2)
-    return mean, math.sqrt(variance)
+    mean, variance, scale = _central_moment(state, spectrum, paths, 2)
+    # The root before the division by the scale: the width can fit in float64
+    # where the variance in fs^2 does not.
+    return (_finite_or_raise(mean, "numeric mean", None, positive=False),
+            _finite_or_raise(math.sqrt(variance) / scale, "numeric width", None))
 
 
 def numeric_central_moment(
@@ -342,4 +350,11 @@ def numeric_central_moment(
     """Central moment of the numeric density of the given order, a non-negative int (not a bool)."""
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
         raise DomainError(f"order must be a non-negative integer, got {order!r}")
-    return _central_moment(state, spectrum, paths, order)[1]
+    _, moment, scale = _central_moment(state, spectrum, paths, order)
+    # moment / scale**order, with scale = mantissa 2**exponent: the power of
+    # the mantissa in [1/2, 1) stays normal at any order whose moment is finite.
+    mantissa, exponent = math.frexp(scale)
+    with np.errstate(all="ignore"):
+        moment = float(np.ldexp(moment / mantissa**order, -exponent * order))
+    return _finite_or_raise(moment, f"numeric central moment of order {order}", None,
+                            positive=order % 2 == 0)

@@ -465,10 +465,12 @@ class TestBetaFromIndex:
         assert excinfo.value.suggested_step == 1e-3 * omega0 / 4.0
 
     def test_invalid_arguments(self):
-        with pytest.raises(DomainError):
-            beta_from_index(lambda w: 1.0, -1.0)
-        with pytest.raises(DomainError):
-            beta_from_index(lambda w: 1.0, 1.0, step=0.0)
+        # NaN passes a plain `<= 0` test, and would come back as a nan beta.
+        for omega0, step in [(-1.0, None), (1.0, 0.0),
+                             (math.nan, None), (math.inf, None), (-math.inf, None),
+                             (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)]:
+            with pytest.raises(DomainError, match="omega0|step"):
+                beta_from_index(lambda w: 1.0, omega0, step)
 
 
 class TestAirDispersionCoefficient:

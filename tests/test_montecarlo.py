@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -73,14 +74,21 @@ class TestSampleQuantum:
 
     @pytest.mark.parametrize("sigma,mean,match", [
         (1e308, 0.0, "sample width overflows"),
-        (1e300, 1e308, "sample width overflows"),
         (1e-320, 0.0, "sample width underflows"),
-    ], ids=["width-overflow", "mean-overflow", "width-underflow"])
+    ], ids=["width-overflow", "width-underflow"])
     def test_estimate_beyond_float64_is_domain_error(self, sigma, mean, match):
         # Each would warn (an error under the suite's filters), or give an
         # infinite or zero estimate, without the samplers' own check.
         with pytest.raises(DomainError, match=match):
             sample_quantum(dist(mean=mean, sigma=sigma), SamplerConfig(seed=1, n_samples=1000))
+
+    @pytest.mark.parametrize("mean", [1e308, -1.7e308])
+    def test_estimate_near_float64_top_is_finite(self, mean):
+        # The values and their true width and mean fit in float64, but the
+        # sums inside np.mean and np.std overflow.
+        estimate = sample_quantum(dist(mean=mean, sigma=1e300), SamplerConfig(seed=1, n_samples=1000))
+        assert abs(estimate.sigma_hat - 1e300) < 5.0 * estimate.standard_error
+        assert abs(estimate.mean_hat - mean) < 5.0 * estimate.mean_standard_error
 
     @pytest.mark.parametrize("n_photons", [2, 1000])
     def test_photon_number_other_than_one_rejected(self, n_photons):
@@ -311,9 +319,9 @@ def test_one_task_per_substream(monkeypatch, small_layout):
     calls = []
     block_row_sums = montecarlo._block_row_sums
 
-    def recording(buffers, seed, stream, outs):
+    def recording(buf, seed, stream, outs):
         calls.append((stream, tuple(w for w, _ in outs)))
-        return block_row_sums(buffers, seed, stream, outs)
+        return block_row_sums(buf, seed, stream, outs)
 
     monkeypatch.setattr(montecarlo, "_block_row_sums", recording)
     sample_classical_scaling(1.0, 5, small_layout, SCALING_SETS["several-passes"])
@@ -325,6 +333,28 @@ def test_one_task_per_substream(monkeypatch, small_layout):
     widths = dict(calls)
     assert widths[montecarlo._stream_id(1, 0, 0)] == (122, 100, 99, 97)
     assert widths[montecarlo._stream_id(1, 2, 0)] == (354, 100, 99, 97)
+
+
+@pytest.mark.parametrize("chunk,size", [(500, 1000), (7_000, 7_000)])
+def test_each_worker_holds_one_draw_buffer(monkeypatch, small_layout, chunk, size):
+    # A buffer of max(_CHUNK_NORMALS, max N) floats per worker, and the
+    # workers are gone when the call returns.
+    monkeypatch.setattr(montecarlo, "_thread_count", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", chunk)
+    buffers = []
+    block_row_sums = montecarlo._block_row_sums
+
+    def recording(buf, seed, stream, outs):
+        buffers.append(buf)  # held, so that no two buffers share an id
+        return block_row_sums(buf, seed, stream, outs)
+
+    monkeypatch.setattr(montecarlo, "_block_row_sums", recording)
+    threads = threading.active_count()
+    sample_classical_scaling(1.0, 5, small_layout, SCALING_SETS["several-passes"])
+    assert threading.active_count() == threads
+    assert len(buffers) == 21
+    assert 1 <= len({id(buf) for buf in buffers}) <= 3
+    assert {buf.size for buf in buffers} == {size}
 
 
 def test_scaling_returns_one_estimate_per_entry():

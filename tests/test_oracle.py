@@ -438,6 +438,33 @@ class TestNumericMoments:
         with pytest.raises(DomainError, match="order"):
             numeric_central_moment(state, spectrum, pair(250.0, 250.0), order=order)
 
+    def test_width_beyond_its_square_in_float64(self, spectrum):
+        # The variance in fs^2, ~2.7e313 here, leaves float64; the width does not.
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1)
+        _, sigma = numeric_moments(state, spectrum, PathPair.symmetric(1e160))
+        assert sigma == pytest.approx(quantum_width(spectrum.sigma_phi, 1, 1e160), rel=1e-6)
+
+    def test_width_beyond_float64_is_domain_error(self, spectrum):
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1)
+        with pytest.raises(DomainError, match="numeric width overflows float64"):
+            numeric_moments(state, spectrum, PathPair.symmetric(1e165))
+
+    def test_high_order_moment_matches_gaussian(self, spectrum):
+        # 39!! sigma^40, ~5.8e154 fs^40, divided by a scale**40 of ~1e-137.
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1)
+        paths = PathPair.symmetric(1e5)
+        _, sigma = numeric_moments(state, spectrum, paths)
+        expected = math.prod(range(39, 0, -2)) * sigma**40
+        assert numeric_central_moment(state, spectrum, paths, 40) == pytest.approx(
+            expected, rel=1e-6)
+
+    @pytest.mark.parametrize("order", [100, 101, 150])
+    def test_moment_beyond_float64_is_domain_error(self, spectrum, order):
+        # Under the suite's filters a RuntimeWarning would fail this test too.
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1)
+        with pytest.raises(DomainError, match=f"order {order} overflows float64"):
+            numeric_central_moment(state, spectrum, PathPair.symmetric(1e5), order)
+
     def test_zeroth_moment_is_one(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 5)
         assert numeric_central_moment(state, spectrum, pair(250.0, 250.0), order=0) == 1.0

@@ -38,11 +38,12 @@ from pathlib import Path
 
 from . import __version__
 from ._cpus import usable_cpus
-from .constants import omega_from_wavelength_nm, sigma_phi_from_rad_per_s
+from .constants import _finite_or_raise, omega_from_wavelength_nm, sigma_phi_from_rad_per_s
 from .distributions import (
     MAX_PHOTON_NUMBER,
     StateKind,
     StateSpec,
+    _gdd_sum,
     asymptotic_width,
     classical_shot_noise,
     classical_width,
@@ -338,7 +339,7 @@ def _paths_from_args(args) -> tuple[PathPair, float]:
     paths = PathPair([_parse_segment(s, args.wavelength) for s in args.path1],
                      [_parse_segment(s, args.wavelength) for s in args.path2])
     _, gdd1, _, gdd2 = paths.coefficients()
-    return paths, gdd1 + gdd2
+    return paths, _gdd_sum(gdd1, gdd2)
 
 
 def _photon_grid(args):
@@ -376,7 +377,7 @@ def _add_media_flags(sub: _Parser) -> None:
 def _cmd_width(args) -> int:
     spectrum = GaussianSpectrum.from_si(args.sigma_phi)
     paths, gdd_sum = _paths_from_args(args)
-    state = StateSpec(StateKind(args.state), args.n, v_mag=args.v, u_mag=args.u)
+    state = StateSpec(StateKind(args.state), args.n)
 
     dist = quantum_distribution(state, spectrum, paths)
     _, gdd1, _, gdd2 = paths.coefficients()
@@ -395,7 +396,6 @@ def _cmd_width(args) -> int:
         "sigma_classical_shot_noise_fs": sigma_c,
         "ratio_quantum_over_classical": ratio,
         "asymptotic_width_fs": asymptotic_width(spectrum.sigma_phi, gdd_sum),
-        "amplitude_scale": dist.amplitude_scale,
     }
     return _report(args, payload)
 
@@ -434,10 +434,9 @@ def _cmd_surface(args) -> int:
     # classical per-path products beta*x each.
     n, x = np.meshgrid(n_values, np.linspace(args.x_min, args.x_max, args.x_points),
                        indexing="ij")
-    # A GDD that overflows is left to the closed forms, which reject a GDD
-    # that is not finite.
     with np.errstate(over="ignore"):
-        gdd_path = args.beta * x
+        gdd_path = _finite_or_raise(args.beta * x, "GDD beta * x", None, positive=False,
+                                    beta_fs2_per_cm=args.beta, x_cm=x)
     ratio = width_ratio(sigma_phi, n, gdd_path, gdd_path)
     clipped = np.maximum(ratio, 1.0) if args.clip == "unity" else ratio
 
@@ -577,8 +576,6 @@ def build_parser() -> _Parser:
     width.add_argument("--n", type=float, required=True, help="photons per arm (>= 1)")
     width.add_argument("--state", choices=[k.value for k in StateKind], default="anti",
                        help="entangled state family (default anti)")
-    width.add_argument("--v", type=float, default=None, help="coherent |v| (coherent state only)")
-    width.add_argument("--u", type=float, default=None, help="coherent |u| (coherent state only)")
     width.set_defaults(func=_cmd_width)
 
     scan = sub.add_parser("scan", help="sweep photon number; CSV of dimensionless widths")

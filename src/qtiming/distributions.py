@@ -16,11 +16,10 @@ classical shot-noise floor g/sqrt(N).  Uncompensated dispersion caps the
 improvement: for large N the width saturates at sqrt(2) sigma_phi |D|,
 independent of N, and the crossover sits at N_t = 1/(2 sigma_phi^2 |D|).
 
-Densities are normalised to unit integral; the combinatorial and
-bandwidth prefactors of the raw detection probability are dropped (they
-overflow beyond N ~ 85 and carry no timing information).  The only
-surviving amplitude factor is the coherent-state photon-number weight,
-reported separately as ``amplitude_scale``.
+Densities are normalised to unit integral.  The prefactors of the raw
+detection probability are dropped: the combinatorial ones (which overflow
+beyond N ~ 85), the bandwidth ones and the coherent states' photon-number
+weight.  None of them carries timing information.
 
 The width laws take scalars or arrays.  When every input is a Python int or
 float (``np.float64`` is a float), they compute with :mod:`math` and plain
@@ -50,7 +49,6 @@ is positive.
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import contextmanager
 from enum import Enum
 
@@ -118,42 +116,28 @@ class StateSpec:
 
     n_photons : photons detected per arm (>= 1); for the coherent family
                 this is the number of detections, not the mean occupation.
-    v_mag, u_mag : coherent amplitude magnitudes of the two arms; required
-                for ENTANGLED_COHERENT and disallowed otherwise.
     """
 
     kind: StateKind
     n_photons: float
-    v_mag: float | None = None
-    u_mag: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, StateKind):
+            raise DomainError(f"kind must be a StateKind, one of "
+                              f"{', '.join(map(str, StateKind))}; got {self.kind!r}")
         if not self.n_photons >= 1:
             raise DomainError(f"n_photons must be >= 1, got {self.n_photons}")
         if self.n_photons > MAX_PHOTON_NUMBER:
             raise DomainError(f"n_photons above supported bound {MAX_PHOTON_NUMBER:g}")
-        coherent = self.kind is StateKind.ENTANGLED_COHERENT
-        has_mags = self.v_mag is not None and self.u_mag is not None
-        if coherent and not has_mags:
-            raise DomainError(f"state {self.kind.value!r} needs both coherent amplitudes, v and u")
-        if not coherent and (self.v_mag is not None or self.u_mag is not None):
-            raise DomainError(f"state {self.kind.value!r} takes no coherent amplitudes v and u")
-        if coherent and not (0 <= self.v_mag < math.inf and 0 <= self.u_mag < math.inf):
-            raise DomainError("coherent amplitude magnitudes must be finite and >= 0")
 
 
 @record
 class TimingDistribution:
-    """A Gaussian law for one collective timing observable.
-
-    mean, sigma in fs.  ``amplitude_scale`` multiplies the raw detection
-    probability but not the normalised density.
-    """
+    """A Gaussian law for one collective timing observable; mean, sigma in fs."""
 
     variable: TimingVariable
     mean: float
     sigma: float
-    amplitude_scale: float = 1.0
 
     def __post_init__(self):
         _check_finite(mean=self.mean)
@@ -261,35 +245,14 @@ def classical_shot_noise(sigma_t, n_photons):
     return _finite_or_raise(noise, "classical shot noise", None, sigma_t_fs=sigma, N=n)
 
 
-def _coherent_scale(state: StateSpec, power: float) -> float:
-    """|v|^power |u|^power (power 2N for probabilities, N for amplitudes); 1 for Fock states.
+def _gdd_sum(gdd_path1, gdd_path2):
+    """gdd_path1 + gdd_path2 (fs^2), or DomainError naming the per-path GDDs if it leaves float64.
 
-    The direct product ``v**power * u**power`` whenever both factors are
-    normal float64 numbers, so tests can match it exactly; log space when a
-    factor alone overflows or falls below ``sys.float_info.min``, where the
-    product may still fit (1e-3^150 * 10^150).  Raises :class:`DomainError`
-    when the product itself does not fit in float64.
+    Arrays must come from :func:`_namespace`, under which their sum overflows silently.
     """
-    if state.kind is not StateKind.ENTANGLED_COHERENT:
-        return 1.0
-    v, u = state.v_mag, state.u_mag
-    if v == 0.0 or u == 0.0:
-        return 0.0
-    try:
-        v_factor, u_factor = v**power, u**power
-        direct = min(v_factor, u_factor) >= sys.float_info.min
-    except OverflowError:
-        direct = False
-    if direct:
-        scale = v_factor * u_factor
-    else:
-        try:
-            scale = math.exp(power * (math.log(v) + math.log(u)))
-        except OverflowError:
-            scale = math.inf
-    if not math.isfinite(scale):
-        raise DomainError("coherent amplitude scale overflows float64 at this photon number")
-    return scale
+    _check_finite(gdd_path1_fs2=gdd_path1, gdd_path2_fs2=gdd_path2)
+    return _finite_or_raise(gdd_path1 + gdd_path2, "GDD sum", None, positive=False,
+                            gdd_path1_fs2=gdd_path1, gdd_path2_fs2=gdd_path2)
 
 
 def quantum_distribution(
@@ -306,10 +269,9 @@ def quantum_distribution(
     """
     delay1, gdd1, delay2, gdd2 = paths.coefficients()
     sign = _ARM2_SIGN[state.kind]
-    sigma = quantum_width(spectrum.sigma_phi, state.n_photons, gdd1 + gdd2)
+    sigma = quantum_width(spectrum.sigma_phi, state.n_photons, _gdd_sum(gdd1, gdd2))
     variable = TimingVariable.MEAN_TIME_SUM if sign > 0 else TimingVariable.MEAN_TIME_DIFFERENCE
-    return TimingDistribution(variable=variable, mean=delay1 + sign * delay2, sigma=sigma,
-                              amplitude_scale=_coherent_scale(state, 2.0 * state.n_photons))
+    return TimingDistribution(variable=variable, mean=delay1 + sign * delay2, sigma=sigma)
 
 
 def gated_detector_distribution(
@@ -346,7 +308,7 @@ def gated_detector_distribution(
     )
     dist = quantum_distribution(state, spectrum, at_positions)
     return TimingDistribution(TimingVariable(f"gated-{dist.variable.value}"), dist.mean,
-                              dist.sigma, dist.amplitude_scale)
+                              dist.sigma)
 
 
 def quantum_classical_ratio(
@@ -368,7 +330,7 @@ def width_ratio(sigma_phi: float, n_photons, gdd_path1, gdd_path2):
     together), as ``surface`` passes them.
     """
     with _namespace(gdd_path1, gdd_path2) as (_, gdd1, gdd2):
-        sigma_q = quantum_width(sigma_phi, n_photons, gdd1 + gdd2)
+        sigma_q = quantum_width(sigma_phi, n_photons, _gdd_sum(gdd1, gdd2))
         sigma_c = classical_shot_noise(classical_width(sigma_phi, gdd1, gdd2), n_photons)
         return _finite_or_raise(sigma_q / sigma_c, "width ratio", sigma_phi, N=n_photons,
                                 gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
@@ -377,11 +339,12 @@ def width_ratio(sigma_phi: float, n_photons, gdd_path1, gdd_path2):
 def density_at(dist: TimingDistribution, tau):
     """Normalised Gaussian probability density (1/fs) at ``tau`` (fs).
 
-    Integrates to one regardless of ``amplitude_scale``.  Accepts scalars
-    or arrays.
+    Integrates to one.  Accepts scalars or arrays; each ``tau`` must be finite.
     """
     import numpy as np  # np.exp for scalars too: libm's exp may differ in the last bit
 
-    z = (np.asarray(tau, dtype=float) - dist.mean) / dist.sigma
+    tau = np.asarray(tau, dtype=float)
+    _check_finite(observable=tau)
+    z = (tau - dist.mean) / dist.sigma
     density = np.exp(-0.5 * z * z) / (dist.sigma * math.sqrt(2.0 * math.pi))
     return density if density.ndim else float(density)

@@ -66,7 +66,7 @@ import numpy as np
 
 from ._record import record
 from .constants import _check_finite, _finite_or_raise
-from .distributions import _ARM2_SIGN, StateSpec, _coherent_scale, density_at, quantum_distribution
+from .distributions import _ARM2_SIGN, StateSpec, density_at, quantum_distribution
 from .errors import ConvergenceError, DomainError
 from .media import PathPair
 from .spectral import GaussianSpectrum
@@ -187,6 +187,10 @@ def _plancherel_moments(b: float, order: int) -> tuple[float, np.ndarray]:
     P_0 = 1 and P_{k+1} = -i P_k' + (i + 2b) u P_k - m P_k.  The weight
     exp(-u^2) = |g|^2 does not oscillate at any b, so a plain trapezoid on
     a fixed node set converges, and the cost does not grow with |b|.
+
+    The order-k moment sums the weights of every power up to k, so once one
+    of them leaves float64 (from order 352 on, at any b) so does the
+    moment: that raises :class:`DomainError` before any recurrence step.
     """
     reach = int(_HALF_WIDTH / _MOMENT_STEP)
     u = _MOMENT_STEP * np.arange(-reach, reach + 1)
@@ -194,25 +198,26 @@ def _plancherel_moments(b: float, order: int) -> tuple[float, np.ndarray]:
     term[[0, -1]] *= 0.5
     # 2 pi times the trapezoid value of integral exp(-u^2) u^j du, j = 0..order.
     scale = 2.0 * math.pi * _MOMENT_STEP
-    powers = []
+    powers, law = [], f"numeric central moment of order {order}"
     for _ in range(max(order, 1) + 1):
-        powers.append(scale * term.sum())
+        powers.append(_finite_or_raise(scale * term.sum(), law, None, positive=False))
         term *= u
     powers = np.array(powers)
-
-    def central(mean: float, top: int) -> np.ndarray:
-        poly = np.zeros(top + 1, dtype=complex)  # P_k's coefficients, lowest power first
-        poly[0] = 1.0
-        moments = [powers[0]]
-        for _ in range(top):
-            derivative = np.append(poly[1:] * np.arange(1, top + 1), 0.0)
-            poly = -1j * derivative + (1j + 2.0 * b) * np.append(0.0, poly[:-1]) - mean * poly
-            moments.append((poly * powers[:top + 1]).sum().real)
-        return np.array(moments)
-
-    first = central(0.0, 1)
+    first = _plancherel_central(powers, b, 0.0, 1)
     mean = float(first[1] / first[0])
-    return mean, central(mean, order)
+    return mean, _plancherel_central(powers, b, mean, order)
+
+
+def _plancherel_central(powers: np.ndarray, b: float, mean: float, top: int) -> np.ndarray:
+    """Moments 0..top of (z - mean)^k, from the weights ``powers`` (see above) by P_k's recurrence."""
+    poly = np.zeros(top + 1, dtype=complex)  # P_k's coefficients, lowest power first
+    poly[0] = 1.0
+    moments = [powers[0]]
+    for _ in range(top):
+        derivative = np.append(poly[1:] * np.arange(1, top + 1), 0.0)
+        poly = -1j * derivative + (1j + 2.0 * b) * np.append(0.0, poly[:-1]) - mean * poly
+        moments.append((poly * powers[:top + 1]).sum().real)
+    return np.array(moments)
 
 
 def _case_geometry(
@@ -245,13 +250,13 @@ def amplitude_numeric(
     ``tau`` is a value of the observable t1 + s t2 of the state's arm sign
     s: the difference of the mean detection times for anti-correlated and
     coherent states (s = -1), their sum for correlated ones (s = +1).  The
-    integral's dispersion phase is b = N (gdd1 + s^2 gdd2) sigma_phi^2.  The
-    1/N! prefactor is dropped; the coherent magnitude factor |v|^N |u|^N
-    is included.
+    integral's dispersion phase is b = N (gdd1 + s^2 gdd2) sigma_phi^2.  As
+    in the closed forms, the 1/N! prefactor and the coherent states'
+    photon-number weight are dropped.
     """
     b, mean, scale = _case_geometry(state, spectrum, paths)
     values, _, _ = _trapezoid_integral(b, np.array([scale * (tau - mean)]))
-    return _coherent_scale(state, state.n_photons) * (spectrum.sigma_phi * complex(values[0]))
+    return spectrum.sigma_phi * complex(values[0])
 
 
 def verify_closed_form(

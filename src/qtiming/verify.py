@@ -29,8 +29,7 @@ def _quadrature_suite(seed: int) -> list[dict]:
     spectrum = GaussianSpectrum.from_si(3.7e11)
     cases = []
     for kind, n, gdd_total in itertools.product(StateKind, (1, 3, 10, 100), (0.0, 500.0, 1.0e5)):
-        magnitudes = (1.2, 0.8) if kind is StateKind.ENTANGLED_COHERENT else (None, None)
-        state = StateSpec(kind, n, *magnitudes)
+        state = StateSpec(kind, n)
         sigma = quantum_width(spectrum.sigma_phi, n, gdd_total)
         grid = np.linspace(-5.0 * sigma, 5.0 * sigma, 41)
         case = {"name": f"{kind.value}/N={n}/gdd={gdd_total:g}", "tolerance": tolerance}

@@ -97,10 +97,7 @@ def test_05_oracle_equivalence_grid():
     for kind in StateKind:
         for n in (1, 3, 10, 100):
             for gdd_total in (0.0, 500.0, 1.0e5):
-                if kind is StateKind.ENTANGLED_COHERENT:
-                    state = StateSpec(kind, n, v_mag=1.3, u_mag=0.7)
-                else:
-                    state = StateSpec(kind, n)
+                state = StateSpec(kind, n)
                 paths = pair(gdd_total / 2, gdd_total / 2)
                 sigma = quantum_width(spectrum.sigma_phi, n, gdd_total)
                 grid = np.linspace(-5 * sigma, 5 * sigma, 41)
@@ -216,20 +213,14 @@ def test_10_state_family_parity():
     coherent_ok = True
     for _ in range(20):
         n = int(rng.integers(1, 200))
-        v, u = rng.uniform(0.1, 3.0, size=2)
         paths = pair(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4), delay1=rng.uniform(0, 100))
-        reference = quantum_distribution(
-            StateSpec(StateKind.ENTANGLED_COHERENT, n, v_mag=1.0, u_mag=1.0), spectrum, paths)
-        probe = quantum_distribution(
-            StateSpec(StateKind.ENTANGLED_COHERENT, n, v_mag=v, u_mag=u), spectrum, paths)
-        coherent_ok &= (
-            probe.sigma == reference.sigma
-            and probe.mean == reference.mean
-            and probe.amplitude_scale == v ** (2.0 * n) * u ** (2.0 * n)
-        )
+        anti = quantum_distribution(StateSpec(StateKind.ANTI_CORRELATED_FOCK, n), spectrum, paths)
+        coherent = quantum_distribution(
+            StateSpec(StateKind.ENTANGLED_COHERENT, n), spectrum, paths)
+        coherent_ok &= coherent == anti
     ok = parity_ok and coherent_ok
-    report(10, "correlated/anti-correlated width parity and coherent-state "
-               "(|v|,|u|) independence with exact amplitude scale", ok)
+    report(10, "correlated/anti-correlated width parity and coherent-state law "
+               "equal to the anti-correlated one", ok)
 
 
 def test_11_monte_carlo():

@@ -103,34 +103,6 @@ class TestWidth:
             run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "1")
         assert excinfo.value.code == 1
 
-    def test_coherent_scale_past_float64_range_is_finite(self, tmp_path, capsys):
-        code = run(tmp_path, "width", "--state", "coherent", "--v", "1.2", "--u", "0.8",
-                   "--n", "10000", "--B", "0", "--sigma-phi", "3.7e11", "--json")
-        assert code == 0
-        assert math.isfinite(json.loads(capsys.readouterr().out)["amplitude_scale"])
-
-    def test_coherent_scale_with_an_underflowing_factor_is_taken_in_log_space(self, tmp_path,
-                                                                               capsys):
-        # 1e-3^150 underflows to 0 on its own; its product with 10^150 is 1e-300.
-        code = run(tmp_path, "width", "--state", "coherent", "--v", "1e-3", "--u", "10",
-                   "--n", "75", "--B", "0", "--sigma-phi", "3.7e11", "--json")
-        assert code == 0
-        scale = json.loads(capsys.readouterr().out)["amplitude_scale"]
-        assert math.isclose(scale, 1e-300, rel_tol=1e-12)
-
-    def test_zero_coherent_amplitude_gives_zero_scale(self, tmp_path, capsys):
-        code = run(tmp_path, "width", "--state", "coherent", "--v", "0", "--u", "1",
-                   "--n", "10", "--B", "500", "--sigma-phi", "3.7e11", "--json")
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["amplitude_scale"] == 0.0
-
-    def test_coherent_scale_overflow_is_domain_error(self, tmp_path, capsys):
-        code = run(tmp_path, "width", "--state", "coherent", "--v", "1.2", "--u", "1.2",
-                   "--n", "10000", "--B", "0", "--sigma-phi", "3.7e11")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "overflows" in err and "Traceback" not in err
-
     def test_writes_manifest_and_report(self, tmp_path, capsys):
         run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "2", "--B", "100")
         manifest = json.loads((tmp_path / "width_manifest.json").read_text())
@@ -337,6 +309,10 @@ USAGE_ERRORS = {
                           "unrecognized arguments: --bogus"),
     "retired budget flag": (["verify", "--max-points", "500"],
                             "unrecognized arguments: --max-points 500"),
+    "retired coherent amplitude v": ([*COMPLETE_LINES["width"], "--v", "1.2", "--state",
+                                      "coherent"], "unrecognized arguments: --v 1.2"),
+    "retired coherent amplitude u": ([*COMPLETE_LINES["width"], "--u", "0.8"],
+                                     "unrecognized arguments: --u 0.8"),
 }
 
 
@@ -383,11 +359,11 @@ def test_preset_csvs_match_recorded_digests(tmp_path):
 REPORT_DIGESTS = {
     "width-paths": (("width", "--sigma-phi", "3.7e11", "--n", "100",
                      "--path1", "silica:1cm", "--path2", "silica:1cm"),
-                    "48ee9040632b7c32e9b8ff08ae685596edbe2ff5b4b81142667deb2674d0caba",
-                    "587ff350287afe1b2776ec4a4a1877ebeb35c48eac1d396a210c3542fdd683d8"),
+                    "079ad25ce3bad55190ac875821714a43d4a50e9ba7c2522a5ad87df9473c2b40",
+                    "93224e3e48b453ac3a5d8d2a8f7c80679d60554a37e863d8d36015cb3503727c"),
     "width-json": (("width", "--sigma-phi", "3.7e11", "--n", "7305", "--B", "500", "--json"),
-                   "5a528fb217c05cbc3429127f401900c926cc6681df6baa21df06088e58a0e4fb",
-                   "5a528fb217c05cbc3429127f401900c926cc6681df6baa21df06088e58a0e4fb"),
+                   "8c0938f19cabd0df0a6cf71446e9fe5c2d7978b8f6067af8d4a3cc308c16bb7d",
+                   "8c0938f19cabd0df0a6cf71446e9fe5c2d7978b8f6067af8d4a3cc308c16bb7d"),
     "transition": (("transition", "--preset", "ntrans-1cm"),
                    "ba4cf577a2ae6a660bda89227bfdfcba7ad775e0655bee37ced2b0ef7bafc8b3",
                    "0939bc85ef4dd08f90875d03c6ef25aa407417c61a241608df2545a9f64b8fe6"),
@@ -408,8 +384,8 @@ REPORT_DIGESTS = {
                          "3bae3dc7842492f4df3c2294c81c502958078245ee14caeec48d5e0c277d73a8"),
     "width-air": (("width", "--sigma-phi", "3.7e11", "--n", "100",
                    "--path1", "air:1km", "--path2", "silica:1cm"),
-                  "954c1e126f220e5cffcc6503f75c1882e1be2d651c81e978f6faa6ab37be6d06",
-                  "1a8674619986da590f7ded110eb6084a3f1cb0333d2d567256cfbaba727d8878"),
+                  "91442c36e4ca51a6a5f309d5bc7b2655ec254651530ef3da67ccc3951aea3994",
+                  "fb31cdd0164f4db9edfe8950b495a34a118cd4aac0628714eca95c4f067502ac"),
     "transition-1550": (("transition", "--sigma-phi", "3.7e11", "--B", "500", "--wavelength", "1550"),
                         "c179331f37daa40e607e4cf661043ddd339c9e5e26e89b612a49053fdd59d8bf",
                         "873c54bdf9a19e7e4deacf2599582890447d3ec10e2c3e958da453449340a457"),
@@ -881,9 +857,6 @@ BAD_INPUTS = [
     # Two finite GDD terms whose sum leaves float64.
     ("width", "--sigma-phi", "3.7e11", "--n", "3",
      "--path1", "silica:7e305cm", "--path1", "silica:7e305cm"),
-    # A coherent state needs --v and --u; a Fock state takes neither.
-    ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--v", "1.2", "--state", "coherent"),
-    ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--u", "0.8"),
 ]
 
 
@@ -894,13 +867,39 @@ def test_bad_input_is_domain_error(tmp_path, capsys, argv):
     assert "Traceback" not in err and err.startswith("qtiming: error:")
 
 
-@pytest.mark.parametrize("flags, message", [
-    (("--state", "coherent", "--v", "1.2"), "state 'coherent' needs both coherent amplitudes, v and u"),
-    (("--u", "0.8",), "state 'anti' takes no coherent amplitudes v and u"),
-], ids=["coherent-without-u", "anti-with-u"])
-def test_state_pairing_error_reads_in_the_clis_terms(tmp_path, capsys, flags, message):
-    assert run(tmp_path, "width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", *flags) == 2
+def test_coherent_state_takes_no_amplitudes(tmp_path, capsys):
+    # Its report is the anti-correlated one, but for the state's name.
+    argv = ("width", "--sigma-phi", "3.7e11", "--n", "3", "--B", "10", "--json")
+    reports = []
+    for state in ("anti", "coherent"):
+        assert run(tmp_path, *argv, "--state", state) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[1] == {**reports[0], "state": "coherent"}
+
+
+GDD_OVERFLOWS = {
+    # beta * x itself leaves float64 (1e307 * 20 cm).
+    "surface-beta-x": (("surface", "--preset", "fig3", "--beta", "1e307"),
+                       "GDD beta * x overflows float64 at beta_fs2_per_cm = 1e+307, x_cm = 20"),
+    # beta * x fits; the two paths' sum does not.
+    "surface-sum": (("surface", "--preset", "fig3", "--beta", "5e305"),
+                    "GDD sum overflows float64 at gdd_path1_fs2 = 9e+307, gdd_path2_fs2 = 9e+307"),
+    "width-paths": (("width", "--sigma-phi", "3.7e11", "--n", "3",
+                     "--path1", "silica:4e305cm", "--path2", "silica:4e305cm"),
+                    "GDD sum overflows float64 at gdd_path1_fs2 = 1e+308, gdd_path2_fs2 = 1e+308"),
+    "transition-paths": (("transition", "--sigma-phi", "3.7e11",
+                          "--path1", "silica:4e305cm", "--path2", "silica:4e305cm"),
+                         "GDD sum overflows float64 at gdd_path1_fs2 = 1e+308, "
+                         "gdd_path2_fs2 = 1e+308"),
+}
+
+
+@pytest.mark.parametrize("name", GDD_OVERFLOWS)
+def test_gdd_overflow_names_the_gdds(tmp_path, capsys, name):
+    argv, message = GDD_OVERFLOWS[name]
+    assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err == f"qtiming: error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -1168,9 +1167,7 @@ MEDIA_FLAGS = [
 COMMAND_FLAGS = {
     "width": ([SIGMA_PHI_FLAG, _flag("--n", _numbers("1", "3", "100", "7305", "1e12"))],
               [*MEDIA_FLAGS,
-               _flag("--state", st.sampled_from(["anti", "corr", "coherent"])),
-               _flag("--v", _numbers("1.2", "0.8", "3")),
-               _flag("--u", _numbers("1.2", "0.8", "3"))]),
+               _flag("--state", st.sampled_from(["anti", "corr", "coherent"]))]),
     "scan": ([], [SIGMA_PHI_FLAG, *MEDIA_FLAGS,
                   _flag("--preset", st.just("fig2")),
                   _flag("--n-min", _numbers("1", "10", "1e6")),
@@ -1350,8 +1347,7 @@ def test_verify_suites_load_no_scipy():
     ["width", "--sigma-phi", "3.7e11", "--n", "7305", "--B", "500", "--json"],
     ["width", "--sigma-phi", "3.7e11", "--n", "100",
      "--path1", "silica:1cm", "--path2", "silica:1cm"],
-    ["width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500",
-     "--state", "coherent", "--v", "1.2", "--u", "0.8"],
+    ["width", "--sigma-phi", "3.7e11", "--n", "10", "--B", "500", "--state", "coherent"],
     ["transition", "--preset", "ntrans-1cm"],
     ["media", "--material", "air", "--formula", "owens"],
     ["media", "--material", "silica"],

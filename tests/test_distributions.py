@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtiming import constants, distributions, media, montecarlo, oracle
@@ -577,7 +577,7 @@ def derived_law_errors(sigma_phi, n, gdd1, gdd2, sigma_t) -> dict[str, float]:
              value(curvature / abs(d1)), {}),
             (width_ratio, (sigma_phi,), (n, gdd1, gdd2), both, ratio.sqrt(), {
                 "quantum dispersion phase squared": value(phase**2),
-                "gdd_sum_fs2 = ": value(abs(d1 + d2)),
+                "GDD sum": value(abs(d1 + d2)),
                 "classical variance": value(max(2 * curvature**2 + d1**2 + d2**2, classical)),
                 "classical shot noise": value(classical / big_n).sqrt(),
             }),
@@ -764,22 +764,22 @@ class TestStateSpec:
         with pytest.raises(DomainError):
             StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1e13)
 
-    def test_coherent_needs_magnitudes(self):
-        with pytest.raises(DomainError):
-            StateSpec(StateKind.ENTANGLED_COHERENT, 2)
+    def test_coherent_state_needs_no_magnitudes(self):
+        state = StateSpec(StateKind.ENTANGLED_COHERENT, 2)
+        assert (state.kind, state.n_photons) == (StateKind.ENTANGLED_COHERENT, 2)
 
-    def test_fock_states_take_no_magnitudes(self):
-        with pytest.raises(DomainError):
-            StateSpec(StateKind.CORRELATED_FOCK, 2, v_mag=1.0, u_mag=1.0)
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_no_state_takes_magnitudes(self, kind):
+        with pytest.raises(TypeError):
+            StateSpec(kind, 2, v_mag=1.0, u_mag=1.0)
 
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(DomainError):
-            StateSpec(StateKind.ENTANGLED_COHERENT, 2, v_mag=-1.0, u_mag=1.0)
-
-    @pytest.mark.parametrize("magnitude", [math.inf, math.nan])
-    def test_non_finite_magnitude_rejected(self, magnitude):
-        with pytest.raises(DomainError):
-            StateSpec(StateKind.ENTANGLED_COHERENT, 2, v_mag=1.0, u_mag=magnitude)
+    @pytest.mark.parametrize("kind", ["anti", None, 0])
+    def test_kind_must_be_a_state_kind(self, spectrum, kind):
+        message = ("kind must be a StateKind, one of StateKind.ANTI_CORRELATED_FOCK, "
+                   f"StateKind.CORRELATED_FOCK, StateKind.ENTANGLED_COHERENT; got {kind!r}")
+        with pytest.raises(DomainError) as error:
+            quantum_distribution(StateSpec(kind, 10), spectrum, pair(0.0, 0.0))
+        assert str(error.value) == message
 
 
 class TestQuantumDistribution:
@@ -788,7 +788,6 @@ class TestQuantumDistribution:
         dist = quantum_distribution(state, spectrum, pair(0.0, 0.0, delay1=130.0, delay2=30.0))
         assert dist.variable is TimingVariable.MEAN_TIME_DIFFERENCE
         assert dist.mean == 100.0
-        assert dist.amplitude_scale == 1.0
 
     def test_correlated_uses_sum_variable_and_sum_mean(self, spectrum):
         state = StateSpec(StateKind.CORRELATED_FOCK, 5)
@@ -796,67 +795,20 @@ class TestQuantumDistribution:
         assert dist.variable is TimingVariable.MEAN_TIME_SUM
         assert dist.mean == 160.0
 
-    def test_coherent_matches_fock_with_amplitude_scale(self, spectrum):
+    def test_coherent_matches_anti_correlated_fock(self, spectrum):
         paths = pair(300.0, -40.0, delay1=10.0)
         fock = quantum_distribution(StateSpec(StateKind.ANTI_CORRELATED_FOCK, 2), spectrum, paths)
-        coherent = quantum_distribution(
-            StateSpec(StateKind.ENTANGLED_COHERENT, 2, v_mag=1.0, u_mag=3.0), spectrum, paths
-        )
-        assert coherent.sigma == fock.sigma
-        assert coherent.mean == fock.mean
-        assert coherent.amplitude_scale == 81.0
+        coherent = quantum_distribution(StateSpec(StateKind.ENTANGLED_COHERENT, 2), spectrum, paths)
+        assert coherent == fock
 
-    @given(
-        st.floats(min_value=1, max_value=200),
-        st.floats(min_value=0.1, max_value=3.0),
-        st.floats(min_value=0.1, max_value=3.0),
-        gdd_values,
-    )
-    @example(200.0, 3.0, 3.0, 0.0)  # (3 * 3)^400 overflows float64
-    @example(200.0, 0.1, 3.0, 0.0)  # 0.1^400 underflows, the product ~1e-209 does not
+    @given(st.floats(min_value=1, max_value=200), gdd_values)
     @settings(max_examples=60)
-    def test_coherent_width_independent_of_magnitudes(self, n, v, u, gdd):
+    def test_coherent_law_is_the_anti_correlated_law(self, n, gdd):
         spectrum = GaussianSpectrum.from_si(3.7e11)
         paths = pair(gdd, 0.0)
-        state = StateSpec(StateKind.ENTANGLED_COHERENT, n, v_mag=v, u_mag=u)
-        v_factor, u_factor = v ** (2.0 * n), u ** (2.0 * n)
-        expected = v_factor * u_factor
-        if not math.isfinite(expected):
-            with pytest.raises(DomainError, match="overflows"):
-                quantum_distribution(state, spectrum, paths)
-            return
-        base = quantum_distribution(
-            StateSpec(StateKind.ENTANGLED_COHERENT, n, v_mag=1.0, u_mag=1.0), spectrum, paths
-        )
-        other = quantum_distribution(state, spectrum, paths)
-        assert other.sigma == base.sigma
-        assert other.mean == base.mean
-        if min(v_factor, u_factor) < sys.float_info.min:
-            # A factor underflows; the product is taken in log space.
-            log_space = math.exp(2.0 * n * (math.log(v) + math.log(u)))
-            assert math.isclose(other.amplitude_scale, log_space, rel_tol=1e-12)
-        else:
-            assert other.amplitude_scale == expected
-
-    def test_coherent_scale_past_float64_range_falls_back_to_log_space(self, spectrum):
-        # 1.2^20000 overflows on its own; the product 0.96^20000 underflows to 0.
-        state = StateSpec(StateKind.ENTANGLED_COHERENT, 10_000, v_mag=1.2, u_mag=0.8)
-        assert quantum_distribution(state, spectrum, pair(0.0, 0.0)).amplitude_scale == 0.0
-        # 3^2000 overflows on its own, the product 0.9^2000 ~ 1e-92 does not.
-        state = StateSpec(StateKind.ENTANGLED_COHERENT, 1_000, v_mag=3.0, u_mag=0.3)
-        expected = math.exp(2000.0 * (math.log(3.0) + math.log(0.3)))
-        scale = quantum_distribution(state, spectrum, pair(0.0, 0.0)).amplitude_scale
-        assert scale == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("v,u", [(0.0, 1.0), (1.2, 0.0)])
-    def test_zero_coherent_amplitude_gives_zero_scale(self, spectrum, v, u):
-        state = StateSpec(StateKind.ENTANGLED_COHERENT, 10, v_mag=v, u_mag=u)
-        assert quantum_distribution(state, spectrum, pair(0.0, 500.0)).amplitude_scale == 0.0
-
-    def test_coherent_scale_overflow_is_domain_error(self, spectrum):
-        state = StateSpec(StateKind.ENTANGLED_COHERENT, 10_000, v_mag=1.2, u_mag=1.2)
-        with pytest.raises(DomainError, match="overflows"):
-            quantum_distribution(state, spectrum, pair(0.0, 0.0))
+        fock = quantum_distribution(StateSpec(StateKind.ANTI_CORRELATED_FOCK, n), spectrum, paths)
+        coherent = quantum_distribution(StateSpec(StateKind.ENTANGLED_COHERENT, n), spectrum, paths)
+        assert coherent == fock
 
     @given(photon_numbers, gdd_values, gdd_values)
     @settings(max_examples=60)
@@ -906,17 +858,13 @@ class TestGatedDetectorDistribution:
         with pytest.raises(DomainError, match="^mean detection positions must be finite and >= 0$"):
             gated_detector_distribution(state, spectrum, pair(1.0, 1.0), *positions)
 
-    @pytest.mark.parametrize("state_args", [(StateKind.ANTI_CORRELATED_FOCK,),
-                                            (StateKind.CORRELATED_FOCK,),
-                                            (StateKind.ENTANGLED_COHERENT, 1.2, 0.8)])
+    @pytest.mark.parametrize("kind", list(StateKind))
     @pytest.mark.parametrize("n", [1, 4, 100])
     @pytest.mark.parametrize("betas", [(3.61e4, -2.5e3), (-1.2e3, 4.4e4)])
-    def test_law_matches_the_oracle_at_the_detection_positions(self, spectrum, state_args, n,
-                                                               betas):
+    def test_law_matches_the_oracle_at_the_detection_positions(self, spectrum, kind, n, betas):
         # Unequal alphas and positions separate the sum (242,000 fs) from the difference
         # (-46,000 fs); the correlated state's observable is the sum.
-        kind, *magnitudes = state_args
-        state = StateSpec(kind, n, *magnitudes)
+        state = StateSpec(kind, n)
         (alpha1, beta1, x1), (alpha2, beta2, x2) = (4.9e4, betas[0], 2.0), (4.8e4, betas[1], 3.0)
         paths = PathPair([MediumSegment("m1", alpha1, beta1, 1.0)],
                          [MediumSegment("m2", alpha2, beta2, 1.0)])
@@ -979,13 +927,19 @@ class TestDensity:
         assert density_at(dist, 5.0 + 1.3) == pytest.approx(density_at(dist, 5.0 - 1.3), rel=1e-15)
 
     def test_unit_normalisation_by_quadrature(self):
-        dist = TimingDistribution(
-            TimingVariable.MEAN_TIME_DIFFERENCE, mean=-3.0, sigma=17.0, amplitude_scale=81.0
-        )
+        dist = TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, mean=-3.0, sigma=17.0)
         nodes, weights = np.polynomial.legendre.leggauss(200)
         tau = dist.mean + 10.0 * dist.sigma * nodes
         integral = 10.0 * dist.sigma * float(weights @ density_at(dist, tau))
         assert integral == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_is_domain_error(self, tau):
+        dist = TimingDistribution(TimingVariable.MEAN_TIME_DIFFERENCE, mean=5.0, sigma=2.0)
+        for value in (tau, np.array([0.0, tau, 1.0])):
+            with pytest.raises(DomainError) as error:
+                density_at(dist, value)
+            assert str(error.value) == f"observable = {tau:g} is not finite"
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(DomainError):

@@ -190,13 +190,13 @@ class TestAmplitudeNumeric:
             c = amplitude_numeric(corr, spectrum, paths, tau=(40.0 + 15.0) + offset)
             assert abs(a) ** 2 == pytest.approx(abs(c) ** 2, rel=1e-12)
 
-    def test_coherent_carries_magnitude_factor(self, spectrum):
+    def test_coherent_amplitude_is_the_anti_correlated_one(self, spectrum):
+        # Both have arm sign s = -1, and neither carries a photon-number weight.
         paths = pair(200.0, -50.0)
         fock = amplitude_numeric(StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3), spectrum, paths, 100.0)
-        coherent = amplitude_numeric(
-            StateSpec(StateKind.ENTANGLED_COHERENT, 3, v_mag=1.5, u_mag=0.5), spectrum, paths, 100.0
-        )
-        assert abs(coherent) == pytest.approx((1.5 * 0.5) ** 3 * abs(fock), rel=1e-12)
+        coherent = amplitude_numeric(StateSpec(StateKind.ENTANGLED_COHERENT, 3), spectrum, paths,
+                                     100.0)
+        assert coherent == fock
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf])
     def test_non_finite_tau_is_domain_error(self, spectrum, tau):
@@ -327,7 +327,7 @@ class TestStateFamilies:
     STATES = [
         StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3),
         StateSpec(StateKind.CORRELATED_FOCK, 3),
-        StateSpec(StateKind.ENTANGLED_COHERENT, 3, 1.2, 0.8),
+        StateSpec(StateKind.ENTANGLED_COHERENT, 3),
     ]
 
     @staticmethod
@@ -351,7 +351,7 @@ def width_from_gdd_difference(state, spectrum, paths):
     dist = quantum_distribution(state, spectrum, paths)
     _, gdd1, _, gdd2 = paths.coefficients()
     sigma = quantum_width(spectrum.sigma_phi, state.n_photons, gdd1 - gdd2)
-    return TimingDistribution(dist.variable, dist.mean, sigma, dist.amplitude_scale)
+    return TimingDistribution(dist.variable, dist.mean, sigma)
 
 
 def swapped_means(state, spectrum, paths):
@@ -360,7 +360,7 @@ def swapped_means(state, spectrum, paths):
     delay1, _, delay2, _ = paths.coefficients()
     summed = dist.variable is TimingVariable.MEAN_TIME_SUM
     mean = delay1 - delay2 if summed else delay1 + delay2
-    return TimingDistribution(dist.variable, mean, dist.sigma, dist.amplitude_scale)
+    return TimingDistribution(dist.variable, mean, dist.sigma)
 
 
 class TestAsymmetricArms:
@@ -375,8 +375,7 @@ class TestAsymmetricArms:
 
     TOLERANCE = 1e-6
     PATHS = pair(6e4, -2e4, delay1=40.0, delay2=15.0)
-    STATES = [StateSpec(kind, n, *((1.2, 0.8) if kind is StateKind.ENTANGLED_COHERENT else ()))
-              for kind in StateKind for n in (1, 10, 100)]
+    STATES = [StateSpec(kind, n) for kind in StateKind for n in (1, 10, 100)]
     IDS = [f"{state.kind.value}-N{state.n_photons}" for state in STATES]
 
     def misfits(self, state, spectrum):
@@ -464,6 +463,26 @@ class TestNumericMoments:
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1)
         with pytest.raises(DomainError, match=f"order {order} overflows float64"):
             numeric_central_moment(state, spectrum, PathPair.symmetric(1e5), order)
+
+    @pytest.mark.parametrize("order", [352, 353, 4000])
+    def test_hopeless_order_is_refused_before_the_recurrence(self, spectrum, order, monkeypatch):
+        # From order 352 on, the weight of u^352 alone leaves float64 at any b,
+        # so the moment must overflow; the O(order^2) recurrence is never run.
+        steps = []
+        recurrence = oracle._plancherel_central
+        monkeypatch.setattr(oracle, "_plancherel_central",
+                            lambda *args: steps.append(args) or recurrence(*args))
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1)
+        for paths in (PathPair.symmetric(0.0), PathPair.symmetric(1e5)):
+            with pytest.raises(DomainError) as error:
+                numeric_central_moment(state, spectrum, paths, order)
+            assert str(error.value) == f"numeric central moment of order {order} overflows float64"
+        assert steps == []
+        # One order below, every weight fits: the recurrence runs, and the
+        # moment still overflows at D = 1e5.
+        with pytest.raises(DomainError, match="order 351 overflows float64"):
+            numeric_central_moment(state, spectrum, PathPair.symmetric(1e5), 351)
+        assert [args[-1] for args in steps] == [1, 351]
 
     def test_zeroth_moment_is_one(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 5)

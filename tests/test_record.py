@@ -17,10 +17,10 @@ SILICA = MediumSegment("fused_silica", 0.0, 250.0, 1.0)
 # value of its first field.
 SAMPLES = [
     (GaussianSpectrum, {"sigma_phi": 0.37}, 0.5),
-    (StateSpec, {"kind": StateKind.ANTI_CORRELATED_FOCK, "n_photons": 10,
-                 "v_mag": None, "u_mag": None}, StateKind.CORRELATED_FOCK),
+    (StateSpec, {"kind": StateKind.ANTI_CORRELATED_FOCK, "n_photons": 10},
+     StateKind.CORRELATED_FOCK),
     (TimingDistribution, {"variable": TimingVariable.MEAN_TIME_DIFFERENCE, "mean": 25.0,
-                          "sigma": 3.5, "amplitude_scale": 1.0}, TimingVariable.MEAN_TIME_SUM),
+                          "sigma": 3.5}, TimingVariable.MEAN_TIME_SUM),
     (MediumSegment, {"label": "vacuum", "alpha": 0.0, "beta": 0.0, "length": 1.0}, "air"),
     (PathPair, {"path1": (VACUUM,), "path2": (SILICA,)}, (SILICA,)),
     (AirConditions, {"temperature_c": 15.0, "pressure_pa": 101325.0,
@@ -36,8 +36,6 @@ IDS = [cls.__name__ for cls, _, _ in SAMPLES]
 
 # The defaults, as declared, of the classes that have any.
 DEFAULTS = {
-    StateSpec: {"v_mag": None, "u_mag": None},
-    TimingDistribution: {"amplitude_scale": 1.0},
     AirConditions: {"temperature_c": 15.0, "pressure_pa": 101325.0, "relative_humidity": 0.0},
     SamplerConfig: {"n_photons": 1},
 }
@@ -84,8 +82,7 @@ def test_repr_names_each_field(cls, fields, other):
 
 def test_repr_text():
     assert repr(StateSpec(StateKind.ANTI_CORRELATED_FOCK, 10)) == (
-        "StateSpec(kind=<StateKind.ANTI_CORRELATED_FOCK: 'anti'>, n_photons=10, "
-        "v_mag=None, u_mag=None)")
+        "StateSpec(kind=<StateKind.ANTI_CORRELATED_FOCK: 'anti'>, n_photons=10)")
     assert repr(VACUUM) == "MediumSegment(label='vacuum', alpha=0.0, beta=0.0, length=1.0)"
 
 

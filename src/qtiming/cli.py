@@ -331,15 +331,19 @@ def _parse_segment(text: str, wavelength_nm: float) -> MediumSegment:
     return catalog_segment(material, length_cm, wavelength_nm)
 
 
-def _paths_from_args(args) -> tuple[PathPair, float]:
-    """Resolve media flags at --wavelength into a PathPair; returns (paths, gdd_sum fs^2)."""
+def _paths_from_args(args) -> tuple[PathPair, float, float, float]:
+    """Resolve media flags at --wavelength into (paths, gdd_path1, gdd_path2, gdd_sum), fs^2.
+
+    --B is the sum as given: its halves can round, or underflow to 0.
+    """
     omega_from_wavelength_nm(args.wavelength)  # its check, with or without paths
     if args.B is not None:
-        return PathPair.symmetric(args.B), args.B
-    paths = PathPair([_parse_segment(s, args.wavelength) for s in args.path1],
-                     [_parse_segment(s, args.wavelength) for s in args.path2])
+        paths = PathPair.symmetric(args.B)
+    else:
+        paths = PathPair([_parse_segment(s, args.wavelength) for s in args.path1],
+                         [_parse_segment(s, args.wavelength) for s in args.path2])
     _, gdd1, _, gdd2 = paths.coefficients()
-    return paths, _gdd_sum(gdd1, gdd2)
+    return paths, gdd1, gdd2, args.B if args.B is not None else _gdd_sum(gdd1, gdd2)
 
 
 def _photon_grid(args):
@@ -354,6 +358,13 @@ def _photon_grid(args):
     if args.n_points == 1:
         return np.array([float(args.n_min)])
     return np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points)
+
+
+def _add_photon_grid_flags(sub: _Parser, command: str) -> None:
+    sub.add_argument("--n-min", type=float, default=None)
+    sub.add_argument("--n-max", type=float, default=None)
+    sub.add_argument("--n-points", type=int, default=None,
+                     help=f"log-spaced points (default {_UNSET_DEFAULTS[command]['n_points']})")
 
 
 def _add_media_flags(sub: _Parser) -> None:
@@ -376,11 +387,10 @@ def _add_media_flags(sub: _Parser) -> None:
 
 def _cmd_width(args) -> int:
     spectrum = GaussianSpectrum.from_si(args.sigma_phi)
-    paths, gdd_sum = _paths_from_args(args)
+    paths, gdd1, gdd2, gdd_sum = _paths_from_args(args)
     state = StateSpec(StateKind(args.state), args.n)
 
     dist = quantum_distribution(state, spectrum, paths)
-    _, gdd1, _, gdd2 = paths.coefficients()
     sigma_t = classical_width(spectrum.sigma_phi, gdd1, gdd2)
     sigma_c = classical_shot_noise(sigma_t, state.n_photons)
     ratio = width_ratio(spectrum.sigma_phi, state.n_photons, gdd1, gdd2)
@@ -404,10 +414,9 @@ def _cmd_width(args) -> int:
 
 def _cmd_scan(args) -> int:
     sigma_phi = sigma_phi_from_rad_per_s(args.sigma_phi)
-    paths, gdd_sum = _paths_from_args(args)
+    _, gdd1, gdd2, gdd_sum = _paths_from_args(args)
     n = _photon_grid(args)
 
-    _, gdd1, _, gdd2 = paths.coefficients()
     sigma_t = classical_width(sigma_phi, gdd1, gdd2)
     columns = (n, sigma_phi * quantum_width(sigma_phi, n, gdd_sum),
                sigma_phi * classical_shot_noise(sigma_t, n))
@@ -448,7 +457,7 @@ def _cmd_surface(args) -> int:
 
 def _cmd_transition(args) -> int:
     sigma_phi = sigma_phi_from_rad_per_s(args.sigma_phi)
-    _, gdd_sum = _paths_from_args(args)
+    _, _, _, gdd_sum = _paths_from_args(args)
     n_t = transition_photon_number(sigma_phi, gdd_sum)
 
     payload = {"gdd_sum_fs2": gdd_sum, "transition_photon_number": n_t}
@@ -580,9 +589,7 @@ def build_parser() -> _Parser:
 
     scan = sub.add_parser("scan", help="sweep photon number; CSV of dimensionless widths")
     _add_media_flags(scan)
-    scan.add_argument("--n-min", type=float, default=None)
-    scan.add_argument("--n-max", type=float, default=None)
-    scan.add_argument("--n-points", type=int, default=None, help="log-spaced points (default 61)")
+    _add_photon_grid_flags(scan, "scan")
     scan.add_argument("--out", default="scan.csv", help="CSV filename (default scan.csv)")
     scan.set_defaults(func=_cmd_scan)
 
@@ -594,9 +601,7 @@ def build_parser() -> _Parser:
     surface.add_argument("--sigma-phi", type=float, default=None, help="spectral width, rad/s")
     surface.add_argument("--beta", type=float, default=None,
                          help="medium dispersion coefficient, fs^2/cm")
-    surface.add_argument("--n-min", type=float, default=None)
-    surface.add_argument("--n-max", type=float, default=None)
-    surface.add_argument("--n-points", type=int, default=None, help="default 33")
+    _add_photon_grid_flags(surface, "surface")
     surface.add_argument("--x-min", type=float, default=None, help="cm")
     surface.add_argument("--x-max", type=float, default=None, help="cm")
     surface.add_argument("--x-points", type=int, default=None, help="default 41")

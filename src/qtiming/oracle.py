@@ -42,10 +42,14 @@ Moments of |I(b, z)|^2 over z, the normaliser M_0 included, come from
 Plancherel's theorem instead: integral (z - m)^k |I|^2 dz is 2 pi times an
 integral over u of exp(-u^2) times a polynomial built from the raw
 integrand's derivatives.  That weight does not oscillate, so one plain
-trapezoid on a fixed node set gives every moment at any b.
+trapezoid on a fixed node set gives every moment at any b.  Near b = 0
+the polynomial's terms alternate in sign and cancel, so an even moment
+whose rounding bound exceeds 1e-6 of its value is refused.
 :func:`verify_closed_form` compares the closed form with the numeric
-density N sigma_phi |I(z)|^2 / M_0, and its ``points_used`` counts the
-lattice's integrand evaluations.
+density N sigma_phi |I(z)|^2 / M_0 on the grid ``np.linspace(start, stop,
+count)``, and its ``points_used`` counts the lattice's integrand
+evaluations.  Each case's GDD sum and dispersion phase pass
+``_finite_or_raise``, so per-path GDDs whose sum leaves float64 are named.
 
 The combinatorial 1/N! prefactor is dropped, matching the normalisation
 convention of the closed forms.  The resolving step takes about |b| H^2
@@ -178,8 +182,8 @@ def _trapezoid_integral(b: float, zs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _plancherel_moments(b: float, order: int) -> tuple[float, np.ndarray]:
-    """(<z>, central moments 0..order of |I(b, z)|^2 over z), by Plancherel.
+def _plancherel_moments(b: float, order: int) -> tuple[float, np.ndarray, float]:
+    """(<z>, central moments 0..order of |I(b, z)|^2 over z, spread), by Plancherel.
 
     I(b, .) is the Fourier transform of g(u) = exp(-u^2/2 + i b u^2) on
     [-H, H], and (z - m) times it is the transform of (-i d/du - m) g.  So
@@ -191,6 +195,8 @@ def _plancherel_moments(b: float, order: int) -> tuple[float, np.ndarray]:
     The order-k moment sums the weights of every power up to k, so once one
     of them leaves float64 (from order 352 on, at any b) so does the
     moment: that raises :class:`DomainError` before any recurrence step.
+    The spread is the top moment's sum of |c_j w_j| (see
+    :func:`_plancherel_central`).
     """
     reach = int(_HALF_WIDTH / _MOMENT_STEP)
     u = _MOMENT_STEP * np.arange(-reach, reach + 1)
@@ -203,13 +209,20 @@ def _plancherel_moments(b: float, order: int) -> tuple[float, np.ndarray]:
         powers.append(_finite_or_raise(scale * term.sum(), law, None, positive=False))
         term *= u
     powers = np.array(powers)
-    first = _plancherel_central(powers, b, 0.0, 1)
+    first, _ = _plancherel_central(powers, b, 0.0, 1)
     mean = float(first[1] / first[0])
-    return mean, _plancherel_central(powers, b, mean, order)
+    return (mean, *_plancherel_central(powers, b, mean, order))
 
 
-def _plancherel_central(powers: np.ndarray, b: float, mean: float, top: int) -> np.ndarray:
-    """Moments 0..top of (z - mean)^k, from the weights ``powers`` (see above) by P_k's recurrence."""
+def _plancherel_central(
+    powers: np.ndarray, b: float, mean: float, top: int
+) -> tuple[np.ndarray, float]:
+    """Moments 0..top of (z - mean)^k, from the weights ``powers`` (see above) by P_k's recurrence.
+
+    Also the sum of |c_j w_j| over the terms c_j w_j of the top moment,
+    with c_j the coefficients of P_top and w_j the weights: 2^-53 times it
+    bounds the rounding error of their sum, which cancels at small |b|.
+    """
     poly = np.zeros(top + 1, dtype=complex)  # P_k's coefficients, lowest power first
     poly[0] = 1.0
     moments = [powers[0]]
@@ -217,7 +230,7 @@ def _plancherel_central(powers: np.ndarray, b: float, mean: float, top: int) -> 
         derivative = np.append(poly[1:] * np.arange(1, top + 1), 0.0)
         poly = -1j * derivative + (1j + 2.0 * b) * np.append(0.0, poly[:-1]) - mean * poly
         moments.append((poly * powers[:top + 1]).sum().real)
-    return np.array(moments)
+    return np.array(moments), float(np.abs(poly * powers[:top + 1]).sum())
 
 
 def _case_geometry(
@@ -235,7 +248,10 @@ def _case_geometry(
     """
     delay1, gdd1, delay2, gdd2 = paths.coefficients()
     sign = _ARM2_SIGN[state.kind]
-    b = state.n_photons * (gdd1 + sign * sign * gdd2) * spectrum.sigma_phi**2
+    gdd = _finite_or_raise(gdd1 + sign * sign * gdd2, "GDD sum", None, positive=False,
+                           gdd_path1_fs2=gdd1, gdd_path2_fs2=gdd2)
+    b = _finite_or_raise(state.n_photons * gdd * spectrum.sigma_phi**2, "dispersion phase",
+                         spectrum.sigma_phi, positive=False, N=state.n_photons, gdd_sum_fs2=gdd)
     return b, delay1 + sign * delay2, state.n_photons * spectrum.sigma_phi
 
 
@@ -263,12 +279,16 @@ def verify_closed_form(
     state: StateSpec,
     spectrum: GaussianSpectrum,
     paths: PathPair,
-    grid,
+    start: float,
+    stop: float,
+    count: int,
 ) -> VerificationReport:
     """Compare the normalised numeric density against the closed form.
 
-    The grid must be ascending and evenly spaced, as ``np.linspace``
-    gives.  The numeric side is N sigma_phi |I(z)|^2 / M_0, with I(z) on
+    The grid is ``np.linspace(start, stop, count)`` of observable values
+    (fs), with finite ends, an integer 1 <= count <= ``_MAX_POINTS`` (a
+    larger lattice cannot converge) and start < stop when count > 1.  The numeric side is
+    N sigma_phi |I(z)|^2 / M_0, with I(z) on
     the whole grid from one trapezoid lattice and the normaliser M_0 =
     integral |I|^2 dz taken by Plancherel; at no point does it use the
     completed-square result.  The maximum relative error is taken over
@@ -276,23 +296,19 @@ def verify_closed_form(
     (further out, the oscillatory integral cancels to below float64
     resolution and a relative comparison means nothing).
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise DomainError("verification grid must be non-empty")
-    _check_finite(observable=grid)
-    # Even to within a few ulps of its largest value, as np.linspace gives.
-    steps = np.diff(grid)
-    spacing = (grid[-1] - grid[0]) / max(grid.size - 1, 1)
-    if not (np.all(steps > 0)
-            and np.all(np.abs(steps - spacing) <= 8.0 * np.spacing(np.abs(grid).max()))):
-        raise DomainError("verification grid must be ascending and evenly spaced")
+    _check_finite(start=start, stop=stop)
+    if not (isinstance(count, numbers.Integral) and 1 <= count <= _MAX_POINTS):
+        raise DomainError(f"grid count must be an integer in 1..{_MAX_POINTS}, got {count!r}")
+    if count > 1 and not start < stop:
+        raise DomainError(f"grid needs start < stop, got {start:g} and {stop:g}")
+    grid = np.linspace(start, stop, count)
 
     dist = quantum_distribution(state, spectrum, paths)
     closed = np.asarray(density_at(dist, grid))
 
     b, mean, scale = _case_geometry(state, spectrum, paths)
     values, _, points = _trapezoid_integral(b, scale * (grid - mean))
-    _, moments = _plancherel_moments(b, 0)
+    _, moments, _ = _plancherel_moments(b, 0)
     numeric = scale * np.abs(values) ** 2 / moments[0]
 
     peak = density_at(dist, dist.mean)
@@ -315,16 +331,20 @@ def _central_moment(
     spectrum: GaussianSpectrum,
     paths: PathPair,
     order: int,
-) -> tuple[float, np.float64, float]:
-    """(mean in fs, central moment of the given order in z, scale), z = scale (tau - mean).
+) -> tuple[float, np.float64, float, np.float64]:
+    """(mean in fs, central moment of the given order in z, scale, cancellation).
 
-    The moment stays in z, where the callers take it to fs each in its own
-    way, and passes no check here: a value that left float64 is theirs to name.
+    z = scale (tau - mean).  The moment stays in z, where the callers take
+    it to fs each in its own way, and passes no check here: a value that
+    left float64 is theirs to name.  The cancellation is the relative
+    rounding bound 2^-53 sum_j |c_j w_j| / |M_order| (see
+    :func:`_plancherel_central`).
     """
     b, offset, scale = _case_geometry(state, spectrum, paths)
     with np.errstate(all="ignore"):
-        centre, moments = _plancherel_moments(b, order)
-        return offset + centre / scale, moments[order] / moments[0], scale
+        centre, moments, spread = _plancherel_moments(b, order)
+        return (offset + centre / scale, moments[order] / moments[0], scale,
+                2.0**-53 * spread / np.abs(moments[order]))
 
 
 def numeric_moments(
@@ -339,7 +359,7 @@ def numeric_moments(
     gives that pulse's width (b = gdd sigma_phi^2), and the classical width is
     the root-sum-square of the two paths' pulse widths.
     """
-    mean, variance, scale = _central_moment(state, spectrum, paths, 2)
+    mean, variance, scale, _ = _central_moment(state, spectrum, paths, 2)
     # The root before the division by the scale: the width can fit in float64
     # where the variance in fs^2 does not.
     return (_finite_or_raise(mean, "numeric mean", None, positive=False),
@@ -352,14 +372,22 @@ def numeric_central_moment(
     paths: PathPair,
     order: int,
 ) -> float:
-    """Central moment of the numeric density of the given order, a non-negative int (not a bool)."""
+    """Central moment of the numeric density of the given order, a non-negative int (not a bool).
+
+    An even moment sums terms of alternating sign that cancel at small |b|
+    (at b = 0, its rounding bound passes 1e-6 between orders 40 and 50); one
+    whose bound exceeds 1e-6 raises :class:`DomainError` rather than return
+    a value without its digits.
+    """
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
         raise DomainError(f"order must be a non-negative integer, got {order!r}")
-    _, moment, scale = _central_moment(state, spectrum, paths, order)
+    _, moment, scale, cancellation = _central_moment(state, spectrum, paths, order)
     # moment / scale**order, with scale = mantissa 2**exponent: the power of
     # the mantissa in [1/2, 1) stays normal at any order whose moment is finite.
     mantissa, exponent = math.frexp(scale)
     with np.errstate(all="ignore"):
         moment = float(np.ldexp(moment / mantissa**order, -exponent * order))
-    return _finite_or_raise(moment, f"numeric central moment of order {order}", None,
-                            positive=order % 2 == 0)
+    law = f"numeric central moment of order {order}"
+    if order % 2 == 0 and math.isfinite(moment) and cancellation > 1e-6:
+        raise DomainError(f"{law} lost its digits to cancellation")
+    return _finite_or_raise(moment, law, None, positive=order % 2 == 0)

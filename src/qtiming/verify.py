@@ -2,14 +2,14 @@
 
 ``SUITES`` maps each suite's name to a function ``(seed)`` that
 returns the suite's cases, each a dict with at least ``name`` and
-``passed``; ``verify --suite all`` runs them in table order.  numpy, the
-oracle and the sampler load inside the suites, so importing this module
-loads none of them.
+``passed``; ``verify --suite all`` runs them in table order.  The oracle
+(and with it numpy), the sampler and ``decimal`` load inside the suites,
+so importing this module loads none of them.  The quadrature suite hands the oracle each
+grid as its start, stop and point count.
 """
 
 from __future__ import annotations
 
-import decimal
 import itertools
 import math
 
@@ -21,8 +21,6 @@ from .spectral import GaussianSpectrum
 
 def _quadrature_suite(seed: int) -> list[dict]:
     """Oracle densities against the closed form for each state family, N and GDD."""
-    import numpy as np
-
     from .oracle import verify_closed_form
 
     tolerance = 1e-6
@@ -31,10 +29,10 @@ def _quadrature_suite(seed: int) -> list[dict]:
     for kind, n, gdd_total in itertools.product(StateKind, (1, 3, 10, 100), (0.0, 500.0, 1.0e5)):
         state = StateSpec(kind, n)
         sigma = quantum_width(spectrum.sigma_phi, n, gdd_total)
-        grid = np.linspace(-5.0 * sigma, 5.0 * sigma, 41)
         case = {"name": f"{kind.value}/N={n}/gdd={gdd_total:g}", "tolerance": tolerance}
         try:
-            report = verify_closed_form(state, spectrum, PathPair.symmetric(gdd_total), grid)
+            report = verify_closed_form(state, spectrum, PathPair.symmetric(gdd_total),
+                                        -5.0 * sigma, 5.0 * sigma, 41)
             case["max_rel_err"] = report.max_rel_err
             case["points_used"] = report.points_used
             case["passed"] = report.max_rel_err < tolerance
@@ -50,6 +48,8 @@ def _quadrature_suite(seed: int) -> list[dict]:
 
 def _montecarlo_suite(seed: int) -> list[dict]:
     """The samplers' 1/sqrt(N) slope, consistency with their input and determinism."""
+    import decimal
+
     from .montecarlo import SamplerConfig, sample_classical_scaling, sample_quantum
 
     cases = []

@@ -100,8 +100,7 @@ def test_05_oracle_equivalence_grid():
                 state = StateSpec(kind, n)
                 paths = pair(gdd_total / 2, gdd_total / 2)
                 sigma = quantum_width(spectrum.sigma_phi, n, gdd_total)
-                grid = np.linspace(-5 * sigma, 5 * sigma, 41)
-                result = verify_closed_form(state, spectrum, paths, grid)
+                result = verify_closed_form(state, spectrum, paths, -5 * sigma, 5 * sigma, 41)
                 worst = max(worst, result.max_rel_err)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 60.0

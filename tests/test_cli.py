@@ -353,6 +353,28 @@ def test_preset_csvs_match_recorded_digests(tmp_path):
     }
 
 
+def _x_column(out: Path, argv, **setting: str) -> list[str]:
+    """The x_cm column of a child ``surface`` run's CSV under ``setting``."""
+    env = {k: v for k, v in _child_env().items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    subprocess.run([sys.executable, "-m", "qtiming", *argv, "--out-dir", str(out)],
+                   env={**env, **setting}, capture_output=True, check=True, timeout=120)
+    return [row.split(",")[1] for row in (out / "surface.csv").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("argv", [
+    ("surface", "--preset", "fig3"),
+    ("surface", "--sigma-phi", "3.7e11", "--beta", "250", "--n-min", "1", "--n-max", "1e4",
+     "--n-points", "400", "--x-min", "3.3", "--x-max", "217.9", "--x-points", "500"),
+], ids=["fig3", "400x500"])
+def test_surface_distances_do_not_depend_on_the_cpu_path(tmp_path, argv):
+    # Unlike np.logspace's `power`, np.linspace and np.meshgrid give the same
+    # x_cm bytes with numpy's SIMD loops without AVX-512.
+    default = _x_column(tmp_path / "default", argv)
+    plain = _x_column(tmp_path / "plain", argv,
+                      NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    assert plain == default
+
+
 # SHA-256 of the reports of the benchmark's report jobs and of both catalog
 # materials, then of what each run prints; a refactor of the media, the
 # closed forms or the report output must keep these bytes.
@@ -909,6 +931,14 @@ def test_non_finite_B_error_names_B(tmp_path, capsys, value):
         f"qtiming: error: the total GDD B must be finite, got {float(value)} fs^2\n")
 
 
+def test_b_is_the_gdd_sum_as_given(tmp_path, capsys):
+    # Each path's half of 5e-324 rounds to 0; the laws still take the sum.
+    assert run(tmp_path, "transition", "--sigma-phi", "3.7e11", "--B", "5e-324") == 2
+    assert capsys.readouterr().err == (
+        "qtiming: error: transition photon number overflows float64 at "
+        "sigma_phi = 0.00037 rad/fs, gdd_sum_fs2 = 4.94066e-324\n")
+
+
 NEGATIVE_VALUES = [
     # (argv, exit code), the negative value last.  argparse's own rule reads
     # only -\d+ and -\d*\.\d+ as numbers, so each of these once ended in
@@ -1282,10 +1312,10 @@ def _probe(code: str, **env: str) -> str:
     return result.stdout.strip().splitlines()[-1]
 
 
-# numpy serves the array paths, and the oracle, the sampler and the pool
-# modules only `verify`; no command loads scipy.
+# numpy serves the array paths, and the oracle, the sampler, the pool
+# modules and the slope's decimal only `verify`; no command loads scipy.
 _UNLOADED = ("numpy", "scipy", "qtiming.oracle", "qtiming.montecarlo",
-             "concurrent.futures", "multiprocessing")
+             "concurrent.futures", "multiprocessing", "decimal")
 
 
 # dataclasses, and the inspect it imports, cost a cold start ~13 ms; the value

@@ -115,7 +115,7 @@ class TestQuadratureEngine:
     @pytest.mark.parametrize("function, parameters", [
         (_trapezoid_integral, ["b", "zs"]),
         (amplitude_numeric, ["state", "spectrum", "paths", "tau"]),
-        (verify_closed_form, ["state", "spectrum", "paths", "grid"]),
+        (verify_closed_form, ["state", "spectrum", "paths", "start", "stop", "count"]),
     ], ids=["trapezoid_integral", "amplitude_numeric", "verify_closed_form"])
     def test_entry_points_take_no_budget(self, function, parameters):
         # The budget is the module's constant, not an argument of any call.
@@ -214,13 +214,14 @@ class TestAmplitudeNumeric:
 
 class TestVerifyClosedForm:
     def grid_for(self, spectrum, n, gdd_total, points=41):
+        """(start, stop, count) of the grid mean +- 5 sigma, about a mean of 0."""
         sigma = quantum_width(spectrum.sigma_phi, n, gdd_total)
-        return np.linspace(-5.0 * sigma, 5.0 * sigma, points)
+        return -5.0 * sigma, 5.0 * sigma, points
 
     def test_moderate_dispersion(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3)
         report = verify_closed_form(
-            state, spectrum, pair(200.0, 200.0), self.grid_for(spectrum, 3, 400.0)
+            state, spectrum, pair(200.0, 200.0), *self.grid_for(spectrum, 3, 400.0)
         )
         assert report.max_rel_err < 1e-6
         assert len(report.numeric) == 41
@@ -229,7 +230,7 @@ class TestVerifyClosedForm:
     def test_cancellation_configuration(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 10)
         report = verify_closed_form(
-            state, spectrum, pair(300.0, -300.0), self.grid_for(spectrum, 10, 0.0)
+            state, spectrum, pair(300.0, -300.0), *self.grid_for(spectrum, 10, 0.0)
         )
         assert report.max_rel_err < 1e-8
 
@@ -237,7 +238,7 @@ class TestVerifyClosedForm:
         # N = 50 with 100 cm of silica in each path
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 50)
         report = verify_closed_form(
-            state, spectrum, pair(25_000.0, 25_000.0), self.grid_for(spectrum, 50, 50_000.0)
+            state, spectrum, pair(25_000.0, 25_000.0), *self.grid_for(spectrum, 50, 50_000.0)
         )
         assert report.max_rel_err < 1e-6
 
@@ -246,34 +247,34 @@ class TestVerifyClosedForm:
         # (dispersion phase ~137 rad).
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1000)
         report = verify_closed_form(
-            state, spectrum, pair(5e5, 5e5), self.grid_for(spectrum, 1000, 1e6, points=21)
+            state, spectrum, pair(5e5, 5e5), *self.grid_for(spectrum, 1000, 1e6, points=21)
         )
         assert report.max_rel_err < 1e-6
 
     def test_nonzero_mean_offset(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 5)
         sigma = quantum_width(spectrum.sigma_phi, 5, 500.0)
-        grid = 250.0 + np.linspace(-5.0 * sigma, 5.0 * sigma, 21)
         report = verify_closed_form(
-            state, spectrum, pair(250.0, 250.0, delay1=275.0, delay2=25.0), grid
+            state, spectrum, pair(250.0, 250.0, delay1=275.0, delay2=25.0),
+            250.0 - 5.0 * sigma, 250.0 + 5.0 * sigma, 21
         )
         assert report.max_rel_err < 1e-6
 
     def test_empty_grid_rejected(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3)
         with pytest.raises(DomainError):
-            verify_closed_form(state, spectrum, pair(0.0, 0.0), [])
+            verify_closed_form(state, spectrum, pair(0.0, 0.0), 0.0, 0.0, 0)
 
     def test_far_tail_grid_rejected(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3)
         sigma = quantum_width(spectrum.sigma_phi, 3, 0.0)
         with pytest.raises(DomainError, match="tail"):
-            verify_closed_form(state, spectrum, pair(0.0, 0.0), [50.0 * sigma])
+            verify_closed_form(state, spectrum, pair(0.0, 0.0), 50.0 * sigma, 50.0 * sigma, 1)
 
     def test_phase_envelope_enforced(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1e7)
         with pytest.raises(DomainError, match="envelope"):
-            verify_closed_form(state, spectrum, pair(5e4, 5e4), [0.0])
+            verify_closed_form(state, spectrum, pair(5e4, 5e4), 0.0, 0.0, 1)
 
     @pytest.mark.parametrize("n", [1e5, 1e6])
     def test_fig2_plateau(self, spectrum, n):
@@ -281,28 +282,29 @@ class TestVerifyClosedForm:
         # N = 1e6, on the plateau where dispersion destroys the gain.
         paths = PathPair([catalog_segment("fused_silica", 400.0)], [])
         _, gdd1, _, gdd2 = paths.coefficients()
-        grid = self.grid_for(spectrum, n, gdd1 + gdd2)
         report = verify_closed_form(StateSpec(StateKind.ANTI_CORRELATED_FOCK, n), spectrum,
-                                    paths, grid)
+                                    paths, *self.grid_for(spectrum, n, gdd1 + gdd2))
         assert report.max_rel_err < 1e-6
 
-    @pytest.mark.parametrize("grid,match", [
-        ([-2.0, -1.0, 0.5, 1.0], "evenly spaced"),
-        ([1.0, 0.0, -1.0], "ascending"),
-        ([-1.0, 0.0, 0.0, 1.0], "ascending"),
-        ([0.0, math.inf], "finite"),
-    ], ids=["uneven", "descending", "repeated", "infinite"])
-    def test_grid_must_ascend_evenly(self, spectrum, grid, match):
+    @pytest.mark.parametrize("start,stop,count,match", [
+        (1.0, -1.0, 3, "start < stop"),
+        (0.0, 0.0, 4, "start < stop"),
+        (0.0, math.inf, 2, "stop = inf is not finite"),
+        # Refused before the grid is allocated: no lattice this size converges.
+        (-1.0, 1.0, oracle._MAX_POINTS + 1, "count must be an integer"),
+        (-1.0, 1.0, 41.0, "count must be an integer"),
+    ], ids=["descending", "repeated", "infinite-end", "beyond-budget", "float-count"])
+    def test_grid_must_ascend_between_finite_ends(self, spectrum, start, stop, count, match):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3)
         with pytest.raises(DomainError, match=match):
-            verify_closed_form(state, spectrum, pair(200.0, 200.0), grid)
+            verify_closed_form(state, spectrum, pair(200.0, 200.0), start, stop, count)
 
     def test_amplitude_scale_error_is_caught(self, spectrum, monkeypatch):
         # The Plancherel normaliser does not cancel an error in the
         # amplitude's absolute scale, as self-normalisation would.
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 3)
         paths, grid = pair(200.0, 200.0), self.grid_for(spectrum, 3, 400.0)
-        assert verify_closed_form(state, spectrum, paths, grid).max_rel_err < 1e-6
+        assert verify_closed_form(state, spectrum, paths, *grid).max_rel_err < 1e-6
         exact = oracle._trapezoid_integral
 
         def scaled(b, zs):
@@ -310,13 +312,13 @@ class TestVerifyClosedForm:
             return values * (1.0 + 1e-5), errors, points
 
         monkeypatch.setattr(oracle, "_trapezoid_integral", scaled)
-        assert verify_closed_form(state, spectrum, paths, grid).max_rel_err > 1e-6
+        assert verify_closed_form(state, spectrum, paths, *grid).max_rel_err > 1e-6
 
     def test_report_holds_each_grid_point(self, spectrum):
         state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 2)
         grid = self.grid_for(spectrum, 2, 0.0, points=5)
-        report = verify_closed_form(state, spectrum, pair(0.0, 0.0), grid)
-        assert report.grid == list(grid)
+        report = verify_closed_form(state, spectrum, pair(0.0, 0.0), *grid)
+        assert report.grid == list(np.linspace(*grid))
         assert len(report.closed_form) == len(report.numeric) == 5
         assert report.points_used > 0
 
@@ -332,8 +334,9 @@ class TestStateFamilies:
 
     @staticmethod
     def verify(state, spectrum):
-        grid = np.linspace(-5.0, 5.0, 41) * quantum_width(SIGMA_PHI, 3, 500.0)
-        return verify_closed_form(state, spectrum, pair(250.0, 250.0), grid)
+        sigma = quantum_width(SIGMA_PHI, 3, 500.0)
+        return verify_closed_form(state, spectrum, pair(250.0, 250.0),
+                                  -5.0 * sigma, 5.0 * sigma, 41)
 
     def test_families_at_equal_geometry_give_equal_reports(self, spectrum):
         reports = [self.verify(state, spectrum) for state in self.STATES]
@@ -386,8 +389,8 @@ class TestAsymmetricArms:
         closed form's, in units of its sigma.
         """
         dist = oracle.quantum_distribution(state, spectrum, self.PATHS)
-        grid = np.linspace(dist.mean - 5.0 * dist.sigma, dist.mean + 5.0 * dist.sigma, 41)
-        report = verify_closed_form(state, spectrum, self.PATHS, grid)
+        report = verify_closed_form(state, spectrum, self.PATHS,
+                                    dist.mean - 5.0 * dist.sigma, dist.mean + 5.0 * dist.sigma, 41)
         mean, sigma = numeric_moments(state, spectrum, self.PATHS)
         return report.max_rel_err, abs(mean - dist.mean) / dist.sigma, abs(sigma / dist.sigma - 1.0)
 
@@ -464,6 +467,44 @@ class TestNumericMoments:
         with pytest.raises(DomainError, match=f"order {order} overflows float64"):
             numeric_central_moment(state, spectrum, PathPair.symmetric(1e5), order)
 
+    @pytest.mark.parametrize("order", [50, 60, 76])
+    def test_cancelled_even_moment_is_refused(self, spectrum, order):
+        # At b = 0 the rounding bound of P_k's alternating terms passes 1e-6
+        # between orders 40 and 50; order 76 used to come out negative and
+        # be named an underflow.
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, 1000)
+        with pytest.raises(DomainError) as error:
+            numeric_central_moment(state, spectrum, PathPair.symmetric(0.0), order)
+        assert str(error.value) == (
+            f"numeric central moment of order {order} lost its digits to cancellation")
+
+    def test_even_moment_at_larger_phase_keeps_its_digits(self, spectrum):
+        # At b = 3 the terms of order 60 hardly cancel: 59!! sigma^60.
+        n = 1000
+        gdd = 3.0 / (n * spectrum.sigma_phi**2)
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, n)
+        sigma = quantum_width(spectrum.sigma_phi, n, gdd)
+        expected = math.prod(range(59, 0, -2)) * sigma**60
+        assert numeric_central_moment(state, spectrum, PathPair.symmetric(gdd), 60) == (
+            pytest.approx(expected, rel=1e-10))
+
+    @pytest.mark.parametrize("moment", [
+        lambda state, spectrum, paths: numeric_moments(state, spectrum, paths),
+        lambda state, spectrum, paths: numeric_central_moment(state, spectrum, paths, 4),
+        lambda state, spectrum, paths: amplitude_numeric(state, spectrum, paths, 0.0),
+    ], ids=["numeric_moments", "numeric_central_moment", "amplitude_numeric"])
+    @pytest.mark.parametrize("n, paths, message", [
+        (1, pair(1e308, 1e308),
+         "GDD sum overflows float64 at gdd_path1_fs2 = 1e+308, gdd_path2_fs2 = 1e+308"),
+        (1e8, pair(5e307, 5e307), "dispersion phase overflows float64 at sigma_phi = 0.00037 "
+                                  "rad/fs, N = 1e+08, gdd_sum_fs2 = 1e+308"),
+    ], ids=["gdd-sum", "dispersion-phase"])
+    def test_overflowing_geometry_is_named(self, spectrum, moment, n, paths, message):
+        state = StateSpec(StateKind.ANTI_CORRELATED_FOCK, n)
+        with pytest.raises(DomainError) as error:
+            moment(state, spectrum, paths)
+        assert str(error.value) == message
+
     @pytest.mark.parametrize("order", [352, 353, 4000])
     def test_hopeless_order_is_refused_before_the_recurrence(self, spectrum, order, monkeypatch):
         # From order 352 on, the weight of u^352 alone leaves float64 at any b,
@@ -518,7 +559,7 @@ class TestNumericMoments:
 class TestPlancherelMoments:
     @pytest.mark.parametrize("b", [0.0, 1.37, -137.0, 1.37e4, 2e4])
     def test_variance_is_exact(self, b):
-        mean, moments = _plancherel_moments(b, 2)
+        mean, moments, _ = _plancherel_moments(b, 2)
         variance = (1.0 + 4.0 * b * b) / 2.0
         assert moments[0] == pytest.approx(2.0 * math.pi**1.5, rel=1e-15)
         assert moments[2] / moments[0] == pytest.approx(variance, rel=1e-15)
@@ -529,15 +570,15 @@ class TestPlancherelMoments:
         # The weight exp(-u^2) is resolved on every window; beyond u = 6 it
         # holds about 1e-16 of the mass, and beyond u = 28 it is 0.0 in float64.
         monkeypatch.setattr(oracle, "_HALF_WIDTH", half_width)
-        _, moments = _plancherel_moments(137.0, 2)
+        _, moments, _ = _plancherel_moments(137.0, 2)
         assert moments[0] == pytest.approx(2.0 * math.pi**1.5, rel=1e-14)
         assert moments[2] / moments[0] == pytest.approx((1.0 + 4.0 * 137.0**2) / 2.0, rel=1e-14)
 
     @pytest.mark.parametrize("b", [0.0, 137.0, 1.37e4])
     def test_doubling_nodes_leaves_moments_unchanged(self, b, monkeypatch):
-        mean, moments = _plancherel_moments(b, 4)
+        mean, moments, _ = _plancherel_moments(b, 4)
         monkeypatch.setattr(oracle, "_MOMENT_STEP", oracle._MOMENT_STEP / 2.0)
-        doubled_mean, doubled = _plancherel_moments(b, 4)
+        doubled_mean, doubled, _ = _plancherel_moments(b, 4)
         # Each moment against its natural scale, M_0 sigma_z^k.
         sigma_z = math.sqrt(moments[2] / moments[0])
         assert abs(doubled_mean - mean) <= 1e-14 * sigma_z
